@@ -49,9 +49,9 @@ class ConcreteSimulator:
         self.program = program
         self.detectors = detectors
         self.max_steps = max_steps
-        # Warm the decode cache up front: a simulator drives thousands of
-        # short runs over one program, and decoding at construction keeps the
-        # one-time cost out of the first experiment's timing.
+        # Build the decoded tables up front: a simulator drives thousands of
+        # short runs over one program.  This compiles nothing; each op and
+        # superblock compiles the first time an experiment reaches it.
         decoded_program(program)
 
     def fresh_state(self, input_values: Sequence[int] = (),

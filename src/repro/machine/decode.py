@@ -1,4 +1,4 @@
-"""One-time pre-decoding of a :class:`~repro.isa.program.Program`.
+"""Pre-decoding of a :class:`~repro.isa.program.Program`.
 
 Both interpreters used to re-derive everything from instruction *strings* on
 every step: opcode comparisons, ``IMMEDIATE_ALIASES`` lookups,
@@ -14,9 +14,8 @@ once per program and caches the result, so the hot loops become
   pre-rendered assembly text used by traces and error messages.
 
 * per-address *concrete ops* — tiny specialised Python functions (one per
-  instruction, generated and ``exec``-compiled once) implementing the exact
-  semantics of the legacy ``concrete_step`` string dispatch for that single
-  instruction.
+  instruction) implementing the exact semantics of the legacy
+  ``concrete_step`` string dispatch for that single instruction.
 
 * *superblocks* — runs of straight-line, non-forking instructions fused into
   a single generated function.  ``run_concrete`` enters a superblock when the
@@ -24,6 +23,12 @@ once per program and caches the result, so the hot loops become
   block; faults, detectors (``check``), control transfers and interpreter
   breakpoints fall back to the single-instruction ops, so observable
   semantics are bit-identical to single-stepping.
+
+  Ops and superblocks are generated and ``exec``-compiled on demand: each
+  table slot starts as a stub that compiles its function the first time it
+  runs and then replaces itself, so a process pays compilation only for
+  the code it actually executes (a replace campaign runs about a tenth of
+  its pcs).
 
 * memoised static *control-fork target* sets for every
   ``control_fork_domain`` setting, replacing the per-fork
@@ -35,7 +40,8 @@ incremental fingerprint and err-census bookkeeping.
 
 The cache is keyed by program identity with weakref eviction and is rebuilt
 inside worker processes — decoded tables are never pickled (generated
-functions could not be, and the rebuild is a one-time cost per worker).
+functions could not be).  Building the tables compiles nothing, so the
+rebuild is cheap and each worker compiles only what it executes.
 """
 
 from __future__ import annotations
@@ -367,10 +373,50 @@ def _exec_namespace(program: Program) -> Dict[str, object]:
         "_mod": _concrete_mod,
         "_OPS": _CONCRETE_OPS,
         "_execute_detector": execute_detector,
+        "_NAME": program.name,
         # Length only — holding e.g. ``program.is_valid_address`` (a bound
         # method) would keep the Program alive and defeat cache eviction.
         "_CODE_LEN": len(program),
     }
+
+
+def _lazy(slots: List[Optional[Callable]], start: int, end: int,
+          entries: Sequence[DecodedInstruction], namespace: Dict[str, object],
+          prefix: str, params: str, counter: str) -> Callable:
+    """Placeholder for ``slots[start]`` that compiles on its first call.
+
+    The call generates ``entries[start:end]`` as one function, compiles it
+    with *namespace* as its globals, stores it in its slot (so later
+    lookups get the compiled function) and runs it.  The stub closes over
+    the entries, its slot list and the namespace only — never the Program
+    or a bound method of it, so a cached DecodedProgram does not keep its
+    program alive.
+    """
+    def stub(*args):
+        name = f"{prefix}{start}"
+        body: List[str] = []
+        for pc in range(start, end):
+            body.extend(_emit_concrete(entries[pc], pc + 1))
+        source = "\n".join([f"def {name}({params}):", *body])
+        scope: Dict[str, Callable] = {}
+        exec(compile(source, f"<decoded {namespace['_NAME']} {name}>",
+                     "exec"), namespace, scope)
+        fn = slots[start] = scope[name]
+        hub = _obs.get()
+        if hub.enabled:
+            hub.count(counter)
+        fn(*args)
+    return stub
+
+
+def cap_evenly(items: Sequence[int], cap: int) -> List[int]:
+    """At most *cap* of *items*, picked at an even stride; none if cap <= 0."""
+    items = list(items)
+    if len(items) <= cap:
+        return items
+    if cap <= 0:
+        return []
+    return items[::len(items) // cap][:cap]
 
 
 class DecodedProgram:
@@ -379,6 +425,11 @@ class DecodedProgram:
     Holds *no* strong reference to the :class:`Program` (only to its
     instructions and derived data), so the identity-keyed cache entry can be
     evicted as soon as the program itself is garbage collected.
+
+    ``concrete_ops[pc]`` and ``block_fns[pc]`` start out as stubs that
+    compile their function on first call and replace themselves in the
+    list, so interpreters that hold the list see the compiled function from
+    the next visit on and a process compiles only the code it runs.
     """
 
     __slots__ = ("name", "length", "entries", "concrete_ops", "block_fns",
@@ -394,39 +445,26 @@ class DecodedProgram:
         self._label_addresses = program.label_addresses()
         self._ct_targets = program.control_transfer_targets()
         self._fork_targets: Dict[Tuple[str, int], List[int]] = {}
-        self._compile(program)
-
-    # ------------------------------------------------------------ generation
-
-    def _compile(self, program: Program) -> None:
-        """Generate and compile the per-pc ops and superblocks in one pass."""
-        source: List[str] = []
-        for d in self.entries:
-            source.append(f"def _op{d.pc}(state, detectors):")
-            source.extend(_emit_concrete(d, d.next_pc))
-            source.append("")
-        blocks = self._plan_superblocks()
-        for start, end in blocks:
-            source.append(f"def _blk{start}(state):")
-            for pc in range(start, end):
-                source.extend(_emit_concrete(self.entries[pc], pc + 1))
-            source.append("")
 
         namespace = _exec_namespace(program)
-        code = compile("\n".join(source), f"<decoded {self.name}>", "exec")
-        exec(code, namespace)
-
-        self.concrete_ops: Tuple[Callable, ...] = tuple(
-            namespace[f"_op{pc}"] for pc in range(self.length))
-        self.block_fns: List[Optional[Callable]] = [None] * self.length
+        entries = self.entries
+        ops: List[Callable] = [None] * self.length
+        for pc in range(self.length):
+            ops[pc] = _lazy(ops, pc, pc + 1, entries, namespace, "_op",
+                            "state, detectors", "interp.ops_compiled")
+        self.concrete_ops = ops
+        blocks: List[Optional[Callable]] = [None] * self.length
         self.block_lens: List[int] = [0] * self.length
-        for start, end in blocks:
-            self.block_fns[start] = namespace[f"_blk{start}"]
+        for start, end in self._plan_superblocks():
+            blocks[start] = _lazy(blocks, start, end, entries, namespace,
+                                  "_blk", "state", "interp.superblocks_compiled")
             self.block_lens[start] = end - start
+        self.block_fns = blocks
         hub = _obs.get()
         if hub.enabled:
             hub.count("interp.programs_decoded")
-            hub.count("interp.superblocks_compiled", len(blocks))
+
+    # -------------------------------------------------------------- planning
 
     def _plan_superblocks(self) -> List[Tuple[int, int]]:
         """Choose ``[start, end)`` ranges of fused straight-line code.
@@ -484,10 +522,7 @@ class DecodedProgram:
             targets = range(self.length)
         else:
             raise MachineModelError(f"unknown control fork domain {domain!r}")
-        targets = list(targets)
-        if len(targets) > cap:
-            stride = max(1, len(targets) // cap)
-            targets = targets[::stride][:cap]
+        targets = cap_evenly(targets, cap)
         self._fork_targets[key] = targets
         return targets
 

@@ -44,7 +44,8 @@ from ..isa.instructions import (Category, Instruction,
                                 compare_base_opcode)
 from ..isa.program import Program
 from ..isa.values import ERR, Value, is_err
-from .decode import DecodedInstruction, DecodedProgram, decoded_program
+from .decode import (DecodedInstruction, DecodedProgram, cap_evenly,
+                     decoded_program)
 from .exceptions import (DIVIDE_BY_ZERO, ILLEGAL_ADDRESS, ILLEGAL_INSTRUCTION,
                          INPUT_EXHAUSTED, MachineModelError,
                          SymbolicValueEncountered, TIMED_OUT,
@@ -78,11 +79,13 @@ class ExecutionConfig:
             (statically plausible control-transfer targets), ``"all"`` (every
             valid code address, the paper's literal semantics) or
             ``"exception_only"`` (only the illegal-instruction outcome).
-        max_control_forks: cap on the number of forked landing sites.
+        max_control_forks: cap on the number of forked landing sites
+            (0 forks none: only the crash outcome remains).
         memory_fork_domain: where an erroneous load/store address may point —
             ``"known"`` (currently defined memory words) or
             ``"exception_only"``.
-        max_memory_forks: cap on the number of forked memory locations.
+        max_memory_forks: cap on the number of forked memory locations
+            (0 forks none).
         prune_unsatisfiable: whether the constraint solver prunes infeasible
             branches (turning this off is the paper's implicit baseline and is
             exercised by the ablation benchmark).
@@ -100,6 +103,12 @@ class ExecutionConfig:
     prune_unsatisfiable: bool = True
     record_trace: bool = False
     legacy_dispatch: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("max_control_forks", "max_memory_forks"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def apply_fault(state: MachineState, kind: str, index: int,
@@ -701,12 +710,7 @@ class Executor:
         return successors
 
     def _memory_fork_addresses(self, state: MachineState) -> List[int]:
-        addresses = sorted(state.memory)
-        cap = self.config.max_memory_forks
-        if len(addresses) <= cap:
-            return addresses
-        stride = max(1, len(addresses) // cap)
-        return addresses[::stride][:cap]
+        return cap_evenly(sorted(state.memory), self.config.max_memory_forks)
 
     def _execute_branch(self, state: MachineState,
                         instruction: Instruction) -> List[MachineState]:

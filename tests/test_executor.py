@@ -11,6 +11,7 @@ from repro.machine import (DIVIDE_BY_ZERO, ExecutionConfig, Executor,
                            TIMED_OUT, concrete_step, initial_state,
                            run_concrete, run_concrete_until)
 from repro.machine.executor import SymbolicValueEncountered
+from repro.programs.factorial import factorial_workload
 
 
 def run_symbolic(source, state=None, detectors=DetectorSet(), max_steps=500,
@@ -202,6 +203,56 @@ class TestControlSemantics:
         state.write_register(1, ERR)
         finals = executor.run(state)
         assert len(finals) == 1 and finals[0].crashed
+
+
+class TestForkCaps:
+    """``max_control_forks`` / ``max_memory_forks``: 0 forks nothing, a
+    negative cap is rejected, a positive one keeps an even sample."""
+
+    @pytest.mark.parametrize("legacy", [False, True])
+    @pytest.mark.parametrize("cap,landings", [(0, 0), (1, 1), (2, 2), (9, 2)])
+    def test_control_fork_cap_on_factorial_labels(self, legacy, cap,
+                                                  landings):
+        program = factorial_workload().program
+        executor = Executor(program, config=ExecutionConfig(
+            control_fork_domain="labels", max_control_forks=cap,
+            legacy_dispatch=legacy))
+        state = initial_state(input_values=(3,))
+        state.pc = ERR
+        successors = executor.step(state)
+        assert successors[0].crashed
+        assert successors[0].exception == ILLEGAL_INSTRUCTION
+        assert len(successors) == 1 + landings
+        assert all(s.forks == 1 for s in successors[1:])
+
+    @pytest.mark.parametrize("legacy", [False, True])
+    @pytest.mark.parametrize("cap,forks", [(0, 0), (1, 1), (3, 3), (5, 3)])
+    def test_memory_fork_cap_on_loads(self, legacy, cap, forks):
+        program = assemble("ldi $2 $1 0\nprint $2\nhalt\n")
+        executor = Executor(program, config=ExecutionConfig(
+            max_memory_forks=cap, legacy_dispatch=legacy))
+        state = initial_state(memory={100: 7, 200: 9, 300: 11})
+        state.write_register(1, ERR)
+        successors = executor.step(state)
+        assert successors[0].exception == ILLEGAL_ADDRESS
+        assert len(successors) == 1 + forks
+
+    @pytest.mark.parametrize("legacy", [False, True])
+    def test_memory_fork_cap_zero_on_stores(self, legacy):
+        program = assemble("sti $2 $1 0\nhalt\n")
+        executor = Executor(program, config=ExecutionConfig(
+            max_memory_forks=0, legacy_dispatch=legacy))
+        state = initial_state(memory={100: 7})
+        state.write_register(1, ERR)
+        state.write_register(2, 55)
+        [fresh] = executor.step(state)
+        assert fresh.memory.get(101) == 55 and fresh.memory.get(100) == 7
+
+    @pytest.mark.parametrize("field", ["max_control_forks",
+                                       "max_memory_forks"])
+    def test_negative_cap_is_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
+            ExecutionConfig(**{field: -1})
 
 
 class TestIOAndSpecial:
