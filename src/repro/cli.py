@@ -221,11 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--chunk-size", type=_positive_int, default=None,
                          help="injections per work unit "
                               "(default: a few chunks per worker)")
-    analyze.add_argument("--granularity", default="chunk",
-                         choices=("chunk", "task"),
-                         help="distribution unit: raw injection chunks, or "
-                              "whole paper-style search tasks (Section 6.1) "
-                              "through the task-strategy seam")
     analyze.add_argument("--queue", default=None,
                          help="queue for the distributed backend: a broker "
                               "directory, or tcp://HOST:PORT of a running "
@@ -411,10 +406,6 @@ def _resolve_backend(args: argparse.Namespace) -> str:
     if backend == "serial" and args.chunk_size is not None:
         raise SystemExit("--chunk-size only applies to --backend pool or "
                          "distributed (the serial sweep is not chunked)")
-    if args.granularity == "task" and backend == "serial":
-        raise SystemExit("--granularity task needs --backend pool or "
-                         "distributed (a serial sweep has no task backend "
-                         "to ship whole tasks to)")
     if args.resume and args.checkpoint is None:
         raise SystemExit("--resume needs --checkpoint PATH (the journal to "
                          "resume from)")
@@ -441,39 +432,26 @@ def _build_analyze_strategy(args: argparse.Namespace, backend: str,
                   if args.shared_cache else None)
     query_spec = QuerySpec.predefined(args.query, golden_output=golden,
                                       expected_value=expected)
-    whole_tasks = args.granularity == "task"
     if backend == "serial":
         cache = (cache_spec or CacheSpec()).build()
         strategy = SerialExecutionStrategy(result_cache=cache)
         statistics = lambda: cache.statistics  # noqa: E731
     elif backend == "pool":
-        from .parallel import (ParallelConfig, ParallelExecutionStrategy,
-                               ParallelTaskStrategy)
+        from .parallel import ParallelConfig, ParallelExecutionStrategy
         config = ParallelConfig(workers=args.workers,
                                 chunk_size=args.chunk_size,
                                 cache=cache_spec)
-        strategy = (ParallelTaskStrategy(query_spec, config) if whole_tasks
-                    else ParallelExecutionStrategy(query_spec, config))
+        strategy = ParallelExecutionStrategy(query_spec, config)
         statistics = lambda: strategy.cache_statistics  # noqa: E731
     else:
-        from .distributed import (DistributedConfig,
-                                  DistributedExecutionStrategy,
-                                  DistributedTaskStrategy)
+        from .distributed import DistributedConfig, DistributedExecutionStrategy
         config = DistributedConfig(workers=args.workers,
                                    chunk_size=args.chunk_size,
                                    queue_dir=args.queue,
                                    lease_seconds=args.lease_seconds,
                                    cache=cache_spec)
-        strategy = (DistributedTaskStrategy(query_spec, config) if whole_tasks
-                    else DistributedExecutionStrategy(query_spec, config))
+        strategy = DistributedExecutionStrategy(query_spec, config)
         statistics = lambda: strategy.cache_statistics  # noqa: E731
-    if whole_tasks:
-        # Whole search tasks flow through the TaskExecutionStrategy seam;
-        # the sweep adapter flattens their results back into the identical
-        # per-injection CampaignResult.
-        from .core.tasks import TaskSweepStrategy
-        strategy = TaskSweepStrategy(strategy, chunk_size=args.chunk_size,
-                                     workers_hint=max(1, args.workers))
 
     if args.checkpoint is not None:
         from .distributed import CheckpointingStrategy
@@ -585,7 +563,6 @@ def _command_analyze(args: argparse.Namespace) -> int:
             "isa": workload.isa,
             "backend": backend,
             "workers": args.workers,
-            "granularity": args.granularity,
             "sample": args.sample,
             "max_injections": args.max_injections,
         }

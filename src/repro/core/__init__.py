@@ -12,10 +12,10 @@ from .search import (BoundedModelChecker, CacheStatistics, SearchResult,
                      executor_digest, stable_state_digest)
 from .shared_cache import SharedSearchResultCache
 from .campaign import (CampaignResult, ExecutionStrategy, InjectionResult,
-                       SerialExecutionStrategy, SymbolicCampaign)
-from .tasks import (SearchTask, SerialTaskStrategy, TaskCampaignReport,
-                    TaskExecutionStrategy, TaskResult, TaskRunner,
-                    TaskSweepStrategy, chunk_injections, decompose_by_chunk,
+                       SearchTask, SerialExecutionStrategy, SymbolicCampaign,
+                       TaskCaps, chunk_injections, decompose_by_chunk,
+                       run_task)
+from .tasks import (TaskCampaignReport, TaskResult, TaskRunner,
                     decompose_by_code_section, decompose_by_injection,
                     default_chunk_size)
 from .traces import Witness, witnesses_from_campaign
@@ -32,10 +32,8 @@ __all__ = [
     "Solution", "executor_digest", "stable_state_digest",
     "CampaignResult", "ExecutionStrategy", "InjectionResult",
     "SerialExecutionStrategy", "SymbolicCampaign",
-    "SearchTask", "SerialTaskStrategy", "TaskCampaignReport",
-    "TaskExecutionStrategy", "TaskResult", "TaskRunner",
-    "TaskSweepStrategy",
-    "chunk_injections", "decompose_by_chunk",
+    "SearchTask", "TaskCampaignReport", "TaskCaps", "TaskResult",
+    "TaskRunner", "chunk_injections", "decompose_by_chunk", "run_task",
     "decompose_by_code_section", "decompose_by_injection",
     "default_chunk_size",
     "Witness", "witnesses_from_campaign",

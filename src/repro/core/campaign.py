@@ -13,15 +13,17 @@ instruction"), it
    search completed.
 
 The paper splits such a campaign into independent search *tasks* executed on
-a cluster; the decomposition and the aggregate completion statistics live in
-:mod:`repro.core.tasks`.
+a cluster.  Here every backend runs a sweep as tasks too — uncapped ones —
+through :func:`run_task`; the paper's capped decomposition and the aggregate
+completion statistics live in :mod:`repro.core.tasks`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .. import obs as _obs
 from ..detectors import DetectorSet, EMPTY_DETECTORS
@@ -123,34 +125,124 @@ class CampaignResult:
         return "\n".join(lines)
 
 
+@dataclass
+class SearchTask:
+    """One independent search task: a slice of the injection sweep."""
+
+    identifier: int
+    injections: Tuple[Injection, ...]
+    description: str = ""
+
+    def __len__(self) -> int:
+        return len(self.injections)
+
+
+def chunk_injections(injections: Sequence[Injection],
+                     chunk_size: int) -> List[Tuple[Injection, ...]]:
+    """Split a sweep into fixed-size chunks, preserving order.
+
+    The final chunk may be smaller; an empty sweep yields no chunks, and a
+    chunk size larger than the sweep yields a single chunk.  Each chunk is
+    one unit of work handed to a backend, so smaller chunks balance load
+    better while larger chunks amortise dispatch overhead.
+    """
+    if chunk_size <= 0:
+        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+    ordered = list(injections)
+    chunks = [tuple(ordered[start:start + chunk_size])
+              for start in range(0, len(ordered), chunk_size)]
+    assert all(chunks), "chunking must never produce an empty chunk"
+    return chunks
+
+
+def decompose_by_chunk(injections: Sequence[Injection],
+                       chunk_size: int) -> List[SearchTask]:
+    """Fixed-size chunk decomposition (sweep order, not code sections)."""
+    tasks = []
+    for identifier, chunk in enumerate(chunk_injections(injections, chunk_size)):
+        tasks.append(SearchTask(
+            identifier=identifier, injections=chunk,
+            description=f"chunk {identifier} ({len(chunk)} injections)"))
+    return tasks
+
+
+class TaskCaps(NamedTuple):
+    """Per-task caps (paper Section 6.1: at most 10 errors, 30 minutes)."""
+
+    max_errors: int
+    wall_clock: Optional[float] = None
+
+
+#: What one task returns: its results in sweep order, the wall-clock
+#: seconds it took, and whether it completed under its caps.
+TaskOutcome = Tuple[List[InjectionResult], float, bool]
+
+
+def run_task(campaign: "SymbolicCampaign", injections: Sequence[Injection],
+             query: SearchQuery, cache: Optional[SearchResultCache] = None,
+             caps: Optional[TaskCaps] = None) -> TaskOutcome:
+    """Run one task's injections in order until a cap is hit.
+
+    The single work unit of every backend: the serial strategy calls it
+    in-process, pool and broker workers call it on their payloads.  With
+    ``caps=None`` (a sweep) every injection runs.  A task is incomplete
+    when its wall-clock cap cut it short, or when an injection's search hit
+    its own budget without finding a solution; reaching the error cap
+    completes it.
+    """
+    start = time.monotonic()
+    results: List[InjectionResult] = []
+    errors = 0
+    completed = True
+    for injection in injections:
+        if caps is not None:
+            if errors >= caps.max_errors:
+                completed = True
+                break
+            if (caps.wall_clock is not None
+                    and time.monotonic() - start > caps.wall_clock):
+                completed = False
+                break
+        # Through the instance, so a patched run_injection sees every call.
+        result = campaign.run_injection(injection, query, result_cache=cache)
+        results.append(result)
+        errors += len(result.solutions)
+        if not result.completed and not result.found_solutions:
+            completed = False
+    return results, time.monotonic() - start, completed
+
+
 class ExecutionStrategy:
     """How a campaign's injection experiments are executed.
 
-    The paper distributes its searches over a cluster; this abstraction keeps
-    :class:`SymbolicCampaign` agnostic of *where* each experiment runs.  The
-    serial strategy below preserves the original single-process behaviour;
-    :mod:`repro.parallel` provides a multiprocessing strategy that shards the
-    sweep across a worker pool and merges results deterministically, and
-    :mod:`repro.distributed` / :mod:`repro.net` run the same sweep over a
-    broker.  Wrappers compose: checkpointing, recording into a
+    The paper distributes its searches over a cluster as capped search
+    tasks; this abstraction keeps :class:`SymbolicCampaign` and
+    :class:`~repro.core.tasks.TaskRunner` agnostic of *where* each task
+    runs.  There is one strategy per backend: the serial strategy below
+    runs tasks in-process, :mod:`repro.parallel` shards them across a
+    worker pool, and :mod:`repro.distributed` / :mod:`repro.net` run them
+    through a broker.  A backend implements :meth:`run_tasks`; every task
+    of every backend goes through :func:`run_task`.  Wrappers compose by
+    overriding :meth:`run`: checkpointing, recording into a
     :class:`~repro.results.ResultStore`, progress reporting.
 
-    The contract for :meth:`run`: given the same ``(campaign, injections,
-    query)``, every strategy must return results equal to the serial
-    strategy's, in submission order — backends may only change *where*
-    searches run, never *what* they return (`repro bench
-    --expect-identical` enforces this byte-for-byte across backends, for
-    every fault model including multi-error bursts).  Each injection
-    experiment is a pure function of the campaign identity, which is what
-    makes work stealing, re-execution after lease expiry and checkpoint
-    resume safe.
+    A sweep is a list of uncapped tasks (:meth:`run`), and a
+    :class:`~repro.core.tasks.TaskRunner` campaign is the same list with
+    caps.  The contract: given the same ``(campaign, injections, query)``,
+    every strategy must return results equal to the serial strategy's, in
+    submission order — backends may only change *where* searches run,
+    never *what* they return (`repro bench --expect-identical` enforces
+    this byte-for-byte across backends, for every fault model including
+    multi-error bursts).  Each injection experiment is a pure function of
+    the campaign identity, which is what makes work stealing, re-execution
+    after lease expiry and checkpoint resume safe.
     """
 
     name: str = "abstract"
 
-    #: Optional per-result hook (see :data:`ResultSink`).  Strategies must
-    #: call :meth:`emit_result` for every completed injection; wrappers such
-    #: as the checkpointing strategy install a sink here.
+    #: Optional per-result hook (see :data:`ResultSink`).  :meth:`run`
+    #: calls :meth:`emit_result` for every completed injection; wrappers
+    #: such as the checkpointing strategy install a sink here.
     result_sink: Optional[ResultSink] = None
 
     #: When False, the strategy streams every result through
@@ -176,34 +268,68 @@ class ExecutionStrategy:
         campaign.results = results
         return campaign
 
+    def sweep_chunk_size(self, total: int) -> int:
+        """Injections per task when :meth:`run` splits a sweep of *total*.
+
+        One, in-process: progress and result streaming stay per-injection.
+        """
+        return 1
+
+    def run_tasks(self, campaign: "SymbolicCampaign",
+                  tasks: Sequence[SearchTask], query: SearchQuery,
+                  caps: Optional[TaskCaps] = None,
+                  ) -> Iterator[Tuple[int, TaskOutcome]]:
+        """Run every task under *caps*; yield ``(index, outcome)`` pairs.
+
+        Pairs arrive in completion order, each task exactly once; callers
+        merge them by submission index.
+        """
+        raise NotImplementedError
+
     def run(self, campaign: "SymbolicCampaign", injections: Sequence[Injection],
             query: SearchQuery,
             progress: Optional[ProgressCallback] = None) -> List[InjectionResult]:
-        """Execute every injection and return results in submission order."""
-        raise NotImplementedError
+        """Execute every injection and return results in submission order.
+
+        The sweep runs as uncapped tasks; each result is emitted as soon as
+        its task finishes, and *progress* fires once per finished task.
+        """
+        injections = list(injections)
+        tasks = decompose_by_chunk(injections,
+                                   self.sweep_chunk_size(len(injections)))
+        merged: Dict[int, List[InjectionResult]] = {}
+        done = 0
+        for index, (results, _elapsed, _completed) in self.run_tasks(
+                campaign, tasks, query):
+            assert len(results) == len(tasks[index]), \
+                "an uncapped task must run every one of its injections"
+            for injection, result in zip(tasks[index].injections, results):
+                self.emit_result(injection, result)
+            if self.retain_results:
+                merged[index] = results
+            done += len(results)
+            if progress is not None and results:
+                progress(done, len(injections), results[-1])
+        # Deterministic merge: flatten in task-submission (= sweep) order.
+        return [result for index in sorted(merged)
+                for result in merged[index]]
 
 
 class SerialExecutionStrategy(ExecutionStrategy):
-    """Run every injection in-process, one after the other."""
+    """Run every task in-process, one after the other."""
 
     name = "serial"
 
     def __init__(self, result_cache: Optional[SearchResultCache] = None) -> None:
         self.result_cache = result_cache
 
-    def run(self, campaign: "SymbolicCampaign", injections: Sequence[Injection],
-            query: SearchQuery,
-            progress: Optional[ProgressCallback] = None) -> List[InjectionResult]:
-        results: List[InjectionResult] = []
-        for index, injection in enumerate(injections):
-            result = campaign.run_injection(injection, query,
-                                            result_cache=self.result_cache)
-            if self.retain_results:
-                results.append(result)
-            self.emit_result(injection, result)
-            if progress is not None:
-                progress(index + 1, len(injections), result)
-        return results
+    def run_tasks(self, campaign: "SymbolicCampaign",
+                  tasks: Sequence[SearchTask], query: SearchQuery,
+                  caps: Optional[TaskCaps] = None,
+                  ) -> Iterator[Tuple[int, TaskOutcome]]:
+        for index, task in enumerate(tasks):
+            yield index, run_task(campaign, task.injections, query,
+                                  self.result_cache, caps)
 
 
 class SymbolicCampaign:

@@ -8,36 +8,23 @@ The aggregate campaign then reports how many tasks completed, how many found
 errors, and the average completion times, which is exactly the data reported
 in Sections 6.2 and 6.4.
 
-This module reproduces the decomposition and the aggregate statistics.  Tasks
-are executed sequentially by default (deterministic and dependency-free); the
-runner interface keeps each task self-contained so they could equally be
-distributed.
+This module reproduces the decomposition and the aggregate statistics.  A
+task is a chunk of injections with two optional caps, so any backend's
+:class:`~repro.core.campaign.ExecutionStrategy` runs it: in-process by
+default, or on a worker pool or through a broker, with the caps travelling
+inside each work unit.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .. import obs as _obs
 from ..errors.injector import Injection
-from .campaign import (ExecutionStrategy, InjectionResult, ProgressCallback,
-                       SymbolicCampaign)
+from .campaign import (ExecutionStrategy, InjectionResult, SearchTask,
+                       SerialExecutionStrategy, SymbolicCampaign, TaskCaps)
 from .queries import SearchQuery
-from .search import SearchResultCache
-
-
-@dataclass
-class SearchTask:
-    """One independent search task: a slice of the injection sweep."""
-
-    identifier: int
-    injections: Tuple[Injection, ...]
-    description: str = ""
-
-    def __len__(self) -> int:
-        return len(self.injections)
 
 
 @dataclass
@@ -48,7 +35,10 @@ class TaskResult:
     results: List[InjectionResult] = field(default_factory=list)
     elapsed_seconds: float = 0.0
     completed: bool = True
-    errors_found: int = 0
+
+    @property
+    def errors_found(self) -> int:
+        return sum(len(result.solutions) for result in self.results)
 
     @property
     def found_errors(self) -> bool:
@@ -173,36 +163,6 @@ def decompose_by_injection(injections: Sequence[Injection]) -> List[SearchTask]:
             for index, injection in enumerate(injections)]
 
 
-def chunk_injections(injections: Sequence[Injection],
-                     chunk_size: int) -> List[Tuple[Injection, ...]]:
-    """Split a sweep into fixed-size chunks, preserving order.
-
-    The final chunk may be smaller; an empty sweep yields no chunks, and a
-    chunk size larger than the sweep yields a single chunk.  This is the
-    scheduling granularity of the parallel runner: each chunk is one unit of
-    work handed to a worker, so smaller chunks balance load better while
-    larger chunks amortise task-dispatch overhead.
-    """
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    ordered = list(injections)
-    chunks = [tuple(ordered[start:start + chunk_size])
-              for start in range(0, len(ordered), chunk_size)]
-    assert all(chunks), "chunking must never produce an empty chunk"
-    return chunks
-
-
-def decompose_by_chunk(injections: Sequence[Injection],
-                       chunk_size: int) -> List[SearchTask]:
-    """Fixed-size chunk decomposition (sweep order, not code sections)."""
-    tasks = []
-    for identifier, chunk in enumerate(chunk_injections(injections, chunk_size)):
-        tasks.append(SearchTask(
-            identifier=identifier, injections=chunk,
-            description=f"chunk {identifier} ({len(chunk)} injections)"))
-    return tasks
-
-
 def default_chunk_size(total_injections: int, workers: int,
                        chunks_per_worker: int = 4) -> int:
     """Heuristic chunk size: a few chunks per worker for load balancing."""
@@ -213,177 +173,39 @@ def default_chunk_size(total_injections: int, workers: int,
     return max(1, -(-total_injections // target_chunks))
 
 
-class TaskExecutionStrategy:
-    """How a batch of search tasks is executed (mirrors ExecutionStrategy).
-
-    Implementations must return one :class:`TaskResult` per task, in
-    submission order, so reports are deterministic regardless of where the
-    tasks actually ran.
-    """
-
-    name: str = "abstract"
-
-    #: When False, the strategy still hands every completed task to the
-    #: progress callback (so streaming consumers see each result exactly
-    #: once) but returns an empty list instead of the merged task results —
-    #: the coordinator's memory stays flat over arbitrarily large sweeps.
-    retain_results: bool = True
-
-    def run(self, runner: "TaskRunner", tasks: Sequence[SearchTask],
-            query: SearchQuery,
-            progress: Optional[Callable[[int, int, "TaskResult"], None]] = None,
-            ) -> List["TaskResult"]:
-        raise NotImplementedError
-
-
-class SerialTaskStrategy(TaskExecutionStrategy):
-    """Run tasks in-process, sharing one search-result cache across tasks."""
-
-    name = "serial"
-
-    def __init__(self, result_cache: Optional[SearchResultCache] = None) -> None:
-        self.result_cache = result_cache
-
-    def run(self, runner: "TaskRunner", tasks: Sequence[SearchTask],
-            query: SearchQuery,
-            progress: Optional[Callable[[int, int, "TaskResult"], None]] = None,
-            ) -> List["TaskResult"]:
-        results: List[TaskResult] = []
-        for index, task in enumerate(tasks):
-            task_result = runner.run_task(task, query,
-                                          result_cache=self.result_cache)
-            if self.retain_results:
-                results.append(task_result)
-            if progress is not None:
-                progress(index + 1, len(tasks), task_result)
-        return results
-
-
-class TaskSweepStrategy(ExecutionStrategy):
-    """Run an injection sweep as whole search tasks through any task backend.
-
-    The adapter between the two strategy seams: it decomposes the sweep
-    into fixed-size :class:`SearchTask` units, executes them through the
-    given :class:`TaskExecutionStrategy` (serial, pool or distributed) with
-    the per-task caps disabled, and flattens the task results back into the
-    per-injection list :meth:`SymbolicCampaign.run` expects.  With the caps
-    off every injection of every task runs, so the flattened results are
-    identical to a direct sweep — which is what lets ``repro analyze
-    --granularity task`` ship *whole tasks* through a broker and still
-    produce a byte-identical :class:`~repro.core.campaign.CampaignResult`.
-    """
-
-    name = "task-sweep"
-
-    def __init__(self, task_strategy: TaskExecutionStrategy,
-                 chunk_size: Optional[int] = None,
-                 workers_hint: int = 1) -> None:
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.task_strategy = task_strategy
-        self.chunk_size = chunk_size
-        self.workers_hint = max(1, workers_hint)
-
-    @property
-    def cache_statistics(self):
-        """Delegate to the wrapped task strategy's counters (if it has any)."""
-        return getattr(self.task_strategy, "cache_statistics", None)
-
-    def run(self, campaign: SymbolicCampaign,
-            injections: Sequence[Injection], query: SearchQuery,
-            progress: Optional[ProgressCallback] = None,
-            ) -> List[InjectionResult]:
-        injections = list(injections)
-        if not injections:
-            return []
-        chunk_size = (self.chunk_size
-                      or default_chunk_size(len(injections),
-                                            self.workers_hint))
-        tasks = decompose_by_chunk(injections, chunk_size)
-        # Caps large enough to never trigger: the sweep semantics promise
-        # one result per injection, which a capped task would cut short.
-        runner = TaskRunner(campaign,
-                            max_errors_per_task=2**62,
-                            wall_clock_per_task=None)
-        done = 0
-
-        def task_progress(_completed: int, _total: int,
-                          task_result: TaskResult) -> None:
-            # Emit here — once per task, as soon as the executing backend
-            # learns the result — so result sinks (checkpoint journaling)
-            # see results incrementally, not only after the whole sweep.
-            nonlocal done
-            assert len(task_result.results) == len(task_result.task.injections), \
-                "uncapped task must run every one of its injections"
-            for injection, result in zip(task_result.task.injections,
-                                         task_result.results):
-                self.emit_result(injection, result)
-            done += len(task_result.results)
-            if progress is not None and task_result.results:
-                progress(done, len(injections), task_result.results[-1])
-
-        # Streaming mode: every result still flows through task_progress
-        # (above) exactly once; neither the task backend nor this adapter
-        # retains the sweep.
-        self.task_strategy.retain_results = self.retain_results
-        task_results = self.task_strategy.run(runner, tasks, query,
-                                              progress=task_progress)
-        if not self.retain_results:
-            return []
-        # Deterministic merge: flatten in task-submission (= sweep) order.
-        return [result for task_result in task_results
-                for result in task_result.results]
-
-
 class TaskRunner:
     """Run search tasks under per-task caps and aggregate the statistics."""
 
     def __init__(self, campaign: SymbolicCampaign,
                  max_errors_per_task: int = 10,
                  wall_clock_per_task: Optional[float] = None) -> None:
+        if max_errors_per_task < 1 or (wall_clock_per_task is not None
+                                       and wall_clock_per_task <= 0):
+            raise ValueError(f"task caps must be positive, got "
+                             f"max_errors_per_task={max_errors_per_task}, "
+                             f"wall_clock_per_task={wall_clock_per_task}")
         self.campaign = campaign
         self.max_errors_per_task = max_errors_per_task
         self.wall_clock_per_task = wall_clock_per_task
 
-    def run_task(self, task: SearchTask, query: SearchQuery,
-                 result_cache: Optional[SearchResultCache] = None) -> TaskResult:
-        """Run one task: sweep its injections until a cap is hit."""
-        with _obs.get().span("task.run", task=task.identifier,
-                             injections=len(task.injections)):
-            return self._run_task(task, query, result_cache)
-
-    def _run_task(self, task: SearchTask, query: SearchQuery,
-                  result_cache: Optional[SearchResultCache] = None,
-                  ) -> TaskResult:
-        start = time.monotonic()
-        result = TaskResult(task=task)
-        for injection in task.injections:
-            if result.errors_found >= self.max_errors_per_task:
-                result.completed = True
-                break
-            if (self.wall_clock_per_task is not None
-                    and time.monotonic() - start > self.wall_clock_per_task):
-                result.completed = False
-                break
-            injection_result = self.campaign.run_injection(
-                injection, query, result_cache=result_cache)
-            result.results.append(injection_result)
-            result.errors_found += len(injection_result.solutions)
-            if not injection_result.completed and not injection_result.found_solutions:
-                # The per-injection search hit its own budget without
-                # exhausting the space: the task did not complete.
-                result.completed = False
-        result.elapsed_seconds = time.monotonic() - start
-        return result
-
     def run(self, tasks: Sequence[SearchTask], query: SearchQuery,
             progress: Optional[Callable[[int, int, TaskResult], None]] = None,
-            strategy: Optional[TaskExecutionStrategy] = None,
+            strategy: Optional[ExecutionStrategy] = None,
             ) -> TaskCampaignReport:
+        """Run *tasks* through *strategy* (default: serial, in-process)."""
         report = TaskCampaignReport(query_description=query.description)
         overall_start = time.monotonic()
-        if strategy is None:
-            strategy = SerialTaskStrategy()
-        report.task_results = strategy.run(self, tasks, query, progress=progress)
+        strategy = strategy or SerialExecutionStrategy()
+        tasks = list(tasks)
+        caps = TaskCaps(self.max_errors_per_task, self.wall_clock_per_task)
+        merged: Dict[int, TaskResult] = {}
+        for index, (results, elapsed, completed) in strategy.run_tasks(
+                self.campaign, tasks, query, caps):
+            merged[index] = TaskResult(task=tasks[index], results=results,
+                                       elapsed_seconds=elapsed,
+                                       completed=completed)
+            if progress is not None:
+                progress(len(merged), len(tasks), merged[index])
+        report.task_results = [merged[index] for index in sorted(merged)]
         report.elapsed_seconds = time.monotonic() - overall_start
         return report

@@ -14,12 +14,9 @@ Public surface:
   locator resolver (directory path or ``tcp://host:port``);
 * :class:`DistributedConfig` / :class:`DistributedExecutionStrategy` /
   :func:`run_campaign_distributed` — the coordinator, plugging into the
-  ``ExecutionStrategy`` seam of :class:`~repro.core.campaign.
-  SymbolicCampaign`;
-* :class:`DistributedTaskStrategy` / :func:`run_tasks_distributed` — whole
-  paper-style search tasks (with per-task caps) through the broker, behind
-  the ``TaskExecutionStrategy`` seam of :class:`~repro.core.tasks.
-  TaskRunner`;
+  ``ExecutionStrategy`` seam for :class:`~repro.core.campaign.
+  SymbolicCampaign` sweeps and :class:`~repro.core.tasks.TaskRunner`
+  capped search tasks alike;
 * :class:`WorkerConfig` / :func:`run_worker` — the standalone worker loop
   behind ``repro worker --queue DIR|tcp://…``;
 * :class:`Backoff` — capped exponential backoff shared by the idle polling
@@ -36,15 +33,13 @@ from .checkpoint import (CheckpointJournal, CheckpointingStrategy,
                          campaign_header, injection_key)
 from .journal import RecordJournal
 from .strategy import (DistributedConfig, DistributedExecutionStrategy,
-                       DistributedTaskStrategy, run_campaign_distributed,
-                       run_tasks_distributed)
+                       run_campaign_distributed)
 from .worker import WorkerConfig, run_worker
 
 __all__ = [
     "Backoff", "Broker", "CampaignManifest", "CheckpointJournal",
     "CheckpointingStrategy", "ClaimedTask", "DistributedConfig",
-    "DistributedExecutionStrategy", "DistributedTaskStrategy",
-    "FilesystemBroker", "RecordJournal", "WorkerConfig", "campaign_header",
-    "injection_key", "open_broker", "run_campaign_distributed",
-    "run_tasks_distributed", "run_worker",
+    "DistributedExecutionStrategy", "FilesystemBroker", "RecordJournal",
+    "WorkerConfig", "campaign_header", "injection_key", "open_broker",
+    "run_campaign_distributed", "run_worker",
 ]

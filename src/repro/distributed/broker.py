@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from .. import obs as _obs
-from ..parallel.spec import CacheSpec, CampaignSpec, QuerySpec, TaskSpec
+from ..parallel.spec import CacheSpec, CampaignSpec, QuerySpec
 
 _TASK_PREFIX = "task-"
 _TASK_SUFFIX = ".pkl"
@@ -45,16 +45,14 @@ class CampaignManifest:
 
     *campaign_id* is a per-run nonce: workers echo it in every result, so a
     coordinator reusing a queue directory can tell this campaign's results
-    from a previous campaign's stragglers.  *task_spec* carries the
-    per-task caps for campaigns that ship whole search tasks (rather than
-    injection chunks) through the broker.
+    from a previous campaign's stragglers.  Per-task caps are not part of
+    the manifest: they travel inside each task's payload.
     """
 
     campaign_spec: CampaignSpec
     query_spec: QuerySpec
     cache_spec: Optional[CacheSpec] = None
     campaign_id: str = ""
-    task_spec: TaskSpec = TaskSpec()
 
 
 @dataclass
@@ -71,17 +69,18 @@ class Broker:
 
     Lifecycle: the coordinator :meth:`reset`\\ s the queue, then
     :meth:`publish_manifest`\\ s the campaign identity and
-    :meth:`put_task`\\ s injection chunks, finally sealing the queue with
+    :meth:`put_task`\\ s its tasks, finally sealing the queue with
     :meth:`close_queue`.  Workers :meth:`load_manifest`, then loop
     :meth:`claim_next` -> work (``renew_lease`` while busy) ->
     :meth:`complete`; the coordinator drains with
     :meth:`fetch_new_results` and :meth:`requeue_expired` until
     :meth:`is_drained`.
 
-    Payloads are opaque pickles: task chunks carry
-    :class:`~repro.faults.spec.FaultSpec` sequences (including composite
-    :class:`~repro.faults.spec.BurstFaultSpec`\\ s) and must round-trip
-    byte-faithfully — a broker may move bytes, never re-encode them.
+    Payloads are opaque pickles: a task is its injections — sequences of
+    :class:`~repro.faults.spec.FaultSpec` (including composite
+    :class:`~repro.faults.spec.BurstFaultSpec`\\ s) — plus its caps, and
+    must round-trip byte-faithfully — a broker may move bytes, never
+    re-encode them.
 
     Every implementation must satisfy ``tests/test_broker_conformance.py``,
     the executable form of this contract; the suite runs against the

@@ -2,22 +2,16 @@
 
 :class:`DistributedExecutionStrategy` plugs into the same
 :class:`~repro.core.campaign.ExecutionStrategy` seam as the serial and pool
-backends, but executes the sweep through a broker: the injection sweep is
-chunked exactly like the pool's, each chunk is enqueued as a durable task,
+backends, but executes tasks through a broker: a sweep is chunked exactly
+like the pool's, each task — an uncapped chunk, or a paper-style search
+task with its error/wall-clock caps — is enqueued as a durable queue entry,
 standalone ``repro worker`` processes (spawned locally by default, or
 attached externally to the same queue) claim and execute them, and the
 coordinator merges results back in submission order — so a distributed
-:class:`~repro.core.campaign.CampaignResult` is identical (solutions,
+:class:`~repro.core.campaign.CampaignResult` or
+:class:`~repro.core.tasks.TaskCampaignReport` is identical (solutions,
 outcomes, ordering) to the serial one, with only wall-clock fields
 differing.
-
-:class:`DistributedTaskStrategy` is the same coordination loop behind the
-:class:`~repro.core.tasks.TaskExecutionStrategy` seam: entire paper-style
-search tasks — with their per-task error/wall-clock caps — flow through the
-broker instead of raw injection chunks, and the merged
-:class:`~repro.core.tasks.TaskResult` list matches
-:class:`~repro.core.tasks.SerialTaskStrategy` byte for byte (timing fields
-aside).
 
 The queue locator decides the transport: a directory path uses the durable
 :class:`~repro.distributed.broker.FilesystemBroker`; ``tcp://host:port``
@@ -40,20 +34,18 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .. import obs as _obs
 from ..core.campaign import (CampaignResult, ExecutionStrategy,
-                             InjectionResult, ProgressCallback,
-                             SymbolicCampaign)
+                             ProgressCallback, SearchTask, SymbolicCampaign,
+                             TaskCaps, TaskOutcome)
 from ..core.queries import SearchQuery
 from ..core.search import CacheStatistics
-from ..core.tasks import (SearchTask, TaskCampaignReport,
-                          TaskExecutionStrategy, TaskResult, TaskRunner,
-                          chunk_injections, default_chunk_size)
+from ..core.tasks import default_chunk_size
 from ..errors.injector import Injection
 from ..parallel.runner import _check_query_consistency, _merge_cache_statistics
-from ..parallel.spec import CacheSpec, CampaignSpec, QuerySpec, TaskSpec
+from ..parallel.spec import CacheSpec, CampaignSpec, QuerySpec
 from .backoff import Backoff
 from .broker import (CampaignManifest, FilesystemBroker, enqueue_campaign,
                      open_broker)
@@ -92,7 +84,7 @@ class DistributedConfig:
             queue.
         lease_seconds: how long a claimed task may go without a lease
             renewal before it is considered orphaned and requeued.
-        poll_interval: coordinator/worker base polling granularity; idle
+        poll_interval: coordinator/worker base polling period; idle
             polling decays exponentially from here (see
             :class:`~repro.distributed.backoff.Backoff`).
         wall_clock_timeout: overall safety bound on the run (None = none).
@@ -216,8 +208,8 @@ class _LocalWorkerPool:
         return "\n".join(tails) or "(worker logs empty)"
 
 
-class _BrokerCoordinator:
-    """The campaign-driving loop shared by both broker-backed strategies.
+class DistributedExecutionStrategy(ExecutionStrategy):
+    """Execute a campaign's tasks through a broker (see module docstring).
 
     Owns the queue's lifecycle for one run: resolve the locator (private
     temporary directory, shared directory, or ``tcp://`` URL), reset and
@@ -226,44 +218,53 @@ class _BrokerCoordinator:
     stragglers from a previous campaign that reused the queue.
     """
 
-    def __init__(self, config: DistributedConfig,
-                 retain_results: bool = True) -> None:
-        self.config = config
-        #: When False, result bodies are handed to ``on_merged`` and then
-        #: dropped (a None placeholder keeps the dedup/ordering bookkeeping
-        #: intact) — the streaming-ingestion mode of the results warehouse.
-        self.retain_results = retain_results
-        self.requeued_tasks: List[int] = []
-        self.worker_stats: Dict[str, CacheStatistics] = {}
+    name = "distributed"
 
-    def run(self, campaign: SymbolicCampaign, query_spec: QuerySpec,
-            payloads: List[object], task_spec: TaskSpec,
-            on_merged: Optional[Callable[[int, object], None]] = None,
-            ) -> Dict[int, object]:
-        """Drive *payloads* through the broker; return index → result body."""
-        config = self.config
-        owns_queue_dir = config.queue_dir is None
-        is_remote = (config.queue_dir is not None
-                     and config.queue_dir.startswith("tcp://"))
-        queue = config.queue_dir or tempfile.mkdtemp(prefix="repro-queue-")
-        # Local workers need somewhere for their logs even when the queue
-        # itself is a TCP URL with no directory behind it.
-        log_dir = (tempfile.mkdtemp(prefix="repro-worker-logs-") if is_remote
-                   else os.path.join(queue, "workers"))
-        try:
-            return self._drive(queue, log_dir, campaign, query_spec,
-                               payloads, task_spec, on_merged)
-        finally:
-            if owns_queue_dir:
-                shutil.rmtree(queue, ignore_errors=True)
-            if is_remote:
-                shutil.rmtree(log_dir, ignore_errors=True)
+    def __init__(self, query_spec: QuerySpec,
+                 config: Optional[DistributedConfig] = None) -> None:
+        self.query_spec = query_spec
+        self.config = config or DistributedConfig()
+        #: Aggregated per-worker SearchResultCache counters of the last run.
+        self.cache_statistics: Optional[CacheStatistics] = None
+        #: Tasks that were requeued after a lease expired (for diagnostics).
+        self.requeued_tasks: List[int] = []
+
+    def sweep_chunk_size(self, total: int) -> int:
+        return self.config.resolve_chunk_size(total)
+
+    def run_tasks(self, campaign: SymbolicCampaign,
+                  tasks: Sequence[SearchTask], query: SearchQuery,
+                  caps: Optional[TaskCaps] = None,
+                  ) -> Iterator[Tuple[int, TaskOutcome]]:
+        _check_query_consistency(query, self.query_spec)
+        self.cache_statistics = None
+        self.requeued_tasks = []
+        worker_stats: Dict[str, CacheStatistics] = {}
+        if tasks:
+            config = self.config
+            owns_queue_dir = config.queue_dir is None
+            is_remote = (config.queue_dir is not None
+                         and config.queue_dir.startswith("tcp://"))
+            queue = config.queue_dir or tempfile.mkdtemp(prefix="repro-queue-")
+            # Local workers need somewhere for their logs even when the
+            # queue itself is a TCP URL with no directory behind it.
+            log_dir = (tempfile.mkdtemp(prefix="repro-worker-logs-")
+                       if is_remote else os.path.join(queue, "workers"))
+            payloads = [(task.injections, caps) for task in tasks]
+            try:
+                yield from self._drive(queue, log_dir, campaign, payloads,
+                                       worker_stats)
+            finally:
+                if owns_queue_dir:
+                    shutil.rmtree(queue, ignore_errors=True)
+                if is_remote:
+                    shutil.rmtree(log_dir, ignore_errors=True)
+        self.cache_statistics = _merge_cache_statistics(worker_stats)
 
     def _drive(self, queue: str, log_dir: str, campaign: SymbolicCampaign,
-               query_spec: QuerySpec, payloads: List[object],
-               task_spec: TaskSpec,
-               on_merged: Optional[Callable[[int, object], None]],
-               ) -> Dict[int, object]:
+               payloads: List[object],
+               worker_stats: Dict[str, CacheStatistics],
+               ) -> Iterator[Tuple[int, TaskOutcome]]:
         config = self.config
         broker = open_broker(queue, lease_seconds=config.lease_seconds)
         # A queue serves one campaign at a time: purge whatever a previous
@@ -280,10 +281,9 @@ class _BrokerCoordinator:
                 broker,
                 CampaignManifest(
                     campaign_spec=CampaignSpec.from_campaign(campaign),
-                    query_spec=query_spec,
+                    query_spec=self.query_spec,
                     cache_spec=config.cache,
-                    campaign_id=campaign_id,
-                    task_spec=task_spec),
+                    campaign_id=campaign_id),
                 list(enumerate(payloads)))
 
         pool: Optional[_LocalWorkerPool] = None
@@ -291,15 +291,16 @@ class _BrokerCoordinator:
             pool = _LocalWorkerPool(queue, log_dir, config)
             pool.spawn(min(config.workers, len(payloads)))
 
-        merged: Dict[int, object] = {}
+        merged: Set[int] = set()
         deadline = (None if config.wall_clock_timeout is None
                     else time.monotonic() + config.wall_clock_timeout)
         idle = Backoff(config.poll_interval, metric="coordinator.idle")
         try:
             while len(merged) < len(payloads):
-                fresh = broker.fetch_new_results(seen=set(merged))
+                fresh = broker.fetch_new_results(seen=merged)
                 for index, payload in fresh:
-                    result_campaign_id, result_index, body, snapshot = payload
+                    result_campaign_id, result_index, outcome, snapshot = \
+                        payload
                     if result_campaign_id != campaign_id:
                         # A straggler from a previous campaign completed an
                         # old claim after our reset: drop its result and
@@ -310,12 +311,11 @@ class _BrokerCoordinator:
                             broker.put_task(index, payloads[index])
                         continue
                     assert result_index == index
-                    merged[index] = body if self.retain_results else None
+                    merged.add(index)
                     worker_name, stats, telemetry = snapshot
-                    note_worker_snapshot(self.worker_stats, worker_name, stats)
+                    note_worker_snapshot(worker_stats, worker_name, stats)
                     _obs.get().absorb(telemetry)
-                    if on_merged is not None:
-                        on_merged(index, body)
+                    yield index, outcome
                 if fresh:
                     idle.reset()
                     continue  # drain eagerly before sleeping again
@@ -351,114 +351,6 @@ class _BrokerCoordinator:
         finally:
             if pool is not None:
                 pool.shutdown()
-        return merged
-
-    def cache_statistics(self) -> CacheStatistics:
-        return _merge_cache_statistics(self.worker_stats)
-
-
-class DistributedExecutionStrategy(ExecutionStrategy):
-    """Execute a campaign's sweep through a broker (see module docstring)."""
-
-    name = "distributed"
-
-    def __init__(self, query_spec: QuerySpec,
-                 config: Optional[DistributedConfig] = None) -> None:
-        self.query_spec = query_spec
-        self.config = config or DistributedConfig()
-        #: Aggregated per-worker SearchResultCache counters of the last run.
-        self.cache_statistics: Optional[CacheStatistics] = None
-        #: Tasks that were requeued after a lease expired (for diagnostics).
-        self.requeued_tasks: List[int] = []
-
-    def run(self, campaign: SymbolicCampaign,
-            injections: Sequence[Injection], query: SearchQuery,
-            progress: Optional[ProgressCallback] = None,
-            ) -> List[InjectionResult]:
-        _check_query_consistency(query, self.query_spec)
-        self.cache_statistics = None
-        self.requeued_tasks = []
-        injections = list(injections)
-        if not injections:
-            self.cache_statistics = CacheStatistics()
-            return []
-
-        chunks = chunk_injections(
-            injections, self.config.resolve_chunk_size(len(injections)))
-        done_injections = 0
-
-        def on_merged(index: int, results: List[InjectionResult]) -> None:
-            nonlocal done_injections
-            for injection, result in zip(chunks[index], results):
-                self.emit_result(injection, result)
-            done_injections += len(results)
-            if progress is not None and results:
-                progress(done_injections, len(injections), results[-1])
-
-        coordinator = _BrokerCoordinator(self.config,
-                                         retain_results=self.retain_results)
-        merged = coordinator.run(campaign, self.query_spec, chunks,
-                                 TaskSpec(), on_merged=on_merged)
-        self.requeued_tasks = coordinator.requeued_tasks
-        self.cache_statistics = coordinator.cache_statistics()
-        if not self.retain_results:
-            return []
-        # Deterministic merge: flatten in chunk-submission order.
-        return [result for index in sorted(merged)
-                for result in merged[index]]
-
-
-class DistributedTaskStrategy(TaskExecutionStrategy):
-    """Ship whole search tasks — the paper's cluster unit — through a broker.
-
-    The distributed counterpart of :class:`~repro.parallel.runner.
-    ParallelTaskStrategy`: each :class:`~repro.core.tasks.SearchTask`
-    becomes one broker task, workers run it under the manifest's per-task
-    caps (taken from the coordinating :class:`~repro.core.tasks.
-    TaskRunner`), and the merged :class:`TaskResult` list is returned in
-    submission order — identical, timing fields aside, to
-    :class:`~repro.core.tasks.SerialTaskStrategy` over the same tasks.
-    """
-
-    name = "distributed"
-
-    def __init__(self, query_spec: QuerySpec,
-                 config: Optional[DistributedConfig] = None) -> None:
-        self.query_spec = query_spec
-        self.config = config or DistributedConfig()
-        self.cache_statistics: Optional[CacheStatistics] = None
-        self.requeued_tasks: List[int] = []
-
-    def run(self, runner: TaskRunner, tasks: Sequence[SearchTask],
-            query: SearchQuery,
-            progress: Optional[Callable[[int, int, TaskResult], None]] = None,
-            ) -> List[TaskResult]:
-        _check_query_consistency(query, self.query_spec)
-        self.cache_statistics = None
-        self.requeued_tasks = []
-        tasks = list(tasks)
-        if not tasks:
-            self.cache_statistics = CacheStatistics()
-            return []
-
-        merged_count = 0
-
-        def on_merged(index: int, result: TaskResult) -> None:
-            nonlocal merged_count
-            merged_count += 1
-            if progress is not None:
-                progress(merged_count, len(tasks), result)
-
-        coordinator = _BrokerCoordinator(self.config,
-                                         retain_results=self.retain_results)
-        merged = coordinator.run(runner.campaign, self.query_spec, tasks,
-                                 TaskSpec.from_runner(runner),
-                                 on_merged=on_merged)
-        self.requeued_tasks = coordinator.requeued_tasks
-        self.cache_statistics = coordinator.cache_statistics()
-        if not self.retain_results:
-            return []
-        return [merged[index] for index in sorted(merged)]
 
 
 def run_campaign_distributed(campaign: SymbolicCampaign,
@@ -477,19 +369,3 @@ def run_campaign_distributed(campaign: SymbolicCampaign,
     strategy = DistributedExecutionStrategy(query_spec, config)
     return campaign.run(query, injections=injections, progress=progress,
                         strategy=strategy)
-
-
-def run_tasks_distributed(runner: TaskRunner, tasks: Sequence[SearchTask],
-                          query_spec: QuerySpec,
-                          config: Optional[DistributedConfig] = None,
-                          progress: Optional[Callable[[int, int, TaskResult],
-                                                      None]] = None,
-                          ) -> TaskCampaignReport:
-    """Run decomposed search tasks through a broker (the paper's cluster).
-
-    Mirrors :func:`~repro.parallel.runner.run_tasks_parallel` for the
-    distributed backend.
-    """
-    query = query_spec.build()
-    strategy = DistributedTaskStrategy(query_spec, config)
-    return runner.run(tasks, query, progress=progress, strategy=strategy)

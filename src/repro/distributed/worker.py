@@ -3,12 +3,11 @@
 A worker is the distributed counterpart of one pool process: it loads the
 campaign manifest from the broker, rebuilds the campaign, query and cache
 once with the existing :mod:`repro.parallel.worker` machinery, then claims
-and executes work units until the queue is drained.  A unit is either an
-injection chunk (the coordinator's default) or a whole
-:class:`~repro.core.tasks.SearchTask` with the manifest's per-task caps —
-the worker dispatches on the claimed payload, so one worker fleet serves
-both campaign granularities.  Between work units it renews the lease on its
-claim so the coordinator can tell a slow worker from a dead one.
+and executes work units until the queue is drained.  A unit is one task —
+its injections plus its caps (``None`` for a sweep chunk) — run through the
+same work function as a pool worker's.  While a unit runs the worker renews
+the lease on its claim so the coordinator can tell a slow worker from a
+dead one.
 
 Workers are stateless and interchangeable: any number can be pointed at the
 same queue — a shared directory or a ``tcp://`` broker — from any machine,
@@ -35,9 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from .. import obs as _obs
-from ..core.tasks import SearchTask
-from ..parallel.worker import (initialize_worker, run_injection_chunk,
-                               run_search_task)
+from ..parallel.worker import initialize_worker, run_work_unit
 from .backoff import Backoff
 from .broker import Broker, ClaimedTask, open_broker
 
@@ -110,19 +107,6 @@ def _await_manifest(broker: Broker, config: WorkerConfig,
     return None
 
 
-def _execute(claim: ClaimedTask):
-    """Run one claimed work unit, dispatching on its payload shape.
-
-    Whole search tasks ship as :class:`SearchTask` payloads and return one
-    :class:`~repro.core.tasks.TaskResult`; injection chunks ship as plain
-    injection tuples and return the chunk's result list.  Both come back as
-    ``(index, body, cache snapshot)``.
-    """
-    if isinstance(claim.payload, SearchTask):
-        return run_search_task((claim.index, claim.payload))
-    return run_injection_chunk((claim.index, claim.payload))
-
-
 def _crash_cleanup(broker: Broker, claim: ClaimedTask,
                    exc: BaseException) -> None:
     """Crash-path cleanup: hand the claim back, log a structured event.
@@ -179,10 +163,6 @@ def run_worker(config: WorkerConfig,
 
     def initialize(manifest) -> None:
         initialize_worker(manifest.campaign_spec, manifest.query_spec,
-                          max_errors_per_task=manifest.task_spec
-                          .max_errors_per_task,
-                          wall_clock_per_task=manifest.task_spec
-                          .wall_clock_per_task,
                           cache_spec=manifest.cache_spec)
         if own_sink is not None:
             _obs.attach_sink(own_sink)
@@ -252,18 +232,18 @@ def run_worker(config: WorkerConfig,
         try:
             with _lease_renewal(broker, claim, config.lease_seconds):
                 with _obs.get().span("worker.unit", index=claim.index):
-                    index, body, snapshot = _execute(claim)
+                    index, outcome, snapshot = run_work_unit(
+                        (claim.index, *claim.payload))
             # Results are tagged with the manifest's campaign id so a
             # coordinator reusing this queue directory can reject
             # stragglers from a previous campaign.
             with _obs.get().span("broker.complete", index=claim.index):
-                broker.complete(claim, (manifest.campaign_id, index, body,
-                                        snapshot))
+                broker.complete(claim, (manifest.campaign_id, index,
+                                        outcome, snapshot))
         except BaseException as exc:
             _crash_cleanup(broker, claim, exc)
             raise
         executed += 1
         if on_task is not None:
-            size = len(body) if isinstance(body, list) else len(body.results)
-            on_task(index, size)
+            on_task(index, len(outcome[0]))
     return executed

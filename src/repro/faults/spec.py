@@ -7,10 +7,9 @@ symbolic ``err`` by default, or any concrete integer a future model may
 choose) and *which model* planned it.
 
 Because a ``FaultSpec`` **is** an ``Injection``, it travels through every
-existing carrier unchanged: injection chunks shipped to pool workers,
-:class:`~repro.core.tasks.SearchTask` payloads, the filesystem and socket
-broker queues, and checkpoint journals all pickle and merge FaultSpecs
-exactly like plain injections — the four execution backends (serial, pool,
+existing carrier unchanged: the task payloads shipped to pool workers and
+through the filesystem and socket broker queues, and checkpoint journals
+all pickle and merge FaultSpecs exactly like plain injections — the four execution backends (serial, pool,
 distributed, tcp) need no spec-specific code.
 """
 

@@ -5,8 +5,6 @@ from .parser import ParseError, Parser, parse_source
 from .codegen import (CompileError, CompiledProgram, CodeGenerator, EVAL_STACK_SLOTS,
                       FunctionInfo, GLOBAL_BASE, GlobalInfo, STACK_BASE)
 from .compiler import compile_source
-from .peephole import (PEEPHOLE_ENV_VAR, PeepholeStats, peephole_compiled,
-                       peephole_enabled_by_env, peephole_program)
 from . import nodes
 
 __all__ = [
@@ -15,6 +13,4 @@ __all__ = [
     "CompileError", "CompiledProgram", "CodeGenerator", "EVAL_STACK_SLOTS",
     "FunctionInfo", "GLOBAL_BASE", "GlobalInfo", "STACK_BASE",
     "compile_source", "nodes",
-    "PEEPHOLE_ENV_VAR", "PeepholeStats", "peephole_compiled",
-    "peephole_enabled_by_env", "peephole_program",
 ]

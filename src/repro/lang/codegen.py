@@ -125,16 +125,6 @@ class CompiledProgram:
         start, end = self.function_region(name)
         return list(range(start, end))
 
-    def peephole(self):
-        """This program with :mod:`repro.lang.peephole` applied.
-
-        Returns ``(compiled, stats)``; ``self`` is unchanged (the pass is
-        purely functional and remaps labels, source lines and function
-        regions together with the code).
-        """
-        from .peephole import peephole_compiled
-        return peephole_compiled(self)
-
 
 def _collect_locals(statements: Sequence[nodes.Stmt]) -> List[str]:
     names: List[str] = []

@@ -9,7 +9,7 @@ worker/broker equivalents) swap in a real :class:`Telemetry` hub.
 Spans use the monotonic clock and nest through a thread-local stack, so a
 ``span("broker.complete")`` opened inside ``span("worker.unit")`` parents
 correctly.  Cross-process parenting rides :class:`TraceContext`, a tiny
-picklable carrier embedded in ``CampaignSpec``/``TaskSpec``: the worker
+picklable carrier embedded in ``CampaignSpec``: the worker
 activates a fresh hub under the coordinator's trace and span ids, and ships
 its metrics back as a :class:`TelemetrySnapshot` which the coordinator
 merges with :meth:`Telemetry.absorb`.

@@ -5,19 +5,17 @@ Public surface:
 * :class:`ParallelConfig` — pool size, chunk size, start method;
 * :class:`CampaignSpec` / :class:`QuerySpec` — picklable recipes workers use
   to rebuild the campaign and query;
-* :func:`run_campaign_parallel` / :func:`run_tasks_parallel` — one-call
-  parallel equivalents of ``SymbolicCampaign.run`` and ``TaskRunner.run``;
-* :class:`ParallelExecutionStrategy` / :class:`ParallelTaskStrategy` — the
-  pluggable strategies behind them, for callers composing their own runs.
+* :class:`ParallelExecutionStrategy` — the pool backend, for
+  ``SymbolicCampaign.run`` sweeps and ``TaskRunner.run`` capped tasks alike;
+* :func:`run_campaign_parallel` — the one-call parallel equivalent of
+  ``SymbolicCampaign.run``.
 """
 
 from .runner import (ParallelConfig, ParallelExecutionStrategy,
-                     ParallelTaskStrategy, run_campaign_parallel,
-                     run_tasks_parallel)
-from .spec import CacheSpec, CampaignSpec, QuerySpec, TaskSpec
+                     run_campaign_parallel)
+from .spec import CacheSpec, CampaignSpec, QuerySpec
 
 __all__ = [
     "CacheSpec", "CampaignSpec", "ParallelConfig",
-    "ParallelExecutionStrategy", "ParallelTaskStrategy", "QuerySpec",
-    "TaskSpec", "run_campaign_parallel", "run_tasks_parallel",
+    "ParallelExecutionStrategy", "QuerySpec", "run_campaign_parallel",
 ]

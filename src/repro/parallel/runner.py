@@ -4,10 +4,12 @@ The paper runs its symbolic fault-injection campaigns as independent search
 tasks distributed over a cluster.  This module reproduces that execution
 model on a single host with a :mod:`multiprocessing` worker pool:
 
-* the injection sweep is split into chunks (:func:`~repro.core.tasks.
-  chunk_injections`), each chunk a self-contained unit of work;
+* the injection sweep is split into chunks (:func:`~repro.core.campaign.
+  chunk_injections`), each chunk an uncapped task; a paper-style
+  :class:`~repro.core.tasks.TaskRunner` campaign ships its capped tasks
+  the same way, with the caps inside each work unit;
 * a pool of workers — each initialised once with the campaign and query
-  specs — executes chunks as they become free (dynamic load balancing via
+  specs — executes tasks as they become free (dynamic load balancing via
   ``imap_unordered``);
 * results are merged back in submission order, so a parallel run produces a
   :class:`~repro.core.campaign.CampaignResult` with exactly the same
@@ -25,20 +27,19 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from .. import obs as _obs
 from ..core.campaign import (CampaignResult, ExecutionStrategy,
-                             InjectionResult, ProgressCallback,
-                             SerialExecutionStrategy, SymbolicCampaign)
+                             ProgressCallback, SearchTask,
+                             SerialExecutionStrategy, SymbolicCampaign,
+                             TaskCaps, TaskOutcome)
 from ..core.queries import SearchQuery
 from ..core.search import CacheStatistics
-from ..core.tasks import (SearchTask, SerialTaskStrategy, TaskCampaignReport,
-                          TaskExecutionStrategy, TaskResult, TaskRunner,
-                          chunk_injections, default_chunk_size)
+from ..core.tasks import default_chunk_size
 from ..errors.injector import Injection
 from .spec import CacheSpec, CampaignSpec, QuerySpec
-from .worker import initialize_worker, run_injection_chunk, run_search_task
+from .worker import initialize_worker, run_work_unit
 
 
 @dataclass
@@ -105,11 +106,13 @@ def _check_query_consistency(query: Optional[SearchQuery],
 
 
 class ParallelExecutionStrategy(ExecutionStrategy):
-    """Shard a campaign's injection sweep across a worker pool.
+    """Shard a campaign's tasks — a chunked sweep or capped search tasks —
+    across a worker pool.
 
-    Plugs into :meth:`SymbolicCampaign.run`; the query given to ``run`` must
-    match *query_spec* (workers rebuild the predicate from the spec, since
-    live queries do not pickle).
+    Plugs into :meth:`SymbolicCampaign.run` and :meth:`TaskRunner.run
+    <repro.core.tasks.TaskRunner.run>`; the query given to either must match
+    *query_spec* (workers rebuild the predicate from the spec, since live
+    queries do not pickle).
     """
 
     name = "parallel"
@@ -119,108 +122,43 @@ class ParallelExecutionStrategy(ExecutionStrategy):
         self.query_spec = query_spec
         self.config = config or ParallelConfig()
         #: SearchResultCache counters of the last run: aggregated across
-        #: workers for pooled runs, from the sweep-wide cache for the serial
-        #: fallback.  None until a run completes.
+        #: workers for pooled runs, from the run-wide cache for the
+        #: in-process fallback.  None until a run completes.
         self.cache_statistics: Optional[CacheStatistics] = None
 
-    def run(self, campaign: SymbolicCampaign,
-            injections: Sequence[Injection], query: SearchQuery,
-            progress: Optional[ProgressCallback] = None,
-            ) -> List[InjectionResult]:
+    def sweep_chunk_size(self, total: int) -> int:
+        if self.config.workers <= 1:
+            return 1  # the in-process fallback streams like the serial sweep
+        return self.config.resolve_chunk_size(total)
+
+    def run_tasks(self, campaign: SymbolicCampaign,
+                  tasks: Sequence[SearchTask], query: SearchQuery,
+                  caps: Optional[TaskCaps] = None,
+                  ) -> Iterator[Tuple[int, TaskOutcome]]:
         _check_query_consistency(query, self.query_spec)
         self.cache_statistics = None  # no stale counters if this run fails
-        injections = list(injections)
-        if self.config.workers <= 1 or len(injections) <= 1:
-            cache = (self.config.cache or CacheSpec()).build()
-            serial = SerialExecutionStrategy(result_cache=cache)
-            serial.result_sink = self.result_sink
-            serial.retain_results = self.retain_results
-            results = serial.run(campaign, injections, query,
-                                 progress=progress)
-            self.cache_statistics = cache.statistics
-            return results
-
-        chunk_size = self.config.resolve_chunk_size(len(injections))
-        chunks = chunk_injections(injections, chunk_size)
-        payloads = list(enumerate(chunks))
-        spec = CampaignSpec.from_campaign(campaign)
-        merged: Dict[int, List[InjectionResult]] = {}
-        worker_stats: Dict[str, CacheStatistics] = {}
-        done_injections = 0
-        with self.config.context().Pool(
-                processes=min(self.config.workers, len(chunks)),
-                initializer=initialize_worker,
-                initargs=(spec, self.query_spec, 10, None,
-                          self.config.cache)) as pool:
-            for index, results, snapshot in pool.imap_unordered(
-                    run_injection_chunk, payloads):
-                # Streaming mode keeps an empty placeholder per chunk: the
-                # merge below stays order-complete while the coordinator
-                # retains nothing.
-                merged[index] = results if self.retain_results else []
-                worker_name, stats, telemetry = snapshot
-                worker_stats[worker_name] = stats  # counters are monotonic
-                _obs.get().absorb(telemetry)
-                for injection, result in zip(chunks[index], results):
-                    self.emit_result(injection, result)
-                done_injections += len(results)
-                if progress is not None and results:
-                    progress(done_injections, len(injections), results[-1])
-        self.cache_statistics = _merge_cache_statistics(worker_stats)
-        # Deterministic merge: flatten in chunk-submission order.
-        return [result for index in sorted(merged)
-                for result in merged[index]]
-
-
-class ParallelTaskStrategy(TaskExecutionStrategy):
-    """Distribute whole search tasks (paper's cluster unit) over the pool."""
-
-    name = "parallel"
-
-    def __init__(self, query_spec: QuerySpec,
-                 config: Optional[ParallelConfig] = None) -> None:
-        self.query_spec = query_spec
-        self.config = config or ParallelConfig()
-        self.cache_statistics: Optional[CacheStatistics] = None
-
-    def run(self, runner: TaskRunner, tasks: Sequence[SearchTask],
-            query: SearchQuery,
-            progress: Optional[Callable[[int, int, TaskResult], None]] = None,
-            ) -> List[TaskResult]:
-        _check_query_consistency(query, self.query_spec)
-        self.cache_statistics = None
-        tasks = list(tasks)
         if self.config.workers <= 1 or len(tasks) <= 1:
             cache = (self.config.cache or CacheSpec()).build()
-            serial = SerialTaskStrategy(result_cache=cache)
-            serial.retain_results = self.retain_results
-            results = serial.run(runner, tasks, query, progress=progress)
+            yield from SerialExecutionStrategy(result_cache=cache).run_tasks(
+                campaign, tasks, query, caps)
             self.cache_statistics = cache.statistics
-            return results
+            return
 
-        spec = CampaignSpec.from_campaign(runner.campaign)
-        payloads = list(enumerate(tasks))
-        merged: Dict[int, TaskResult] = {}
+        units = [(index, task.injections, caps)
+                 for index, task in enumerate(tasks)]
         worker_stats: Dict[str, CacheStatistics] = {}
         with self.config.context().Pool(
                 processes=min(self.config.workers, len(tasks)),
                 initializer=initialize_worker,
-                initargs=(spec, self.query_spec,
-                          runner.max_errors_per_task,
-                          runner.wall_clock_per_task,
-                          self.config.cache)) as pool:
-            for index, result, snapshot in pool.imap_unordered(run_search_task,
-                                                               payloads):
-                merged[index] = result if self.retain_results else None
+                initargs=(CampaignSpec.from_campaign(campaign),
+                          self.query_spec, self.config.cache)) as pool:
+            for index, outcome, snapshot in pool.imap_unordered(
+                    run_work_unit, units):
                 worker_name, stats, telemetry = snapshot
-                worker_stats[worker_name] = stats
+                worker_stats[worker_name] = stats  # counters are monotonic
                 _obs.get().absorb(telemetry)
-                if progress is not None:
-                    progress(len(merged), len(tasks), result)
+                yield index, outcome
         self.cache_statistics = _merge_cache_statistics(worker_stats)
-        if not self.retain_results:
-            return []
-        return [merged[index] for index in sorted(merged)]
 
 
 def run_campaign_parallel(campaign: SymbolicCampaign,
@@ -239,15 +177,3 @@ def run_campaign_parallel(campaign: SymbolicCampaign,
     strategy = ParallelExecutionStrategy(query_spec, config)
     return campaign.run(query, injections=injections, progress=progress,
                         strategy=strategy)
-
-
-def run_tasks_parallel(runner: TaskRunner, tasks: Sequence[SearchTask],
-                       query_spec: QuerySpec,
-                       config: Optional[ParallelConfig] = None,
-                       progress: Optional[Callable[[int, int, TaskResult],
-                                                   None]] = None,
-                       ) -> TaskCampaignReport:
-    """Run decomposed search tasks on a worker pool (the paper's cluster)."""
-    query = query_spec.build()
-    strategy = ParallelTaskStrategy(query_spec, config)
-    return runner.run(tasks, query, progress=progress, strategy=strategy)

@@ -13,8 +13,8 @@ the parent describes the experiment with two small picklable specs:
   factory callable plus arguments.
 
 Each worker rebuilds the campaign and query once in its initializer and
-reuses them for every chunk it processes, so the (cheap) reconstruction cost
-is paid once per process, not once per task.
+reuses them for every work unit it processes, so the (cheap) reconstruction
+cost is paid once per process, not once per task.
 """
 
 from __future__ import annotations
@@ -64,40 +64,6 @@ class CacheSpec:
             from ..core.shared_cache import SharedSearchResultCache
             return SharedSearchResultCache(self.path)
         return SearchResultCache(max_entries=self.max_entries)
-
-
-@dataclass(frozen=True)
-class TaskSpec:
-    """A picklable recipe for the worker-side task runner's caps.
-
-    Whole search tasks (paper Section 6.1: at most 10 errors, at most 30
-    minutes each) execute inside workers, so the caps must travel with the
-    campaign manifest; a worker rebuilds its
-    :class:`~repro.core.tasks.TaskRunner` from this spec and honours the
-    same caps the coordinator's runner would.
-    """
-
-    max_errors_per_task: int = 10
-    wall_clock_per_task: Optional[float] = None
-    #: Coordinator-side trace context so worker task spans parent under the
-    #: campaign trace; ``None`` when telemetry is off.
-    telemetry: Optional[TraceContext] = None
-
-    def __post_init__(self) -> None:
-        if self.max_errors_per_task < 1:
-            raise ValueError(f"max_errors_per_task must be >= 1, "
-                             f"got {self.max_errors_per_task}")
-        if (self.wall_clock_per_task is not None
-                and self.wall_clock_per_task <= 0):
-            raise ValueError(f"wall_clock_per_task must be positive, "
-                             f"got {self.wall_clock_per_task}")
-
-    @classmethod
-    def from_runner(cls, runner) -> "TaskSpec":
-        """Snapshot a :class:`~repro.core.tasks.TaskRunner`'s caps."""
-        return cls(max_errors_per_task=runner.max_errors_per_task,
-                   wall_clock_per_task=runner.wall_clock_per_task,
-                   telemetry=_obs.get().context())
 
 
 @dataclass(frozen=True)
@@ -163,12 +129,12 @@ class CampaignSpec:
     #: :class:`~repro.core.campaign.SymbolicCampaign`).
     deduplicate_states: bool = True
     #: ISA frontend name the program was retargeted through (``None`` = the
-    #: native SymPLFIED build); plain metadata, so it pickles through chunks,
-    #: task payloads and broker manifests like ``fault_model`` does.
+    #: native SymPLFIED build); plain metadata, so it pickles through pool
+    #: initializers and broker manifests like ``fault_model`` does.
     isa: Optional[str] = None
     #: Campaign-scoped trace context (trace id + the coordinator span the
     #: worker's spans should parent under); ``None`` when telemetry is off.
-    #: Rides every carrier the spec rides — chunk payloads, broker
+    #: Rides every carrier the spec rides — pool initializers, broker
     #: manifests — and never reaches :class:`SymbolicCampaign` itself.
     telemetry: Optional[TraceContext] = None
 

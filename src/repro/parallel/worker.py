@@ -2,27 +2,29 @@
 
 Each pool worker is initialised once with the campaign and query specs and
 keeps the rebuilt objects — plus a per-process
-:class:`~repro.core.search.SearchResultCache` shared across every chunk and
-task the worker processes — in module globals.  The work functions are
-module-level so they are picklable under every multiprocessing start method.
+:class:`~repro.core.search.SearchResultCache` shared across every task the
+worker processes — in module globals.  The work function is module-level so
+it is picklable under every multiprocessing start method; pool and broker
+workers both call it.
 
-Chunks are identified by their submission index; workers echo the index back
-with their results — plus a snapshot of their cache statistics, tagged with
-the process name so the parent can aggregate the final per-worker counters —
-and the parent merges out-of-order completions into a deterministic,
-submission-ordered report.
+A work unit is one task: its submission index, its injections and its caps
+(``None`` for a sweep).  Workers echo the index back with the task outcome —
+plus a snapshot of their cache statistics, tagged with the process name so
+the parent can aggregate the final per-worker counters — and the parent
+merges out-of-order completions into a deterministic, submission-ordered
+report.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .. import obs as _obs
-from ..core.campaign import InjectionResult, SymbolicCampaign
+from ..core.campaign import (SymbolicCampaign, TaskCaps, TaskOutcome,
+                             run_task)
 from ..core.queries import SearchQuery
 from ..core.search import CacheStatistics, SearchResultCache
-from ..core.tasks import SearchTask, TaskResult, TaskRunner
 from ..errors.injector import Injection
 from ..obs import TelemetrySnapshot
 from .spec import CacheSpec, CampaignSpec, QuerySpec
@@ -39,8 +41,6 @@ _WORKER: Dict[str, object] = {}
 
 
 def initialize_worker(campaign_spec: CampaignSpec, query_spec: QuerySpec,
-                      max_errors_per_task: int = 10,
-                      wall_clock_per_task: Optional[float] = None,
                       cache_spec: Optional[CacheSpec] = None) -> None:
     """Pool initializer: rebuild the campaign, query and cache once.
 
@@ -52,13 +52,9 @@ def initialize_worker(campaign_spec: CampaignSpec, query_spec: QuerySpec,
     # share the coordinator's open sink file.  Worker events buffer locally
     # and ship with each work unit's snapshot instead.
     _obs.activate_worker(campaign_spec.telemetry)
-    campaign = campaign_spec.build()
-    _WORKER["campaign"] = campaign
+    _WORKER["campaign"] = campaign_spec.build()
     _WORKER["query"] = query_spec.build()
     _WORKER["cache"] = (cache_spec or CacheSpec()).build()
-    _WORKER["task_runner"] = TaskRunner(
-        campaign, max_errors_per_task=max_errors_per_task,
-        wall_clock_per_task=wall_clock_per_task)
 
 
 def _context() -> Tuple[SymbolicCampaign, SearchQuery, SearchResultCache]:
@@ -76,29 +72,20 @@ def _cache_snapshot(cache: SearchResultCache) -> CacheSnapshot:
             _obs.get().snapshot())
 
 
-def run_injection_chunk(payload: Tuple[int, Tuple[Injection, ...]],
-                        ) -> Tuple[int, List[InjectionResult], CacheSnapshot]:
-    """Run one chunk of injection experiments.
+#: One work unit: (submission index, the task's injections, its caps).
+WorkUnit = Tuple[int, Tuple[Injection, ...], Optional[TaskCaps]]
 
-    Returns (chunk index, results, cache snapshot).
+
+def run_work_unit(unit: WorkUnit) -> Tuple[int, TaskOutcome, CacheSnapshot]:
+    """Run one task through :func:`~repro.core.campaign.run_task`.
+
+    Returns (submission index, task outcome, cache snapshot).  The outcome
+    is the result list plus two scalars; the task's injections stay on the
+    coordinator.
     """
-    index, injections = payload
+    index, injections, caps = unit
     campaign, query, cache = _context()
     with _obs.get().span("worker.chunk", chunk=index,
                          injections=len(injections)):
-        results = [campaign.run_injection(injection, query,
-                                          result_cache=cache)
-                   for injection in injections]
-    return index, results, _cache_snapshot(cache)
-
-
-def run_search_task(payload: Tuple[int, SearchTask],
-                    ) -> Tuple[int, TaskResult, CacheSnapshot]:
-    """Run one search task under its per-task caps (paper Section 6.1)."""
-    index, task = payload
-    _context()
-    runner: TaskRunner = _WORKER["task_runner"]  # type: ignore[assignment]
-    cache: SearchResultCache = _WORKER["cache"]  # type: ignore[assignment]
-    with _obs.get().span("worker.task", task=index):
-        result = runner.run_task(task, _WORKER["query"], result_cache=cache)
-    return index, result, _cache_snapshot(cache)
+        outcome = run_task(campaign, injections, query, cache, caps)
+    return index, outcome, _cache_snapshot(cache)

@@ -447,14 +447,6 @@ def _run_variant(variant: str, args: argparse.Namespace, scratch: str,
     base = _sweep_argv(args)
     if variant == "serial":
         return _run_analyze(base, timeout)
-    if variant == "peephole":
-        # Serial sweep with the peephole pass enabled: the campaign output
-        # must stay byte-identical before the pass may be defaulted on
-        # (see repro.lang.peephole).
-        from ..lang.peephole import PEEPHOLE_ENV_VAR
-        env = dict(os.environ)
-        env[PEEPHOLE_ENV_VAR] = "1"
-        return _run_analyze(base, timeout, env=env)
     if variant == "pool":
         return _run_analyze(base + ["--backend", "pool", "--workers", "2"],
                             timeout)
@@ -468,15 +460,13 @@ def _run_variant(variant: str, args: argparse.Namespace, scratch: str,
         if os.path.exists(path):
             os.unlink(path)
         return _run_analyze(base + ["--results", path], timeout)
-    if variant in ("tcp", "tcp-task", "tcp-kill"):
+    if variant in ("tcp", "tcp-kill"):
         broker = _TcpBroker()
         workers: List[subprocess.Popen] = []
         killer = None
         try:
             extra = ["--backend", "distributed", "--workers", "0",
                      "--queue", broker.url]
-            if variant == "tcp-task":
-                extra += ["--granularity", "task"]
             lease = 3.0 if variant == "tcp-kill" else None
             if variant == "tcp-kill":
                 extra += ["--lease-seconds", "3"]
@@ -557,7 +547,7 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backends", default="pool,distributed",
                         help="comma-separated variants for "
                              "--expect-identical: pool, distributed, "
-                             "results, peephole, tcp, tcp-task, tcp-kill")
+                             "results, tcp, tcp-kill")
     parser.add_argument("--workload", default="factorial",
                         help="workload for --expect-identical")
     parser.add_argument("--fault-model", default=None,

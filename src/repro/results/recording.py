@@ -1,8 +1,8 @@
 """Streaming campaign ingestion into a :class:`~repro.results.store.ResultStore`.
 
 :class:`RecordingStrategy` wraps any :class:`~repro.core.campaign.
-ExecutionStrategy` (serial, pool, distributed, TCP, task-granularity,
-checkpointing) and records the sweep into a results store.  Two modes:
+ExecutionStrategy` (serial, pool, distributed, TCP, checkpointing) and
+records the sweep into a results store.  Two modes:
 
 * **streaming** (``retain=False``, the default): the wrapped backend runs
   with ``retain_results`` off, every arriving result is folded into
@@ -18,10 +18,9 @@ checkpointing) and records the sweep into a results store.  Two modes:
   the run.  Same warehouse rows, classic memory profile.
 
 Seq assignment: results may arrive in completion order (pool and
-distributed backends merge chunks as they finish) and — under task
-granularity — as unpickled *copies* of the planned injections, so identity
-maps do not work.  Rows are therefore keyed by submission index via
-:meth:`~repro.errors.injector.Injection.label`; sweeps with duplicate
+distributed backends merge tasks as they finish), so rows are keyed by
+submission index via :meth:`~repro.errors.injector.Injection.label`;
+sweeps with duplicate
 labels assign the duplicates' indices in arrival order (they are
 interchangeable for every aggregate).
 """

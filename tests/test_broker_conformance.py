@@ -228,7 +228,7 @@ class TestQueueLifecycle:
         broker.publish_manifest(manifest("campaign-42"))
         loaded = broker.load_manifest(timeout=5.0, poll_interval=0.01)
         assert loaded.campaign_id == "campaign-42"
-        assert loaded.task_spec.max_errors_per_task == 10
+        assert loaded.query_spec == QuerySpec.predefined("crash")
 
     def test_manifest_wait_times_out(self, broker):
         with pytest.raises(TimeoutError):

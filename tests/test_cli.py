@@ -163,10 +163,14 @@ class TestAnalyzeValidation:
             main(["analyze", "--workload", "factorial", "--workers", "-1"])
         assert "must be >= 0" in capsys.readouterr().err
 
-    def test_task_granularity_requires_a_task_backend(self):
-        with pytest.raises(SystemExit, match="granularity"):
+    def test_granularity_is_an_unknown_argument(self, capsys):
+        """Every backend runs whole tasks through one seam: there is no
+        distribution-unit switch left to pick."""
+        with pytest.raises(SystemExit):
             main(["analyze", "--workload", "factorial",
                   "--granularity", "task"])
+        assert "unrecognized arguments: --granularity" \
+            in capsys.readouterr().err
 
     def test_fault_model_and_error_class_are_mutually_exclusive(self):
         with pytest.raises(SystemExit, match="mutually exclusive"):
@@ -221,14 +225,6 @@ class TestAnalyzeBackends:
                                      "--workers", "2")
         assert "backend        : distributed" in distributed
         assert normalized(serial) == normalized(distributed)
-
-    def test_task_granularity_on_the_pool_matches_serial(self, capsys):
-        """Whole search tasks through the pool's task strategy must flatten
-        back into the identical per-injection campaign output."""
-        serial = analyze_output(capsys)
-        tasked = analyze_output(capsys, "--backend", "pool", "--workers", "2",
-                                "--granularity", "task")
-        assert normalized(serial) == normalized(tasked)
 
     def test_checkpoint_then_resume_completes_identically(self, tmp_path,
                                                           capsys):

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core import (SerialTaskStrategy, SymbolicCampaign, TaskRunner,
-                        TaskSweepStrategy, decompose_by_code_section,
+from repro.core import (SerialExecutionStrategy, SymbolicCampaign, TaskCaps,
+                        TaskRunner, decompose_by_code_section,
                         decompose_by_injection, output_contains_err,
-                        printed_value_other_than, witnesses_from_campaign)
+                        printed_value_other_than, run_task,
+                        witnesses_from_campaign)
 from repro.errors import Injection
 from repro.constraints import Location
 from repro.machine import ExecutionConfig
@@ -153,8 +154,31 @@ class TestTaskDecomposition:
         assert result.solutions() == []
 
 
-class TestTaskSweepStrategy:
-    """The adapter that runs an injection sweep as whole search tasks."""
+class ChunkedSerialStrategy(SerialExecutionStrategy):
+    """The serial backend, sweeping in tasks of a fixed size."""
+
+    def __init__(self, chunk_size):
+        super().__init__()
+        self.chunk_size = chunk_size
+
+    def sweep_chunk_size(self, total):
+        return self.chunk_size
+
+
+class CapsRecordingStrategy(SerialExecutionStrategy):
+    """The serial backend, noting the caps each batch of tasks ran under."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen_caps = []
+
+    def run_tasks(self, campaign, tasks, query, caps=None):
+        self.seen_caps.append(caps)
+        return super().run_tasks(campaign, tasks, query, caps)
+
+
+class TestSweepAsTasks:
+    """A sweep runs as uncapped tasks through the backend's task loop."""
 
     def sweep_fixture(self, max_injections=8):
         workload = factorial_workload()
@@ -169,38 +193,120 @@ class TestTaskSweepStrategy:
                  [s.state.output_values() for s in r.solutions])
                 for r in results]
 
-    def test_sweep_through_tasks_matches_direct_sweep(self):
+    def test_chunked_sweep_matches_per_injection_sweep(self):
         campaign, injections = self.sweep_fixture()
         query = output_contains_err()
         direct = campaign.run(query, injections=injections)
-        swept = campaign.run(
-            query, injections=injections,
-            strategy=TaskSweepStrategy(SerialTaskStrategy(), chunk_size=3))
+        swept = campaign.run(query, injections=injections,
+                             strategy=ChunkedSerialStrategy(3))
         assert self.keys(swept.results) == self.keys(direct.results)
         assert swept.injections_run == direct.injections_run
 
     def test_results_are_emitted_incrementally_per_task(self):
         campaign, injections = self.sweep_fixture(max_injections=6)
-        strategy = TaskSweepStrategy(SerialTaskStrategy(), chunk_size=2)
+        strategy = ChunkedSerialStrategy(2)
         emitted = []
         strategy.result_sink = lambda injection, result: \
             emitted.append(injection.label())
         progress = []
         campaign.run(output_contains_err(), injections=injections,
                      progress=lambda done, total, last:
-                     progress.append((done, total)),
+                     progress.append((done, total, len(emitted))),
                      strategy=strategy)
         assert emitted == [i.label() for i in injections]
-        assert progress == [(2, 6), (4, 6), (6, 6)]
+        assert progress == [(2, 6, 2), (4, 6, 4), (6, 6, 6)]
 
     def test_empty_sweep(self):
         campaign, _ = self.sweep_fixture()
-        strategy = TaskSweepStrategy(SerialTaskStrategy())
+        strategy = SerialExecutionStrategy()
         assert strategy.run(campaign, [], output_contains_err()) == []
 
-    def test_invalid_chunk_size_rejected(self):
-        with pytest.raises(ValueError, match="chunk_size"):
-            TaskSweepStrategy(SerialTaskStrategy(), chunk_size=0)
+    def test_sweep_runs_uncapped(self):
+        campaign, injections = self.sweep_fixture()
+        strategy = CapsRecordingStrategy()
+        result = campaign.run(output_contains_err(), injections=injections,
+                              strategy=strategy)
+        assert strategy.seen_caps == [None]
+        assert result.injections_run == len(injections)
+
+
+class TestRunTask:
+    """The one work unit every backend runs: a task's injections in order,
+    stopped by its caps."""
+
+    def task_fixture(self, **kwargs):
+        campaign = make_campaign(factorial_workload(),
+                                 max_solutions_per_injection=5,
+                                 max_states_per_injection=5_000, **kwargs)
+        return campaign, campaign.enumerate_injections()
+
+    def test_uncapped_task_runs_every_injection(self):
+        campaign, injections = self.task_fixture()
+        results, elapsed, completed = run_task(campaign, injections,
+                                               output_contains_err())
+        assert [r.injection for r in results] == injections
+        assert completed
+        assert elapsed >= 0.0
+
+    def test_error_cap_stops_after_the_capping_injection(self):
+        campaign, injections = self.task_fixture()
+        query = output_contains_err()
+        uncapped, _, _ = run_task(campaign, injections, query)
+        found, stop = 0, len(uncapped)
+        for index, result in enumerate(uncapped):
+            found += len(result.solutions)
+            if found >= 3:
+                stop = index + 1
+                break
+        # The cap must bite before the end of the sweep to mean anything.
+        assert stop < len(injections)
+        results, _, completed = run_task(campaign, injections, query,
+                                         caps=TaskCaps(max_errors=3))
+        assert [r.injection for r in results] == injections[:stop]
+        assert completed, "reaching the error cap completes a task"
+
+    def test_wall_clock_cap_marks_task_incomplete(self):
+        campaign, injections = self.task_fixture()
+        results, _, completed = run_task(
+            campaign, injections, output_contains_err(),
+            caps=TaskCaps(max_errors=10_000, wall_clock=1e-9))
+        assert results == []
+        assert not completed
+
+    def test_exhausted_search_without_solution_marks_task_incomplete(self):
+        campaign = make_campaign(factorial_workload(),
+                                 max_solutions_per_injection=5,
+                                 max_states_per_injection=3)
+        injections = campaign.enumerate_injections()
+        results, _, completed = run_task(campaign, injections,
+                                         output_contains_err())
+        assert len(results) == len(injections)
+        assert any(not r.completed and not r.found_solutions
+                   for r in results)
+        assert not completed
+
+    def test_empty_task_is_complete(self):
+        campaign, _ = self.task_fixture()
+        results, _, completed = run_task(campaign, [], output_contains_err(),
+                                         caps=TaskCaps(max_errors=1))
+        assert results == []
+        assert completed
+
+    def test_injections_run_through_the_campaign_instance(self, monkeypatch):
+        """A run_injection patched on the class sees every experiment."""
+        campaign, injections = self.task_fixture()
+        seen = []
+        original = SymbolicCampaign.run_injection
+
+        def counting(self, injection, query, result_cache=None):
+            seen.append(injection)
+            return original(self, injection, query, result_cache=result_cache)
+
+        monkeypatch.setattr(SymbolicCampaign, "run_injection", counting)
+        results, _, _ = run_task(campaign, injections[:4],
+                                 output_contains_err())
+        assert seen == injections[:4]
+        assert len(results) == 4
 
 
 class TestTaskRunner:
@@ -238,9 +344,39 @@ class TestTaskRunner:
         injections = campaign.enumerate_injections()
         tasks = decompose_by_code_section(injections, num_tasks=1)
         runner = TaskRunner(campaign, max_errors_per_task=10_000,
-                            wall_clock_per_task=0.0)
+                            wall_clock_per_task=1e-9)
         report = runner.run(tasks, output_contains_err())
         assert report.incomplete_tasks == 1
+
+    def test_runner_hands_its_caps_to_the_strategy(self):
+        campaign = make_campaign(factorial_workload())
+        tasks = decompose_by_code_section(campaign.enumerate_injections(),
+                                          num_tasks=2)
+        strategy = CapsRecordingStrategy()
+        TaskRunner(campaign, max_errors_per_task=4,
+                   wall_clock_per_task=60.0).run(
+            tasks, output_contains_err(), strategy=strategy)
+        assert strategy.seen_caps == [TaskCaps(max_errors=4, wall_clock=60.0)]
+
+    @pytest.mark.parametrize("caps", [
+        {"max_errors_per_task": 0}, {"max_errors_per_task": -3},
+        {"wall_clock_per_task": 0.0}, {"wall_clock_per_task": -1.0}],
+        ids=["errors-zero", "errors-negative", "wall-clock-zero",
+             "wall-clock-negative"])
+    def test_non_positive_caps_are_rejected(self, caps):
+        """A zero or negative cap would silently skip every injection."""
+        campaign = make_campaign(factorial_workload())
+        with pytest.raises(ValueError, match="task caps must be positive"):
+            TaskRunner(campaign, **caps)
+
+    @pytest.mark.parametrize("caps", [
+        {"max_errors_per_task": 1}, {"wall_clock_per_task": 1e-9}],
+        ids=["errors-one", "wall-clock-tiny"])
+    def test_smallest_positive_caps_are_accepted(self, caps):
+        campaign = make_campaign(factorial_workload())
+        runner = TaskRunner(campaign, **caps)
+        for name, value in caps.items():
+            assert getattr(runner, name) == value
 
 
 class TestWitnesses:

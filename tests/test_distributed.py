@@ -235,16 +235,18 @@ class TestWorkerLoop:
             CampaignManifest(
                 campaign_spec=CampaignSpec.from_campaign(campaign),
                 query_spec=query_spec),
-            list(enumerate(chunks)))
+            # A task payload is (injections, caps); a sweep chunk is uncapped.
+            [(index, (chunk, None)) for index, chunk in enumerate(chunks)])
         executed = run_worker(WorkerConfig(queue_dir=queue_dir,
                                            poll_interval=0.01,
                                            max_idle_seconds=5.0))
         assert executed == len(chunks)
         assert broker.is_drained()
         payloads = dict(broker.fetch_new_results(seen=set()))
-        # Result payloads are (campaign_id, index, results, cache snapshot).
+        # Result payloads are (campaign_id, index, (results, elapsed,
+        # completed), cache snapshot).
         distributed = [result for index in sorted(payloads)
-                       for result in payloads[index][2]]
+                       for result in payloads[index][2][0]]
         serial = SerialExecutionStrategy().run(campaign, injections,
                                                query_spec.build())
         assert result_keys(distributed) == result_keys(serial)
@@ -264,7 +266,7 @@ class TestWorkerManifestSwitch:
         # Campaign A: published but never closed (its coordinator "died").
         broker.publish_manifest(CampaignManifest(
             campaign_spec=spec, query_spec=query_spec, campaign_id="A"))
-        broker.put_task(0, tuple(injections[:2]))
+        broker.put_task(0, (tuple(injections[:2]), None))
 
         worker = threading.Thread(
             target=run_worker,
@@ -281,12 +283,12 @@ class TestWorkerManifestSwitch:
         broker.reset()
         broker.publish_manifest(CampaignManifest(
             campaign_spec=spec, query_spec=query_spec, campaign_id="B"))
-        broker.put_task(0, tuple(injections[2:4]))
+        broker.put_task(0, (tuple(injections[2:4]), None))
         broker.close_queue(1)
         worker.join(timeout=60)
         assert not worker.is_alive()
         [(_, payload)] = broker.fetch_new_results(seen=set())
-        campaign_id, _, results, _ = payload
+        campaign_id, _, (results, _, _), _ = payload
         assert campaign_id == "B"
         serial = SerialExecutionStrategy().run(campaign, injections[2:4],
                                                query_spec.build())

@@ -10,14 +10,12 @@ import time
 
 import pytest
 
-from repro.core import SerialExecutionStrategy, SymbolicCampaign
-from repro.core.tasks import (SerialTaskStrategy, TaskRunner,
-                              decompose_by_chunk)
+from repro.core import (SerialExecutionStrategy, SymbolicCampaign,
+                        TaskRunner, decompose_by_chunk)
 from repro.distributed import (CampaignManifest, DistributedConfig,
-                               DistributedTaskStrategy, FilesystemBroker,
-                               WorkerConfig, open_broker,
-                               run_campaign_distributed,
-                               run_tasks_distributed, run_worker)
+                               DistributedExecutionStrategy,
+                               FilesystemBroker, WorkerConfig, open_broker,
+                               run_campaign_distributed, run_worker)
 from repro.distributed.backoff import Backoff
 from repro.distributed.broker import enqueue_campaign
 from repro.machine import ExecutionConfig
@@ -239,7 +237,7 @@ class TestWorkerOverTcp:
             CampaignManifest(
                 campaign_spec=CampaignSpec.from_campaign(campaign),
                 query_spec=query_spec),
-            list(enumerate(chunks)))
+            [(index, (chunk, None)) for index, chunk in enumerate(chunks)])
         executed = run_worker(WorkerConfig(queue_dir=server.url,
                                            poll_interval=0.01,
                                            max_idle_seconds=10.0))
@@ -247,7 +245,7 @@ class TestWorkerOverTcp:
         assert broker.is_drained()
         payloads = dict(broker.fetch_new_results(seen=set()))
         distributed = [result for index in sorted(payloads)
-                       for result in payloads[index][2]]
+                       for result in payloads[index][2][0]]
         serial = SerialExecutionStrategy().run(campaign, injections,
                                                query_spec.build())
         assert result_keys(distributed) == result_keys(serial)
@@ -269,7 +267,7 @@ class TestWorkerReattach:
             CampaignManifest(
                 campaign_spec=CampaignSpec.from_campaign(campaign),
                 query_spec=query_spec, campaign_id="first"),
-            list(enumerate(chunks)))
+            [(index, (chunk, None)) for index, chunk in enumerate(chunks)])
         assert run_worker(WorkerConfig(queue_dir=server.url,
                                        poll_interval=0.01,
                                        max_idle_seconds=30.0)) == 2
@@ -303,7 +301,7 @@ class TestWorkerReattach:
 class TestGracefulStop:
     def enqueue(self, broker, chunks, close=True):
         campaign, injections, query_spec = factorial_fixture()
-        split = [tuple(injections[i:i + 2])
+        split = [(tuple(injections[i:i + 2]), None)
                  for i in range(0, len(injections), 2)][:chunks]
         manifest = CampaignManifest(
             campaign_spec=CampaignSpec.from_campaign(campaign),
@@ -501,49 +499,53 @@ class TestDistributedCampaignOverTcp:
         assert result_keys(distributed.results) == result_keys(serial.results)
 
 
-class TestDistributedTaskStrategy:
+class TestDistributedTasks:
+    """Capped search tasks through the broker backend's one strategy."""
+
+    @staticmethod
+    def strategy(query_spec, queue_dir, workers=2):
+        return DistributedExecutionStrategy(
+            query_spec, DistributedConfig(workers=workers,
+                                          queue_dir=queue_dir,
+                                          poll_interval=0.01,
+                                          wall_clock_timeout=300.0))
+
     def test_empty_task_list(self):
-        _, _, query_spec = factorial_fixture()
-        strategy = DistributedTaskStrategy(query_spec)
-        campaign, _, _ = factorial_fixture()
-        runner = TaskRunner(campaign)
-        assert strategy.run(runner, [], query_spec.build()) == []
+        campaign, _, query_spec = factorial_fixture()
+        strategy = DistributedExecutionStrategy(query_spec)
+        report = TaskRunner(campaign).run([], query_spec.build(),
+                                          strategy=strategy)
+        assert report.task_results == []
         assert strategy.cache_statistics is not None
 
-    def test_whole_tasks_match_serial_task_strategy(self, server):
+    def test_whole_tasks_match_serial_tasks(self, server):
         campaign, injections, query_spec = factorial_fixture()
         runner = TaskRunner(campaign, max_errors_per_task=10)
         tasks = decompose_by_chunk(injections, 3)
-        serial = runner.run(tasks, query_spec.build(),
-                            strategy=SerialTaskStrategy())
-        distributed = run_tasks_distributed(
-            runner, tasks, query_spec,
-            config=DistributedConfig(workers=2, queue_dir=server.url,
-                                     poll_interval=0.01,
-                                     wall_clock_timeout=300.0))
+        serial = runner.run(tasks, query_spec.build())
+        distributed = runner.run(tasks, query_spec.build(),
+                                 strategy=self.strategy(query_spec,
+                                                        server.url))
         assert task_result_keys(distributed.task_results) \
             == task_result_keys(serial.task_results)
         assert distributed.total_tasks == serial.total_tasks
         assert distributed.total_errors_found == serial.total_errors_found
 
-    def test_per_task_caps_travel_with_the_manifest(self, tmp_path):
+    def test_per_task_caps_travel_with_each_work_unit(self, tmp_path):
         """Workers must honour the coordinator runner's per-task error cap
         (paper Section 6.1: at most 10 errors per task) — capped task
         results are identical to the serial capped run."""
         campaign, injections, query_spec = factorial_fixture()
         runner = TaskRunner(campaign, max_errors_per_task=1)
         tasks = decompose_by_chunk(injections, 4)
-        serial = runner.run(tasks, query_spec.build(),
-                            strategy=SerialTaskStrategy())
+        serial = runner.run(tasks, query_spec.build())
         # The cap must actually bite for this test to mean anything.
         assert any(len(tr.results) < len(tr.task.injections)
                    for tr in serial.task_results)
-        distributed = run_tasks_distributed(
-            runner, tasks, query_spec,
-            config=DistributedConfig(workers=1,
-                                     queue_dir=str(tmp_path / "queue"),
-                                     poll_interval=0.01,
-                                     wall_clock_timeout=300.0))
+        distributed = runner.run(
+            tasks, query_spec.build(),
+            strategy=self.strategy(query_spec, str(tmp_path / "queue"),
+                                   workers=1))
         assert task_result_keys(distributed.task_results) \
             == task_result_keys(serial.task_results)
 
@@ -552,10 +554,8 @@ class TestDistributedTaskStrategy:
         runner = TaskRunner(campaign)
         tasks = decompose_by_chunk(injections, 2)
         seen = []
-        run_tasks_distributed(
-            runner, tasks, query_spec,
-            config=DistributedConfig(workers=2, queue_dir=server.url,
-                                     poll_interval=0.01,
-                                     wall_clock_timeout=300.0),
-            progress=lambda done, total, result: seen.append((done, total)))
+        runner.run(tasks, query_spec.build(),
+                   strategy=self.strategy(query_spec, server.url),
+                   progress=lambda done, total, result:
+                   seen.append((done, total)))
         assert seen == [(1, 3), (2, 3), (3, 3)]

@@ -12,7 +12,8 @@ import pickle
 import pytest
 
 from repro import obs
-from repro.core import SerialExecutionStrategy, SymbolicCampaign
+from repro.core import (SerialExecutionStrategy, SymbolicCampaign,
+                        TaskRunner, decompose_by_code_section)
 from repro.distributed import (CampaignManifest, CheckpointingStrategy,
                                DistributedConfig,
                                DistributedExecutionStrategy,
@@ -24,7 +25,7 @@ from repro.net import BrokerServer
 from repro.obs import (JsonlEventSink, NullTelemetry, TraceContext,
                        read_events)
 from repro.parallel import (CampaignSpec, ParallelConfig,
-                            ParallelExecutionStrategy, QuerySpec, TaskSpec)
+                            ParallelExecutionStrategy, QuerySpec)
 from repro.programs import factorial_workload
 
 INJECTIONS = 6
@@ -94,14 +95,6 @@ class TestPropagation:
         revived = pickle.loads(pickle.dumps(spec))
         assert revived.telemetry == TraceContext(trace_id="tr-prop")
 
-    def test_task_spec_carries_trace_through_pickle(self):
-        hub = obs.configure(component="coordinator", trace_id="tr-task")
-        with hub.span("task.run") as span:
-            spec = TaskSpec(telemetry=hub.context())
-        revived = pickle.loads(pickle.dumps(spec))
-        assert revived.telemetry.trace_id == "tr-task"
-        assert revived.telemetry.parent_span_id == span.span_id
-
     def test_manifest_carries_trace_through_pickle(self):
         obs.configure(component="coordinator", trace_id="tr-manifest")
         manifest = CampaignManifest(
@@ -162,6 +155,32 @@ class TestPoolBackend:
         assert metrics["counters"]["search.runs"] == INJECTIONS
         assert metrics["workers"], "per-worker counters must be reported"
 
+    def test_capped_tasks_trace_through_the_campaign_spec(self, tmp_path):
+        """Capped tasks carry no trace of their own: pool workers parent
+        their spans from the campaign spec, as they do for a sweep."""
+        workload = factorial_workload()
+        campaign = make_campaign(workload)
+        tasks = decompose_by_code_section(
+            campaign.enumerate_injections()[:INJECTIONS], num_tasks=3)
+        path = str(tmp_path / "tele.jsonl")
+        obs.configure(sink=JsonlEventSink(path), component="coordinator",
+                      trace_id="tr-tasks")
+        try:
+            report = TaskRunner(campaign, max_errors_per_task=1).run(
+                tasks, self.strategy().query_spec.build(),
+                strategy=self.strategy())
+        finally:
+            obs.finalize()
+        events = read_events(path)
+        chunks = spans_of(events, "worker.chunk")
+        assert len(chunks) == len(tasks)
+        assert all(c["component"] != "coordinator" for c in chunks)
+        chunk_ids = {c["span"] for c in chunks}
+        solves = spans_of(events, "search.solve")
+        assert len(solves) == sum(len(t.results) for t in report.task_results)
+        assert all(s["parent"] in chunk_ids for s in solves)
+        assert {e["trace"] for e in events} == {"tr-tasks"}
+
 
 class TestDistributedBackends:
     def strategy(self, queue_dir):
@@ -212,7 +231,7 @@ class TestWorkerCrash:
                 query_spec=QuerySpec.predefined(
                     "err-output", golden_output=workload.golden_output()),
                 campaign_id="crash-test"),
-            [(0, ("not-an-injection",))])
+            [(0, (("not-an-injection",), None))])
 
         sink_path = str(tmp_path / "worker.jsonl")
         obs.configure(sink=JsonlEventSink(sink_path), component="w-crash")

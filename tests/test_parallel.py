@@ -4,17 +4,18 @@ import pickle
 
 import pytest
 
-from repro.core import (SymbolicCampaign, TaskRunner, chunk_injections,
+from repro.core import (CampaignResult, SearchTask, SymbolicCampaign,
+                        TaskCaps, TaskRunner, chunk_injections,
                         decompose_by_chunk, decompose_by_code_section,
                         default_chunk_size, output_contains_err,
-                        printed_value_other_than)
+                        printed_value_other_than, run_task)
 from repro.constraints import Location
 from repro.errors import Injection
 from repro.machine import ExecutionConfig
 from repro.parallel import (CampaignSpec, ParallelConfig,
-                            ParallelExecutionStrategy, ParallelTaskStrategy,
-                            QuerySpec, run_campaign_parallel,
-                            run_tasks_parallel)
+                            ParallelExecutionStrategy, QuerySpec,
+                            run_campaign_parallel)
+from repro.parallel.worker import initialize_worker, run_work_unit
 from repro.programs import factorial_workload, sum_input_workload
 
 WORKERS = 2
@@ -193,8 +194,9 @@ class TestParallelTasks:
                                           num_tasks=4)
         runner = TaskRunner(campaign, max_errors_per_task=5)
         serial = runner.run(tasks, spec.build())
-        parallel = run_tasks_parallel(runner, tasks, spec,
-                                      config=ParallelConfig(workers=WORKERS))
+        parallel = runner.run(tasks, spec.build(),
+                              strategy=ParallelExecutionStrategy(
+                                  spec, ParallelConfig(workers=WORKERS)))
         assert parallel.total_tasks == serial.total_tasks
         assert parallel.completed_tasks == serial.completed_tasks
         assert parallel.tasks_with_errors == serial.tasks_with_errors
@@ -214,11 +216,36 @@ class TestParallelTasks:
         runner = TaskRunner(campaign, max_errors_per_task=5)
         seen = []
         runner.run(tasks, spec.build(),
-                   strategy=ParallelTaskStrategy(
+                   strategy=ParallelExecutionStrategy(
                        spec, ParallelConfig(workers=WORKERS)),
                    progress=lambda done, total, last: seen.append((done, total)))
         assert [done for done, _ in seen] == [1, 2, 3]
         assert all(total == 3 for _, total in seen)
+
+    def test_work_unit_ships_back_results_not_injections(self):
+        """A worker replies with the task outcome — the result list plus two
+        scalars — and never echoes the task it was sent."""
+        campaign = make_campaign(factorial_workload(),
+                                 max_solutions_per_injection=5,
+                                 max_states_per_injection=5_000)
+        spec = QuerySpec.predefined("err-output")
+        chunk = tuple(campaign.enumerate_injections()[:3])
+        with ParallelConfig(workers=1).context().Pool(
+                processes=1, initializer=initialize_worker,
+                initargs=(CampaignSpec.from_campaign(campaign), spec,
+                          None)) as pool:
+            index, outcome, _snapshot = pool.apply(
+                run_work_unit, ((7, chunk, TaskCaps(max_errors=1)),))
+        assert index == 7
+        results, elapsed, completed = outcome
+        assert isinstance(elapsed, float) and isinstance(completed, bool)
+        assert [r.injection for r in results] == list(chunk[:len(results)])
+        assert not any(isinstance(part, SearchTask) for part in outcome)
+        serial, _, serial_completed = run_task(
+            campaign, chunk, spec.build(), caps=TaskCaps(max_errors=1))
+        assert result_keys(CampaignResult("", results=results)) \
+            == result_keys(CampaignResult("", results=serial))
+        assert completed == serial_completed
 
     def test_single_task_falls_back_to_serial(self):
         campaign = make_campaign(factorial_workload(),
@@ -228,6 +255,7 @@ class TestParallelTasks:
         tasks = decompose_by_code_section(campaign.enumerate_injections(),
                                           num_tasks=1)
         runner = TaskRunner(campaign, max_errors_per_task=5)
-        report = run_tasks_parallel(runner, tasks, spec,
-                                    config=ParallelConfig(workers=WORKERS))
+        report = runner.run(tasks, spec.build(),
+                            strategy=ParallelExecutionStrategy(
+                                spec, ParallelConfig(workers=WORKERS)))
         assert report.total_tasks == 1
