@@ -32,7 +32,7 @@ from ..errors.models import ErrorClass, RegisterFileError
 from ..faults.models import FaultModel, deterministic_sample
 from ..isa.program import Program
 from ..isa.values import ERR
-from ..machine.executor import ExecutionConfig, Executor
+from ..machine.executor import ConcreteFutures, ExecutionConfig, Executor
 from ..machine.state import MachineState, initial_state
 from .outcomes import Outcome, classify
 from .queries import SearchQuery
@@ -369,11 +369,23 @@ class SymbolicCampaign:
         #: provenance metadata pinned into checkpoint headers and specs.
         self.isa = isa
         self._executor = Executor(program, detectors, self.execution_config)
+        # Built by the first injection, not here: set-up stays as cheap as
+        # decoding, and every process (campaigns are rebuilt, never
+        # pickled) records its own.
+        self._golden: Optional[ConcreteFutures] = None
 
     # ------------------------------------------------------------ enumeration
 
     def fresh_initial_state(self) -> MachineState:
         return initial_state(input_values=self.input_values, memory=self.memory)
+
+    def golden_futures(self) -> ConcreteFutures:
+        """The error-free run's concrete futures (built on first use)."""
+        if self._golden is None:
+            self._golden = ConcreteFutures.golden(
+                self.program, self.fresh_initial_state(), self.detectors,
+                max_steps=self.execution_config.max_steps)
+        return self._golden
 
     def enumerate_injections(self,
                              pcs: Optional[Sequence[int]] = None) -> List[Injection]:
@@ -432,7 +444,8 @@ class SymbolicCampaign:
             max_states=self.max_states_per_injection,
             wall_clock_seconds=self.wall_clock_per_injection,
             deduplicate=self.deduplicate_states,
-            result_cache=result_cache)
+            result_cache=result_cache,
+            golden=self.golden_futures())
         result = checker.search_single(injected, query)
         return InjectionResult(injection=injection, activated=True, search=result)
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .. import obs as _obs
-from ..machine.executor import Executor, run_concrete
+from ..machine.executor import (SEARCH_MARK_STRIDE, ConcreteFutures, Executor,
+                                run_concrete)
 from ..machine.state import Fingerprint, MachineState, state_contains_err
 from .queries import SearchQuery
 
@@ -223,7 +224,8 @@ class BoundedModelChecker:
                  wall_clock_seconds: Optional[float] = None,
                  deduplicate: bool = True,
                  concretize: bool = True,
-                 result_cache: Optional[SearchResultCache] = None) -> None:
+                 result_cache: Optional[SearchResultCache] = None,
+                 golden: Optional[ConcreteFutures] = None) -> None:
         self.executor = executor
         self.max_solutions = max_solutions
         self.max_states = max_states
@@ -235,6 +237,10 @@ class BoundedModelChecker:
         self.concretize = concretize
         # Optional cross-search memoisation (see SearchResultCache).
         self.result_cache = result_cache
+        # The campaign's golden layer of concrete futures, if any: every
+        # search stacks its own layer on it, so an err-free tail ends as
+        # soon as it rejoins the golden run or an earlier tail.
+        self.golden = golden
 
     def search(self, initial_states: Iterable[MachineState],
                query: SearchQuery) -> SearchResult:
@@ -254,6 +260,8 @@ class BoundedModelChecker:
         # write API) and compare structurally on collision, so membership
         # tests here cost O(1) expected without risking a false merge.
         seen: Set[Fingerprint] = set()
+        # This search's layer of concrete futures, made at its first tail.
+        futures: Optional[ConcreteFutures] = None
         stop_reason = "exhausted"
         completed = True
 
@@ -281,8 +289,14 @@ class BoundedModelChecker:
             statistics.explored_states += 1
 
             if state.is_running and self.concretize and not state_contains_err(state):
-                run_concrete(self.executor.program, state, self.executor.detectors,
-                             max_steps=self.executor.config.max_steps)
+                executor = self.executor
+                if futures is None:
+                    futures = ConcreteFutures(
+                        executor.program, executor.detectors, state.input,
+                        SEARCH_MARK_STRIDE, parent=self.golden)
+                run_concrete(executor.program, state, executor.detectors,
+                             max_steps=executor.config.max_steps,
+                             futures=futures)
 
             if not state.is_running:
                 statistics.terminal_states += 1

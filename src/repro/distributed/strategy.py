@@ -179,7 +179,19 @@ class _LocalWorkerPool:
     def alive_count(self) -> int:
         return sum(1 for process in self._procs if process.poll() is None)
 
-    def shutdown(self, timeout: float = 10.0) -> None:
+    def shutdown(self, timeout: float = 10.0, stop_now: bool = False) -> None:
+        """Let the workers exit; SIGTERM any still running after *timeout*.
+
+        With *stop_now* — every result is merged — the SIGTERM goes out at
+        once: no work is left, and a worker that attached after the queue
+        drained would otherwise wait out its ``--max-idle`` for the next
+        campaign.  SIGTERM is the worker's graceful stop: it finishes a unit
+        in flight and releases any claim it has not started.
+        """
+        if stop_now:
+            for process in self._procs:
+                if process.poll() is None:
+                    process.terminate()
         deadline = time.monotonic() + timeout
         for process in self._procs:
             remaining = max(0.1, deadline - time.monotonic())
@@ -350,7 +362,7 @@ class DistributedExecutionStrategy(ExecutionStrategy):
                 idle.sleep()
         finally:
             if pool is not None:
-                pool.shutdown()
+                pool.shutdown(stop_now=len(merged) == len(payloads))
 
 
 def run_campaign_distributed(campaign: SymbolicCampaign,

@@ -7,8 +7,9 @@ from .state import (CowMemory, CowRegisters, Fingerprint, MachineState,
                     Status, TraceEntry, initial_state, state_contains_err)
 from .decode import (DecodedInstruction, DecodedProgram, clear_decode_cache,
                      decoded_program)
-from .executor import (ExecutionConfig, Executor, SymbolicValueEncountered,
-                       concrete_step, concrete_step_legacy, run_concrete,
+from .executor import (ConcreteFutures, ExecutionConfig, Executor,
+                       SymbolicValueEncountered, concrete_step,
+                       concrete_step_legacy, run_concrete,
                        run_concrete_legacy, run_concrete_until)
 
 __all__ = [
@@ -17,7 +18,8 @@ __all__ = [
     "CowMemory", "CowRegisters", "Fingerprint",
     "MachineState", "Status", "TraceEntry", "initial_state", "state_contains_err",
     "DecodedInstruction", "DecodedProgram", "clear_decode_cache", "decoded_program",
-    "ExecutionConfig", "Executor", "SymbolicValueEncountered",
+    "ConcreteFutures", "ExecutionConfig", "Executor",
+    "SymbolicValueEncountered",
     "concrete_step", "concrete_step_legacy", "run_concrete",
     "run_concrete_legacy", "run_concrete_until",
 ]

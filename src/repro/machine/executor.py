@@ -15,8 +15,10 @@ Two interpreters live here:
 * :func:`concrete_step` / :func:`run_concrete` — a lean, mutating
   interpreter for fully concrete states.  It implements the same machine
   semantics without any symbolic machinery and is used for the deterministic
-  prefix before an injection point and by the SimpleScalar-substitute
-  simulator in :mod:`repro.concrete`.
+  prefix before an injection point, for the err-free tails of a search and
+  by the SimpleScalar-substitute simulator in :mod:`repro.concrete`.  Given
+  a :class:`ConcreteFutures`, ``run_concrete`` ends a run early when it
+  rejoins a recorded err-free run, by copying that run's terminal state.
 
 Both interpreters run off the pre-decoded tables built by
 :mod:`repro.machine.decode`: operands, comparison operators, binary-operator
@@ -31,7 +33,7 @@ and benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs as _obs
 from ..constraints import ComparisonOp, Location
@@ -50,11 +52,11 @@ from .exceptions import (DIVIDE_BY_ZERO, ILLEGAL_ADDRESS, ILLEGAL_INSTRUCTION,
                          INPUT_EXHAUSTED, MachineModelError,
                          SymbolicValueEncountered, TIMED_OUT,
                          detector_exception)
-from .state import MachineState, TraceEntry
+from .state import Fingerprint, MachineState, TraceEntry
 
 __all__ = [
-    "ExecutionConfig", "Executor", "SymbolicValueEncountered", "apply_fault",
-    "apply_fault_set", "concrete_step", "concrete_step_legacy",
+    "ConcreteFutures", "ExecutionConfig", "Executor", "SymbolicValueEncountered",
+    "apply_fault", "apply_fault_set", "concrete_step", "concrete_step_legacy",
     "run_concrete", "run_concrete_legacy", "run_concrete_until",
 ]
 
@@ -863,9 +865,115 @@ def concrete_step(program: Program, state: MachineState,
     return state
 
 
+#: Steps between the marks a golden run records (see ConcreteFutures).
+GOLDEN_MARK_STRIDE = 256
+
+#: Steps between the marks a search's err-free tails record.  Coarser than
+#: the golden stride: each mark keeps a memory base alive for the whole
+#: search, and a search finishes thousands of tails.
+SEARCH_MARK_STRIDE = 1024
+
+#: One recorded state on a finished run: (fingerprint, step count at the
+#: mark, the run's terminal state).
+_Mark = Tuple[Fingerprint, int, MachineState]
+
+
+class ConcreteFutures:
+    """Recorded err-free runs that a later concrete run may join.
+
+    A fully concrete state's future is a function of its fingerprint (plus
+    the program, the detectors and the input stream, to which one instance
+    is bound), and its step count only decides where the watchdog fires.
+    So when :func:`run_concrete` reaches a state equal to a *mark* — a
+    snapshot taken every ``stride`` steps, from one stride in, on an earlier
+    run that finished — it copies that run's terminal state instead of executing the rest, with
+    the step count shifted by its own offset from the mark.
+
+    Marks are indexed pc -> location hash -> marks, so the per-block check
+    is two dict lookups; the full structural fingerprint comparison only
+    runs on a location-hash hit.  A run publishes its marks only when it
+    ends without timing out and without raising, so every mark leads to a
+    terminal state.  The campaign keeps one *golden* layer (the error-free
+    run, built by :meth:`golden`); each search stacks a *search* layer on
+    it (``parent=``) that its own tails publish into and that is dropped
+    with the search.
+    """
+
+    __slots__ = ("program", "detectors", "input", "stride", "_index")
+
+    def __init__(self, program: Program, detectors: DetectorSet,
+                 input_values: Sequence[int], stride: int,
+                 parent: Optional["ConcreteFutures"] = None) -> None:
+        self.program = program
+        self.detectors = detectors
+        self.input = tuple(input_values)
+        self.stride = stride
+        self._index: Dict[int, Dict[int, List[_Mark]]] = {}
+        if parent is not None and parent.binds(program, detectors, self.input):
+            # Copied, not chained: a lookup stays two dict probes, and this
+            # layer's publications never reach the parent.
+            self._index = {pc: {h: list(marks) for h, marks in by_hash.items()}
+                           for pc, by_hash in parent._index.items()}
+
+    @classmethod
+    def golden(cls, program: Program, state: MachineState,
+               detectors: DetectorSet = EMPTY_DETECTORS,
+               max_steps: int = 200_000) -> "ConcreteFutures":
+        """The golden layer: *state* run to termination, marks recorded.
+
+        A run that times out or raises records nothing.
+        """
+        futures = cls(program, detectors, state.input, GOLDEN_MARK_STRIDE)
+        try:
+            run_concrete(program, state, detectors, max_steps, futures=futures)
+        except (SymbolicValueEncountered, MachineModelError):
+            pass
+        return futures
+
+    def binds(self, program: Program, detectors: DetectorSet,
+              input_values: Tuple[int, ...]) -> bool:
+        """Whether a run of *program* over *input_values* may use this layer."""
+        return (program is self.program and detectors is self.detectors
+                and input_values == self.input)
+
+    def __len__(self) -> int:
+        return sum(len(marks) for by_hash in self._index.values()
+                   for marks in by_hash.values())
+
+    def join(self, state: MachineState, marks: List[_Mark],
+             max_steps: int) -> int:
+        """Finish *state* from the first equal mark; return the steps skipped.
+
+        Returns 0 (and leaves *state* alone) when no mark is equal, or when
+        the shifted terminal step count would reach *max_steps*: the run
+        must then keep going so the watchdog fires where it always does.
+        The bound is strict because a run that falls off the end of the
+        code terminates without executing an instruction, so its last
+        watchdog check is at its terminal step count.
+        """
+        fingerprint = state.fingerprint()
+        steps = state.steps
+        for mark, mark_steps, terminal in marks:
+            final = steps + terminal.steps - mark_steps
+            if final < max_steps and mark == fingerprint:
+                state.adopt_terminal(terminal, final)
+                return final - steps
+        return 0
+
+    def publish(self, marks: List[Tuple[int, int, Fingerprint, int]],
+                terminal: MachineState) -> None:
+        """Index a finished run's *marks* under its *terminal* state."""
+        terminal = terminal.copy()
+        index = self._index
+        for pc, loc_hash, fingerprint, steps in marks:
+            index.setdefault(pc, {}).setdefault(loc_hash, []).append(
+                (fingerprint, steps, terminal))
+
+
 def run_concrete(program: Program, state: MachineState,
                  detectors: DetectorSet = EMPTY_DETECTORS,
-                 max_steps: int = 200_000) -> MachineState:
+                 max_steps: int = 200_000,
+                 futures: Optional[ConcreteFutures] = None) -> MachineState:
     """Run a fully concrete state to termination (in place).
 
     Uses the decoded superblocks: when the program counter sits on a block
@@ -873,6 +981,12 @@ def run_concrete(program: Program, state: MachineState,
     function executes the run in one call; otherwise execution falls back to
     the per-instruction ops.  Observable behaviour (including the exact step
     count at a timeout) is identical to single-stepping.
+
+    With *futures* (bound to this program, these detectors and the state's
+    input; otherwise ignored) the run also joins: before each block it looks
+    for an equal mark of a finished run and, on a hit, adopts that run's
+    terminal state (see :class:`ConcreteFutures`).  It records a mark every
+    ``futures.stride`` steps and publishes them if it finishes.
     """
     decoded = decoded_program(program)
     ops = decoded.concrete_ops
@@ -881,6 +995,15 @@ def run_concrete(program: Program, state: MachineState,
     length = decoded.length
     steps_at_entry = state.steps
     block_runs = 0  # local counter: the loop itself stays untelemetered
+    joined_steps = 0
+    marks: List[Tuple[int, int, Fingerprint, int]] = []
+    if futures is not None and not futures.binds(program, detectors,
+                                                 state.input):
+        futures = None
+    if futures is not None:
+        index = futures._index
+        stride = futures.stride
+        next_mark = steps_at_entry + stride
     try:
         while state.is_running:
             steps = state.steps
@@ -889,6 +1012,21 @@ def run_concrete(program: Program, state: MachineState,
                 break
             pc = state.pc
             if type(pc) is int and 0 <= pc < length:
+                if futures is not None:
+                    by_hash = index.get(pc)
+                    if by_hash is not None:
+                        # The location hash is read directly: this probe
+                        # runs once per block.
+                        found = by_hash.get(state._loc_hash)
+                        if found is not None:
+                            joined_steps = futures.join(state, found,
+                                                        max_steps)
+                            if joined_steps:
+                                break
+                    if steps >= next_mark:
+                        marks.append((pc, state._loc_hash,
+                                      state.fingerprint(), steps))
+                        next_mark = steps + stride
                 block = block_fns[pc]
                 if block is not None and steps + block_lens[pc] <= max_steps:
                     block(state)
@@ -902,9 +1040,15 @@ def run_concrete(program: Program, state: MachineState,
     finally:
         hub = _obs.get()
         if hub.enabled:
-            hub.count("interp.steps", state.steps - steps_at_entry)
+            hub.count("interp.steps",
+                      state.steps - steps_at_entry - joined_steps)
             if block_runs:
                 hub.count("interp.superblock_runs", block_runs)
+            if joined_steps:
+                hub.count("interp.joins")
+                hub.count("interp.joined_steps", joined_steps)
+    if marks and not state.hung:
+        futures.publish(marks, state)
     return state
 
 

@@ -490,6 +490,33 @@ class MachineState:
         clone._err_count = self._err_count
         return clone
 
+    def adopt_terminal(self, terminal: "MachineState", steps: int) -> None:
+        """Finish this running state as *terminal*, reached at *steps*.
+
+        The concrete interpreter's join: when this state matches a recorded
+        state of a finished err-free run, its future is that run's, so it
+        takes over every field the run produced — pc, stores, input
+        position, output, constraints, termination, both rolling hashes and
+        the err census — with the step count shifted to its own timeline.
+        Stores are CoW copies (bases shared, overlays copied), so the
+        terminal stays untouched.  ``input``, ``trace`` and ``forks`` are
+        the caller's: the run that joins holds the same input, and the
+        concrete interpreter changes neither of the other two.
+        """
+        self.pc = terminal.pc
+        self._registers = terminal._registers.copy()
+        self._memory = terminal._memory.copy()
+        self.input_pos = terminal.input_pos
+        self._output = terminal._output.copy()
+        self.constraints = terminal.constraints
+        self.steps = steps
+        self.status = terminal.status
+        self.exception = terminal.exception
+        self.detector_id = terminal.detector_id
+        self._loc_hash = terminal._loc_hash
+        self._out_hash = terminal._out_hash
+        self._err_count = terminal._err_count
+
     # ---------------------------------------------------------------- pickling
 
     def __getstate__(self):

@@ -559,3 +559,31 @@ class TestDistributedTasks:
                    progress=lambda done, total, result:
                    seen.append((done, total)))
         assert seen == [(1, 3), (2, 3), (3, 3)]
+
+    def test_a_worker_that_attaches_after_the_drain_is_stopped_at_once(
+            self, server, monkeypatch):
+        """A local worker that first sees the queue already drained waits
+        for the next campaign; once every result is merged the coordinator
+        must stop it through SIGTERM instead of waiting out its timeout."""
+        from repro.distributed.strategy import _LocalWorkerPool
+
+        original = _LocalWorkerPool.shutdown
+        timings = []
+
+        def late_worker_then_shutdown(pool, *args, **kwargs):
+            pool.spawn(1)
+            time.sleep(2.0)  # long enough to attach to the drained queue
+            started = time.monotonic()
+            original(pool, *args, **kwargs)
+            timings.append(time.monotonic() - started)
+            assert all(process.poll() is not None
+                       for process in pool._procs)
+
+        monkeypatch.setattr(_LocalWorkerPool, "shutdown",
+                            late_worker_then_shutdown)
+        campaign, injections, query_spec = factorial_fixture(max_injections=4)
+        report = TaskRunner(campaign).run(
+            decompose_by_chunk(injections, 2), query_spec.build(),
+            strategy=self.strategy(query_spec, server.url))
+        assert report.total_tasks == 2
+        assert len(timings) == 1 and timings[0] < 5.0
