@@ -21,7 +21,7 @@ from repro.constraints import Location
 from repro.core import (SymbolicCampaign, TaskRunner, decompose_by_code_section,
                         printed_value_other_than)
 from repro.core.campaign import CampaignResult
-from repro.errors import RegisterFileError
+from repro.faults import RegisterValueFault
 from repro.machine import ExecutionConfig
 from repro.programs import tcas_workload
 
@@ -32,7 +32,7 @@ def run_sec62_experiment():
         workload.program,
         input_values=workload.default_input,
         memory=workload.data_segment,
-        error_class=RegisterFileError(),
+        fault_model=RegisterValueFault(),
         execution_config=ExecutionConfig(max_steps=3_000,
                                          control_fork_domain="labels",
                                          max_control_forks=2_048,

@@ -1,9 +1,10 @@
 """TAB1 — Table 1: computation-error categories and how they are modelled.
 
 For every row of Table 1 (instruction decoder, address/data bus, functional
-unit, instruction fetch) plus the basic register/memory classes, this bench
-enumerates the category's injections on small kernels, symbolically explores
-a sample of them and confirms the modelled manifestation:
+unit, instruction fetch) plus the basic register/memory/control-flow rows,
+this bench enumerates the injections of the fault model that plans the row
+on small kernels, symbolically explores a sample of them and confirms the
+modelled manifestation:
 
 * decode / bus / functional-unit errors surface as ``err`` in the source or
   destination registers and can corrupt the output,
@@ -14,21 +15,23 @@ a sample of them and confirms the modelled manifestation:
 import pytest
 
 from repro.core import SymbolicCampaign, crashed, undetected_failure
-from repro.errors import STANDARD_ERROR_CLASSES
+from repro.faults import fault_model
 from repro.machine import ExecutionConfig
 from repro.programs import (call_max_workload, memory_walk_workload,
                             sum_input_workload)
 
 
-CATEGORIES = ("register", "memory", "bus", "functional-unit", "decode",
-              "fetch", "control-flow")
+#: Table 1's rows and the registered fault model each one is planned by.
+CATEGORIES = {"register": "register", "memory": "memory", "bus": "operand",
+              "functional-unit": "functional-unit", "decode": "decode",
+              "fetch": "fetch", "control-flow": "control"}
 
 
 def run_category_sweeps():
     workloads = [sum_input_workload(), memory_walk_workload(), call_max_workload()]
     rows = []
-    for category in CATEGORIES:
-        error_class = STANDARD_ERROR_CLASSES[category]
+    for category, model_name in CATEGORIES.items():
+        model = fault_model(model_name)
         injections_total = 0
         failures = 0
         crashes = 0
@@ -38,7 +41,7 @@ def run_category_sweeps():
                 workload.program,
                 input_values=workload.default_input,
                 memory=workload.data_segment,
-                error_class=error_class,
+                fault_model=model,
                 execution_config=ExecutionConfig(
                     max_steps=workload.recommended_max_steps,
                     control_fork_domain="labels"),
@@ -55,7 +58,7 @@ def run_category_sweeps():
 
 
 @pytest.mark.benchmark(group="table1")
-def test_table1_error_category_coverage(benchmark):
+def test_table1_category_coverage(benchmark):
     rows = benchmark.pedantic(run_category_sweeps, rounds=1, iterations=1)
 
     by_category = {row[0]: row for row in rows}

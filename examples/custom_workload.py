@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Bring your own workload: minic, MIPS, detectors and error categories.
+"""Bring your own workload: minic, MIPS, detectors and fault models.
 
 This example shows the full tool surface for a user-supplied program:
 
 * compile a small minic program (a saturating sensor filter) to the
   SymPLFIED ISA,
 * attach detectors written in the paper's ``det(...)`` format,
-* use the query generator to sweep the pre-defined error categories of
-  Table 1 (register, bus, functional-unit, decode, fetch, control-flow), and
+* use the query generator to sweep the fault models of Table 1's error
+  categories (register, bus, functional-unit, decode, fetch, control-flow),
+  and
 * translate a MIPS snippet with the MIPS front-end and analyse it the same way.
 
 Run with:  python examples/custom_workload.py
@@ -15,8 +16,8 @@ Run with:  python examples/custom_workload.py
 
 from repro.core import SymbolicCampaign
 from repro.detectors import DetectorSet
-from repro.errors import STANDARD_ERROR_CLASSES
-from repro.frontend import generate, translate_mips
+from repro.faults import FAULT_MODELS, fault_model
+from repro.frontend import generate_query, translate_mips
 from repro.lang import compile_source
 from repro.machine import ExecutionConfig
 from repro.programs.base import Workload
@@ -73,20 +74,15 @@ def analyse(workload: Workload, label: str) -> None:
     print(f"--- {label}: {len(workload.program)} instructions, "
           f"golden output {workload.golden_output()} ---")
     golden = workload.golden_output()
-    for category in ("register", "bus", "functional-unit", "fetch"):
-        # The query generator pairs the outcome query with a Table 1 error
-        # class; building the campaign from that pair is the supported way
-        # to sweep the legacy categories (generate_campaign's error_category=
-        # keyword is deprecated in favour of fault models).
-        generated = generate("undetected-failure", category,
-                             golden_output=golden)
-        query = generated.query
+    query = generate_query("undetected-failure", golden_output=golden)
+    # Table 1's bus row is planned by the "operand" model.
+    for category in ("register", "operand", "functional-unit", "fetch"):
         campaign = SymbolicCampaign(
             workload.program,
             input_values=workload.default_input,
             memory=workload.data_segment,
             detectors=workload.detectors,
-            error_class=generated.error_class,
+            fault_model=fault_model(category),
             execution_config=ExecutionConfig(
                 max_steps=workload.recommended_max_steps,
                 control_fork_domain="labels"),
@@ -124,8 +120,7 @@ def main() -> None:
         recommended_max_steps=200)
     analyse(absdiff, "MIPS snippet translated by the front-end")
 
-    print("available pre-defined error categories:",
-          ", ".join(sorted(STANDARD_ERROR_CLASSES)))
+    print("available fault models:", ", ".join(sorted(FAULT_MODELS)))
 
 
 if __name__ == "__main__":

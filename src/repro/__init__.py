@@ -7,10 +7,10 @@ Framework* (DSN 2008) as a pure-Python library:
 * :mod:`repro.isa` -- the generic, MIPS-like assembly language;
 * :mod:`repro.machine` -- the machine model (state + execution semantics);
 * :mod:`repro.errors` -- the error model (symbolic ``err``, propagation,
-  comparison forking, injection, Table-1 error classes);
-* :mod:`repro.faults` -- pluggable fault models: picklable ``FaultSpec``
-  injection spaces (register/memory/control/operand), enumerated or
-  seed-sampled, carried unchanged by every execution backend;
+  comparison forking, injection breakpoints);
+* :mod:`repro.faults` -- the fault models, one per row of Table 1 plus
+  burst and bit-flip: picklable ``FaultSpec`` injection spaces, enumerated
+  or seed-sampled, carried unchanged by every execution backend;
 * :mod:`repro.constraints` -- constraint tracking and the custom solver;
 * :mod:`repro.detectors` -- the detector model (``CHECK`` / ``det(...)``);
 * :mod:`repro.core` -- the symbolic engine: bounded model checking, outcome

@@ -2,15 +2,15 @@
 
 The CLI mirrors how the paper's tool is used: feed it a program (SymPLFIED
 assembly, a minic source file, a MIPS file or the name of a bundled
-workload), optionally a detector file in the ``det(...)`` format, pick an
-error class and an outcome query, and it either runs the program, runs a
+workload), optionally a detector file in the ``det(...)`` format, pick a
+fault model and an outcome query, and it either runs the program, runs a
 concrete fault-injection campaign, or runs the symbolic campaign and reports
 every error that evades detection.
 
 Examples::
 
     python -m repro run --workload factorial --input 5
-    python -m repro analyze --workload factorial --error-class register \
+    python -m repro analyze --workload factorial --fault-model register \
         --query err-output --max-injections 20
     python -m repro concrete --workload tcas --max-injections 50
     python -m repro analyze --program prog.asm --detectors dets.txt \
@@ -29,7 +29,6 @@ from .concrete import ConcreteCampaign, printed_value_labeler
 from .core import SymbolicCampaign, witnesses_from_campaign
 from .core.campaign import SerialExecutionStrategy
 from .detectors import DetectorSet, EMPTY_DETECTORS
-from .errors import STANDARD_ERROR_CLASSES, error_class
 from .faults import FAULT_MODELS, fault_model
 from .frontend import generate_query, translate_mips
 from .isa import assemble
@@ -156,14 +155,9 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze = subparsers.add_parser(
         "analyze", help="symbolic fault-injection campaign (the SymPLFIED analysis)")
     _add_common_arguments(analyze)
-    analyze.add_argument("--error-class", default=None,
-                         choices=sorted(STANDARD_ERROR_CLASSES),
-                         help="legacy hardware error class to sweep "
-                              "(default: register; mutually exclusive with "
-                              "--fault-model)")
-    analyze.add_argument("--fault-model", default=None, metavar="NAME",
-                         help="pluggable fault model planning the sweep "
-                              "(repro.faults registry, e.g. "
+    analyze.add_argument("--fault-model", default="register", metavar="NAME",
+                         help="fault model planning the sweep (default: "
+                              "register; one of "
                               f"{', '.join(sorted(FAULT_MODELS))}); combine "
                               "with --sample/--seed to sweep a deterministic "
                               "subset of its space")
@@ -409,9 +403,6 @@ def _resolve_backend(args: argparse.Namespace) -> str:
     if args.resume and args.checkpoint is None:
         raise SystemExit("--resume needs --checkpoint PATH (the journal to "
                          "resume from)")
-    if args.fault_model is not None and args.error_class is not None:
-        raise SystemExit("--fault-model and --error-class are mutually "
-                         "exclusive: the fault model plans the sweep")
     if args.seed is not None and args.sample is None:
         raise SystemExit("--seed only applies with --sample N (a full sweep "
                          "is not randomised)")
@@ -472,12 +463,12 @@ def _command_analyze(args: argparse.Namespace) -> int:
                            expected_value=expected)
     backend = _resolve_backend(args)
     try:
-        model = fault_model(args.fault_model) if args.fault_model else None
+        model = fault_model(args.fault_model)
     except ValueError as exc:
         # Mirror validate_queue_locator: one readable line, no traceback.
         raise SystemExit(str(exc)) from None
     if args.burst_k is not None:
-        if model is None or model.name != "burst":
+        if model.name != "burst":
             raise SystemExit("--burst-k only applies to --fault-model burst")
         if args.burst_k < 2:
             raise SystemExit(f"--burst-k must be >= 2 (a burst is K "
@@ -503,7 +494,6 @@ def _command_analyze(args: argparse.Namespace) -> int:
         input_values=workload.default_input,
         memory=workload.data_segment,
         detectors=workload.detectors,
-        error_class=error_class(args.error_class or "register"),
         fault_model=model,
         execution_config=ExecutionConfig(
             max_steps=args.max_steps,
@@ -523,12 +513,9 @@ def _command_analyze(args: argparse.Namespace) -> int:
         # stays byte-identical to pre-registry campaigns.
         print(f"isa            : {workload.isa}")
     print(f"golden output  : {list(golden)}")
-    if model is not None:
-        print(f"fault model    : {model.name}")
-        if model.name == "burst":
-            print(f"burst k        : {model.k}")
-    else:
-        print(f"error class    : {args.error_class or 'register'}")
+    print(f"fault model    : {model.name}")
+    if model.name == "burst":
+        print(f"burst k        : {model.k}")
     if args.sample is not None:
         # A --sample larger than the fault space clamps (with a warning
         # from the sampler); report the size actually swept.
@@ -558,8 +545,7 @@ def _command_analyze(args: argparse.Namespace) -> int:
             "workload": workload.name,
             "program": workload.program.name,
             "query": query.description,
-            "fault_model": (model.name if model is not None
-                            else f"error-class:{args.error_class or 'register'}"),
+            "fault_model": model.name,
             "isa": workload.isa,
             "backend": backend,
             "workers": args.workers,

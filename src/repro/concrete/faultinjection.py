@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..detectors import DetectorSet, EMPTY_DETECTORS
-from ..errors.injector import Injection, _register_injection_points
+from ..errors.injector import Injection
+from ..faults.models import FAULT_MODELS
 from ..isa.program import Program
 from .simulator import ConcreteSimulator
 from .stats import OutcomeDistribution, OutcomeLabeler, printed_value_labeler
@@ -96,7 +97,6 @@ class ConcreteCampaign:
                  memory: Optional[Dict[int, int]] = None,
                  detectors: DetectorSet = EMPTY_DETECTORS,
                  value_policy: Optional[ValuePolicy] = None,
-                 register_policy: str = "used",
                  labeler: Optional[OutcomeLabeler] = None,
                  outcome_labels: Sequence[str] = ("0", "1", "2", "other",
                                                   "crash", "hang", "detected"),
@@ -106,7 +106,6 @@ class ConcreteCampaign:
         self.memory = dict(memory) if memory else {}
         self.detectors = detectors
         self.value_policy = value_policy or ValuePolicy()
-        self.register_policy = register_policy
         self.labeler = labeler or printed_value_labeler()
         self.outcome_labels = tuple(outcome_labels)
         self.simulator = ConcreteSimulator(program, detectors, max_steps=max_steps)
@@ -114,8 +113,7 @@ class ConcreteCampaign:
     def enumerate_injections(self,
                              pcs: Optional[Sequence[int]] = None) -> List[Injection]:
         """Register injections at every instruction (or the subset *pcs*)."""
-        return _register_injection_points(self.program,
-                                          policy=self.register_policy, pcs=pcs)
+        return FAULT_MODELS["register"].enumerate(self.program, pcs=pcs)
 
     def planned_experiments(self,
                             injections: Optional[Sequence[Injection]] = None

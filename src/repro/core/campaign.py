@@ -1,7 +1,7 @@
 """Symbolic fault-injection campaigns (paper Section 6.1).
 
-A campaign sweeps an error class over a program: for every injection point
-enumerated by the class (for example "``err`` in every register used by every
+A campaign sweeps a fault model over a program: for every injection point
+enumerated by the model (for example "``err`` in every register used by every
 instruction"), it
 
 1. runs the program concretely up to the breakpoint (guaranteeing the fault
@@ -28,8 +28,7 @@ from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
 from .. import obs as _obs
 from ..detectors import DetectorSet, EMPTY_DETECTORS
 from ..errors.injector import Injection, prepare_injected_state
-from ..errors.models import ErrorClass, RegisterFileError
-from ..faults.models import FaultModel, deterministic_sample
+from ..faults.models import FAULT_MODELS, FaultModel
 from ..isa.program import Program
 from ..isa.values import ERR
 from ..machine.executor import ConcreteFutures, ExecutionConfig, Executor
@@ -333,14 +332,13 @@ class SerialExecutionStrategy(ExecutionStrategy):
 
 
 class SymbolicCampaign:
-    """Sweep an error class over a program with symbolic fault injection."""
+    """Sweep a fault model over a program with symbolic fault injection."""
 
     def __init__(self,
                  program: Program,
                  input_values: Sequence[int] = (),
                  memory: Optional[Dict[int, int]] = None,
                  detectors: DetectorSet = EMPTY_DETECTORS,
-                 error_class: Optional[ErrorClass] = None,
                  fault_model: Optional[FaultModel] = None,
                  execution_config: Optional[ExecutionConfig] = None,
                  max_solutions_per_injection: int = 10,
@@ -352,10 +350,9 @@ class SymbolicCampaign:
         self.input_values = tuple(input_values)
         self.memory = dict(memory) if memory else {}
         self.detectors = detectors
-        self.error_class = error_class or RegisterFileError()
-        #: When set, injections are planned by this pluggable model
-        #: (:mod:`repro.faults`) instead of the legacy error class.
-        self.fault_model = fault_model
+        #: The :mod:`repro.faults` model that plans the injections; the
+        #: paper's register sweep when none is given.
+        self.fault_model = fault_model or FAULT_MODELS["register"]
         self.execution_config = execution_config or ExecutionConfig()
         self.max_solutions_per_injection = max_solutions_per_injection
         self.max_states_per_injection = max_states_per_injection
@@ -389,11 +386,9 @@ class SymbolicCampaign:
 
     def enumerate_injections(self,
                              pcs: Optional[Sequence[int]] = None) -> List[Injection]:
-        """All injections of the campaign's fault model or error class."""
-        if self.fault_model is not None:
-            return self.fault_model.enumerate(self.program, memory=self.memory,
-                                              pcs=pcs)
-        return self.error_class.enumerate(self.program, pcs=pcs)
+        """All injections of the campaign's fault model."""
+        return self.fault_model.enumerate(self.program, memory=self.memory,
+                                          pcs=pcs)
 
     def plan_injections(self, sample: Optional[int] = None,
                         seed: Optional[int] = None) -> List[Injection]:
@@ -403,13 +398,8 @@ class SymbolicCampaign:
         distribution — so a sampled sweep is the same list of specs no
         matter which backend executes it.
         """
-        if self.fault_model is not None:
-            return self.fault_model.plan(self.program, memory=self.memory,
-                                         sample=sample, seed=seed)
-        injections = self.enumerate_injections()
-        if sample is not None:
-            injections = deterministic_sample(injections, sample, seed)
-        return injections
+        return self.fault_model.plan(self.program, memory=self.memory,
+                                     sample=sample, seed=seed)
 
     # -------------------------------------------------------------- execution
 

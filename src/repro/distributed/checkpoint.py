@@ -10,7 +10,7 @@ The journal is strategy-agnostic: :class:`CheckpointingStrategy` wraps any
 :class:`~repro.core.campaign.ExecutionStrategy` (serial, pool or
 distributed) and taps its per-result sink, appending each result the moment
 the executing backend reports it.  A header record pins the campaign
-identity (program, error class, query) so a journal cannot silently resume
+identity (program, fault model, query) so a journal cannot silently resume
 a different experiment.
 """
 
@@ -46,19 +46,17 @@ def campaign_header(campaign: SymbolicCampaign, query: SearchQuery) -> Dict:
     different ``--max-states`` would otherwise silently break the
     "identical to an uninterrupted run" guarantee).
     """
-    # Error class, fault model and detectors are pinned by content digest:
+    # The fault model and detectors are pinned by content digest:
     # a count or type name would accept a journal recorded under a
     # *different* detector file.  A spurious digest mismatch (these are
     # best-effort canonical) fails loudly toward refusing the resume,
     # never toward a wrong merge.
     semantics = hashlib.sha256(pickle.dumps(
-        (campaign.error_class, campaign.fault_model, campaign.detectors),
+        (campaign.fault_model, campaign.detectors),
         protocol=4)).hexdigest()
     return {
         "program": campaign.program.name,
-        "error_class": type(campaign.error_class).__name__,
-        "fault_model": (None if campaign.fault_model is None
-                        else campaign.fault_model.name),
+        "fault_model": campaign.fault_model.name,
         "isa": campaign.isa,
         "query": query.description,
         "input_values": tuple(campaign.input_values),

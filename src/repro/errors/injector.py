@@ -12,9 +12,8 @@ substitute, with a chosen concrete value).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from ..constraints import Location
 from ..isa.instructions import ZERO_REGISTER
@@ -129,41 +128,3 @@ def registers_used_at(program: Program, pc: int, policy: str = "used") -> Tuple[
         raise ValueError(f"unknown register policy {policy!r}")
     return tuple(r for r in registers if r != ZERO_REGISTER)
 
-
-def register_injection_points(program: Program,
-                              policy: str = "used",
-                              pcs: Optional[Sequence[int]] = None,
-                              ) -> List[Injection]:
-    """Enumerate register-error injections following the paper's optimisation.
-
-    .. deprecated:: plan sweeps through the pluggable fault subsystem instead
-       (``repro.faults.FAULT_MODELS["register"]`` /
-       :class:`~repro.faults.models.RegisterValueFault`), which produces the
-       same plan and also covers memory/control/operand models.
-    """
-    warnings.warn(
-        "register_injection_points() is deprecated; plan sweeps through "
-        "repro.faults (fault_model=\"register\" / RegisterValueFault) instead",
-        DeprecationWarning, stacklevel=2)
-    return _register_injection_points(program, policy=policy, pcs=pcs)
-
-
-def _register_injection_points(program: Program,
-                               policy: str = "used",
-                               pcs: Optional[Sequence[int]] = None,
-                               ) -> List[Injection]:
-    """Enumerate register-error injections following the paper's optimisation.
-
-    For every static instruction (or the subset *pcs*), one injection per
-    register used by that instruction, placed immediately before the
-    instruction so that the fault is activated.
-    """
-    injections: List[Injection] = []
-    addresses = range(len(program)) if pcs is None else pcs
-    for pc in addresses:
-        for register in registers_used_at(program, pc, policy):
-            injections.append(Injection(
-                breakpoint_pc=pc,
-                target=Location.register(register),
-                description=f"register ${register} at {program.source_line(pc)}"))
-    return injections

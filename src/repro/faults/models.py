@@ -1,26 +1,30 @@
 """Pluggable fault models: how an injection space is enumerated or sampled.
 
-The paper's error model — single transient errors in registers, memory and
-control flow (Section 3.3) — was previously hard-wired into the campaign
-layer as a fixed register sweep.  A :class:`FaultModel` makes the model a
-first-class, picklable object: it *enumerates* the full injection space of
-a program (every :class:`~repro.faults.spec.FaultSpec` of its class) or
-*samples* a deterministic subset under a seed, and the campaign plans its
-sweep from whichever model it is given.
+The paper's error model — single transient errors in registers, memory,
+computation and control flow (Section 3.3, Table 1) — is described here
+once.  A :class:`FaultModel` is a first-class, picklable object: it
+*enumerates* the full injection space of a program (every
+:class:`~repro.faults.spec.FaultSpec` of its class) or *samples* a
+deterministic subset under a seed, and the campaign plans its sweep from
+whichever model it is given (:class:`RegisterValueFault` by default).
 
-Six concrete models ship here, selected on the CLI by
-``repro analyze --fault-model
-{register,memory,control,operand,burst,bitflip}``:
+Nine concrete models ship here, selected on the CLI by
+``repro analyze --fault-model NAME``:
 
 * :class:`RegisterValueFault` — ``err`` in a register used by each
-  instruction (the paper's Section 6 campaign, extracted from the old
-  fixed sweep);
+  instruction (the paper's Section 6 campaign; Table 1's register row);
 * :class:`MemoryCellFault` — ``err`` in a data-segment memory word,
   placed just before each load so the corruption can be consumed;
 * :class:`ControlFlowFault` — a corrupted program counter at
   control-transfer instructions (branch/jump/call targets);
 * :class:`InstructionOperandFault` — ``err`` in the source operands an
-  instruction reads (bus/decode-style operand corruption);
+  instruction reads (Table 1's address/data bus row);
+* :class:`FunctionalUnitFault` — ``err`` in the register an instruction
+  writes, right after it executes (Table 1's functional-unit row);
+* :class:`DecodeFault` — the instruction decoder turned one instruction
+  into another (Table 1's decoder row);
+* :class:`FetchFault` — a corrupted program counter at every
+  instruction (Table 1's instruction-fetch row);
 * :class:`BurstFault` — *k* simultaneous corruptions per experiment
   (the paper's multi-error extension), composed from the base models'
   spaces into :class:`~repro.faults.spec.BurstFaultSpec` tuples;
@@ -28,12 +32,13 @@ Six concrete models ship here, selected on the CLI by
   injection addresses the symbolic models enumerate, the Monte-Carlo leg
   of the symbolic-vs-bit-flip parity study (Section 6's comparison).
 
-Future models (timing errors, multi-bit cell faults, ...) plug in by
-subclassing :class:`FaultModel` and registering in :data:`FAULT_MODELS`;
-everything downstream — planning, chunking, the four execution backends,
-checkpointing — operates on the produced FaultSpecs and needs no change.
-The authoring walkthrough (with burst/bitflip as worked examples) lives in
-``docs/fault-models.md``.
+Errors in processor control logic (register renaming and the like) are
+outside the fault model, as in the paper.  Future models (timing errors,
+multi-bit cell faults, ...) plug in by subclassing :class:`FaultModel` and
+registering in :data:`FAULT_MODELS`; everything downstream — planning,
+chunking, the four execution backends, checkpointing — operates on the
+produced FaultSpecs and needs no change.  The authoring walkthrough (with
+burst/bitflip as worked examples) lives in ``docs/fault-models.md``.
 """
 
 from __future__ import annotations
@@ -175,20 +180,17 @@ class MemoryCellFault(FaultModel):
     When the program has a loader-initialised data segment, each known
     cell is corrupted immediately before each load instruction (so the
     corruption can be consumed; unread cells exercise *latent* errors —
-    see the ``latent-err`` query).  *max_cells_per_site* caps the cells
-    swept per load for large segments.  Programs without a data segment
-    fall back to corrupting each load's destination register right after
-    the load — equivalent to an error on the memory/cache bus feeding it.
+    see the ``latent-err`` query).  Programs without a data segment fall
+    back to corrupting each load's destination register right after the
+    load — equivalent to an error on the memory/cache bus feeding it.
 
-    Caveat (shared with the legacy ``MemoryError`` class this extracts):
-    the bus fallback breaks at the first dynamic arrival at ``pc + 1``,
-    which for a load whose successor is also a branch target may happen
-    before the load ever executes — the injection then degenerates to a
-    plain register error; and when ``pc + 1`` is never reached the
-    experiment is reported as not activated.
+    Caveat of the bus fallback: it breaks at the first dynamic arrival at
+    ``pc + 1``, which for a load whose successor is also a branch target
+    may happen before the load ever executes — the injection then
+    degenerates to a plain register error; and when ``pc + 1`` is never
+    reached the experiment is reported as not activated.
     """
 
-    max_cells_per_site: Optional[int] = None
     name = "memory"
 
     def enumerate(self, program: Program,
@@ -199,8 +201,6 @@ class MemoryCellFault(FaultModel):
                     if (instruction := program.fetch(pc)) is not None
                     and instruction.category is Category.LOAD]
         cells = sorted(memory) if memory else []
-        if self.max_cells_per_site is not None:
-            cells = cells[:self.max_cells_per_site]
         specs: List[FaultSpec] = []
         if cells:
             # No loads at all (straight-line data init): corrupt at entry.
@@ -234,29 +234,49 @@ class ControlFlowFault(FaultModel):
     """
 
     name = "control"
+    description = "corrupted control flow (err PC)"
 
     _TRANSFERS = (Category.BRANCH, Category.JUMP, Category.CALL,
                   Category.JUMP_REGISTER)
+
+    def _sites(self, program: Program, addresses: List[int]) -> List[int]:
+        transfer_pcs = [pc for pc in addresses
+                        if program.fetch(pc).category in self._TRANSFERS]
+        return transfer_pcs or addresses
 
     def enumerate(self, program: Program,
                   memory: Optional[Dict[int, int]] = None,
                   pcs: Optional[Sequence[int]] = None) -> List[FaultSpec]:
         addresses = [pc for pc in self._addresses(program, pcs)
                      if program.fetch(pc) is not None]
-        transfer_pcs = [pc for pc in addresses
-                        if program.fetch(pc).category in self._TRANSFERS]
         return [FaultSpec(breakpoint_pc=pc, target=Location.pc(),
-                          description="corrupted control flow (err PC)",
-                          model=self.name)
-                for pc in (transfer_pcs or addresses)]
+                          description=self.description, model=self.name)
+                for pc in self._sites(program, addresses)]
+
+
+@dataclass(frozen=True)
+class FetchFault(ControlFlowFault):
+    """Instruction-fetch error: the PC is corrupted before every instruction.
+
+    Table 1's last row.  The symbolic executor resolves the corrupted PC
+    by forking to arbitrary but valid code locations, or raising an
+    illegal-instruction exception.
+    """
+
+    name = "fetch"
+    description = "instruction fetch error (corrupted PC)"
+
+    def _sites(self, program: Program, addresses: List[int]) -> List[int]:
+        return addresses
 
 
 @dataclass(frozen=True)
 class InstructionOperandFault(RegisterValueFault):
     """``err`` in the source operands an instruction reads.
 
-    Operand corruption on the read path (Table 1's bus/decode rows):
-    the register sweep restricted to each instruction's *read* operands,
+    Operand corruption on the read path (Table 1's address/data bus row:
+    data read from memory, cache or register file is corrupted): the
+    register sweep restricted to each instruction's *read* operands,
     corrupted immediately before the instruction executes so the wrong
     operand is guaranteed to be consumed.
     """
@@ -266,6 +286,64 @@ class InstructionOperandFault(RegisterValueFault):
 
     def _description(self, register: int) -> str:
         return f"operand ${register} corrupted"
+
+
+@dataclass(frozen=True)
+class FunctionalUnitFault(FaultModel):
+    """The functional unit's output is corrupted (Table 1).
+
+    ``err`` in each register the instruction writes, injected right after
+    the instruction (at ``pc + 1``), where the corrupted output becomes
+    visible.
+    """
+
+    name = "functional-unit"
+
+    def enumerate(self, program: Program,
+                  memory: Optional[Dict[int, int]] = None,
+                  pcs: Optional[Sequence[int]] = None) -> List[FaultSpec]:
+        return [FaultSpec(breakpoint_pc=pc + 1,
+                          target=Location.register(register),
+                          description="functional unit output error",
+                          model=self.name)
+                for pc in self._addresses(program, pcs)
+                for register in registers_used_at(program, pc, "writes")]
+
+
+@dataclass(frozen=True)
+class DecodeFault(FaultModel):
+    """The instruction decoder turned one valid instruction into another.
+
+    Table 1 models its sub-cases through ``err`` in the original and/or new
+    destination: ``err`` in the instruction's destination right after it
+    (the original target no longer receives its value) and, for
+    instructions with no destination, ``err`` in the registers it reads (a
+    freshly introduced wrong target).  The two cases can name the same
+    corrupted state — the destination of ``pc`` and a read register of a
+    destination-free instruction at ``pc + 1`` — so only the first spec
+    per ``(breakpoint, occurrence, target)`` is kept.
+    """
+
+    name = "decode"
+
+    def enumerate(self, program: Program,
+                  memory: Optional[Dict[int, int]] = None,
+                  pcs: Optional[Sequence[int]] = None) -> List[FaultSpec]:
+        specs: Dict[Tuple[int, int, Location], FaultSpec] = {}
+        for pc in self._addresses(program, pcs):
+            registers = registers_used_at(program, pc, "writes")
+            if registers:
+                site, what = pc + 1, "original/new target corrupted"
+            else:
+                registers = registers_used_at(program, pc, "reads")
+                site, what = pc, "wrong target introduced"
+            for register in registers:
+                spec = FaultSpec(breakpoint_pc=site,
+                                 target=Location.register(register),
+                                 description=f"decode error: {what}",
+                                 model=self.name)
+                specs.setdefault((site, spec.occurrence, spec.target), spec)
+        return list(specs.values())
 
 
 @dataclass(frozen=True)
@@ -377,6 +455,9 @@ FAULT_MODELS: Dict[str, FaultModel] = {
     "memory": MemoryCellFault(),
     "control": ControlFlowFault(),
     "operand": InstructionOperandFault(),
+    "functional-unit": FunctionalUnitFault(),
+    "decode": DecodeFault(),
+    "fetch": FetchFault(),
     "burst": BurstFault(),
     "bitflip": BitFlipFault(),
 }

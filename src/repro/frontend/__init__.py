@@ -10,8 +10,7 @@ from .mips import (MIPS_ABI, MIPS_FRONTEND, MIPS_REGISTERS, MipsFrontend,
                    MipsTranslationError, MipsTranslator, translate_mips)
 from .riscv import (RISCV_ABI, RISCV_FRONTEND, RISCV_REGISTERS, RiscvFrontend,
                     RiscvTranslationError, translate_riscv)
-from .querygen import (GeneratedQuery, QUERY_KINDS, generate, generate_campaign,
-                       generate_query)
+from .querygen import QUERY_KINDS, generate_campaign, generate_query
 
 for _frontend in (MIPS_FRONTEND, RISCV_FRONTEND):
     if _frontend.name not in ISA_FRONTENDS:
@@ -22,6 +21,5 @@ __all__ = [
     "MipsTranslationError", "MipsTranslator", "translate_mips",
     "RISCV_ABI", "RISCV_FRONTEND", "RISCV_REGISTERS", "RiscvFrontend",
     "RiscvTranslationError", "translate_riscv",
-    "GeneratedQuery", "QUERY_KINDS", "generate", "generate_campaign",
-    "generate_query",
+    "QUERY_KINDS", "generate_campaign", "generate_query",
 ]

@@ -7,7 +7,7 @@ do not survive pickling (and must not, on spawn-based platforms).  Instead
 the parent describes the experiment with two small picklable specs:
 
 * :class:`CampaignSpec` — the campaign's constructor arguments (program,
-  inputs, detectors, error class, execution config and search caps);
+  inputs, detectors, fault model, execution config and search caps);
 * :class:`QuerySpec` — either one of the pre-defined query kinds of the
   query generator (paper Section 5, "Supporting Tools") or a module-level
   factory callable plus arguments.
@@ -27,7 +27,6 @@ from ..core.campaign import SymbolicCampaign
 from ..core.queries import SearchQuery
 from ..core.search import SearchResultCache
 from ..detectors import DetectorSet, EMPTY_DETECTORS
-from ..errors.models import ErrorClass, RegisterFileError
 from ..faults.models import FaultModel
 from ..isa.program import Program
 from ..machine.executor import ExecutionConfig
@@ -116,10 +115,10 @@ class CampaignSpec:
     input_values: Tuple[int, ...] = ()
     memory: Dict[int, int] = field(default_factory=dict)
     detectors: DetectorSet = EMPTY_DETECTORS
-    error_class: ErrorClass = field(default_factory=RegisterFileError)
     #: Pluggable fault model (:mod:`repro.faults`); FaultModels are small
     #: frozen dataclasses, so they ride the spec (and thus every broker
-    #: manifest) unchanged, like the FaultSpecs they plan.
+    #: manifest) unchanged, like the FaultSpecs they plan.  ``None`` builds
+    #: the campaign's default register sweep.
     fault_model: Optional[FaultModel] = None
     execution_config: ExecutionConfig = field(default_factory=ExecutionConfig)
     max_solutions_per_injection: int = 10
@@ -145,7 +144,6 @@ class CampaignSpec:
             input_values=campaign.input_values,
             memory=dict(campaign.memory),
             detectors=campaign.detectors,
-            error_class=campaign.error_class,
             fault_model=campaign.fault_model,
             execution_config=campaign.execution_config,
             max_solutions_per_injection=campaign.max_solutions_per_injection,
@@ -161,7 +159,6 @@ class CampaignSpec:
             input_values=self.input_values,
             memory=self.memory,
             detectors=self.detectors,
-            error_class=self.error_class,
             fault_model=self.fault_model,
             execution_config=self.execution_config,
             max_solutions_per_injection=self.max_solutions_per_injection,

@@ -91,7 +91,7 @@ def format_fault_model_coverage(store: ResultStore) -> str:
     """Per-fault-model solution coverage, with deltas against the best.
 
     Coverage is the fraction of injections with at least one
-    undetected-error witness — the paper's per-error-class comparison —
+    undetected-error witness — the paper's per-error-category comparison —
     summed over every campaign that swept the model.
     """
     groups = _group_by_fault_model(store.campaigns())

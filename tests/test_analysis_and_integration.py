@@ -16,14 +16,15 @@ from repro.constraints import Location
 from repro.core import (SymbolicCampaign, TaskRunner, decompose_by_code_section,
                         incorrect_output, output_contains_err,
                         printed_value_other_than, witnesses_from_campaign)
-from repro.errors import Injection, RegisterFileError
+from repro.errors import Injection
+from repro.faults import RegisterValueFault
 from repro.machine import ExecutionConfig
 from repro.programs import factorial_workload, replace_workload, tcas_workload
 
 
 def tcas_symbolic_campaign(workload, **overrides):
     defaults = dict(
-        error_class=RegisterFileError(),
+        fault_model=RegisterValueFault(),
         execution_config=ExecutionConfig(max_steps=3_000,
                                          control_fork_domain="labels",
                                          max_control_forks=2_048,
@@ -142,7 +143,7 @@ class TestReplaceIncorrectOutput:
             workload.program,
             input_values=workload.default_input,
             memory=workload.data_segment,
-            error_class=RegisterFileError(),
+            fault_model=RegisterValueFault(),
             execution_config=ExecutionConfig(max_steps=30_000,
                                              control_fork_domain="labels",
                                              max_control_forks=64,

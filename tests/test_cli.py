@@ -62,7 +62,7 @@ class TestRunCommand:
 class TestAnalyzeCommand:
     def test_analyze_finds_err_outputs(self, capsys):
         code = main(["analyze", "--workload", "factorial", "--input", "5",
-                     "--error-class", "register", "--query", "err-output",
+                     "--fault-model", "register", "--query", "err-output",
                      "--max-injections", "8", "--max-states", "5000"])
         assert code == 0
         out = capsys.readouterr().out
@@ -172,10 +172,20 @@ class TestAnalyzeValidation:
         assert "unrecognized arguments: --granularity" \
             in capsys.readouterr().err
 
-    def test_fault_model_and_error_class_are_mutually_exclusive(self):
-        with pytest.raises(SystemExit, match="mutually exclusive"):
-            main(["analyze", "--workload", "factorial",
-                  "--fault-model", "register", "--error-class", "register"])
+    @pytest.mark.parametrize("argv", [
+        ["--workload", "factorial"],
+        ["--workload", "tcas", "--max-steps", "3000", "--sample", "6",
+         "--seed", "7"]])
+    def test_default_sweep_is_the_register_model(self, argv, capsys):
+        def stdout(extra):
+            assert main(["analyze", *argv, "--query", "err-output",
+                         "--max-states", "2000", *extra]) == 0
+            return [line for line in capsys.readouterr().out.splitlines()
+                    if "elapsed seconds" not in line]
+
+        default = stdout([])
+        assert "fault model    : register" in default
+        assert default == stdout(["--fault-model", "register"])
 
     def test_seed_requires_sample(self):
         with pytest.raises(SystemExit, match="--sample"):

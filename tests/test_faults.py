@@ -48,8 +48,9 @@ def load_program():
 # ------------------------------------------------------------------ registry
 
 class TestRegistry:
-    def test_the_six_models_are_registered(self):
+    def test_the_nine_models_are_registered(self):
         assert sorted(FAULT_MODELS) == ["bitflip", "burst", "control",
+                                        "decode", "fetch", "functional-unit",
                                         "memory", "operand", "register"]
         for name, model in FAULT_MODELS.items():
             assert model.name == name
@@ -75,15 +76,6 @@ class TestEnumerationDeterminism:
                                  memory=factorial.data_segment)
         assert first == second
         assert all(spec.model == name for spec in first)
-
-    def test_register_model_matches_the_extracted_legacy_sweep(self, factorial):
-        """RegisterValueFault is the old fixed sweep, extracted: same
-        breakpoints and targets as RegisterFileError's enumeration."""
-        from repro.errors import RegisterFileError
-        legacy = RegisterFileError().enumerate(factorial.program)
-        model = RegisterValueFault().enumerate(factorial.program)
-        assert ([(i.breakpoint_pc, i.target) for i in legacy]
-                == [(s.breakpoint_pc, s.target) for s in model])
 
     def test_memory_model_targets_known_cells_before_each_load(self, load_program):
         program, memory = load_program
@@ -210,11 +202,14 @@ class TestCampaignPlanning:
                 for spec in campaign.plan_injections()}
         assert loud[1000].found_solutions and not loud[2000].found_solutions
 
-    def test_plan_injections_samples_legacy_error_classes_too(self, factorial):
+    def test_a_campaign_without_a_model_plans_register_specs(self, factorial):
         campaign = SymbolicCampaign(factorial.program)
-        assert campaign.plan_injections(sample=4, seed=1) \
-            == campaign.plan_injections(sample=4, seed=1)
-        assert len(campaign.plan_injections(sample=4, seed=1)) == 4
+        assert campaign.plan_injections() \
+            == RegisterValueFault().enumerate(factorial.program)
+        sampled = campaign.plan_injections(sample=4, seed=1)
+        assert sampled == campaign.plan_injections(sample=4, seed=1)
+        assert len(sampled) == 4
+        assert all(spec.model == "register" for spec in sampled)
 
     @pytest.mark.parametrize("name", ["register", "control"])
     def test_pool_run_is_identical_to_serial_for_a_model_campaign(self, name):
@@ -237,7 +232,7 @@ class TestCampaignPlanning:
     def test_checkpoint_header_pins_the_fault_model(self, factorial):
         plain, _ = factorial_campaign()
         modelled, query = factorial_campaign(fault_model="operand")
-        assert campaign_header(plain, query)["fault_model"] is None
+        assert campaign_header(plain, query)["fault_model"] == "register"
         header = campaign_header(modelled, query)
         assert header["fault_model"] == "operand"
         assert header["semantics_digest"] \

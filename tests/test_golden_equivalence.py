@@ -6,6 +6,10 @@ subsets the parallel benchmarks exercise.  The refactor promises a
 byte-identical ``CampaignResult`` — same injections, activation flags,
 completion flags, and per-solution outputs/statuses/depths/outcomes in the
 same order — for the serial sweep AND the 2-worker parallel sweep.
+
+The golden file predates the fault-model registry: its injection labels
+lack the ``[register] `` tag a :class:`RegisterValueFault` spec carries,
+and :func:`golden_results` adds it.  Every other field compares exactly.
 """
 
 import json
@@ -14,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import SymbolicCampaign, classify
-from repro.errors import RegisterFileError
+from repro.faults import RegisterValueFault
 from repro.isa.values import is_err
 from repro.machine import ExecutionConfig
 from repro.parallel import ParallelConfig, QuerySpec, run_campaign_parallel
@@ -49,7 +53,7 @@ def tcas_campaign():
         workload.program,
         input_values=workload.default_input,
         memory=workload.data_segment,
-        error_class=RegisterFileError(),
+        fault_model=RegisterValueFault(),
         execution_config=ExecutionConfig(max_steps=3_000,
                                          control_fork_domain="labels",
                                          max_control_forks=2_048,
@@ -71,7 +75,7 @@ def replace_campaign():
         workload.program,
         input_values=workload.default_input,
         memory=workload.data_segment,
-        error_class=RegisterFileError(),
+        fault_model=RegisterValueFault(),
         execution_config=ExecutionConfig(max_steps=40_000,
                                          control_fork_domain="labels",
                                          max_control_forks=64,
@@ -91,6 +95,12 @@ def golden_data():
         return json.load(handle)
 
 
+def golden_results(golden_data, name):
+    """The recorded results, with each label tagged by its fault model."""
+    return [dict(entry, injection="[register] " + entry["injection"])
+            for entry in golden_data[name]["results"]]
+
+
 @pytest.mark.parametrize("name,make_campaign",
                          [("tcas", tcas_campaign), ("replace", replace_campaign)])
 def test_serial_campaign_matches_pre_refactor_golden(name, make_campaign,
@@ -100,7 +110,7 @@ def test_serial_campaign_matches_pre_refactor_golden(name, make_campaign,
     assert [_render_value(v) for v in golden] == golden_data[name]["golden_output"]
     assert len(injections) == golden_data[name]["injections"]
     result = campaign.run(spec.build(), injections=injections)
-    assert equivalence_key(result, golden) == golden_data[name]["results"]
+    assert equivalence_key(result, golden) == golden_results(golden_data, name)
 
 
 @pytest.mark.parametrize("name,make_campaign",
@@ -112,4 +122,4 @@ def test_two_worker_campaign_matches_pre_refactor_golden(name, make_campaign,
     result = run_campaign_parallel(
         campaign, spec, injections=injections,
         config=ParallelConfig(workers=2, chunk_size=2))
-    assert equivalence_key(result, golden) == golden_data[name]["results"]
+    assert equivalence_key(result, golden) == golden_results(golden_data, name)

@@ -1,17 +1,15 @@
-"""Tests for the error-injection sub-model and the Table 1 error classes."""
+"""Tests for the error-injection sub-model and the Table 1 fault models."""
 
 import pytest
 
 from repro.constraints import Location
-from repro.errors import (BusError, ControlFlowError, DecodeError, FetchError,
-                          FunctionalUnitError, Injection, MemoryError,
-                          RegisterFileError, STANDARD_ERROR_CLASSES,
-                          apply_corruption, error_class, prepare_injected_state,
-                          register_injection_points, registers_used_at)
+from repro.errors import (Injection, apply_corruption, prepare_injected_state,
+                          registers_used_at)
+from repro.faults import FAULT_MODELS, MemoryCellFault, fault_model
 from repro.isa.parser import assemble
 from repro.isa.values import ERR, is_err
 from repro.machine import initial_state
-from repro.programs import factorial_workload, call_max_workload
+from repro.programs import call_max_workload, factorial_workload, load_workload
 
 
 PROGRAM = assemble("""
@@ -75,12 +73,9 @@ class TestRegistersUsedAt:
         assert registers_used_at(PROGRAM, 999) == ()
 
 
-# Legacy-path regression tests: the public helper now warns (steering
-# callers to repro.faults) but must keep planning the identical sweep.
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 class TestInjectionPoints:
-    def test_register_injection_points_follow_usage(self):
-        injections = register_injection_points(PROGRAM)
+    def test_register_model_follows_usage(self):
+        injections = FAULT_MODELS["register"].enumerate(PROGRAM)
         by_pc = {}
         for injection in injections:
             by_pc.setdefault(injection.breakpoint_pc, []).append(injection.target.index)
@@ -88,7 +83,7 @@ class TestInjectionPoints:
         assert 7 not in by_pc          # halt uses no registers
 
     def test_restricted_sweep(self):
-        injections = register_injection_points(PROGRAM, pcs=[4])
+        injections = FAULT_MODELS["register"].enumerate(PROGRAM, pcs=[4])
         assert {i.breakpoint_pc for i in injections} == {4}
 
     def test_injection_label_is_informative(self):
@@ -127,71 +122,101 @@ class TestPrepareInjectedState:
         assert first.steps < third.steps
 
 
-class TestErrorClasses:
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-    def test_register_class_matches_helper(self):
-        injections = RegisterFileError().enumerate(PROGRAM)
-        helper = register_injection_points(PROGRAM)
-        assert [(i.breakpoint_pc, i.target) for i in injections] == \
-            [(i.breakpoint_pc, i.target) for i in helper]
+#: Table 1's rows and the registered model each one is planned by.
+TABLE1_MODELS = {"register": "register", "memory": "memory", "bus": "operand",
+                 "functional-unit": "functional-unit", "decode": "decode",
+                 "fetch": "fetch", "control-flow": "control"}
 
-    def test_bus_error_targets_sources_only(self):
-        injections = BusError().enumerate(PROGRAM, pcs=[4])
+
+def _enumerate(name, program, **kwargs):
+    return FAULT_MODELS[name].enumerate(program, **kwargs)
+
+
+class TestTable1Models:
+    def test_bus_row_targets_sources_only(self):
+        injections = _enumerate("operand", PROGRAM, pcs=[4])
         assert {i.target.index for i in injections} == {3, 1}
 
     def test_functional_unit_targets_destination_after_instruction(self):
-        injections = FunctionalUnitError().enumerate(PROGRAM, pcs=[4])
+        injections = _enumerate("functional-unit", PROGRAM, pcs=[4])
         assert all(i.breakpoint_pc == 5 for i in injections)
         assert {i.target.index for i in injections} == {4}
 
     def test_decode_error_covers_instructions_without_destinations(self):
-        injections = DecodeError().enumerate(PROGRAM, pcs=[2])  # sti has no dest
+        injections = _enumerate("decode", PROGRAM, pcs=[2])  # sti has no dest
         assert {i.target.index for i in injections} == {1, 2}
 
     def test_fetch_error_targets_pc_everywhere(self):
-        injections = FetchError().enumerate(PROGRAM)
-        assert len(injections) == len(PROGRAM)
+        injections = _enumerate("fetch", PROGRAM)
+        assert [i.breakpoint_pc for i in injections] == list(range(len(PROGRAM)))
         assert all(i.target.kind == Location.PC for i in injections)
 
     def test_control_flow_error_only_at_transfers(self):
-        injections = ControlFlowError().enumerate(PROGRAM)
+        injections = _enumerate("control", PROGRAM)
         assert {i.breakpoint_pc for i in injections} == {5}
 
     def test_memory_error_follows_loads(self):
-        injections = MemoryError().enumerate(PROGRAM)
+        injections = _enumerate("memory", PROGRAM)
         assert len(injections) == 1
         assert injections[0].breakpoint_pc == 4  # right after the ldi
 
     def test_memory_error_with_explicit_addresses(self):
-        injections = MemoryError(addresses=[500]).enumerate(PROGRAM, pcs=[3])
+        injections = MemoryCellFault().enumerate(PROGRAM, memory={500: 0},
+                                                 pcs=[3])
         assert injections[0].target == Location.memory(500)
 
-    def test_registry(self):
-        assert set(STANDARD_ERROR_CLASSES) == {
-            "register", "memory", "bus", "functional-unit", "decode", "fetch",
-            "control-flow"}
-        assert isinstance(error_class("register"), RegisterFileError)
+    def test_every_table1_row_has_a_registered_model(self):
+        for row, name in TABLE1_MODELS.items():
+            assert fault_model(name).name == name, row
         with pytest.raises(ValueError):
-            error_class("cosmic-ray")
+            fault_model("cosmic-ray")
 
-    def test_classes_enumerate_against_real_workload(self):
+    def test_models_enumerate_against_real_workload(self):
         workload = call_max_workload()
-        for name, cls in STANDARD_ERROR_CLASSES.items():
-            injections = cls.enumerate(workload.program)
+        for name in TABLE1_MODELS.values():
+            injections = _enumerate(name, workload.program,
+                                    memory=workload.data_segment)
             assert isinstance(injections, list)
             for injection in injections:
                 assert 0 <= injection.breakpoint_pc <= len(workload.program)
 
 
-class TestInjectorDeprecation:
-    def test_register_injection_points_warns(self):
-        with pytest.deprecated_call():
-            register_injection_points(PROGRAM)
+#: Pinned site counts of the three ported Table 1 rows on factorial, tcas
+#: and replace (decode after dropping its duplicate experiments).
+SITE_COUNTS = {"functional-unit": (7, 322, 1_974),
+               "fetch": (12, 566, 3_468),
+               "decode": (8, 516, 3_230)}
+WORKLOADS = ("factorial", "tcas", "replace")
 
-    def test_deprecated_helper_matches_fault_registry_plan(self):
-        from repro.faults import FAULT_MODELS
-        with pytest.deprecated_call():
-            legacy = register_injection_points(PROGRAM)
-        planned = FAULT_MODELS["register"].enumerate(PROGRAM)
-        assert ([(i.breakpoint_pc, i.target) for i in legacy]
-                == [(i.breakpoint_pc, i.target) for i in planned])
+
+@pytest.fixture(scope="module")
+def paper_workloads():
+    return {name: load_workload(name) for name in WORKLOADS}
+
+
+class TestPortedModelSpaces:
+    @pytest.mark.parametrize("name", sorted(SITE_COUNTS))
+    def test_site_counts_are_pinned(self, name, paper_workloads):
+        counts = tuple(len(_enumerate(name, paper_workloads[w].program,
+                                      memory=paper_workloads[w].data_segment))
+                       for w in WORKLOADS)
+        assert counts == SITE_COUNTS[name]
+
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_decode_plans_each_corrupted_state_once(self, workload,
+                                                    paper_workloads):
+        # Label-independent: two specs with different descriptions but the
+        # same breakpoint, occurrence and target would run the same search.
+        program = paper_workloads[workload].program
+        sites = [(i.breakpoint_pc, i.occurrence, i.target)
+                 for i in _enumerate("decode", program)]
+        assert len(sites) == len(set(sites))
+        # The first spec per site wins: the destination of pc beats the
+        # read operand of a destination-free instruction at pc + 1.
+        first = {}
+        for pc in range(len(program)):
+            for i in _enumerate("decode", program, pcs=[pc]):
+                first.setdefault((i.breakpoint_pc, i.occurrence, i.target),
+                                 i.description)
+        assert [i.description for i in _enumerate("decode", program)] \
+            == list(first.values())
