@@ -26,7 +26,7 @@ class ConstraintMap:
     sharing unmodified entries with the original, which keeps forking cheap.
     """
 
-    __slots__ = ("_sets", "_relational", "_hash", "empty")
+    __slots__ = ("_sets", "_relational", "_hash", "_sat", "empty")
 
     def __init__(self,
                  sets: Optional[Dict[Location, ConstraintSet]] = None,
@@ -34,6 +34,7 @@ class ConstraintMap:
         self._sets: Dict[Location, ConstraintSet] = dict(sets or {})
         self._relational: FrozenSet[RelationalConstraint] = relational
         self._hash: Optional[int] = None
+        self._sat: Optional[bool] = None
         #: True when the map records nothing at all — the hot-path writes in
         #: the machine state skip constraint bookkeeping entirely then.
         self.empty: bool = not self._sets and not self._relational
@@ -72,7 +73,8 @@ class ConstraintMap:
 
     def __reduce__(self):
         # Rebuild through __init__ on unpickling: the cached hash is salted
-        # per process (string hashing) and must not travel between workers.
+        # per process (string hashing) and must not travel between workers;
+        # the satisfiability memo is rebuilt with it.
         return (ConstraintMap, (self._sets, self._relational))
 
     def __repr__(self) -> str:
@@ -138,12 +140,23 @@ class ConstraintMap:
 
         Per-location sets are checked exactly; relational constraints are
         checked by the light-weight conflict detector in
-        :mod:`repro.constraints.solver`.
+        :mod:`repro.constraints.solver`.  The map is immutable, so the
+        answer is computed once and memoised: successors that share their
+        parent's map do not walk it again.
         """
-        for cset in self._sets.values():
-            if not cset.satisfiable():
-                return False
-        return not relational_conflict(self._relational, self._sets)
+        sat = self._sat
+        if sat is None:
+            sat = True
+            for cset in self._sets.values():
+                if not cset.satisfiable():
+                    sat = False
+                    break
+            else:
+                if self._relational:
+                    sat = not relational_conflict(self._relational,
+                                                  self._sets)
+            self._sat = sat
+        return sat
 
     def entails(self, location: Location, constraint: Constraint) -> bool:
         return self.constraints_for(location).entails(constraint)

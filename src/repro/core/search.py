@@ -252,7 +252,8 @@ class BoundedModelChecker:
         resilient to the injected error class, per the paper's output #1).
         """
         start_time = time.monotonic()
-        steps_before = getattr(self.executor, "steps_executed", 0)
+        steps_before = self.executor.steps_executed
+        concrete_before = self.executor.concrete_steps
         statistics = SearchStatistics()
         solutions: List[Solution] = []
         frontier: deque = deque()
@@ -265,8 +266,12 @@ class BoundedModelChecker:
         stop_reason = "exhausted"
         completed = True
 
+        # Every state on the frontier belongs to the search alone: the
+        # concretize handoff finishes a state in place and ``advance``
+        # reuses a popped state as its own successor, so the caller's
+        # initial states are copied once here and never touched.
         for state in initial_states:
-            frontier.append((state, 0))
+            frontier.append((state.copy(), 0))
 
         while frontier:
             statistics.max_frontier = max(statistics.max_frontier, len(frontier))
@@ -304,7 +309,7 @@ class BoundedModelChecker:
                     solutions.append(Solution(state=state, depth=depth))
                 continue
 
-            successors = self.executor.step(state)
+            successors = self.executor.advance(state)
             statistics.expanded_states += 1
             if not successors:
                 statistics.pruned_states += 1
@@ -328,9 +333,10 @@ class BoundedModelChecker:
             hub.count("search.terminal", statistics.terminal_states)
             hub.count("search.deduplicated", statistics.deduplicated_states)
             hub.observe("search.seconds", statistics.elapsed_seconds)
-            steps = getattr(self.executor, "steps_executed", None)
-            if steps is not None:
-                hub.count("executor.steps", steps - steps_before)
+            hub.count("executor.steps",
+                      self.executor.steps_executed - steps_before)
+            hub.count("executor.concrete_steps",
+                      self.executor.concrete_steps - concrete_before)
         return SearchResult(solutions=solutions, statistics=statistics,
                             completed=completed, stop_reason=stop_reason)
 

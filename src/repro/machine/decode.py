@@ -55,7 +55,8 @@ from ..detectors import execute_detector
 from ..errors.propagation import (IMMEDIATE_ALIASES, _CONCRETE_OPS,
                                   _concrete_div, _concrete_mod)
 from ..isa.instructions import (Category, Instruction, OperandKind,
-                                RETURN_ADDRESS_REGISTER, compare_base_opcode)
+                                RETURN_ADDRESS_REGISTER, ZERO_REGISTER,
+                                compare_base_opcode)
 from ..isa.program import Program
 from ..isa.values import ERR
 from .exceptions import (DIVIDE_BY_ZERO, ILLEGAL_ADDRESS, ILLEGAL_INSTRUCTION,
@@ -133,12 +134,18 @@ class DecodedInstruction:
     check       detector id   --           --
     special     --            message      --
     ========== ============= ============ ===========================
+
+    ``reads`` is the static register read set: the source registers of
+    the instruction, ``$0`` excluded (it cannot hold ``err``).  It is
+    ``None`` for ``check`` (a detector reads whatever its expression names)
+    and for unhandled specials, which ``Executor.advance`` always leaves to
+    the symbolic handlers.
     """
 
     __slots__ = ("pc", "next_pc", "instruction", "opcode", "category", "text",
                  "source", "a", "b", "c", "third_is_reg", "operator", "op_fn",
                  "divmod", "compare_op", "compare_fn", "target", "special",
-                 "is_mov", "is_print")
+                 "is_mov", "is_print", "reads")
 
     def __init__(self, pc: int, instruction: Instruction,
                  program: Program) -> None:
@@ -206,6 +213,10 @@ class DecodedInstruction:
                 self.special = "unhandled"
                 self.b = (f"unhandled special opcode {self.opcode} "
                           f"at pc {pc} ({self.source})")
+        self.reads: Optional[Tuple[int, ...]] = None
+        if category is not Category.CHECK and self.special != "unhandled":
+            self.reads = tuple([operands[i] for i in instruction.spec.reads
+                                if operands[i] != ZERO_REGISTER])
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,8 @@ Two interpreters live here:
   updated so that later comparisons over the same location stay consistent.
   This is the Python rendition of the paper's Maude equations (deterministic
   machine model) plus rewrite rules (non-deterministic error model).
+  ``advance`` is ``step`` for a caller that owns the state: an instruction
+  that reads no ``err`` runs through its concrete op, in place.
 
 * :func:`concrete_step` / :func:`run_concrete` — a lean, mutating
   interpreter for fully concrete states.  It implements the same machine
@@ -52,7 +54,7 @@ from .exceptions import (DIVIDE_BY_ZERO, ILLEGAL_ADDRESS, ILLEGAL_INSTRUCTION,
                          INPUT_EXHAUSTED, MachineModelError,
                          SymbolicValueEncountered, TIMED_OUT,
                          detector_exception)
-from .state import Fingerprint, MachineState, TraceEntry
+from .state import Fingerprint, MachineState, Status, TraceEntry
 
 __all__ = [
     "ConcreteFutures", "ExecutionConfig", "Executor", "SymbolicValueEncountered",
@@ -196,6 +198,8 @@ class Executor:
         #: Lifetime count of symbolic steps; a plain int so the hot loop
         #: pays one increment — telemetry reads deltas at search epilogues.
         self.steps_executed = 0
+        #: The share of ``steps_executed`` that ``advance`` ran concretely.
+        self.concrete_steps = 0
         self._decoded: DecodedProgram = decoded_program(program)
         if self.config.legacy_dispatch:
             self._dispatch = None
@@ -268,6 +272,47 @@ class Executor:
             for successor in successors:
                 successor.steps = steps
         return successors
+
+    def advance(self, state: MachineState) -> List[MachineState]:
+        """:meth:`step` for a caller that owns *state*: it may be consumed.
+
+        When the instruction at the program counter reads no ``err``
+        register and is not a detector ``check``, its outcome is a single
+        deterministic successor, so the decoded concrete op runs on *state*
+        in place and *state* comes back as that successor — the same
+        successor ``step`` would build on a copy, without the copy.  A load
+        whose cell turns out to hold ``err`` raises before any write (only
+        the step count moved), so it is undone and ``step`` takes over, as
+        it does for everything else.
+        """
+        dispatch = self._dispatch
+        pc = state.pc
+        if (dispatch is not None and type(pc) is int
+                and 0 <= pc < len(dispatch)
+                and state.status is Status.RUNNING):
+            steps = state.steps
+            config = self.config
+            decoded = self._decoded.entries[pc]
+            reads = decoded.reads
+            if steps < config.max_steps and reads is not None:
+                read = state.read_register
+                for number in reads:
+                    if read(number) is ERR:
+                        return self.step(state)
+                try:
+                    self._decoded.concrete_ops[pc](state, self.detectors)
+                except SymbolicValueEncountered:
+                    state.steps = steps
+                    return self.step(state)
+                self.steps_executed += 1
+                self.concrete_steps += 1
+                if config.record_trace:
+                    state.add_trace_entry(TraceEntry(pc, decoded.text))
+                if (config.prune_unsatisfiable
+                        and not state.constraints.satisfiable()):
+                    return []
+                return [state]
+        return self.step(state)
 
     def run(self, state: MachineState,
             max_states: int = 1_000_000) -> List[MachineState]:

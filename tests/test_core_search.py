@@ -12,7 +12,9 @@ from repro.core import (BoundedModelChecker, OutcomeKind, SearchResultCache,
 from repro.errors import Injection, prepare_injected_state
 from repro.isa.values import ERR
 from repro.machine import ExecutionConfig, Executor, MachineState, Status
-from repro.programs import factorial_workload, loop_counter_injection_pc
+from repro.machine.state import state_contains_err
+from repro.programs import (factorial_workload, load_workload,
+                            loop_counter_injection_pc)
 
 
 def terminal_state(status, output=(), exception=None, detector_id=None):
@@ -156,6 +158,38 @@ class TestBoundedModelChecker:
         result = checker.search_single(injected, output_contains_err())
         assert not result.completed
         assert result.stop_reason == "state budget exhausted"
+
+    @staticmethod
+    def _caller_view(state):
+        return (state.fingerprint(), state.steps, state.status)
+
+    def test_an_err_free_initial_state_is_left_to_the_caller(self):
+        """The concretize handoff finishes err-free states in place; it
+        must do so on the search's own copy, not on the caller's state."""
+        campaign, query = load_workload("factorial").campaign(
+            kind="err-output", fault_model="bitflip")
+        for injection in campaign.plan_injections():
+            injected = prepare_injected_state(
+                campaign.program, injection, campaign.fresh_initial_state())
+            if injected is not None:
+                break
+        assert injected.is_running and not state_contains_err(injected)
+        before = self._caller_view(injected)
+        executor = Executor(campaign.program, campaign.detectors,
+                            campaign.execution_config)
+        result = BoundedModelChecker(executor).search([injected], query)
+        assert result.statistics.terminal_states == 1
+        assert self._caller_view(injected) == before
+        assert injected.is_running
+
+    def test_an_err_carrying_initial_state_is_left_to_the_caller(self):
+        checker, injected = self.make_factorial_search(max_solutions=50,
+                                                       max_states=50_000)
+        assert state_contains_err(injected)
+        before = self._caller_view(injected)
+        result = checker.search([injected, injected], output_contains_err())
+        assert result.found
+        assert self._caller_view(injected) == before
 
     def test_no_error_no_solutions_is_a_proof(self):
         workload = factorial_workload()
