@@ -201,6 +201,8 @@ def run_parity_study(program: Program,
                                   deduplicate=False,
                                   result_cache=SearchResultCache())
     simulator = ConcreteSimulator(program, detectors, max_steps=max_steps)
+    # Both legs start their prefixes from the one golden run's checkpoints.
+    golden = simulator.golden(input_values, memory)
     query = any_outcome()
     report = ParityReport()
 
@@ -211,7 +213,7 @@ def run_parity_study(program: Program,
                                target=injection.target,
                                occurrence=injection.occurrence),
             initial_state(input_values=input_values, memory=memory),
-            detectors=detectors, max_prefix_steps=max_steps)
+            detectors=detectors, max_prefix_steps=max_steps, golden=golden)
         if injected is None:
             report.skipped += 1
             continue

@@ -18,7 +18,8 @@ from ..detectors import DetectorSet, EMPTY_DETECTORS
 from ..errors.injector import Injection, apply_corruption
 from ..isa.program import Program
 from ..machine.decode import decoded_program
-from ..machine.executor import run_concrete, run_concrete_until
+from ..machine.executor import (ConcreteFutures, run_concrete,
+                                run_to_breakpoint)
 from ..machine.state import MachineState, Status, initial_state
 from ..core.outcomes import Outcome, classify
 
@@ -53,6 +54,7 @@ class ConcreteSimulator:
         # short runs over one program.  This compiles nothing; each op and
         # superblock compiles the first time an experiment reaches it.
         decoded_program(program)
+        self._golden: Optional[ConcreteFutures] = None
 
     def fresh_state(self, input_values: Sequence[int] = (),
                     memory: Optional[Dict[int, int]] = None) -> MachineState:
@@ -75,6 +77,33 @@ class ConcreteSimulator:
                 f"({run.state.exception})")
         return run.output
 
+    def golden(self, input_values: Sequence[int] = (),
+               memory: Optional[Dict[int, int]] = None) -> ConcreteFutures:
+        """The fault-free run's golden layer for this input and memory.
+
+        Built on first use and kept while later calls pass the same input
+        and memory; its checkpoints start every injection's prefix.
+        """
+        return self._golden_from(self.fresh_state(input_values, memory))
+
+    def _golden_from(self, initial: MachineState) -> ConcreteFutures:
+        golden = self._golden
+        if golden is None or not golden.starts(self.program, self.detectors,
+                                               initial, self.max_steps):
+            golden = self._golden = ConcreteFutures.golden(
+                self.program, initial.copy(), self.detectors, self.max_steps)
+        return golden
+
+    def _to_breakpoint(self, injection: Injection,
+                       input_values: Sequence[int],
+                       memory: Optional[Dict[int, int]]) -> MachineState:
+        """A fresh state run to *injection*'s breakpoint (or to its end)."""
+        initial = self.fresh_state(input_values, memory)
+        return run_to_breakpoint(
+            self.program, initial, injection.breakpoint_pc,
+            occurrence=injection.occurrence, detectors=self.detectors,
+            max_steps=self.max_steps, golden=self._golden_from(initial))
+
     def run_with_injection(self, injection: Injection, value: int,
                            input_values: Sequence[int] = (),
                            memory: Optional[Dict[int, int]] = None) -> ConcreteRun:
@@ -84,10 +113,7 @@ class ConcreteSimulator:
         overwrite the target, continue.  If the breakpoint is never reached
         the run is reported with ``activated=False`` (the fault is latent).
         """
-        state = self.fresh_state(input_values, memory)
-        run_concrete_until(self.program, state, injection.breakpoint_pc,
-                           occurrence=injection.occurrence,
-                           detectors=self.detectors, max_steps=self.max_steps)
+        state = self._to_breakpoint(injection, input_values, memory)
         activated = state.is_running and state.pc == injection.breakpoint_pc
         if activated:
             apply_corruption(state, injection.target, value)
@@ -110,10 +136,7 @@ class ConcreteSimulator:
         """
         from ..machine.executor import apply_fault_set
 
-        state = self.fresh_state(input_values, memory)
-        run_concrete_until(self.program, state, spec.breakpoint_pc,
-                           occurrence=spec.occurrence,
-                           detectors=self.detectors, max_steps=self.max_steps)
+        state = self._to_breakpoint(spec, input_values, memory)
         activated = state.is_running and state.pc == spec.breakpoint_pc
         if activated:
             apply_fault_set(state, (spec,))

@@ -368,8 +368,11 @@ class SymbolicCampaign:
         self._executor = Executor(program, detectors, self.execution_config)
         # Built by the first injection, not here: set-up stays as cheap as
         # decoding, and every process (campaigns are rebuilt, never
-        # pickled) records its own.
+        # pickled) records its own.  The initial state comes with it: every
+        # prefix copies it and none writes it, and building one hashes the
+        # whole data segment.
         self._golden: Optional[ConcreteFutures] = None
+        self._initial: Optional[MachineState] = None
 
     # ------------------------------------------------------------ enumeration
 
@@ -377,10 +380,12 @@ class SymbolicCampaign:
         return initial_state(input_values=self.input_values, memory=self.memory)
 
     def golden_futures(self) -> ConcreteFutures:
-        """The error-free run's concrete futures (built on first use)."""
+        """The error-free run's concrete futures and checkpoints (built on
+        first use)."""
         if self._golden is None:
+            self._initial = self.fresh_initial_state()
             self._golden = ConcreteFutures.golden(
-                self.program, self.fresh_initial_state(), self.detectors,
+                self.program, self._initial.copy(), self.detectors,
                 max_steps=self.execution_config.max_steps)
         return self._golden
 
@@ -421,11 +426,13 @@ class SymbolicCampaign:
     def _run_injection(self, injection: Injection, query: SearchQuery,
                        result_cache: Optional[SearchResultCache] = None,
                        ) -> InjectionResult:
+        golden = self.golden_futures()
         injected = prepare_injected_state(
-            self.program, injection, self.fresh_initial_state(),
+            self.program, injection, self._initial,
             value=getattr(injection, "value", ERR),
             detectors=self.detectors,
-            max_prefix_steps=self.execution_config.max_steps)
+            max_prefix_steps=self.execution_config.max_steps,
+            golden=golden)
         if injected is None:
             return InjectionResult(injection=injection, activated=False)
         checker = BoundedModelChecker(
@@ -435,7 +442,7 @@ class SymbolicCampaign:
             wall_clock_seconds=self.wall_clock_per_injection,
             deduplicate=self.deduplicate_states,
             result_cache=result_cache,
-            golden=self.golden_futures())
+            golden=golden)
         result = checker.search_single(injected, query)
         return InjectionResult(injection=injection, activated=True, search=result)
 

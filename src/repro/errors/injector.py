@@ -22,6 +22,7 @@ from ..isa.values import ERR, Value
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports (avoid an import cycle)
     from ..detectors import DetectorSet
+    from ..machine.executor import ConcreteFutures
     from ..machine.state import MachineState
 
 
@@ -42,6 +43,12 @@ class Injection:
     target: Location
     occurrence: int = 1
     description: str = ""
+
+    def __post_init__(self) -> None:
+        if self.occurrence < 1 or self.breakpoint_pc < 0:
+            raise ValueError(
+                f"injection needs breakpoint_pc >= 0 and occurrence >= 1, "
+                f"got pc={self.breakpoint_pc} occurrence={self.occurrence}")
 
     def label(self) -> str:
         where = repr(self.target)
@@ -72,13 +79,18 @@ def prepare_injected_state(program: Program,
                            value: Value = ERR,
                            detectors: Optional["DetectorSet"] = None,
                            max_prefix_steps: int = 200_000,
+                           golden: Optional["ConcreteFutures"] = None,
                            ) -> Optional["MachineState"]:
     """Run concretely to the injection breakpoint and apply the corruption.
 
     Returns the corrupted state positioned at the breakpoint (still running),
     or ``None`` when the breakpoint is never reached during the error-free
     execution (the fault would never be activated — the paper skips such
-    experiments).
+    experiments).  With a *golden* layer the prefix starts from its nearest
+    checkpoint (see :func:`~repro.machine.executor.run_to_breakpoint`);
+    the result is the same.  The returned state's overlays are folded into
+    fresh bases, so the search's forks share one flat base instead of each
+    copying the prefix's writes.
 
     Multi-error and read-modify-write specs are recognised structurally:
     an injection carrying ``components`` (a burst) or a ``bit`` (a concrete
@@ -88,13 +100,13 @@ def prepare_injected_state(program: Program,
     else writes *value* into the single target as before.
     """
     from ..detectors import EMPTY_DETECTORS
-    from ..machine.executor import apply_fault_set, run_concrete_until
+    from ..machine.executor import apply_fault_set, run_to_breakpoint
 
-    state = initial.copy()
-    run_concrete_until(program, state, injection.breakpoint_pc,
-                       occurrence=injection.occurrence,
-                       detectors=detectors if detectors is not None else EMPTY_DETECTORS,
-                       max_steps=max_prefix_steps)
+    state = run_to_breakpoint(
+        program, initial, injection.breakpoint_pc,
+        occurrence=injection.occurrence,
+        detectors=detectors if detectors is not None else EMPTY_DETECTORS,
+        max_steps=max_prefix_steps, golden=golden)
     if not state.is_running or state.pc != injection.breakpoint_pc:
         return None
     if (getattr(injection, "components", None)
@@ -102,6 +114,7 @@ def prepare_injected_state(program: Program,
         apply_fault_set(state, (injection,))
     else:
         apply_corruption(state, injection.target, value)
+    state.flatten()
     return state
 
 

@@ -8,9 +8,10 @@ from .state import (CowMemory, CowRegisters, Fingerprint, MachineState,
 from .decode import (DecodedInstruction, DecodedProgram, clear_decode_cache,
                      decoded_program)
 from .executor import (ConcreteFutures, ExecutionConfig, Executor,
-                       SymbolicValueEncountered, concrete_step,
-                       concrete_step_legacy, run_concrete,
-                       run_concrete_legacy, run_concrete_until)
+                       GoldenCheckpoints, SymbolicValueEncountered,
+                       concrete_step, concrete_step_legacy, run_concrete,
+                       run_concrete_legacy, run_concrete_until,
+                       run_to_breakpoint)
 
 __all__ = [
     "DETECTOR_PREFIX", "DIVIDE_BY_ZERO", "ILLEGAL_ADDRESS", "ILLEGAL_INSTRUCTION",
@@ -18,8 +19,8 @@ __all__ = [
     "CowMemory", "CowRegisters", "Fingerprint",
     "MachineState", "Status", "TraceEntry", "initial_state", "state_contains_err",
     "DecodedInstruction", "DecodedProgram", "clear_decode_cache", "decoded_program",
-    "ConcreteFutures", "ExecutionConfig", "Executor",
+    "ConcreteFutures", "ExecutionConfig", "Executor", "GoldenCheckpoints",
     "SymbolicValueEncountered",
     "concrete_step", "concrete_step_legacy", "run_concrete",
-    "run_concrete_legacy", "run_concrete_until",
+    "run_concrete_legacy", "run_concrete_until", "run_to_breakpoint",
 ]

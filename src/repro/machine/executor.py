@@ -20,7 +20,9 @@ Two interpreters live here:
   prefix before an injection point, for the err-free tails of a search and
   by the SimpleScalar-substitute simulator in :mod:`repro.concrete`.  Given
   a :class:`ConcreteFutures`, ``run_concrete`` ends a run early when it
-  rejoins a recorded err-free run, by copying that run's terminal state.
+  rejoins a recorded err-free run, by copying that run's terminal state;
+  :func:`run_to_breakpoint` starts a prefix from the golden run's nearest
+  :class:`GoldenCheckpoints` state instead of from step 0.
 
 Both interpreters run off the pre-decoded tables built by
 :mod:`repro.machine.decode`: operands, comparison operators, binary-operator
@@ -34,6 +36,7 @@ and benchmarks.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -57,9 +60,10 @@ from .exceptions import (DIVIDE_BY_ZERO, ILLEGAL_ADDRESS, ILLEGAL_INSTRUCTION,
 from .state import Fingerprint, MachineState, Status, TraceEntry
 
 __all__ = [
-    "ConcreteFutures", "ExecutionConfig", "Executor", "SymbolicValueEncountered",
-    "apply_fault", "apply_fault_set", "concrete_step", "concrete_step_legacy",
-    "run_concrete", "run_concrete_legacy", "run_concrete_until",
+    "ConcreteFutures", "ExecutionConfig", "Executor", "GoldenCheckpoints",
+    "SymbolicValueEncountered", "apply_fault", "apply_fault_set",
+    "concrete_step", "concrete_step_legacy", "run_concrete",
+    "run_concrete_legacy", "run_concrete_until", "run_to_breakpoint",
 ]
 
 
@@ -923,6 +927,99 @@ SEARCH_MARK_STRIDE = 1024
 _Mark = Tuple[Fingerprint, int, MachineState]
 
 
+class GoldenCheckpoints:
+    """Where the golden run was, so a prefix need not replay it from step 0.
+
+    Recorded by the one golden run :meth:`ConcreteFutures.golden` makes: a
+    copy of the state at its start and at each golden mark (``states``, at
+    step counts ``steps``), and for every pc the step counts at which the
+    run sat on it, running, about to execute it (``visits``).  A superblock
+    of length L entered at step s visits pc + i at s + i; the visits of a
+    block are filed when the next block starts, from the steps it really
+    took, so a block cut short by a throw files only what ran.  ``end`` is
+    a copy of the terminal state (``None`` if the run raised).
+
+    For a replay that :meth:`binds` (the same start state and step budget),
+    :meth:`resume` answers a (pc, occurrence) breakpoint with the latest
+    checkpoint at or before that visit, or with the terminal state when the
+    run never makes it.
+    """
+
+    __slots__ = ("max_steps", "states", "steps", "visits", "end", "_start",
+                 "_next", "_entry_pc", "_entry_steps")
+
+    def __init__(self, state: MachineState, length: int,
+                 max_steps: int) -> None:
+        self.max_steps = max_steps
+        self.states: List[MachineState] = [state.copy()]
+        self.steps: List[int] = [state.steps]
+        self.visits: List[List[int]] = [[] for _ in range(length)]
+        self.end: Optional[MachineState] = None
+        self._start = self.states[0].fingerprint()
+        self._next = state.steps + GOLDEN_MARK_STRIDE
+        self._entry_pc = 0
+        self._entry_steps = state.steps
+
+    def enter(self, state: MachineState, pc: int,
+              marks: List[Tuple[int, int, Fingerprint, int]]) -> None:
+        """A block starts at *pc*: file the last one, mark every stride."""
+        steps = state.steps
+        self._file(steps)
+        self._entry_pc = pc
+        self._entry_steps = steps
+        if steps >= self._next:
+            marks.append((pc, state._loc_hash, state.fingerprint(), steps))
+            self.states.append(state.copy())
+            self.steps.append(steps)
+            self._next = steps + GOLDEN_MARK_STRIDE
+
+    def finish(self, state: MachineState) -> None:
+        """The run ended without raising: file the last block, keep the end."""
+        self._file(state.steps)
+        self.end = state.copy()
+
+    def _file(self, steps: int) -> None:
+        visits = self.visits
+        pc = self._entry_pc
+        entry = self._entry_steps
+        for offset in range(steps - entry):
+            visits[pc + offset].append(entry + offset)
+
+    def binds(self, initial: MachineState, max_steps: int) -> bool:
+        """Whether a replay of *initial* under *max_steps* retraces this run."""
+        start = self.states[0]
+        return (max_steps == self.max_steps
+                and initial.steps == start.steps
+                and initial.input == start.input
+                and initial.detector_id == start.detector_id
+                and initial.forks == start.forks
+                and initial.trace == start.trace
+                and initial.fingerprint() == self._start)
+
+    def resume(self, stop_pc: int, occurrence: int,
+               ) -> Optional[Tuple[MachineState, int]]:
+        """Where a bound replay to a breakpoint may start instead.
+
+        Returns a private copy of the latest checkpoint at or before the
+        *occurrence*-th visit to *stop_pc* with the visits still to pass,
+        or a copy of the terminal state with 0 when the run never gets
+        there.  Returns ``None`` when the record cannot answer: a pc
+        outside the code, an occurrence below 1, or a visit the run did not
+        reach before it raised.
+        """
+        visits = self.visits
+        if occurrence < 1 or not 0 <= stop_pc < len(visits):
+            return None
+        at = visits[stop_pc]
+        if occurrence <= len(at):
+            index = bisect_right(self.steps, at[occurrence - 1]) - 1
+            before = bisect_left(at, self.steps[index])
+            return self.states[index].copy(), occurrence - before
+        if self.end is None:
+            return None
+        return self.end.copy(), 0
+
+
 class ConcreteFutures:
     """Recorded err-free runs that a later concrete run may join.
 
@@ -944,7 +1041,8 @@ class ConcreteFutures:
     with the search.
     """
 
-    __slots__ = ("program", "detectors", "input", "stride", "_index")
+    __slots__ = ("program", "detectors", "input", "stride", "_index",
+                 "checkpoints")
 
     def __init__(self, program: Program, detectors: DetectorSet,
                  input_values: Sequence[int], stride: int,
@@ -954,6 +1052,9 @@ class ConcreteFutures:
         self.input = tuple(input_values)
         self.stride = stride
         self._index: Dict[int, Dict[int, List[_Mark]]] = {}
+        #: The golden layer's :class:`GoldenCheckpoints`; ``None`` on a
+        #: search layer.
+        self.checkpoints: Optional[GoldenCheckpoints] = None
         if parent is not None and parent.binds(program, detectors, self.input):
             # Copied, not chained: a lookup stays two dict probes, and this
             # layer's publications never reach the parent.
@@ -966,14 +1067,26 @@ class ConcreteFutures:
                max_steps: int = 200_000) -> "ConcreteFutures":
         """The golden layer: *state* run to termination, marks recorded.
 
-        A run that times out or raises records nothing.
+        A run that times out or raises records no marks.  Every run records
+        its :class:`GoldenCheckpoints`.
         """
         futures = cls(program, detectors, state.input, GOLDEN_MARK_STRIDE)
+        checkpoints = futures.checkpoints = GoldenCheckpoints(
+            state, len(program), max_steps)
         try:
-            run_concrete(program, state, detectors, max_steps, futures=futures)
+            run_concrete(program, state, detectors, max_steps, futures=futures,
+                         checkpoints=checkpoints)
         except (SymbolicValueEncountered, MachineModelError):
             pass
         return futures
+
+    def starts(self, program: Program, detectors: DetectorSet,
+               initial: MachineState, max_steps: int) -> bool:
+        """Whether this layer's checkpoints serve a replay of *initial*."""
+        checkpoints = self.checkpoints
+        return (checkpoints is not None
+                and self.binds(program, detectors, initial.input)
+                and checkpoints.binds(initial, max_steps))
 
     def binds(self, program: Program, detectors: DetectorSet,
               input_values: Tuple[int, ...]) -> bool:
@@ -1018,7 +1131,9 @@ class ConcreteFutures:
 def run_concrete(program: Program, state: MachineState,
                  detectors: DetectorSet = EMPTY_DETECTORS,
                  max_steps: int = 200_000,
-                 futures: Optional[ConcreteFutures] = None) -> MachineState:
+                 futures: Optional[ConcreteFutures] = None,
+                 checkpoints: Optional[GoldenCheckpoints] = None,
+                 ) -> MachineState:
     """Run a fully concrete state to termination (in place).
 
     Uses the decoded superblocks: when the program counter sits on a block
@@ -1031,7 +1146,9 @@ def run_concrete(program: Program, state: MachineState,
     input; otherwise ignored) the run also joins: before each block it looks
     for an equal mark of a finished run and, on a hit, adopts that run's
     terminal state (see :class:`ConcreteFutures`).  It records a mark every
-    ``futures.stride`` steps and publishes them if it finishes.
+    ``futures.stride`` steps and publishes them if it finishes.  The golden
+    build also passes its *checkpoints*, which then record the marks, a
+    state at each, and every block's visits.
     """
     decoded = decoded_program(program)
     ops = decoded.concrete_ops
@@ -1045,10 +1162,15 @@ def run_concrete(program: Program, state: MachineState,
     if futures is not None and not futures.binds(program, detectors,
                                                  state.input):
         futures = None
-    if futures is not None:
+    if futures is None:
+        checkpoints = None
+    else:
         index = futures._index
         stride = futures.stride
-        next_mark = steps_at_entry + stride
+        # The golden build takes the mark branch at every block (its
+        # checkpoints mark every golden stride); every other run, once a
+        # stride.
+        next_mark = steps_at_entry + (stride if checkpoints is None else 0)
     try:
         while state.is_running:
             steps = state.steps
@@ -1069,9 +1191,12 @@ def run_concrete(program: Program, state: MachineState,
                             if joined_steps:
                                 break
                     if steps >= next_mark:
-                        marks.append((pc, state._loc_hash,
-                                      state.fingerprint(), steps))
-                        next_mark = steps + stride
+                        if checkpoints is None:
+                            marks.append((pc, state._loc_hash,
+                                          state.fingerprint(), steps))
+                            next_mark = steps + stride
+                        else:
+                            checkpoints.enter(state, pc, marks)
                 block = block_fns[pc]
                 if block is not None and steps + block_lens[pc] <= max_steps:
                     block(state)
@@ -1092,6 +1217,8 @@ def run_concrete(program: Program, state: MachineState,
             if joined_steps:
                 hub.count("interp.joins")
                 hub.count("interp.joined_steps", joined_steps)
+    if checkpoints is not None:
+        checkpoints.finish(state)
     if marks and not state.hung:
         futures.publish(marks, state)
     return state
@@ -1136,6 +1263,42 @@ def run_concrete_until(program: Program, state: MachineState,
             raise SymbolicValueEncountered("PC is err")
         else:
             state.throw(ILLEGAL_INSTRUCTION)
+    return state
+
+
+def run_to_breakpoint(program: Program, initial: MachineState,
+                      stop_pc: int, occurrence: int = 1,
+                      detectors: DetectorSet = EMPTY_DETECTORS,
+                      max_steps: int = 200_000,
+                      golden: Optional[ConcreteFutures] = None,
+                      ) -> MachineState:
+    """A copy of *initial*, run by :func:`run_concrete_until` to a breakpoint.
+
+    With a *golden* layer bound to this program, these detectors, *initial*
+    and *max_steps* (otherwise ignored), the copy starts from the golden
+    run's latest checkpoint before the breakpoint, so it replays at most
+    about a stride of steps; a breakpoint the golden run never reaches
+    returns its terminal state without running.  The returned state equals
+    the full replay's field by field either way.
+    """
+    start = None
+    if golden is not None and golden.starts(program, detectors, initial,
+                                            max_steps):
+        start = golden.checkpoints.resume(stop_pc, occurrence)
+    if start is None:
+        state, remaining = initial.copy(), occurrence
+    else:
+        state, remaining = start
+    hub = _obs.get()
+    if start is not None and not remaining:
+        if hub.enabled:
+            hub.count("prefix.answered")
+        return state
+    steps = state.steps
+    run_concrete_until(program, state, stop_pc, remaining, detectors,
+                       max_steps)
+    if hub.enabled:
+        hub.count("prefix.steps", state.steps - steps)
     return state
 
 

@@ -490,6 +490,17 @@ class MachineState:
         clone._err_count = self._err_count
         return clone
 
+    def flatten(self) -> None:
+        """Fold both overlays into fresh bases; nothing observable changes.
+
+        Later copies then share one flat base instead of each copying the
+        overlay (a copy flattens only past the overlay limits).
+        """
+        if self._registers._overlay:
+            self._registers._flatten()
+        if self._memory._overlay:
+            self._memory._flatten()
+
     def adopt_terminal(self, terminal: "MachineState", steps: int) -> None:
         """Finish this running state as *terminal*, reached at *steps*.
 
