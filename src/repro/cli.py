@@ -28,6 +28,7 @@ from .analysis import campaign_outcome_summary, format_witnesses
 from .concrete import ConcreteCampaign, printed_value_labeler
 from .core import SymbolicCampaign, witnesses_from_campaign
 from .core.campaign import SerialExecutionStrategy
+from .core.search import SearchResultCache
 from .detectors import DetectorSet, EMPTY_DETECTORS
 from .faults import FAULT_MODELS, fault_model
 from .frontend import generate_query, translate_mips
@@ -223,9 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--lease-seconds", type=_positive_float, default=60.0,
                          help="distributed-backend claim lease; a worker "
                               "silent this long forfeits its task")
-    analyze.add_argument("--shared-cache", default=None,
-                         help="path to a cross-process search-result cache "
-                              "database shared by all workers")
     analyze.add_argument("--checkpoint", default=None,
                          help="journal completed injections to this file so "
                               "a killed campaign can be resumed")
@@ -417,21 +415,18 @@ def _build_analyze_strategy(args: argparse.Namespace, backend: str,
     Returns ``(strategy, cache_statistics_fn)`` — the statistics getter is
     read after the run, once the backend has aggregated its counters.
     """
-    from .parallel import CacheSpec, QuerySpec
+    from .parallel import QuerySpec
 
-    cache_spec = (CacheSpec.shared(args.shared_cache)
-                  if args.shared_cache else None)
     query_spec = QuerySpec.predefined(args.query, golden_output=golden,
                                       expected_value=expected)
     if backend == "serial":
-        cache = (cache_spec or CacheSpec()).build()
+        cache = SearchResultCache()
         strategy = SerialExecutionStrategy(result_cache=cache)
         statistics = lambda: cache.statistics  # noqa: E731
     elif backend == "pool":
         from .parallel import ParallelConfig, ParallelExecutionStrategy
         config = ParallelConfig(workers=args.workers,
-                                chunk_size=args.chunk_size,
-                                cache=cache_spec)
+                                chunk_size=args.chunk_size)
         strategy = ParallelExecutionStrategy(query_spec, config)
         statistics = lambda: strategy.cache_statistics  # noqa: E731
     else:
@@ -439,8 +434,7 @@ def _build_analyze_strategy(args: argparse.Namespace, backend: str,
         config = DistributedConfig(workers=args.workers,
                                    chunk_size=args.chunk_size,
                                    queue_dir=args.queue,
-                                   lease_seconds=args.lease_seconds,
-                                   cache=cache_spec)
+                                   lease_seconds=args.lease_seconds)
         strategy = DistributedExecutionStrategy(query_spec, config)
         statistics = lambda: strategy.cache_statistics  # noqa: E731
 

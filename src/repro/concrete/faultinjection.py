@@ -14,6 +14,7 @@ reproduces that campaign on top of the concrete simulator:
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 from dataclasses import dataclass, field
@@ -22,6 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..detectors import DetectorSet, EMPTY_DETECTORS
 from ..errors.injector import Injection
 from ..faults.models import FAULT_MODELS
+from ..faults.spec import FaultSpec
 from ..isa.program import Program
 from .simulator import ConcreteSimulator
 from .stats import OutcomeDistribution, OutcomeLabeler, printed_value_labeler
@@ -111,7 +113,7 @@ class ConcreteCampaign:
         self.simulator = ConcreteSimulator(program, detectors, max_steps=max_steps)
 
     def enumerate_injections(self,
-                             pcs: Optional[Sequence[int]] = None) -> List[Injection]:
+                             pcs: Optional[Sequence[int]] = None) -> List[FaultSpec]:
         """Register injections at every instruction (or the subset *pcs*)."""
         return FAULT_MODELS["register"].enumerate(self.program, pcs=pcs)
 
@@ -124,7 +126,7 @@ class ConcreteCampaign:
         return sum(len(self.value_policy.values_for(injection))
                    for injection in injections)
 
-    def run(self, injections: Optional[Sequence[Injection]] = None,
+    def run(self, injections: Optional[Sequence[FaultSpec]] = None,
             keep_experiments: bool = True,
             max_experiments: Optional[int] = None) -> ConcreteCampaignResult:
         """Run the campaign and build the outcome distribution."""
@@ -139,8 +141,9 @@ class ConcreteCampaign:
                 if max_experiments is not None and executed >= max_experiments:
                     result.elapsed_seconds = time.monotonic() - start
                     return result
-                run = self.simulator.run_with_injection(
-                    injection, value, self.input_values, self.memory)
+                run = self.simulator.run_with_spec(
+                    dataclasses.replace(injection, value=value),
+                    self.input_values, self.memory)
                 executed += 1
                 if not run.activated:
                     result.skipped += 1

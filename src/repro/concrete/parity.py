@@ -27,11 +27,12 @@ plus one structural rule for hangs (see :func:`covers`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
+                    Set, Tuple)
 
 from ..core.outcomes import classify
 from ..core.queries import any_outcome
-from ..core.search import BoundedModelChecker, SearchResultCache
+from ..core.search import BoundedModelChecker
 from ..constraints import Location
 from ..detectors import DetectorSet, EMPTY_DETECTORS
 from ..errors.injector import Injection, prepare_injected_state
@@ -76,6 +77,67 @@ def covers(concrete_kind: str, symbolic_kinds: FrozenSet[str],
     return bool(accepted & symbolic_kinds)
 
 
+#: Verdict of a point whose incomplete symbolic search misses a concrete
+#: class: the state budget ran out first, so the miss says nothing about
+#: the coverage claim either way.
+UNDECIDED = "undecided (search budget)"
+
+
+def uncovered_kinds(concrete_kinds: Iterable[str],
+                    symbolic_kinds: FrozenSet[str],
+                    symbolic_complete: bool) -> Tuple[str, ...]:
+    """The concrete kinds of one point that the symbolic set misses, sorted."""
+    return tuple(sorted(kind for kind in concrete_kinds
+                        if not covers(kind, symbolic_kinds,
+                                      symbolic_complete)))
+
+
+def verdict(uncovered: Sequence[str], symbolic_complete: bool) -> str:
+    """One point's verdict: covered, undecided or UNCOVERED.
+
+    Only a *complete* search that misses a concrete class refutes the
+    coverage claim; an incomplete one is :data:`UNDECIDED`.
+    """
+    if not uncovered:
+        return "covered"
+    label = "UNCOVERED" if symbolic_complete else UNDECIDED
+    return f"{label}: {','.join(uncovered)}"
+
+
+@dataclass
+class ParityTally:
+    """Verdict counts over a study's points, and its one-line summary."""
+
+    covered: int = 0
+    undecided: int = 0
+    uncovered: int = 0
+    missing: Set[str] = field(default_factory=set)
+
+    def add(self, uncovered: Sequence[str], symbolic_complete: bool) -> None:
+        if not uncovered:
+            self.covered += 1
+        elif symbolic_complete:
+            self.uncovered += 1
+            self.missing.update(uncovered)
+        else:
+            self.undecided += 1
+
+    def summary(self, skipped: int = 0) -> str:
+        total = self.covered + self.undecided + self.uncovered
+        base = (f"parity: symbolic covers {self.covered}/{total} "
+                f"injection points")
+        if skipped:
+            base += f" ({skipped} never activated)"
+        if total and self.covered == total:
+            base += " — all concrete outcome classes covered"
+        elif total:
+            base += (f" — {self.undecided} {UNDECIDED}, "
+                     f"{self.uncovered} UNCOVERED")
+            if self.missing:
+                base += f": {', '.join(sorted(self.missing))}"
+        return base
+
+
 @dataclass(frozen=True)
 class ParityRow:
     """Parity verdict for one injection point."""
@@ -102,10 +164,6 @@ class ParityReport:
     skipped: int = 0          # points never activated (breakpoint not reached)
 
     @property
-    def covered_points(self) -> int:
-        return sum(1 for row in self.rows if row.covered)
-
-    @property
     def all_covered(self) -> bool:
         return all(row.covered for row in self.rows)
 
@@ -120,24 +178,16 @@ class ParityReport:
                 symbolic += " (incomplete)"
             concrete = ",".join(sorted(row.concrete_kinds)) or "-"
             concrete += f" [{row.flips} flips]"
-            verdict = ("covered" if row.covered
-                       else "UNCOVERED: " + ",".join(row.uncovered))
-            lines.append(f"{point:<28} {symbolic:<34} {concrete:<28} {verdict}")
+            lines.append(f"{point:<28} {symbolic:<34} {concrete:<28} "
+                         f"{verdict(row.uncovered, row.symbolic_complete)}")
         lines.append(self.summary())
         return "\n".join(lines)
 
     def summary(self) -> str:
-        base = (f"parity: symbolic covers {self.covered_points}/"
-                f"{len(self.rows)} injection points")
-        if self.skipped:
-            base += f" ({self.skipped} never activated)"
-        if self.rows and self.all_covered:
-            base += " — all concrete outcome classes covered"
-        elif self.rows:
-            missing = sorted({kind for row in self.rows
-                              for kind in row.uncovered})
-            base += f" — UNCOVERED: {', '.join(missing)}"
-        return base
+        tally = ParityTally()
+        for row in self.rows:
+            tally.add(row.uncovered, row.symbolic_complete)
+        return tally.summary(self.skipped)
 
 
 def _point_key(injection: Injection) -> Tuple[int, int, int, int]:
@@ -198,8 +248,7 @@ def run_parity_study(program: Program,
                         ExecutionConfig(max_steps=max_steps))
     checker = BoundedModelChecker(executor, max_solutions=max_solutions,
                                   max_states=max_states,
-                                  deduplicate=False,
-                                  result_cache=SearchResultCache())
+                                  deduplicate=False)
     simulator = ConcreteSimulator(program, detectors, max_steps=max_steps)
     # Both legs start their prefixes from the one golden run's checkpoints.
     golden = simulator.golden(input_values, memory)
@@ -237,9 +286,8 @@ def run_parity_study(program: Program,
             if run.activated:
                 concrete_kinds.add(run.outcome(golden_output).kind.value)
 
-        uncovered = tuple(sorted(
-            kind for kind in concrete_kinds
-            if not covers(kind, symbolic_kinds, result.completed)))
+        uncovered = uncovered_kinds(concrete_kinds, symbolic_kinds,
+                                    result.completed)
         report.rows.append(ParityRow(
             breakpoint_pc=injection.breakpoint_pc,
             occurrence=injection.occurrence,

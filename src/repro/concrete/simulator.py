@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..detectors import DetectorSet, EMPTY_DETECTORS
-from ..errors.injector import Injection, apply_corruption
+from ..errors.injector import Injection
 from ..isa.program import Program
 from ..machine.decode import decoded_program
-from ..machine.executor import (ConcreteFutures, run_concrete,
-                                run_to_breakpoint)
+from ..machine.executor import (ConcreteFutures, apply_fault_set,
+                                run_concrete, run_to_breakpoint)
 from ..machine.state import MachineState, Status, initial_state
 from ..core.outcomes import Outcome, classify
 
@@ -30,7 +30,6 @@ class ConcreteRun:
 
     state: MachineState
     injection: Optional[Injection] = None
-    injected_value: Optional[int] = None
     activated: bool = True
 
     @property
@@ -104,38 +103,22 @@ class ConcreteSimulator:
             occurrence=injection.occurrence, detectors=self.detectors,
             max_steps=self.max_steps, golden=self._golden_from(initial))
 
-    def run_with_injection(self, injection: Injection, value: int,
-                           input_values: Sequence[int] = (),
-                           memory: Optional[Dict[int, int]] = None) -> ConcreteRun:
-        """Inject a concrete *value* at the injection point and run to the end.
-
-        Mirrors the augmented SimpleScalar flow: execute to the breakpoint,
-        overwrite the target, continue.  If the breakpoint is never reached
-        the run is reported with ``activated=False`` (the fault is latent).
-        """
-        state = self._to_breakpoint(injection, input_values, memory)
-        activated = state.is_running and state.pc == injection.breakpoint_pc
-        if activated:
-            apply_corruption(state, injection.target, value)
-            run_concrete(self.program, state, self.detectors, self.max_steps)
-        return ConcreteRun(state=state, injection=injection,
-                           injected_value=value, activated=activated)
-
     def run_with_spec(self, spec: Injection,
                       input_values: Sequence[int] = (),
                       memory: Optional[Dict[int, int]] = None) -> ConcreteRun:
         """Run one planned fault spec concretely.
 
-        Unlike :meth:`run_with_injection`, the value written is whatever the
-        spec itself prescribes: a burst applies every component, a bit-flip
-        spec reads the live target and XORs ``1 << bit`` into it, a plain
-        :class:`~repro.faults.FaultSpec` writes its ``value``.  The spec is
-        applied through :func:`~repro.machine.executor.apply_fault_set` —
-        the same code path the symbolic campaign uses — so parity studies
-        compare identical corruptions, not merely identical addresses.
+        Mirrors the augmented SimpleScalar flow: execute to the breakpoint,
+        corrupt, continue.  The corruption is whatever the spec prescribes:
+        a :class:`~repro.faults.FaultSpec` writes its ``value``, a burst
+        applies every component, a bit-flip spec XORs ``1 << bit`` into the
+        live target.  It is applied through
+        :func:`~repro.machine.executor.apply_fault_set` — the same code path
+        the symbolic campaign uses — so parity studies compare identical
+        corruptions, not merely identical addresses.  If the breakpoint is
+        never reached the run is reported with ``activated=False`` (the
+        fault is latent).
         """
-        from ..machine.executor import apply_fault_set
-
         state = self._to_breakpoint(spec, input_values, memory)
         activated = state.is_running and state.pc == spec.breakpoint_pc
         if activated:

@@ -8,9 +8,7 @@ from .queries import (SearchQuery, any_outcome, crashed, detected,
                       printed_value, printed_value_other_than,
                       undetected_failure)
 from .search import (BoundedModelChecker, CacheStatistics, SearchResult,
-                     SearchResultCache, SearchStatistics, Solution,
-                     executor_digest, stable_state_digest)
-from .shared_cache import SharedSearchResultCache
+                     SearchResultCache, SearchStatistics, Solution)
 from .campaign import (CampaignResult, ExecutionStrategy, InjectionResult,
                        SearchTask, SerialExecutionStrategy, SymbolicCampaign,
                        TaskCaps, chunk_injections, decompose_by_chunk,
@@ -28,8 +26,7 @@ __all__ = [
     "output_contains_err", "output_differs", "output_equals",
     "printed_value", "printed_value_other_than", "undetected_failure",
     "BoundedModelChecker", "CacheStatistics", "SearchResult",
-    "SearchResultCache", "SearchStatistics", "SharedSearchResultCache",
-    "Solution", "executor_digest", "stable_state_digest",
+    "SearchResultCache", "SearchStatistics", "Solution",
     "CampaignResult", "ExecutionStrategy", "InjectionResult",
     "SerialExecutionStrategy", "SymbolicCampaign",
     "SearchTask", "TaskCampaignReport", "TaskCaps", "TaskResult",

@@ -30,7 +30,6 @@ from ..detectors import DetectorSet, EMPTY_DETECTORS
 from ..errors.injector import Injection, prepare_injected_state
 from ..faults.models import FAULT_MODELS, FaultModel
 from ..isa.program import Program
-from ..isa.values import ERR
 from ..machine.executor import ConcreteFutures, ExecutionConfig, Executor
 from ..machine.state import MachineState, initial_state
 from .outcomes import Outcome, classify
@@ -429,7 +428,6 @@ class SymbolicCampaign:
         golden = self.golden_futures()
         injected = prepare_injected_state(
             self.program, injection, self._initial,
-            value=getattr(injection, "value", ERR),
             detectors=self.detectors,
             max_prefix_steps=self.execution_config.max_steps,
             golden=golden)

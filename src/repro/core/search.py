@@ -18,8 +18,6 @@ on top of the symbolic executor:
 
 from __future__ import annotations
 
-import hashlib
-import pickle
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -30,48 +28,6 @@ from ..machine.executor import (SEARCH_MARK_STRIDE, ConcreteFutures, Executor,
                                 run_concrete)
 from ..machine.state import Fingerprint, MachineState, state_contains_err
 from .queries import SearchQuery
-
-#: Pickle protocol pinned for stable cross-process cache digests.
-_DIGEST_PICKLE_PROTOCOL = 4
-
-
-def executor_digest(executor: Executor) -> bytes:
-    """A content digest of everything an executor contributes to a search.
-
-    The in-memory :class:`SearchResultCache` keys executors by identity; a
-    cache shared *between processes* needs a stable stand-in.  The program,
-    detectors and execution config together determine the executor's
-    behaviour, so their serialized form is digested.  Equal configurations
-    built from the same :class:`~repro.parallel.spec.CampaignSpec` produce
-    equal digests; a digest mismatch between genuinely equal executors only
-    costs a cache miss, never a wrong hit.
-    """
-    payload = pickle.dumps((executor.program, executor.detectors,
-                            executor.config),
-                           protocol=_DIGEST_PICKLE_PROTOCOL)
-    return hashlib.sha256(payload).digest()
-
-
-def stable_state_digest(state: MachineState) -> bytes:
-    """A content digest of a machine state, canonicalised for sharing.
-
-    Flattens the CoW structure and sorts the memory (overlay insertion order
-    is a write-history artifact, not part of the state's meaning) so two
-    structurally equal states digest identically regardless of how they were
-    produced.
-    """
-    payload = pickle.dumps(
-        (state.pc,
-         state.registers.as_tuple(),
-         sorted(state.memory.to_dict().items()),
-         tuple(state.input),
-         state.input_pos,
-         tuple(state.output),
-         state.constraints,
-         state.status,
-         state.exception),
-        protocol=_DIGEST_PICKLE_PROTOCOL)
-    return hashlib.sha256(payload).digest()
 
 
 @dataclass

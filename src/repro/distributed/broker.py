@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from .. import obs as _obs
-from ..parallel.spec import CacheSpec, CampaignSpec, QuerySpec
+from ..parallel.spec import CampaignSpec, QuerySpec
 
 _TASK_PREFIX = "task-"
 _TASK_SUFFIX = ".pkl"
@@ -51,7 +51,6 @@ class CampaignManifest:
 
     campaign_spec: CampaignSpec
     query_spec: QuerySpec
-    cache_spec: Optional[CacheSpec] = None
     campaign_id: str = ""
 
 

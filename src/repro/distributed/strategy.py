@@ -45,7 +45,7 @@ from ..core.search import CacheStatistics
 from ..core.tasks import default_chunk_size
 from ..errors.injector import Injection
 from ..parallel.runner import _check_query_consistency, _merge_cache_statistics
-from ..parallel.spec import CacheSpec, CampaignSpec, QuerySpec
+from ..parallel.spec import CampaignSpec, QuerySpec
 from .backoff import Backoff
 from .broker import (CampaignManifest, FilesystemBroker, enqueue_campaign,
                      open_broker)
@@ -90,7 +90,6 @@ class DistributedConfig:
         wall_clock_timeout: overall safety bound on the run (None = none).
         max_worker_restarts: how many times dead local workers are replaced
             before the coordinator gives up.
-        cache: worker search-result cache recipe (e.g. a shared cache).
     """
 
     workers: int = 2
@@ -100,7 +99,6 @@ class DistributedConfig:
     poll_interval: float = 0.05
     wall_clock_timeout: Optional[float] = None
     max_worker_restarts: Optional[int] = None
-    cache: Optional[CacheSpec] = None
 
     def __post_init__(self) -> None:
         if self.workers < 0:
@@ -294,7 +292,6 @@ class DistributedExecutionStrategy(ExecutionStrategy):
                 CampaignManifest(
                     campaign_spec=CampaignSpec.from_campaign(campaign),
                     query_spec=self.query_spec,
-                    cache_spec=config.cache,
                     campaign_id=campaign_id),
                 list(enumerate(payloads)))
 

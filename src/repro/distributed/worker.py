@@ -162,8 +162,7 @@ def run_worker(config: WorkerConfig,
         return 0  # stopped while waiting for a campaign to appear
 
     def initialize(manifest) -> None:
-        initialize_worker(manifest.campaign_spec, manifest.query_spec,
-                          cache_spec=manifest.cache_spec)
+        initialize_worker(manifest.campaign_spec, manifest.query_spec)
         if own_sink is not None:
             _obs.attach_sink(own_sink)
 

@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Optional, Tuple
 from ..constraints import Location
 from ..isa.instructions import ZERO_REGISTER
 from ..isa.program import Program
-from ..isa.values import ERR, Value
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports (avoid an import cycle)
     from ..detectors import DetectorSet
@@ -60,23 +59,9 @@ class InjectionError(RuntimeError):
     """Raised when an injection cannot be applied (e.g. breakpoint not reached)."""
 
 
-def apply_corruption(state: MachineState, target: Location, value: Value) -> None:
-    """Corrupt *target* in *state* with *value* (``ERR`` or a concrete int).
-
-    Delegates to :func:`~repro.machine.executor.apply_fault`, the single
-    CoW write path shared with the fault-model subsystem (:mod:`repro.
-    faults`), so every corruption maintains the state's incremental
-    fingerprints the same way.
-    """
-    from ..machine.executor import apply_fault
-
-    apply_fault(state, target.kind, target.index, value)
-
-
 def prepare_injected_state(program: Program,
                            injection: Injection,
                            initial: "MachineState",
-                           value: Value = ERR,
                            detectors: Optional["DetectorSet"] = None,
                            max_prefix_steps: int = 200_000,
                            golden: Optional["ConcreteFutures"] = None,
@@ -92,12 +77,11 @@ def prepare_injected_state(program: Program,
     fresh bases, so the search's forks share one flat base instead of each
     copying the prefix's writes.
 
-    Multi-error and read-modify-write specs are recognised structurally:
-    an injection carrying ``components`` (a burst) or a ``bit`` (a concrete
-    bit flip) is applied through
-    :func:`~repro.machine.executor.apply_fault_set`, which writes every
-    corruption of the experiment through the same CoW path; everything
-    else writes *value* into the single target as before.
+    The corruption is whatever *injection* prescribes, applied through
+    :func:`~repro.machine.executor.apply_fault_set`: a plain
+    :class:`Injection` writes ``err``, a
+    :class:`~repro.faults.spec.FaultSpec` its ``value``, a burst every
+    component and a bit flip its read-modify-write.
     """
     from ..detectors import EMPTY_DETECTORS
     from ..machine.executor import apply_fault_set, run_to_breakpoint
@@ -109,11 +93,7 @@ def prepare_injected_state(program: Program,
         max_steps=max_prefix_steps, golden=golden)
     if not state.is_running or state.pc != injection.breakpoint_pc:
         return None
-    if (getattr(injection, "components", None)
-            or getattr(injection, "bit", None) is not None):
-        apply_fault_set(state, (injection,))
-    else:
-        apply_corruption(state, injection.target, value)
+    apply_fault_set(state, (injection,))
     state.flatten()
     return state
 

@@ -8,14 +8,17 @@ once per program and caches the result, so the hot loops become
 ``handlers[pc](state, decoded[pc])`` with zero string work:
 
 * :class:`DecodedInstruction` — a dense record per code address: resolved
-  register indices, pre-parsed immediates, the normalised binary operator and
-  its concrete implementation, the pre-computed :class:`ComparisonOp` (and its
-  plain-Python evaluator), pre-resolved branch/jump/call targets, and the
-  pre-rendered assembly text used by traces and error messages.
+  register indices, pre-parsed immediates, the normalised binary operator,
+  the pre-computed :class:`ComparisonOp`, pre-resolved branch/jump/call
+  targets, the static register read set, and the pre-rendered assembly text
+  used by traces and error messages.
 
 * per-address *concrete ops* — tiny specialised Python functions (one per
   instruction) implementing the exact semantics of the legacy
-  ``concrete_step`` string dispatch for that single instruction.
+  ``concrete_step`` string dispatch for that single instruction.  They are
+  the only err-free semantics: ``run_concrete`` runs them, and so does the
+  symbolic ``Executor`` for every instruction whose read set holds no
+  ``err``.
 
 * *superblocks* — runs of straight-line, non-forking instructions fused into
   a single generated function.  ``run_concrete`` enters a superblock when the
@@ -68,17 +71,6 @@ COMPARE_OPS: Dict[str, ComparisonOp] = {
     "seteq": ComparisonOp.EQ, "setne": ComparisonOp.NE,
     "setgt": ComparisonOp.GT, "setlt": ComparisonOp.LT,
     "setge": ComparisonOp.GE, "setle": ComparisonOp.LE,
-}
-
-#: Plain-Python evaluator per comparison operator (avoids the enum method
-#: chain on the concrete fast path).
-_COMPARE_FNS: Dict[ComparisonOp, Callable[[int, int], bool]] = {
-    ComparisonOp.EQ: lambda a, b: a == b,
-    ComparisonOp.NE: lambda a, b: a != b,
-    ComparisonOp.GT: lambda a, b: a > b,
-    ComparisonOp.LT: lambda a, b: a < b,
-    ComparisonOp.GE: lambda a, b: a >= b,
-    ComparisonOp.LE: lambda a, b: a <= b,
 }
 
 #: Python infix spelling of each binary operator with one (add / sub / ...);
@@ -136,15 +128,17 @@ class DecodedInstruction:
     ========== ============= ============ ===========================
 
     ``reads`` is the static register read set: the source registers of
-    the instruction, ``$0`` excluded (it cannot hold ``err``).  It is
-    ``None`` for ``check`` (a detector reads whatever its expression names)
-    and for unhandled specials, which ``Executor.advance`` always leaves to
-    the symbolic handlers.
+    the instruction, ``$0`` excluded (it cannot hold ``err``).  When none
+    of them holds ``err``, the symbolic ``Executor`` runs the instruction
+    through its concrete op; only the rest reach the symbolic handlers.
+    It is ``None`` for ``check`` (a detector reads whatever its expression
+    names) and for unhandled specials, which always take the symbolic
+    handlers.
     """
 
     __slots__ = ("pc", "next_pc", "instruction", "opcode", "category", "text",
-                 "source", "a", "b", "c", "third_is_reg", "operator", "op_fn",
-                 "divmod", "compare_op", "compare_fn", "target", "special",
+                 "source", "a", "b", "c", "third_is_reg", "operator",
+                 "divmod", "compare_op", "target", "special",
                  "is_mov", "is_print", "reads")
 
     def __init__(self, pc: int, instruction: Instruction,
@@ -161,10 +155,8 @@ class DecodedInstruction:
         self.c: object = None
         self.third_is_reg = False
         self.operator: Optional[str] = None
-        self.op_fn: Optional[Callable[[int, int], int]] = None
         self.divmod = False
         self.compare_op: Optional[ComparisonOp] = None
-        self.compare_fn: Optional[Callable[[int, int], bool]] = None
         self.target: Optional[int] = None
         self.special: Optional[str] = None
         self.is_mov = False
@@ -177,14 +169,12 @@ class DecodedInstruction:
             self.third_is_reg = \
                 instruction.spec.signature[2] is OperandKind.REGISTER
             self.operator = IMMEDIATE_ALIASES.get(self.opcode, self.opcode)
-            self.op_fn = _CONCRETE_OPS[self.operator]
             self.divmod = self.operator in ("div", "mod")
         elif category is Category.COMPARE:
             self.a, self.b, self.c = operands
             self.third_is_reg = \
                 instruction.spec.signature[2] is OperandKind.REGISTER
             self.compare_op = COMPARE_OPS[compare_base_opcode(self.opcode)]
-            self.compare_fn = _COMPARE_FNS[self.compare_op]
         elif category is Category.MOVE:
             self.a, self.b = operands
             self.is_mov = self.opcode == "mov"
@@ -195,7 +185,6 @@ class DecodedInstruction:
             self.target = program.resolve(label)
             self.compare_op = ComparisonOp.EQ if self.opcode == "beq" \
                 else ComparisonOp.NE
-            self.compare_fn = _COMPARE_FNS[self.compare_op]
         elif category in (Category.JUMP, Category.CALL):
             self.target = program.resolve(operands[0])
         elif category in (Category.JUMP_REGISTER, Category.IO_READ,

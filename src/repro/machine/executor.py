@@ -3,16 +3,21 @@
 Two interpreters live here:
 
 * :class:`Executor` — the full symbolic semantics.  ``step`` maps one machine
-  state to the *list* of its successor states: deterministic instructions
-  yield exactly one successor, while instructions whose outcome depends on an
-  ``err`` value (comparisons, branches, loads/stores through a corrupted
-  pointer, jumps through a corrupted target, division by a corrupted value)
-  yield one successor per feasible resolution, with the constraint map
-  updated so that later comparisons over the same location stay consistent.
-  This is the Python rendition of the paper's Maude equations (deterministic
-  machine model) plus rewrite rules (non-deterministic error model).
-  ``advance`` is ``step`` for a caller that owns the state: an instruction
-  that reads no ``err`` runs through its concrete op, in place.
+  state to the *list* of its successor states.  This is the Python rendition
+  of the paper's Maude equations (deterministic machine model) plus rewrite
+  rules (non-deterministic error model), and each half has one
+  implementation:
+
+  - the equations are the decoded concrete ops.  An instruction that reads
+    no ``err`` runs its op and yields exactly one successor: ``step`` runs
+    it on a copy, ``advance`` (``step`` for a caller that owns the state)
+    in place;
+  - the rewrite rules are the ``_dx_*`` handlers.  An instruction whose
+    outcome depends on an ``err`` value (comparisons, branches, loads/stores
+    through a corrupted pointer, jumps through a corrupted target, division
+    by a corrupted value) yields one successor per feasible resolution,
+    with the constraint map updated so that later comparisons over the same
+    location stay consistent.
 
 * :func:`concrete_step` / :func:`run_concrete` — a lean, mutating
   interpreter for fully concrete states.  It implements the same machine
@@ -25,9 +30,9 @@ Two interpreters live here:
   :class:`GoldenCheckpoints` state instead of from step 0.
 
 Both interpreters run off the pre-decoded tables built by
-:mod:`repro.machine.decode`: operands, comparison operators, binary-operator
-implementations and branch targets are resolved once per program, so the hot
-loop does no string work.  The original string-dispatch implementations are
+:mod:`repro.machine.decode`: operands, comparison operators, binary
+operators and branch targets are resolved once per program, so the hot loop
+does no string work.  The original string-dispatch implementations are
 kept verbatim — ``ExecutionConfig(legacy_dispatch=True)`` for the symbolic
 executor, :func:`concrete_step_legacy` / :func:`run_concrete_legacy` for the
 concrete one — as the semantic reference for the decode-equivalence tests
@@ -51,6 +56,7 @@ from ..isa.instructions import (Category, Instruction,
                                 compare_base_opcode)
 from ..isa.program import Program
 from ..isa.values import ERR, Value, is_err
+from .decode import COMPARE_OPS as _COMPARE_OPS
 from .decode import (DecodedInstruction, DecodedProgram, cap_evenly,
                      decoded_program)
 from .exceptions import (DIVIDE_BY_ZERO, ILLEGAL_ADDRESS, ILLEGAL_INSTRUCTION,
@@ -65,14 +71,6 @@ __all__ = [
     "concrete_step", "concrete_step_legacy", "run_concrete",
     "run_concrete_legacy", "run_concrete_until", "run_to_breakpoint",
 ]
-
-
-#: Comparison operator implemented by each comparison-setter opcode.
-_COMPARE_OPS: Dict[str, ComparisonOp] = {
-    "seteq": ComparisonOp.EQ, "setne": ComparisonOp.NE,
-    "setgt": ComparisonOp.GT, "setlt": ComparisonOp.LT,
-    "setge": ComparisonOp.GE, "setle": ComparisonOp.LE,
-}
 
 
 @dataclass
@@ -211,25 +209,25 @@ class Executor:
             self._dispatch = self._build_dispatch()
 
     def _build_dispatch(self) -> List:
-        """Per-pc handler table: ``handlers[pc](self, state, decoded[pc])``."""
-        specials = {
-            "halt": Executor._dx_halt,
-            "nop": Executor._dx_nop,
-            "throw": Executor._dx_throw,
-        }
-        table = []
-        for entry in self._decoded.entries:
-            if entry.category is Category.SPECIAL:
-                handler = specials.get(entry.special, Executor._dx_unhandled)
-            else:
-                handler = self._DX_HANDLERS[entry.category]
-            table.append(handler)
-        return table
+        """Per-pc handler table: ``handlers[pc](self, state, decoded[pc])``.
+
+        Jumps, calls, reads and the halt/nop/throw specials read no
+        register, so they always run concretely; they share
+        ``_dx_unhandled`` with the unhandled specials.
+        """
+        handlers = self._DX_HANDLERS
+        return [handlers.get(entry.category, Executor._dx_unhandled)
+                for entry in self._decoded.entries]
 
     # ------------------------------------------------------------------- step
 
     def step(self, state: MachineState) -> List[MachineState]:
-        """Execute one instruction, returning every feasible successor state."""
+        """Execute one instruction, returning every feasible successor state.
+
+        *state* is left as it was.  An instruction that reads no ``err``
+        runs its decoded concrete op on a copy; the rest take the symbolic
+        handlers, which hold only the ``err`` rules.
+        """
         if not state.is_running:
             raise MachineModelError("cannot step a terminated state")
         self.steps_executed += 1
@@ -248,7 +246,26 @@ class Executor:
         if dispatch is not None:
             if type(pc) is int and 0 <= pc < len(dispatch):
                 decoded = self._decoded.entries[pc]
-                successors = dispatch[pc](self, state, decoded)
+                successors = None
+                reads = decoded.reads
+                if reads is not None:
+                    read = state.read_register
+                    for number in reads:
+                        if read(number) is ERR:
+                            break
+                    else:
+                        # No err operand: the concrete op, on a copy.  A
+                        # load that meets an err cell raises, and the
+                        # handler below takes it instead.
+                        successor = state.copy()
+                        try:
+                            self._decoded.concrete_ops[pc](successor,
+                                                           self.detectors)
+                            successors = [successor]
+                        except SymbolicValueEncountered:
+                            pass
+                if successors is None:
+                    successors = dispatch[pc](self, state, decoded)
                 text = decoded.text
             else:
                 crashed = state.copy()
@@ -281,13 +298,12 @@ class Executor:
         """:meth:`step` for a caller that owns *state*: it may be consumed.
 
         When the instruction at the program counter reads no ``err``
-        register and is not a detector ``check``, its outcome is a single
-        deterministic successor, so the decoded concrete op runs on *state*
-        in place and *state* comes back as that successor — the same
-        successor ``step`` would build on a copy, without the copy.  A load
-        whose cell turns out to hold ``err`` raises before any write (only
-        the step count moved), so it is undone and ``step`` takes over, as
-        it does for everything else.
+        register and is not a detector ``check``, the decoded concrete op
+        runs on *state* in place and *state* comes back as the single
+        successor — the one ``step`` would build on a copy, without the
+        copy.  A load whose cell turns out to hold ``err`` raises before any
+        write (only the step count moved), so it is undone and ``step``
+        takes over, as it does for everything else.
         """
         dispatch = self._dispatch
         pc = state.pc
@@ -362,11 +378,13 @@ class Executor:
 
     # ----------------------------------------------------- decoded handlers
     #
-    # One handler per decoded category, taking the DecodedInstruction instead
-    # of the raw Instruction: no opcode strings, signature inspection or
-    # label resolution on the hot path.  Fully concrete operands additionally
-    # skip the symbolic resolution machinery (the outcome is provably a
-    # single un-forked successor in that case, so behaviour is identical).
+    # The err rules, one handler per decoded category, taking the
+    # DecodedInstruction instead of the raw Instruction.  ``step`` calls a
+    # handler only when the concrete op cannot run: a read-set register
+    # holds ``err``, a load's cell does, or the entry is a ``check`` or an
+    # unhandled special.  So every handler below sees at least one ``err``
+    # operand (``check`` excepted), and categories that read no register
+    # have none.
 
     def _dx_arithmetic(self, state: MachineState,
                        d: DecodedInstruction) -> List[MachineState]:
@@ -375,14 +393,6 @@ class Executor:
             right = state.read_register(d.c)
         else:
             right = d.c
-        if left is not ERR and right is not ERR:
-            if d.divmod and right == 0:
-                return [self._crash(state, DIVIDE_BY_ZERO)]
-            successor = state.copy()
-            successor.write_register(d.a, d.op_fn(left, right))
-            successor.pc = d.next_pc
-            return [successor]
-
         try:
             result = symbolic_binary(d.operator, left, right)
         except ZeroDivisionError:
@@ -427,12 +437,6 @@ class Executor:
             right = state.read_register(d.c)
         else:
             right = d.c
-        if left is not ERR and right is not ERR:
-            successor = state.copy()
-            successor.write_register(d.a, 1 if d.compare_fn(left, right) else 0)
-            successor.pc = d.next_pc
-            return [successor]
-
         left_location = Location.register(d.b) if left is ERR else None
         right_location = Location.register(d.c) \
             if d.third_is_reg and right is ERR else None
@@ -451,14 +455,10 @@ class Executor:
 
     def _dx_move(self, state: MachineState,
                  d: DecodedInstruction) -> List[MachineState]:
+        """``mov`` from an ``err`` register: the copy takes its constraints."""
         successor = state.copy()
-        if d.is_mov:
-            value = state.read_register(d.b)
-            successor.write_register(
-                d.a, value,
-                transfer_from=Location.register(d.b) if value is ERR else None)
-        else:  # li
-            successor.write_register(d.a, d.b)
+        successor.write_register(d.a, state.read_register(d.b),
+                                 transfer_from=Location.register(d.b))
         successor.pc = d.next_pc
         return [successor]
 
@@ -467,14 +467,11 @@ class Executor:
         base = state.read_register(d.b)
         if base is ERR:
             return self._memory_error_loads(state, d.a)
+        # A concrete base: the concrete op stopped at an err cell.
         address = base + d.c
-        if not state.is_defined_address(address):
-            return [self._crash(state, ILLEGAL_ADDRESS)]
-        value = state.read_memory(address)
         successor = state.copy()
-        successor.write_register(
-            d.a, value,
-            transfer_from=Location.memory(address) if value is ERR else None)
+        successor.write_register(d.a, state.read_memory(address),
+                                 transfer_from=Location.memory(address))
         successor.pc = d.next_pc
         return [successor]
 
@@ -492,13 +489,9 @@ class Executor:
 
     def _dx_branch(self, state: MachineState,
                    d: DecodedInstruction) -> List[MachineState]:
-        value = state.read_register(d.a)
-        if value is not ERR:
-            branch = state.copy()
-            branch.pc = d.target if d.compare_fn(value, d.c) else d.next_pc
-            return [branch]
         outcomes = resolve_comparison(state.constraints, d.compare_op,
-                                      value, d.c, Location.register(d.a), None)
+                                      state.read_register(d.a), d.c,
+                                      Location.register(d.a), None)
         successors: List[MachineState] = []
         for outcome in outcomes:
             branch = state.copy()
@@ -509,47 +502,16 @@ class Executor:
             successors.append(branch)
         return successors
 
-    def _dx_jump(self, state: MachineState,
-                 d: DecodedInstruction) -> List[MachineState]:
-        successor = state.copy()
-        successor.pc = d.target
-        return [successor]
-
-    def _dx_call(self, state: MachineState,
-                 d: DecodedInstruction) -> List[MachineState]:
-        successor = state.copy()
-        successor.write_register(RETURN_ADDRESS_REGISTER, d.next_pc)
-        successor.pc = d.target
-        return [successor]
-
     def _dx_jump_register(self, state: MachineState,
                           d: DecodedInstruction) -> List[MachineState]:
-        target = state.read_register(d.a)
-        if target is ERR:
-            return self._control_error_successors(
-                state, note=f"jr ${d.a} with corrupted target")
-        if not self.program.is_valid_address(target):
-            return [self._crash(state, ILLEGAL_INSTRUCTION)]
-        successor = state.copy()
-        successor.pc = target
-        return [successor]
-
-    def _dx_io_read(self, state: MachineState,
-                    d: DecodedInstruction) -> List[MachineState]:
-        if not state.has_input():
-            return [self._crash(state, INPUT_EXHAUSTED)]
-        successor = state.copy()
-        successor.write_register(d.a, successor.next_input())
-        successor.pc = d.next_pc
-        return [successor]
+        return self._control_error_successors(
+            state, note=f"jr ${d.a} with corrupted target")
 
     def _dx_io_write(self, state: MachineState,
                      d: DecodedInstruction) -> List[MachineState]:
+        """``print`` of an ``err`` register."""
         successor = state.copy()
-        if d.is_print:
-            successor.append_output(state.read_register(d.a))
-        else:  # prints
-            successor.append_output(d.a)
+        successor.append_output(state.read_register(d.a))
         successor.pc = d.next_pc
         return [successor]
 
@@ -573,22 +535,6 @@ class Executor:
             successors.append(branch)
         return successors
 
-    def _dx_halt(self, state: MachineState,
-                 d: DecodedInstruction) -> List[MachineState]:
-        successor = state.copy()
-        successor.halt()
-        return [successor]
-
-    def _dx_nop(self, state: MachineState,
-                d: DecodedInstruction) -> List[MachineState]:
-        successor = state.copy()
-        successor.pc = d.next_pc
-        return [successor]
-
-    def _dx_throw(self, state: MachineState,
-                  d: DecodedInstruction) -> List[MachineState]:
-        return [self._crash(state, d.b)]
-
     def _dx_unhandled(self, state: MachineState,
                       d: DecodedInstruction) -> List[MachineState]:
         raise MachineModelError(d.b)
@@ -600,10 +546,7 @@ class Executor:
         Category.LOAD: _dx_load,
         Category.STORE: _dx_store,
         Category.BRANCH: _dx_branch,
-        Category.JUMP: _dx_jump,
-        Category.CALL: _dx_call,
         Category.JUMP_REGISTER: _dx_jump_register,
-        Category.IO_READ: _dx_io_read,
         Category.IO_WRITE: _dx_io_write,
         Category.CHECK: _dx_check,
     }

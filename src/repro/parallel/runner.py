@@ -35,10 +35,10 @@ from ..core.campaign import (CampaignResult, ExecutionStrategy,
                              SerialExecutionStrategy, SymbolicCampaign,
                              TaskCaps, TaskOutcome)
 from ..core.queries import SearchQuery
-from ..core.search import CacheStatistics
+from ..core.search import CacheStatistics, SearchResultCache
 from ..core.tasks import default_chunk_size
 from ..errors.injector import Injection
-from .spec import CacheSpec, CampaignSpec, QuerySpec
+from .spec import CampaignSpec, QuerySpec
 from .worker import initialize_worker, run_work_unit
 
 
@@ -54,15 +54,11 @@ class ParallelConfig:
             enough to amortise dispatch overhead).
         start_method: multiprocessing start method (``"fork"``, ``"spawn"``,
             ``"forkserver"``); ``None`` uses the platform default.
-        cache: recipe for each worker's search-result cache; ``None`` keeps
-            the classic per-process cache, ``CacheSpec.shared(path)`` makes
-            every worker reuse one on-disk cache.
     """
 
     workers: int = 2
     chunk_size: Optional[int] = None
     start_method: Optional[str] = None
-    cache: Optional[CacheSpec] = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -138,7 +134,7 @@ class ParallelExecutionStrategy(ExecutionStrategy):
         _check_query_consistency(query, self.query_spec)
         self.cache_statistics = None  # no stale counters if this run fails
         if self.config.workers <= 1 or len(tasks) <= 1:
-            cache = (self.config.cache or CacheSpec()).build()
+            cache = SearchResultCache()
             yield from SerialExecutionStrategy(result_cache=cache).run_tasks(
                 campaign, tasks, query, caps)
             self.cache_statistics = cache.statistics
@@ -151,7 +147,7 @@ class ParallelExecutionStrategy(ExecutionStrategy):
                 processes=min(self.config.workers, len(tasks)),
                 initializer=initialize_worker,
                 initargs=(CampaignSpec.from_campaign(campaign),
-                          self.query_spec, self.config.cache)) as pool:
+                          self.query_spec)) as pool:
             for index, outcome, snapshot in pool.imap_unordered(
                     run_work_unit, units):
                 worker_name, stats, telemetry = snapshot

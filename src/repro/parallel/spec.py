@@ -35,33 +35,17 @@ from ..obs import TraceContext
 
 @dataclass(frozen=True)
 class CacheSpec:
-    """A picklable recipe for a worker's search-result cache.
+    """A picklable recipe for a per-process
+    :class:`~repro.core.search.SearchResultCache` of a given size.
 
-    ``kind="local"`` builds the classic per-process
-    :class:`~repro.core.search.SearchResultCache`; ``kind="shared"`` opens
-    the cross-process :class:`~repro.core.shared_cache.
-    SharedSearchResultCache` at *path*, so every worker of a pool or
-    distributed run reuses each other's completed searches.
+    Pool and broker workers build the default cache directly; the recipe
+    serves in-process callers that build their own (``repro bench`` and
+    the campaign benchmark).
     """
 
-    kind: str = "local"
-    path: Optional[str] = None
     max_entries: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("local", "shared"):
-            raise ValueError(f"unknown cache kind {self.kind!r}")
-        if self.kind == "shared" and not self.path:
-            raise ValueError("a shared cache needs a database path")
-
-    @classmethod
-    def shared(cls, path: str) -> "CacheSpec":
-        return cls(kind="shared", path=path)
-
-    def build(self):
-        if self.kind == "shared":
-            from ..core.shared_cache import SharedSearchResultCache
-            return SharedSearchResultCache(self.path)
+    def build(self) -> SearchResultCache:
         return SearchResultCache(max_entries=self.max_entries)
 
 

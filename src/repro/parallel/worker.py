@@ -27,7 +27,7 @@ from ..core.queries import SearchQuery
 from ..core.search import CacheStatistics, SearchResultCache
 from ..errors.injector import Injection
 from ..obs import TelemetrySnapshot
-from .spec import CacheSpec, CampaignSpec, QuerySpec
+from .spec import CampaignSpec, QuerySpec
 
 #: A worker's counters at the end of one work unit: (process name,
 #: cumulative cache statistics, telemetry snapshot or None).  Cache counters
@@ -40,21 +40,16 @@ CacheSnapshot = Tuple[str, CacheStatistics, Optional[TelemetrySnapshot]]
 _WORKER: Dict[str, object] = {}
 
 
-def initialize_worker(campaign_spec: CampaignSpec, query_spec: QuerySpec,
-                      cache_spec: Optional[CacheSpec] = None) -> None:
-    """Pool initializer: rebuild the campaign, query and cache once.
-
-    *cache_spec* selects the worker's search-result cache: the default
-    per-process LRU, or a shared on-disk cache every worker opens (each
-    process gets its own connection — sqlite handles do not survive fork).
-    """
+def initialize_worker(campaign_spec: CampaignSpec,
+                      query_spec: QuerySpec) -> None:
+    """Pool initializer: rebuild the campaign, query and cache once."""
     # Always replace the inherited hub: under fork a child would otherwise
     # share the coordinator's open sink file.  Worker events buffer locally
     # and ship with each work unit's snapshot instead.
     _obs.activate_worker(campaign_spec.telemetry)
     _WORKER["campaign"] = campaign_spec.build()
     _WORKER["query"] = query_spec.build()
-    _WORKER["cache"] = (cache_spec or CacheSpec()).build()
+    _WORKER["cache"] = SearchResultCache()
 
 
 def _context() -> Tuple[SymbolicCampaign, SearchQuery, SearchResultCache]:

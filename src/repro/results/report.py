@@ -158,7 +158,7 @@ def format_parity_report(store: ResultStore) -> str:
     :meth:`~repro.results.store.ResultStore.outcome_kinds_by_point`,
     never a result blob.
     """
-    from ..concrete.parity import covers
+    from ..concrete.parity import ParityTally, uncovered_kinds, verdict
 
     lines: List[str] = []
     for program, records in sorted(
@@ -185,38 +185,24 @@ def format_parity_report(store: ResultStore) -> str:
         lines.append(f"parity study for {program} "
                      f"({len(symbolic)} symbolic campaign(s) vs "
                      f"{len(bitflip)} bitflip campaign(s)):")
-        covered_points = 0
-        uncovered_kinds: set = set()
+        tally = ParityTally()
         for point in sorted(concrete_points):
             concrete_kinds = concrete_points[point]
+            # A point no symbolic campaign ran counts as a complete search
+            # that found nothing.
             sym_kinds, sym_complete = symbolic_points.get(
                 point, (frozenset(), True))
-            if point not in symbolic_points:
-                uncovered = sorted(concrete_kinds)
-            else:
-                uncovered = sorted(
-                    kind for kind in concrete_kinds
-                    if not covers(kind, sym_kinds, sym_complete))
+            uncovered = uncovered_kinds(concrete_kinds, sym_kinds,
+                                        sym_complete)
+            tally.add(uncovered, sym_complete)
             point_label = f"pc={point[0]} {point[1]}"
             sym_label = ",".join(sorted(sym_kinds)) or "-"
             if not sym_complete:
                 sym_label += " (incomplete)"
-            verdict = ("covered" if not uncovered
-                       else "UNCOVERED: " + ",".join(uncovered))
             lines.append(f"  {point_label:<24} symbolic={sym_label:<32} "
                          f"bitflip={','.join(sorted(concrete_kinds)):<24} "
-                         f"{verdict}")
-            if uncovered:
-                uncovered_kinds.update(uncovered)
-            else:
-                covered_points += 1
-        summary = (f"  parity: symbolic covers {covered_points}/"
-                   f"{len(concrete_points)} injection points")
-        if concrete_points and covered_points == len(concrete_points):
-            summary += " — all concrete outcome classes covered"
-        elif concrete_points:
-            summary += f" — UNCOVERED: {', '.join(sorted(uncovered_kinds))}"
-        lines.append(summary)
+                         f"{verdict(uncovered, sym_complete)}")
+        lines.append(f"  {tally.summary()}")
     if not lines:
         return ("(no parity pairs in the results store — a parity report "
                 "needs a bitflip campaign and a symbolic campaign over the "

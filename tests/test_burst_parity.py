@@ -18,11 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.concrete import ConcreteSimulator, run_parity_study
-from repro.concrete.parity import SYMBOLIC_COVERS, covers
+from repro.concrete.parity import (SYMBOLIC_COVERS, UNDECIDED, ParityReport,
+                                   ParityRow, ParityTally, covers, verdict)
 from repro.constraints import Location
 from repro.core import (OutcomeKind, SerialExecutionStrategy,
                         SymbolicCampaign, any_outcome)
 from repro.core.campaign import InjectionResult
+from repro.core.search import SearchResult, SearchStatistics
 from repro.distributed import CampaignManifest, FilesystemBroker
 from repro.distributed.checkpoint import (CheckpointJournal, campaign_header,
                                           injection_key)
@@ -282,6 +284,116 @@ class TestParityCoverage:
             memory=factorial.data_segment,
             detectors=factorial.detectors, max_steps=2000)
         assert len(report.rows) == len(bursts[0].components)
+
+
+# ---------------------------------------------------------- parity verdicts
+
+def _row(pc, uncovered, complete):
+    return ParityRow(breakpoint_pc=pc, occurrence=1, target="$(3)",
+                     symbolic_kinds=frozenset(), symbolic_complete=complete,
+                     concrete_kinds=frozenset(uncovered), flips=32,
+                     uncovered=tuple(uncovered))
+
+
+class TestParityVerdicts:
+    def test_a_point_with_nothing_missing_is_covered(self):
+        assert verdict((), True) == "covered"
+        assert verdict((), False) == "covered"
+
+    def test_an_incomplete_search_that_misses_a_class_is_undecided(self):
+        assert UNDECIDED == "undecided (search budget)"
+        assert verdict(("correct", "crash"), False) == \
+            "undecided (search budget): correct,crash"
+
+    def test_a_complete_search_that_misses_a_class_is_uncovered(self):
+        assert verdict(("crash",), True) == "UNCOVERED: crash"
+
+    def test_the_summary_counts_every_verdict(self):
+        tally = ParityTally()
+        tally.add((), True)
+        tally.add(("crash",), False)
+        tally.add(("incorrect",), True)
+        assert (tally.covered, tally.undecided, tally.uncovered) == (1, 1, 1)
+        assert tally.summary(skipped=2) == (
+            "parity: symbolic covers 1/3 injection points (2 never "
+            "activated) — 1 undecided (search budget), 1 UNCOVERED: "
+            "incorrect")
+
+    def test_all_covered_needs_every_point_covered(self):
+        tally = ParityTally()
+        tally.add((), True)
+        tally.add((), False)
+        assert tally.summary().endswith(
+            " — all concrete outcome classes covered")
+        tally.add(("crash",), False)
+        summary = tally.summary()
+        assert "all concrete outcome classes covered" not in summary
+        assert summary.endswith(
+            " — 1 undecided (search budget), 0 UNCOVERED")
+
+    def test_the_study_table_prints_each_verdict(self):
+        report = ParityReport(rows=[_row(1, (), True),
+                                    _row(2, ("crash",), False),
+                                    _row(3, ("crash",), True)])
+        lines = report.format_table().splitlines()
+        assert lines[2].endswith(" covered")
+        assert lines[3].endswith(" undecided (search budget): crash")
+        assert lines[4].endswith(" UNCOVERED: crash")
+        assert lines[5] == report.summary() == (
+            "parity: symbolic covers 1/3 injection points — 1 undecided "
+            "(search budget), 1 UNCOVERED: crash")
+        assert not report.all_covered
+
+    def test_a_budget_starved_study_is_never_uncovered(self, factorial):
+        """Every register point of factorial under a 5-state budget: the
+        searches stop early, so no miss may be reported as a refutation."""
+        specs = fault_model("register").enumerate(
+            factorial.program, memory=factorial.data_segment)
+        report = run_parity_study(
+            factorial.program, specs, factorial.golden_output(),
+            input_values=factorial.default_input,
+            memory=factorial.data_segment,
+            detectors=factorial.detectors, max_states=5, max_steps=2000)
+        incomplete = [row for row in report.rows
+                      if not row.symbolic_complete]
+        assert any(row.uncovered for row in incomplete)
+        for row in incomplete:
+            assert not verdict(row.uncovered, False).startswith("UNCOVERED")
+        assert "UNCOVERED:" not in report.format_table()
+
+    def test_the_warehouse_report_shares_the_verdicts(self):
+        """A complete symbolic point that misses a class is UNCOVERED, an
+        incomplete one undecided, and a point no symbolic campaign ran
+        counts as complete with no outcomes."""
+        store = MemoryResultStore(batch_size=1)
+
+        def record(model, points):
+            campaign_id = store.begin_campaign(
+                {"program": "p", "fault_model": model})
+            for seq, (pc, kinds, complete) in enumerate(points):
+                spec = FaultSpec(breakpoint_pc=pc,
+                                 target=Location.register(2), model=model)
+                search = SearchResult([], SearchStatistics(), complete,
+                                      "exhausted" if complete else "budget")
+                store.append(campaign_id, seq,
+                             InjectionResult(injection=spec, activated=True,
+                                             search=search),
+                             [SolutionOutcome(kind=k) for k in kinds])
+            store.flush()
+
+        record("register", [(1, ("crash",), True), (2, ("crash",), True),
+                            (3, (), False)])
+        record("bitflip", [(1, ("crash",), True), (2, ("hang",), True),
+                           (3, ("incorrect",), True),
+                           (4, ("correct",), True)])
+        lines = format_parity_report(store).splitlines()
+        assert lines[1].endswith(" covered")
+        assert lines[2].endswith(" UNCOVERED: hang")
+        assert lines[3].endswith(" undecided (search budget): incorrect")
+        assert lines[4].endswith(" UNCOVERED: correct")
+        assert lines[5] == (
+            "  parity: symbolic covers 1/4 injection points — 1 undecided "
+            "(search budget), 2 UNCOVERED: correct, hang")
 
 
 # ------------------------------------------------------- warehouse parity

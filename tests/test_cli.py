@@ -248,14 +248,6 @@ class TestAnalyzeBackends:
         resumed = analyze_output(capsys, "--checkpoint", journal, "--resume")
         assert normalized(serial) == normalized(resumed)
 
-    def test_shared_cache_keeps_output_identical(self, tmp_path, capsys):
-        serial = analyze_output(capsys)
-        cached = analyze_output(capsys, "--shared-cache",
-                                str(tmp_path / "cache.db"))
-        again = analyze_output(capsys, "--shared-cache",
-                               str(tmp_path / "cache.db"))
-        assert normalized(serial) == normalized(cached) == normalized(again)
-
 
 def fault_model_output(capsys, model, *arguments, workload="memory_walk"):
     code = main(["analyze", "--workload", workload, "--query", "err-output",

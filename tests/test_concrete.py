@@ -7,6 +7,7 @@ from repro.concrete import (ConcreteCampaign, ConcreteSimulator, INT32_MAX, INT3
                             tcas_outcome_labels)
 from repro.constraints import Location
 from repro.errors import Injection
+from repro.faults import FaultSpec
 from repro.machine import Status
 from repro.programs import factorial_workload, sum_input_workload, tcas_workload
 
@@ -32,8 +33,9 @@ class TestConcreteSimulator:
         # corrupt the loop counter ($3) right before the first multiplication
         mult_pc = next(i for i, ins in enumerate(workload.program.code)
                        if ins.opcode == "mult")
-        injection = Injection(breakpoint_pc=mult_pc, target=Location.register(3))
-        run = simulator.run_with_injection(injection, 2, workload.default_input)
+        spec = FaultSpec(breakpoint_pc=mult_pc, target=Location.register(3),
+                         value=2)
+        run = simulator.run_with_spec(spec, workload.default_input)
         assert run.activated
         assert run.state.status is Status.HALTED
         assert run.output == ("Factorial = ", 2)
@@ -44,16 +46,17 @@ class TestConcreteSimulator:
         subi_pc = next(i for i, ins in enumerate(workload.program.code)
                        if ins.opcode == "subi")
         # making the counter huge turns the loop into (effectively) a hang
-        injection = Injection(breakpoint_pc=subi_pc, target=Location.register(3))
-        run = simulator.run_with_injection(injection, INT32_MAX, workload.default_input)
+        spec = FaultSpec(breakpoint_pc=subi_pc, target=Location.register(3),
+                         value=INT32_MAX)
+        run = simulator.run_with_spec(spec, workload.default_input)
         assert run.state.status is Status.TIMEOUT
 
     def test_unactivated_injection_reported(self):
         workload = factorial_workload()
         simulator = ConcreteSimulator(workload.program)
-        injection = Injection(breakpoint_pc=5, target=Location.register(1),
-                              occurrence=100)
-        run = simulator.run_with_injection(injection, 1, workload.default_input)
+        spec = FaultSpec(breakpoint_pc=5, target=Location.register(1),
+                         occurrence=100, value=1)
+        run = simulator.run_with_spec(spec, workload.default_input)
         assert not run.activated
 
 
@@ -126,6 +129,24 @@ class TestOutcomeDistribution:
 
 
 class TestConcreteCampaign:
+    def test_each_experiment_injects_its_policy_value(self):
+        """The campaign corrupts with the policy's values, not with the
+        spec's own ``err``: the loop counter set to 2 or 3 before the first
+        multiplication prints 2 or 6."""
+        workload = factorial_workload()
+        mult_pc = next(i for i, ins in enumerate(workload.program.code)
+                       if ins.opcode == "mult")
+        campaign = ConcreteCampaign(
+            workload.program, input_values=workload.default_input,
+            value_policy=ValuePolicy(extreme_values=(2, 3), random_values=0),
+            labeler=printed_value_labeler(expected_values=(2, 6)),
+            outcome_labels=("2", "6", "other", "crash", "hang", "detected"))
+        spec = FaultSpec(breakpoint_pc=mult_pc, target=Location.register(3))
+        result = campaign.run(injections=[spec])
+        assert [(e.value, e.label) for e in result.experiments] == [
+            (2, "2"), (3, "6")]
+        assert all(e.injection is spec for e in result.experiments)
+
     def test_small_campaign_distribution(self):
         workload = sum_input_workload(count=2, values=(3, 4))
         golden = workload.golden_output()

@@ -1,13 +1,17 @@
 """Property tests: the pre-decoded dispatch path is observably identical
 to the legacy string-dispatch path.
 
-Random (valid, halt-terminated) programs and random machine states —
-including states carrying ``err`` values — are run through both
-interpreters:
+Random (valid, halt-terminated) programs with ``check`` sites against a
+one-detector set, and random machine states — including ``err`` values in
+registers and in initial memory cells — are run through both interpreters:
 
 * symbolic: ``Executor`` with ``legacy_dispatch=True`` versus the default
-  pre-decoded dispatch tables, compared successor-by-successor (state
-  fingerprints, step counters and recorded trace text) to a bounded depth;
+  pre-decoded dispatch tables, both through ``step`` and through
+  ``advance`` on a copy of each state, compared successor-by-successor
+  (state fingerprints, step and fork counters, constraint maps and recorded
+  trace text) to a bounded depth.  The decoded legs run every instruction
+  that reads no ``err`` through its concrete op, so this is also the oracle
+  that the concrete ops and the legacy symbolic handlers agree;
 * concrete: ``run_concrete_legacy`` versus the superblock-fused
   ``run_concrete``, compared on the final state (or on the raised
   ``SymbolicValueEncountered``, which must carry the identical message and
@@ -23,9 +27,10 @@ from __future__ import annotations
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.detectors import DetectorSet
 from repro.isa.instructions import (Category, INSTRUCTION_SET, _spec, make)
 from repro.isa.program import Program
 from repro.isa.values import ERR
@@ -47,6 +52,10 @@ _ARITH = ("add", "sub", "mult", "div", "mod", "addi", "subi", "multi",
 _COMPARE = ("seteq", "setne", "setgt", "setlt", "setge", "setle",
             "seteqi", "setnei", "setgti", "setlti", "setgei", "setlei")
 
+#: The detector every generated ``check 1`` runs: it reads two registers
+#: and a memory cell, so an ``err`` in any of them makes its outcome fork.
+_DETECTORS = DetectorSet.parse("det(1, $(2), >=, ($(3)) + *(4))")
+
 
 def _label_for(target: int) -> str:
     return f"L{target}"
@@ -57,7 +66,7 @@ def _instruction(draw, n_labels: int):
     """One random valid instruction (labels resolved against L0..L{n-1})."""
     kind = draw(st.sampled_from(
         ("arith", "compare", "mov", "li", "ldi", "sti", "branch", "jmp",
-         "jal", "jr", "read", "print", "prints", "nop")))
+         "jal", "jr", "read", "print", "prints", "nop", "check", "throw")))
     label = _label_for(draw(st.integers(0, n_labels - 1)))
     if kind == "arith":
         opcode = draw(st.sampled_from(_ARITH))
@@ -88,6 +97,10 @@ def _instruction(draw, n_labels: int):
         return make("print", draw(_REGS))
     if kind == "prints":
         return make("prints", "x")
+    if kind == "check":
+        return make("check", 1)
+    if kind == "throw":
+        return make("throw", "boom")
     return make("nop")
 
 
@@ -106,7 +119,7 @@ def _program(draw):
 def _machine_inputs(draw):
     """Input tape, initial memory and (possibly erroneous) register writes."""
     input_values = draw(st.lists(st.integers(-3, 9), max_size=4))
-    memory = {address: draw(st.integers(-3, 9))
+    memory = {address: draw(st.one_of(st.just(ERR), st.integers(-3, 9)))
               for address in draw(st.lists(_ADDRS, max_size=4,
                                            unique=True))}
     corruptions = draw(st.lists(
@@ -126,13 +139,24 @@ def _fresh_state(inputs):
 
 def _state_summary(state):
     return (state.pc, state.steps, state.status, state.exception,
-            state.input_pos, state.output_values(), state.fingerprint())
+            state.input_pos, state.output_values(), state.fingerprint(),
+            state.forks, state.constraints)
 
 
-def _run_symbolic(program, inputs, legacy: bool, max_states: int = 60):
-    """Breadth-first successor expansion; returns comparable summaries."""
-    executor = Executor(program, config=ExecutionConfig(
-        max_steps=48, record_trace=True, legacy_dispatch=legacy))
+def _run_symbolic(program, inputs, mode: str, max_states: int = 60):
+    """Breadth-first successor expansion; returns comparable summaries.
+
+    *mode* is ``"legacy"`` (string dispatch), ``"step"`` (decoded) or
+    ``"advance"`` (decoded, each state advanced as a private copy).
+    """
+    executor = Executor(program, _DETECTORS, ExecutionConfig(
+        max_steps=48, record_trace=True, legacy_dispatch=mode == "legacy"))
+
+    def expand(state):
+        if mode == "advance":
+            return executor.advance(state.copy())
+        return executor.step(state)
+
     frontier = deque([_fresh_state(inputs)])
     explored = []
     while frontier and len(explored) < max_states:
@@ -140,7 +164,7 @@ def _run_symbolic(program, inputs, legacy: bool, max_states: int = 60):
         if not state.is_running:
             explored.append((_state_summary(state), None))
             continue
-        successors = executor.step(state)
+        successors = expand(state)
         texts = tuple(entry.text for successor in successors
                       for entry in (successor.trace or ())[-1:])
         explored.append((_state_summary(state), texts))
@@ -148,19 +172,32 @@ def _run_symbolic(program, inputs, legacy: bool, max_states: int = 60):
     return explored
 
 
+def _fixed(*instructions):
+    return Program(code=instructions + (make("halt"),), labels={},
+                   name="fixed")
+
+
 @settings(max_examples=60, deadline=None)
 @given(program=_program(), inputs=_machine_inputs())
+# A load of an err cell through a concrete base: the concrete op raises
+# after counting the step, and both decoded legs fall back to the handler.
+@example(program=_fixed(make("ldi", 1, 0, 3), make("print", 1)),
+         inputs=([], {3: ERR}, []))
+# A check whose detector reads err forks; throw then ends one branch.
+@example(program=_fixed(make("check", 1), make("throw", "boom")),
+         inputs=([], {}, [(2, ERR)]))
 def test_symbolic_successors_identical(program, inputs):
-    """Legacy and decoded dispatch produce identical successor trees."""
-    legacy = _run_symbolic(program, inputs, legacy=True)
-    decoded = _run_symbolic(program, inputs, legacy=False)
-    assert legacy == decoded
+    """Legacy dispatch, decoded ``step`` and ``advance`` produce identical
+    successor trees."""
+    legacy = _run_symbolic(program, inputs, "legacy")
+    assert _run_symbolic(program, inputs, "step") == legacy
+    assert _run_symbolic(program, inputs, "advance") == legacy
 
 
 def _run_concrete_path(program, inputs, runner):
     state = _fresh_state(inputs)
     try:
-        runner(program, state, max_steps=48)
+        runner(program, state, _DETECTORS, max_steps=48)
         raised = None
     except SymbolicValueEncountered as exc:
         raised = str(exc)
@@ -190,12 +227,12 @@ def test_concrete_single_steps_identical(program, inputs):
         if not lhs.is_running:
             break
         try:
-            concrete_step_legacy(program, lhs)
+            concrete_step_legacy(program, lhs, _DETECTORS)
             lhs_raise = None
         except SymbolicValueEncountered as exc:
             lhs_raise = str(exc)
         try:
-            concrete_step(program, rhs)
+            concrete_step(program, rhs, _DETECTORS)
             rhs_raise = None
         except SymbolicValueEncountered as exc:
             rhs_raise = str(exc)

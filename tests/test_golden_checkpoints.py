@@ -25,7 +25,6 @@ from repro.detectors import EMPTY_DETECTORS, DetectorSet
 from repro.errors import Injection, prepare_injected_state
 from repro.faults import BitFlipFaultSpec, BurstFaultSpec, FaultSpec
 from repro.isa.parser import assemble
-from repro.isa.values import ERR
 from repro.machine import (ConcreteFutures, ExecutionConfig,
                            MachineModelError, Status, concrete_step,
                            initial_state, run_concrete, run_concrete_until,
@@ -134,8 +133,7 @@ def _campaign_states(name, fault_model, sample):
                          campaign.fresh_initial_state(),
                          campaign.execution_config.max_steps)
     for injection in injections:
-        arguments = dict(value=getattr(injection, "value", ERR),
-                         detectors=campaign.detectors,
+        arguments = dict(detectors=campaign.detectors,
                          max_prefix_steps=campaign.execution_config.max_steps)
         yield (prepare_injected_state(campaign.program, injection,
                                       campaign.fresh_initial_state(),
@@ -388,8 +386,9 @@ class TestSimulator:
         simulator = ConcreteSimulator(program, max_steps=MAX_STEPS)
         for pc in range(len(program)):
             for occurrence in (1, 2, 250, N + 1):
-                injection = Injection(pc, Location.register(2), occurrence)
-                run = simulator.run_with_injection(injection, 7, INPUT)
+                spec = FaultSpec(pc, Location.register(2), occurrence,
+                                 value=7)
+                run = simulator.run_with_spec(spec, INPUT)
                 state = _replay(program, initial_state(INPUT), pc, occurrence)
                 activated = state.is_running and state.pc == pc
                 if activated:
@@ -421,8 +420,8 @@ class TestSimulator:
     def test_an_unactivated_run_keeps_the_golden_terminal(self):
         program = _program()
         simulator = ConcreteSimulator(program, max_steps=1_000)
-        run, counters = _counting(lambda: simulator.run_with_injection(
-            Injection(5, Location.register(2)), 1, INPUT))
+        run, counters = _counting(lambda: simulator.run_with_spec(
+            FaultSpec(5, Location.register(2), value=1), INPUT))
         assert not run.activated and run.state.status is Status.TIMEOUT
         assert counters["prefix.answered"] == 1
         expected = _replay(program, initial_state(INPUT), 5, max_steps=1_000)

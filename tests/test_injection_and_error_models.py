@@ -3,12 +3,12 @@
 import pytest
 
 from repro.constraints import Location
-from repro.errors import (Injection, apply_corruption, prepare_injected_state,
-                          registers_used_at)
-from repro.faults import FAULT_MODELS, MemoryCellFault, fault_model
+from repro.errors import Injection, prepare_injected_state, registers_used_at
+from repro.faults import FAULT_MODELS, FaultSpec, MemoryCellFault, fault_model
 from repro.isa.parser import assemble
 from repro.isa.values import ERR, is_err
-from repro.machine import initial_state
+from repro.machine import initial_state, state_contains_err
+from repro.machine.executor import apply_fault_set
 from repro.programs import call_max_workload, factorial_workload, load_workload
 
 
@@ -24,30 +24,36 @@ skip:   halt
 """)
 
 
+def corrupt(state, target, value=ERR):
+    """Write *value* into *target* through the one fault write path."""
+    apply_fault_set(state, (FaultSpec(breakpoint_pc=0, target=target,
+                                      value=value),))
+
+
 class TestApplyCorruption:
     def test_register_corruption(self):
         state = initial_state()
-        apply_corruption(state, Location.register(5), ERR)
+        corrupt(state, Location.register(5))
         assert is_err(state.read_register(5))
 
     def test_zero_register_cannot_be_corrupted(self):
         state = initial_state()
-        apply_corruption(state, Location.register(0), ERR)
+        corrupt(state, Location.register(0))
         assert state.read_register(0) == 0
 
     def test_memory_corruption(self):
         state = initial_state(memory={100: 3})
-        apply_corruption(state, Location.memory(100), ERR)
+        corrupt(state, Location.memory(100))
         assert is_err(state.read_memory(100))
 
     def test_pc_corruption(self):
         state = initial_state()
-        apply_corruption(state, Location.pc(), ERR)
+        corrupt(state, Location.pc())
         assert is_err(state.pc)
 
     def test_concrete_value_corruption(self):
         state = initial_state()
-        apply_corruption(state, Location.register(5), 12345)
+        corrupt(state, Location.register(5), 12345)
         assert state.read_register(5) == 12345
 
 
@@ -101,6 +107,18 @@ class TestPrepareInjectedState:
         assert state is not None
         assert state.pc == 4
         assert is_err(state.read_register(3))
+
+    def test_a_fault_spec_injects_its_own_value(self):
+        """A concrete FaultSpec value reaches the injected state: the
+        prefix applies the spec itself, not a separate value argument that
+        defaults to ``err``."""
+        workload = factorial_workload()
+        spec = FaultSpec(breakpoint_pc=4, target=Location.register(3),
+                         value=7)
+        state = prepare_injected_state(workload.program, spec,
+                                       workload.initial_state())
+        assert state.pc == 4 and state.read_register(3) == 7
+        assert not state_contains_err(state)
 
     def test_unreachable_breakpoint_returns_none(self):
         program = assemble("halt\nnop\n")

@@ -12,7 +12,8 @@ from repro.core import (CampaignResult, SearchTask, SymbolicCampaign,
 from repro.constraints import Location
 from repro.errors import Injection
 from repro.machine import ExecutionConfig
-from repro.parallel import (CampaignSpec, ParallelConfig,
+from repro.core.search import SearchResultCache
+from repro.parallel import (CacheSpec, CampaignSpec, ParallelConfig,
                             ParallelExecutionStrategy, QuerySpec,
                             run_campaign_parallel)
 from repro.parallel.worker import initialize_worker, run_work_unit
@@ -98,6 +99,12 @@ class TestSpecs:
             QuerySpec()
         with pytest.raises(ValueError):
             QuerySpec(kind="crash", factory=output_contains_err)
+
+    def test_cache_spec_builds_a_sized_local_cache(self):
+        cache = pickle.loads(pickle.dumps(CacheSpec(max_entries=5))).build()
+        assert isinstance(cache, SearchResultCache)
+        assert cache.max_entries == 5
+        assert CacheSpec().build().max_entries is None
 
     def test_campaign_spec_roundtrip(self):
         campaign = make_campaign(factorial_workload())
@@ -232,8 +239,8 @@ class TestParallelTasks:
         chunk = tuple(campaign.enumerate_injections()[:3])
         with ParallelConfig(workers=1).context().Pool(
                 processes=1, initializer=initialize_worker,
-                initargs=(CampaignSpec.from_campaign(campaign), spec,
-                          None)) as pool:
+                initargs=(CampaignSpec.from_campaign(campaign),
+                          spec)) as pool:
             index, outcome, _snapshot = pool.apply(
                 run_work_unit, ((7, chunk, TaskCaps(max_errors=1)),))
         assert index == 7

@@ -32,7 +32,8 @@ from repro.machine.state import recompute_incremental_state
 from repro.programs import load_workload
 from test_concrete_joins import (ORACLE_CASES, _counting, _search_view,
                                  _sweep)
-from test_decode_equivalence import (_fresh_state, _machine_inputs, _program,
+from test_decode_equivalence import (_DETECTORS, _fresh_state,
+                                     _machine_inputs, _program,
                                      _state_summary)
 
 
@@ -82,7 +83,7 @@ def test_advance_matches_step_on_every_explored_state(program, inputs):
     """Breadth-first over the step tree: at every running state, advance on
     a copy yields exactly step's successors, and step leaves its argument
     alone."""
-    executor = Executor(program, config=ExecutionConfig(
+    executor = Executor(program, _DETECTORS, ExecutionConfig(
         max_steps=48, record_trace=True))
     frontier = deque([_fresh_state(inputs)])
     explored = 0
