@@ -16,7 +16,10 @@ crashes are the second-largest bucket.
 
 import pytest
 
-from repro.concrete import ConcreteCampaign, printed_value_labeler
+from repro.concrete import (ValuePolicy, concrete_distribution,
+                            printed_value_labeler)
+from repro.core import SymbolicCampaign
+from repro.machine import ExecutionConfig
 from repro.programs import tcas_workload
 
 
@@ -25,24 +28,23 @@ SAMPLE_EVERY = 6   # sweep every 6th instruction of tcas
 
 def run_concrete_tcas_campaign():
     workload = tcas_workload()
-    campaign = ConcreteCampaign(
+    campaign = SymbolicCampaign(
         workload.program,
         input_values=workload.default_input,
         memory=workload.data_segment,
-        labeler=printed_value_labeler(expected_values=(0, 1, 2)),
-        max_steps=10_000)
+        execution_config=ExecutionConfig(max_steps=10_000))
     pcs = range(0, len(workload.program), SAMPLE_EVERY)
-    injections = campaign.enumerate_injections(pcs=pcs)
-    result = campaign.run(injections=injections, keep_experiments=False)
-    return result
+    specs = ValuePolicy().expand(campaign.enumerate_injections(pcs=pcs))
+    return concrete_distribution(
+        campaign, specs, printed_value_labeler(expected_values=(0, 1, 2)))
 
 
 @pytest.mark.benchmark(group="table2")
 def test_table2_concrete_fault_injection_distribution(benchmark):
-    result = benchmark.pedantic(run_concrete_tcas_campaign, rounds=1, iterations=1)
-    distribution = result.distribution
+    distribution = benchmark.pedantic(run_concrete_tcas_campaign, rounds=1,
+                                      iterations=1)
 
-    assert result.total_faults > 500
+    assert distribution.total > 500
 
     # Paper shape: the catastrophic advisory (2) is never produced by
     # value-based injection.
@@ -58,7 +60,7 @@ def test_table2_concrete_fault_injection_distribution(benchmark):
     print("\n[TAB2] concrete register fault injection on tcas "
           f"(sampled every {SAMPLE_EVERY}th instruction; "
           "paper: 6253 and 41082 faults)")
-    print(result.distribution.format_table(
+    print(distribution.format_table(
         title="  Program outcome distribution (this reproduction)"))
     print("  paper reference (6253 faults): 0=1.86%  1=53.7%  2=0%  "
           "other=0.5%  crash=43.4%  hang=0.4%")

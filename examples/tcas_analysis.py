@@ -15,8 +15,9 @@ Pass --quick to sweep only the return-address injections.
 
 import argparse
 
-from repro.analysis import compare_symbolic_concrete
-from repro.concrete import ConcreteCampaign, printed_value_labeler
+from repro.analysis import solutions_with_final_value
+from repro.concrete import (ValuePolicy, concrete_distribution,
+                            printed_value_labeler)
 from repro.constraints import Location
 from repro.core import (SymbolicCampaign, TaskRunner, Witness,
                         decompose_by_code_section, printed_value_other_than)
@@ -72,11 +73,7 @@ def main() -> None:
     print(report.describe())
     print()
 
-    catastrophic = []
-    for injection, solution in report.solutions():
-        printed = solution.state.printed_integers()
-        if printed and printed[-1] == 2:
-            catastrophic.append((injection, solution))
+    catastrophic = solutions_with_final_value(report, 2)
     print(f"catastrophic scenarios (advisory flipped from 1 to 2): "
           f"{len(catastrophic)}")
     if catastrophic:
@@ -89,28 +86,24 @@ def main() -> None:
 
     print("running the concrete (SimpleScalar-substitute) campaign over the "
           "same code region for comparison ...")
-    concrete = ConcreteCampaign(
+    concrete = SymbolicCampaign(
         workload.program,
         input_values=workload.default_input,
         memory=workload.data_segment,
-        labeler=printed_value_labeler(expected_values=(0, 1, 2)),
-        max_steps=5_000)
-    concrete_result = concrete.run(
-        injections=concrete.enumerate_injections(pcs=range(start, end)))
-    print(concrete_result.describe())
+        execution_config=ExecutionConfig(max_steps=5_000))
+    distribution = concrete_distribution(
+        concrete,
+        ValuePolicy().expand(campaign.enumerate_injections(
+            pcs=range(start, end))),
+        printed_value_labeler(expected_values=(0, 1, 2)))
+    print(distribution.format_table())
+    print(f"  skipped (never activated) = {distribution.skipped}")
     print()
 
-    # flatten the symbolic task report into a campaign-like container for the
-    # comparison helper
-    from repro.core.campaign import CampaignResult
-    flat = CampaignResult(query_description=query.description)
-    for task_result in report.task_results:
-        flat.results.extend(task_result.results)
-    comparison = compare_symbolic_concrete(
-        flat, concrete_result, target_value=2,
-        target_description="tcas prints 2 (downward advisory) instead of 1")
-    print(comparison.describe())
-    if comparison.reproduces_paper_shape:
+    print(f"symbolic scenarios printing 2 : {len(catastrophic)}")
+    print(f"concrete runs printing 2      : {distribution.count('2')} "
+          f"of {distribution.total}")
+    if catastrophic and distribution.count("2") == 0:
         print("\n=> reproduces the paper's headline result: only the symbolic "
               "campaign exposes the catastrophic advisory flip.")
 

@@ -15,8 +15,10 @@ Framework* (DSN 2008) as a pure-Python library:
 * :mod:`repro.detectors` -- the detector model (``CHECK`` / ``det(...)``);
 * :mod:`repro.core` -- the symbolic engine: bounded model checking, outcome
   queries, fault-injection campaigns and search-task decomposition;
-* :mod:`repro.concrete` -- the SimpleScalar-substitute concrete simulator and
-  concrete fault-injection campaign;
+* :mod:`repro.concrete` -- concrete-value fault injection (the SimpleScalar
+  substitute): the Table 2 value campaign and the symbolic-vs-bit-flip
+  parity study, both run through the symbolic campaign's one injection
+  engine;
 * :mod:`repro.lang` -- the minic compiler used to express workloads;
 * :mod:`repro.frontend` -- the MIPS translator and the query generator;
 * :mod:`repro.programs` -- the workloads evaluated in the paper (factorial,

@@ -1,12 +1,9 @@
-"""Reporting and comparison utilities for campaigns and benchmarks."""
+"""Reporting utilities for campaigns and benchmarks."""
 
-from .report import (SymbolicVsConcreteComparison, campaign_outcome_summary,
-                     compare_symbolic_concrete, format_task_report,
-                     format_witnesses, model_inventory,
-                     solutions_with_final_value)
+from .report import (campaign_outcome_summary, format_witnesses,
+                     model_inventory, solutions_with_final_value)
 
 __all__ = [
-    "SymbolicVsConcreteComparison", "campaign_outcome_summary",
-    "compare_symbolic_concrete", "format_task_report", "format_witnesses",
-    "model_inventory", "solutions_with_final_value",
+    "campaign_outcome_summary", "format_witnesses", "model_inventory",
+    "solutions_with_final_value",
 ]

@@ -1,17 +1,15 @@
 """Reporting helpers used by the examples and the benchmark harness.
 
-These functions turn campaign results into the same kinds of artefacts the
-paper presents: the Table-2 outcome distribution, the Section 6.2/6.4 task
-statistics, lists of undetected-error witnesses, and a side-by-side
-comparison of the symbolic and concrete campaigns.
+These functions turn symbolic campaign results into the artefacts the paper
+presents: outcome counts, the solutions printing a given value (Section
+6.2's advisory flip), lists of undetected-error witnesses and the model
+inventory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..concrete.faultinjection import ConcreteCampaignResult
 from ..core.campaign import CampaignResult
 from ..core.outcomes import OutcomeKind
 from ..core.tasks import TaskCampaignReport
@@ -30,8 +28,9 @@ def campaign_outcome_summary(campaign: CampaignResult,
     return counts
 
 
-def solutions_with_final_value(campaign: CampaignResult,
-                               value: int) -> List[Tuple[Injection, object]]:
+def solutions_with_final_value(
+        campaign: Union[CampaignResult, TaskCampaignReport],
+        value: int) -> List[Tuple[Injection, object]]:
     """Solutions whose final printed integer equals *value* (e.g. tcas's 2)."""
     matching = []
     for injection, solution in campaign.solutions():
@@ -52,60 +51,6 @@ def format_witnesses(witnesses: Sequence[Witness], limit: int = 5) -> str:
     if len(witnesses) > limit:
         sections.append(f"... and {len(witnesses) - limit} more witnesses")
     return "\n".join(sections)
-
-
-@dataclass
-class SymbolicVsConcreteComparison:
-    """The Section 6.2/6.3 headline comparison for one target outcome.
-
-    For tcas the target outcome is "the program prints 2 while the correct
-    answer is 1": SymPLFIED finds it symbolically, the concrete campaign of
-    comparable effort does not.
-    """
-
-    target_description: str
-    symbolic_found: int
-    concrete_found: int
-    symbolic_injections: int
-    concrete_experiments: int
-
-    def describe(self) -> str:
-        return "\n".join([
-            f"target outcome              : {self.target_description}",
-            f"symbolic campaign           : {self.symbolic_found} scenario(s) "
-            f"found over {self.symbolic_injections} symbolic injections",
-            f"concrete campaign           : {self.concrete_found} scenario(s) "
-            f"found over {self.concrete_experiments} concrete experiments",
-        ])
-
-    @property
-    def reproduces_paper_shape(self) -> bool:
-        """The paper's qualitative claim: symbolic finds it, concrete does not."""
-        return self.symbolic_found > 0 and self.concrete_found == 0
-
-
-def compare_symbolic_concrete(symbolic: CampaignResult,
-                              concrete: ConcreteCampaignResult,
-                              target_value: int,
-                              target_description: str = "",
-                              ) -> SymbolicVsConcreteComparison:
-    """Build the symbolic-vs-concrete comparison for a target printed value."""
-    symbolic_hits = len(solutions_with_final_value(symbolic, target_value))
-    concrete_hits = len(concrete.experiments_with_label(str(target_value)))
-    return SymbolicVsConcreteComparison(
-        target_description=target_description
-        or f"program prints {target_value} without crashing",
-        symbolic_found=symbolic_hits,
-        concrete_found=concrete_hits,
-        symbolic_injections=symbolic.injections_run,
-        concrete_experiments=concrete.total_faults,
-    )
-
-
-def format_task_report(report: TaskCampaignReport, title: str = "") -> str:
-    """Render a task-decomposed campaign the way Sections 6.2/6.4 do."""
-    header = [title] if title else []
-    return "\n".join(header + [report.describe()])
 
 
 def model_inventory() -> Dict[str, int]:

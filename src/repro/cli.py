@@ -22,11 +22,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import time
 from typing import Optional, Sequence
 
 from .analysis import campaign_outcome_summary, format_witnesses
-from .concrete import ConcreteCampaign, printed_value_labeler
-from .core import SymbolicCampaign, witnesses_from_campaign
+from .concrete import (ValuePolicy, concrete_distribution,
+                       printed_value_labeler)
+from .core import (SymbolicCampaign, default_expected_value,
+                   witnesses_from_campaign)
 from .core.campaign import SerialExecutionStrategy
 from .core.search import SearchResultCache
 from .detectors import DetectorSet, EMPTY_DETECTORS
@@ -451,8 +454,7 @@ def _command_analyze(args: argparse.Namespace) -> int:
     golden = workload.golden_output()
     expected = args.expected
     if expected is None:
-        printed = [item for item in golden if isinstance(item, int)]
-        expected = printed[-1] if printed else None
+        expected = default_expected_value(golden)
     query = generate_query(args.query, golden_output=golden,
                            expected_value=expected)
     backend = _resolve_backend(args)
@@ -616,27 +618,32 @@ def _command_concrete(args: argparse.Namespace) -> int:
     golden = workload.golden_output()
     expected_values = args.expected_values
     if expected_values is None:
-        expected_values = [item for item in golden if isinstance(item, int)][-1:]
+        expected = default_expected_value(golden)
+        expected_values = [] if expected is None else [expected]
 
-    campaign = ConcreteCampaign(
+    campaign = SymbolicCampaign(
         workload.program,
         input_values=workload.default_input,
         memory=workload.data_segment,
         detectors=workload.detectors,
-        labeler=printed_value_labeler(expected_values=tuple(expected_values)),
-        outcome_labels=tuple(str(v) for v in expected_values)
-        + ("other", "crash", "hang", "detected"),
-        max_steps=args.max_steps)
+        execution_config=ExecutionConfig(max_steps=args.max_steps))
     injections = campaign.enumerate_injections()
     if args.max_injections is not None:
         injections = injections[:args.max_injections]
+    specs = ValuePolicy().expand(injections)
     print(f"program        : {workload.program.describe()}")
     print(f"golden output  : {list(golden)}")
-    print(f"injections     : {len(injections)} "
-          f"({campaign.planned_experiments(injections)} experiments)")
-    result = campaign.run(injections=injections, keep_experiments=False)
+    print(f"injections     : {len(injections)} ({len(specs)} experiments)")
+    start = time.monotonic()
+    distribution = concrete_distribution(
+        campaign, specs,
+        labeler=printed_value_labeler(expected_values=tuple(expected_values)),
+        outcome_labels=tuple(str(v) for v in expected_values)
+        + ("other", "crash", "hang", "detected"))
     print()
-    print(result.describe())
+    print(distribution.format_table())
+    print(f"  skipped (never activated) = {distribution.skipped}")
+    print(f"  elapsed seconds = {time.monotonic() - start:.2f}")
     return 0
 
 

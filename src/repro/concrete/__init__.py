@@ -1,17 +1,16 @@
-"""Concrete fault injection: the SimpleScalar-substitute simulator and campaign."""
+"""Concrete fault injection: the Table 2 value campaign and the parity study,
+both run through the symbolic campaign's one injection engine."""
 
-from .simulator import ConcreteRun, ConcreteSimulator
-from .faultinjection import (ConcreteCampaign, ConcreteCampaignResult,
-                             ConcreteExperiment, INT32_MAX, INT32_MIN, ValuePolicy)
+from .faultinjection import (INT32_MAX, INT32_MIN, ValuePolicy,
+                             concrete_distribution, concrete_terminal)
 from .parity import (SYMBOLIC_COVERS, ParityReport, ParityRow, covers,
                      run_parity_study)
 from .stats import (OutcomeDistribution, OutcomeLabeler, printed_value_labeler,
                     tcas_outcome_labels)
 
 __all__ = [
-    "ConcreteRun", "ConcreteSimulator",
-    "ConcreteCampaign", "ConcreteCampaignResult", "ConcreteExperiment",
-    "INT32_MAX", "INT32_MIN", "ValuePolicy",
+    "INT32_MAX", "INT32_MIN", "ValuePolicy", "concrete_distribution",
+    "concrete_terminal",
     "SYMBOLIC_COVERS", "ParityReport", "ParityRow", "covers",
     "run_parity_study",
     "OutcomeDistribution", "OutcomeLabeler", "printed_value_labeler",

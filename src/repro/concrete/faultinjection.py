@@ -1,32 +1,37 @@
-"""Concrete (random/exhaustive-value) fault-injection campaigns (Section 6.3).
+"""Concrete (extreme/random-value) fault-injection campaigns (Section 6.3).
 
 The paper's validation campaign injects, for every instruction in tcas and
 for every register used by that instruction, three extreme values of the
 integer range plus three random values — roughly 6000 experiments, later
 extended to 41000 — and classifies each run's outcome.  This module
-reproduces that campaign on top of the concrete simulator:
+reproduces that campaign on the one injection engine,
+:meth:`~repro.core.campaign.SymbolicCampaign.run_injection`:
 
 * :class:`ValuePolicy` decides which concrete values are injected per
-  location (extreme values + seeded random values, as in the paper);
-* :class:`ConcreteCampaign` sweeps the injection points, runs every
-  experiment and accumulates an outcome distribution (Table 2).
+  location (extreme values + seeded random values, as in the paper) and
+  expands the planned sites into one :class:`~repro.faults.FaultSpec` per
+  value;
+* :func:`concrete_terminal` runs one such spec: its corrupted state holds
+  no ``err``, so the search finishes it with one concrete run and returns
+  exactly one terminal state;
+* :func:`concrete_distribution` labels each terminal state into an
+  :class:`~repro.concrete.stats.OutcomeDistribution` as results stream in
+  (Table 2), retaining none of them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from ..detectors import DetectorSet, EMPTY_DETECTORS
+from ..core.campaign import SymbolicCampaign
+from ..core.queries import any_outcome
 from ..errors.injector import Injection
-from ..faults.models import FAULT_MODELS
 from ..faults.spec import FaultSpec
-from ..isa.program import Program
-from .simulator import ConcreteSimulator
-from .stats import OutcomeDistribution, OutcomeLabeler, printed_value_labeler
+from ..machine.state import MachineState
+from .stats import OutcomeDistribution, OutcomeLabeler, tcas_outcome_labels
 
 
 #: 32-bit two's-complement extremes, as injected by the paper's campaign.
@@ -56,103 +61,47 @@ class ValuePolicy:
             values.append(rng.randint(INT32_MIN, INT32_MAX))
         return values
 
-
-@dataclass
-class ConcreteExperiment:
-    """One executed concrete fault-injection experiment."""
-
-    injection: Injection
-    value: int
-    label: str
-    activated: bool
+    def expand(self, injections: Iterable[FaultSpec]) -> List[FaultSpec]:
+        """One spec per (site, value), sites in order, values in policy order."""
+        return [dataclasses.replace(injection, value=value)
+                for injection in injections
+                for value in self.values_for(injection)]
 
 
-@dataclass
-class ConcreteCampaignResult:
-    """Aggregate result of a concrete campaign (the Table 2 data)."""
+def concrete_terminal(campaign: SymbolicCampaign,
+                      spec: Injection) -> Optional[MachineState]:
+    """The terminal state of one concrete fault, or ``None`` if never activated.
 
-    distribution: OutcomeDistribution
-    experiments: List[ConcreteExperiment] = field(default_factory=list)
-    skipped: int = 0
-    elapsed_seconds: float = 0.0
-
-    @property
-    def total_faults(self) -> int:
-        return self.distribution.total
-
-    def experiments_with_label(self, label: str) -> List[ConcreteExperiment]:
-        return [experiment for experiment in self.experiments
-                if experiment.label == label]
-
-    def describe(self) -> str:
-        lines = [self.distribution.format_table(),
-                 f"  skipped (never activated) = {self.skipped}",
-                 f"  elapsed seconds = {self.elapsed_seconds:.2f}"]
-        return "\n".join(lines)
+    *spec* must corrupt with a concrete value (a ``FaultSpec`` with a value,
+    a bit flip); its search then has exactly one terminal state, and
+    anything else raises.
+    """
+    result = campaign.run_injection(spec, any_outcome())
+    if not result.activated:
+        return None
+    if not result.completed or len(result.solutions) != 1:
+        raise RuntimeError(
+            f"concrete fault {spec.label()} did not end in exactly one "
+            f"terminal state ({len(result.solutions)} found, "
+            f"{result.search.stop_reason})")
+    return result.solutions[0].state
 
 
-class ConcreteCampaign:
-    """Exhaustive-by-instruction concrete fault-injection campaign."""
+def concrete_distribution(campaign: SymbolicCampaign,
+                          specs: Iterable[FaultSpec],
+                          labeler: OutcomeLabeler,
+                          outcome_labels: Sequence[str] = tcas_outcome_labels(),
+                          ) -> OutcomeDistribution:
+    """Run every concrete spec and count its labelled outcome (Table 2).
 
-    def __init__(self, program: Program,
-                 input_values: Sequence[int] = (),
-                 memory: Optional[Dict[int, int]] = None,
-                 detectors: DetectorSet = EMPTY_DETECTORS,
-                 value_policy: Optional[ValuePolicy] = None,
-                 labeler: Optional[OutcomeLabeler] = None,
-                 outcome_labels: Sequence[str] = ("0", "1", "2", "other",
-                                                  "crash", "hang", "detected"),
-                 max_steps: int = 200_000) -> None:
-        self.program = program
-        self.input_values = tuple(input_values)
-        self.memory = dict(memory) if memory else {}
-        self.detectors = detectors
-        self.value_policy = value_policy or ValuePolicy()
-        self.labeler = labeler or printed_value_labeler()
-        self.outcome_labels = tuple(outcome_labels)
-        self.simulator = ConcreteSimulator(program, detectors, max_steps=max_steps)
-
-    def enumerate_injections(self,
-                             pcs: Optional[Sequence[int]] = None) -> List[FaultSpec]:
-        """Register injections at every instruction (or the subset *pcs*)."""
-        return FAULT_MODELS["register"].enumerate(self.program, pcs=pcs)
-
-    def planned_experiments(self,
-                            injections: Optional[Sequence[Injection]] = None
-                            ) -> int:
-        """Number of (injection, value) experiments the campaign would run."""
-        if injections is None:
-            injections = self.enumerate_injections()
-        return sum(len(self.value_policy.values_for(injection))
-                   for injection in injections)
-
-    def run(self, injections: Optional[Sequence[FaultSpec]] = None,
-            keep_experiments: bool = True,
-            max_experiments: Optional[int] = None) -> ConcreteCampaignResult:
-        """Run the campaign and build the outcome distribution."""
-        start = time.monotonic()
-        if injections is None:
-            injections = self.enumerate_injections()
-        distribution = OutcomeDistribution(labels=self.outcome_labels)
-        result = ConcreteCampaignResult(distribution=distribution)
-        executed = 0
-        for injection in injections:
-            for value in self.value_policy.values_for(injection):
-                if max_experiments is not None and executed >= max_experiments:
-                    result.elapsed_seconds = time.monotonic() - start
-                    return result
-                run = self.simulator.run_with_spec(
-                    dataclasses.replace(injection, value=value),
-                    self.input_values, self.memory)
-                executed += 1
-                if not run.activated:
-                    result.skipped += 1
-                    continue
-                label = self.labeler(run.state)
-                distribution.record(label)
-                if keep_experiments:
-                    result.experiments.append(ConcreteExperiment(
-                        injection=injection, value=value, label=label,
-                        activated=run.activated))
-        result.elapsed_seconds = time.monotonic() - start
-        return result
+    Specs whose breakpoint is never reached count as
+    :attr:`OutcomeDistribution.skipped`.
+    """
+    distribution = OutcomeDistribution(labels=tuple(outcome_labels))
+    for spec in specs:
+        state = concrete_terminal(campaign, spec)
+        if state is None:
+            distribution.skipped += 1
+        else:
+            distribution.record(labeler(state))
+    return distribution

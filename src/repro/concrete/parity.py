@@ -9,15 +9,18 @@ injection point must already appear in the symbolic campaign's outcome
 set for that point — the reverse need not hold, because the symbolic
 search also covers corruptions the concrete sample never drew.
 
-This module runs both legs over the *same* injection points and the same
-fault-application code path (:func:`~repro.machine.executor.apply_fault_set`):
+This module runs both legs over the *same* injection points through one
+:class:`~repro.core.campaign.SymbolicCampaign`, so they share its golden
+run and its fault-application code path
+(:func:`~repro.machine.executor.apply_fault_set`):
 
-* the symbolic leg prepares an ``err``-corrupted state per point and
-  model-checks it under :func:`~repro.core.queries.any_outcome`, collecting
-  the :class:`~repro.core.outcomes.OutcomeKind` of every terminal state;
+* the symbolic leg injects ``err`` at each point and model-checks it under
+  :func:`~repro.core.queries.any_outcome`, collecting the
+  :class:`~repro.core.outcomes.OutcomeKind` of every terminal state;
 * the concrete leg Monte-Carlo samples single-bit flips
   (:class:`~repro.faults.BitFlipFaultSpec`) of the same target at the same
-  dynamic point and classifies each run.
+  dynamic point and classifies each run's one terminal state
+  (:func:`~repro.concrete.faultinjection.concrete_terminal`).
 
 Coverage is judged by :data:`SYMBOLIC_COVERS` — the abstraction mapping
 between concrete outcome kinds and the symbolic kinds that subsume them —
@@ -30,18 +33,17 @@ from dataclasses import dataclass, field
 from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
                     Set, Tuple)
 
+from ..core.campaign import SymbolicCampaign
 from ..core.outcomes import classify
 from ..core.queries import any_outcome
-from ..core.search import BoundedModelChecker
 from ..constraints import Location
 from ..detectors import DetectorSet, EMPTY_DETECTORS
-from ..errors.injector import Injection, prepare_injected_state
+from ..errors.injector import Injection
 from ..faults.models import deterministic_sample
 from ..faults.spec import BitFlipFaultSpec
 from ..isa.program import Program
-from ..machine.executor import ExecutionConfig, Executor
-from ..machine.state import initial_state
-from .simulator import ConcreteSimulator
+from ..machine.executor import ExecutionConfig
+from .faultinjection import concrete_terminal
 
 #: Which symbolic outcome kinds cover a given concrete outcome kind.
 #:
@@ -124,17 +126,20 @@ class ParityTally:
 
     def summary(self, skipped: int = 0) -> str:
         total = self.covered + self.undecided + self.uncovered
+        never = f" ({skipped} never activated)" if skipped else ""
+        if not total:
+            # Nothing compared is no pass: control and fetch faults have no
+            # register or memory point, nor has memory on a data-less program.
+            return ("parity: no register or memory injection point "
+                    f"compared{never}")
         base = (f"parity: symbolic covers {self.covered}/{total} "
-                f"injection points")
-        if skipped:
-            base += f" ({skipped} never activated)"
-        if total and self.covered == total:
-            base += " — all concrete outcome classes covered"
-        elif total:
-            base += (f" — {self.undecided} {UNDECIDED}, "
-                     f"{self.uncovered} UNCOVERED")
-            if self.missing:
-                base += f": {', '.join(sorted(self.missing))}"
+                f"injection points{never}")
+        if self.covered == total:
+            return base + " — all concrete outcome classes covered"
+        base += (f" — {self.undecided} {UNDECIDED}, "
+                 f"{self.uncovered} UNCOVERED")
+        if self.missing:
+            base += f": {', '.join(sorted(self.missing))}"
         return base
 
 
@@ -227,8 +232,9 @@ def run_parity_study(program: Program,
     with no ``hang`` terminal.  Un-deduplicated, the looping lineage steps
     until the symbolic watchdog fires and ``hang`` shows up as an ordinary
     terminal outcome — and if a budget cuts the search first, the
-    incomplete-search rule of :func:`covers` takes over.  Both legs share
-    *max_steps*, so the two watchdogs agree on what a hang is.
+    incomplete-search rule of :func:`covers` takes over.  Both legs run in
+    the one campaign, so they share *max_steps* (the two watchdogs agree on
+    what a hang is) and one golden run.
     """
     # -------------------------------------------------- injection points
     points: List[Injection] = []
@@ -244,29 +250,25 @@ def run_parity_study(program: Program,
                 seen.add(key)
                 points.append(component)
 
-    executor = Executor(program, detectors,
-                        ExecutionConfig(max_steps=max_steps))
-    checker = BoundedModelChecker(executor, max_solutions=max_solutions,
-                                  max_states=max_states,
-                                  deduplicate=False)
-    simulator = ConcreteSimulator(program, detectors, max_steps=max_steps)
-    # Both legs start their prefixes from the one golden run's checkpoints.
-    golden = simulator.golden(input_values, memory)
+    campaign = SymbolicCampaign(
+        program, input_values=input_values, memory=memory,
+        detectors=detectors,
+        execution_config=ExecutionConfig(max_steps=max_steps),
+        max_solutions_per_injection=max_solutions,
+        max_states_per_injection=max_states,
+        deduplicate_states=False)
     query = any_outcome()
     report = ParityReport()
 
     for injection in points:
         # ---------------------------------------------------- symbolic leg
-        injected = prepare_injected_state(
-            program, Injection(breakpoint_pc=injection.breakpoint_pc,
-                               target=injection.target,
-                               occurrence=injection.occurrence),
-            initial_state(input_values=input_values, memory=memory),
-            detectors=detectors, max_prefix_steps=max_steps, golden=golden)
-        if injected is None:
+        result = campaign.run_injection(
+            Injection(breakpoint_pc=injection.breakpoint_pc,
+                      target=injection.target,
+                      occurrence=injection.occurrence), query)
+        if not result.activated:
             report.skipped += 1
             continue
-        result = checker.search_single(injected, query)
         symbolic_kinds = frozenset(
             classify(solution.state, golden_output).kind.value
             for solution in result.solutions)
@@ -281,10 +283,9 @@ def run_parity_study(program: Program,
             flips = deterministic_sample(flips, bits_per_point, seed=seed)
         concrete_kinds = set()
         for spec in flips:
-            run = simulator.run_with_spec(spec, input_values=input_values,
-                                          memory=memory)
-            if run.activated:
-                concrete_kinds.add(run.outcome(golden_output).kind.value)
+            state = concrete_terminal(campaign, spec)
+            if state is not None:
+                concrete_kinds.add(classify(state, golden_output).kind.value)
 
         uncovered = uncovered_kinds(concrete_kinds, symbolic_kinds,
                                     result.completed)

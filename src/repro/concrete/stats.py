@@ -58,6 +58,7 @@ class OutcomeDistribution:
     labels: Tuple[str, ...]
     counts: Dict[str, int] = field(default_factory=dict)
     total: int = 0
+    skipped: int = 0   # faults never activated (breakpoint not reached)
 
     def __post_init__(self) -> None:
         for label in self.labels:
@@ -97,6 +98,7 @@ class OutcomeDistribution:
         for label, count in other.counts.items():
             merged.counts[label] = merged.counts.get(label, 0) + count
         merged.total = self.total + other.total
+        merged.skipped = self.skipped + other.skipped
         return merged
 
 

@@ -12,7 +12,7 @@ satisfiability query used by the model checker to prune infeasible branches.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional
 
 from .constraint import Constraint, Location, RelationalConstraint
 from .constraint_set import ConstraintSet
@@ -47,9 +47,6 @@ class ConstraintMap:
 
     def relational(self) -> FrozenSet[RelationalConstraint]:
         return self._relational
-
-    def tracked_locations(self) -> Tuple[Location, ...]:
-        return tuple(self._sets.keys())
 
     def __contains__(self, location: Location) -> bool:
         return location in self._sets

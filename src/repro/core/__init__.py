@@ -1,6 +1,6 @@
 """The SymPLFIED core: symbolic model checking, queries, campaigns and tasks."""
 
-from .outcomes import Outcome, OutcomeKind, classify, golden_run_output
+from .outcomes import Outcome, OutcomeKind, classify, default_expected_value
 from .queries import (SearchQuery, any_outcome, crashed, detected,
                       halted_normally, hung,
                       incorrect_output, last_printed_value, latent_err,
@@ -19,7 +19,7 @@ from .tasks import (TaskCampaignReport, TaskResult, TaskRunner,
 from .traces import Witness, witnesses_from_campaign
 
 __all__ = [
-    "Outcome", "OutcomeKind", "classify", "golden_run_output",
+    "Outcome", "OutcomeKind", "classify", "default_expected_value",
     "SearchQuery", "any_outcome", "crashed", "detected",
     "halted_normally", "hung",
     "incorrect_output", "last_printed_value", "latent_err",

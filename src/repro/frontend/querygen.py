@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple, Union
 
 from ..core.campaign import SymbolicCampaign
+from ..core.outcomes import default_expected_value
 from ..core.queries import (SearchQuery, any_outcome, crashed, hung,
                             incorrect_output, latent_err, output_contains_err,
                             printed_value_other_than, undetected_failure)
@@ -80,8 +81,7 @@ def generate_campaign(workload: Workload,
     """
     golden = workload.golden_output()
     if expected_value is None:
-        printed = [item for item in golden if isinstance(item, int)]
-        expected_value = printed[-1] if printed else None
+        expected_value = default_expected_value(golden)
     query = generate_query(kind, golden_output=golden,
                            expected_value=expected_value)
     if isinstance(fault_model, str):

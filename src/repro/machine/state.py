@@ -54,9 +54,6 @@ class Status(Enum):
     DETECTED = "detected"      # a detector fired and stopped the program
     TIMEOUT = "timeout"        # watchdog bound exceeded (hang)
 
-    def is_terminal(self) -> bool:
-        return self is not Status.RUNNING
-
 
 OutputItem = Union[int, str, type(ERR)]
 

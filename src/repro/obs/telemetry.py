@@ -435,10 +435,6 @@ class Telemetry:
                         Histogram.from_dict(payload))
         return merged
 
-    def worker_snapshots(self) -> Dict[str, TelemetrySnapshot]:
-        with self._lock:
-            return dict(self._workers)
-
     def metrics_event(self) -> Dict[str, Any]:
         """The campaign-final metrics record appended to the event log."""
         merged_hists = self.merged_histograms()

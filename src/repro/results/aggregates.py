@@ -107,28 +107,10 @@ class OutcomeAggregates:
         return self.injections_completed == self.injections_run
 
     @property
-    def activation_rate(self) -> float:
-        return (self.injections_activated / self.injections_run
-                if self.injections_run else 0.0)
-
-    @property
-    def solution_coverage(self) -> float:
-        """Fraction of injections with at least one undetected-error witness."""
-        return (self.injections_with_solutions / self.injections_run
-                if self.injections_run else 0.0)
-
-    @property
     def latent_rate(self) -> float:
         """Latent (silent, census-only) solutions per reported solution."""
         return (self.latent_solutions / self.total_solutions
                 if self.total_solutions else 0.0)
-
-    def outcome_summary(self) -> Dict[str, int]:
-        """Zero-filled per-kind counts, matching
-        :func:`~repro.analysis.report.campaign_outcome_summary`."""
-        summary = _zero_counts()
-        summary.update(self.outcome_counts)
-        return summary
 
     def describe(self) -> str:
         """The counter block of :meth:`CampaignResult.describe`."""

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.concrete import ConcreteSimulator, run_parity_study
+from repro.concrete import concrete_terminal, run_parity_study
 from repro.concrete.parity import (SYMBOLIC_COVERS, UNDECIDED, ParityReport,
                                    ParityRow, ParityTally, covers, verdict)
 from repro.constraints import Location
@@ -197,20 +197,19 @@ class TestFaultSetApplication:
             model="bitflip", bit=5),))
         assert is_err(state.read_register(2))
 
-    def test_concrete_simulator_applies_the_same_flip(self, factorial):
-        """run_with_spec and the symbolic injector share apply_fault_set: a
-        flip of a dead register's high bit activates but stays harmless."""
-        simulator = ConcreteSimulator(factorial.program,
-                                      factorial.detectors, max_steps=2000)
-        golden = simulator.golden_output(factorial.default_input,
-                                         factorial.data_segment)
-        run = simulator.run_with_spec(
-            BitFlipFaultSpec(breakpoint_pc=0, target=Location.register(9),
-                             model="bitflip", bit=30),
-            input_values=factorial.default_input,
-            memory=factorial.data_segment)
-        assert run.activated
-        assert run.output == golden
+    def test_a_concrete_flip_runs_through_the_campaign(self, factorial):
+        """Concrete flips and symbolic errs share apply_fault_set inside
+        run_injection: a flip of a dead register's high bit activates but
+        stays harmless."""
+        campaign = SymbolicCampaign(
+            factorial.program, input_values=factorial.default_input,
+            memory=factorial.data_segment, detectors=factorial.detectors,
+            execution_config=ExecutionConfig(max_steps=2000))
+        state = concrete_terminal(campaign, BitFlipFaultSpec(
+            breakpoint_pc=0, target=Location.register(9), model="bitflip",
+            bit=30))
+        assert state is not None
+        assert state.output_values() == factorial.golden_output()
 
 
 # ----------------------------------------------------- backend equivalence
@@ -330,6 +329,32 @@ class TestParityVerdicts:
         assert "all concrete outcome classes covered" not in summary
         assert summary.endswith(
             " — 1 undecided (search budget), 0 UNCOVERED")
+
+    def test_nothing_compared_is_not_a_pass(self):
+        assert ParityTally().summary() == (
+            "parity: no register or memory injection point compared")
+        assert ParityTally().summary(skipped=3) == (
+            "parity: no register or memory injection point compared "
+            "(3 never activated)")
+
+    @pytest.mark.parametrize("model", ["control", "fetch", "memory"])
+    def test_a_study_without_register_or_memory_points_says_so(
+            self, factorial, model):
+        """Control and fetch faults corrupt no register or memory word, and
+        factorial has no data segment for memory faults to hit."""
+        specs = fault_model(model).enumerate(
+            factorial.program, memory=factorial.data_segment)
+        report = run_parity_study(
+            factorial.program, specs, factorial.golden_output(),
+            input_values=factorial.default_input,
+            memory=factorial.data_segment,
+            detectors=factorial.detectors, max_steps=2000)
+        assert not report.rows
+        summary = report.summary()
+        assert summary == ("parity: no register or memory injection point "
+                           "compared")
+        assert "covered" not in summary
+        assert report.format_table().splitlines()[-1] == summary
 
     def test_the_study_table_prints_each_verdict(self):
         report = ParityReport(rows=[_row(1, (), True),

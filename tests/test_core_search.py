@@ -4,7 +4,7 @@ import pytest
 
 from repro.constraints import Location
 from repro.core import (BoundedModelChecker, OutcomeKind, SearchResultCache,
-                        classify, crashed, detected, golden_run_output,
+                        classify, crashed, default_expected_value, detected,
                         halted_normally, hung, incorrect_output,
                         output_contains_err, output_differs, output_equals,
                         printed_value, printed_value_other_than,
@@ -62,10 +62,10 @@ class TestOutcomeClassification:
         outcome = classify(terminal_state(Status.HALTED, output=[5]), golden_output=(1,))
         assert "5" in outcome.describe()
 
-    def test_golden_run_output(self):
-        workload = factorial_workload()
-        assert golden_run_output(workload.program, workload.default_input) == \
-            ("Factorial = ", 120)
+    def test_default_expected_value_is_the_last_printed_int(self):
+        assert default_expected_value(("Factorial = ", 120)) == 120
+        assert default_expected_value((3, "x", 7, "y")) == 7
+        assert default_expected_value(("no number",)) is None
 
 
 class TestQueries:

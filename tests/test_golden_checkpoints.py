@@ -17,7 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.concrete import ConcreteSimulator
+from repro.concrete import concrete_terminal
 from repro.constraints import Location
 from repro.core import SymbolicCampaign
 from repro.core.queries import any_outcome
@@ -380,52 +380,59 @@ def test_campaign_telemetry_counts_replayed_and_answered_prefixes(tmp_path):
 # ------------------------------------------------------ one prefix path
 
 
-class TestSimulator:
+def _concrete_campaign(program, input_values=INPUT, max_steps=MAX_STEPS):
+    return SymbolicCampaign(program, input_values=input_values,
+                            execution_config=ExecutionConfig(
+                                max_steps=max_steps))
+
+
+class TestConcreteFaults:
     def test_injected_runs_match_the_full_replay(self):
         program = _program()
-        simulator = ConcreteSimulator(program, max_steps=MAX_STEPS)
+        campaign = _concrete_campaign(program)
         for pc in range(len(program)):
             for occurrence in (1, 2, 250, N + 1):
                 spec = FaultSpec(pc, Location.register(2), occurrence,
                                  value=7)
-                run = simulator.run_with_spec(spec, INPUT)
+                terminal = concrete_terminal(campaign, spec)
                 state = _replay(program, initial_state(INPUT), pc, occurrence)
                 activated = state.is_running and state.pc == pc
+                assert (terminal is not None) == activated
                 if activated:
                     state.write_register(2, 7)
                     run_concrete(program, state, max_steps=MAX_STEPS)
-                assert run.activated == activated
-                assert _fields(run.state) == _fields(state)
+                    assert _fields(terminal) == _fields(state)
 
     def test_bit_flips_share_one_golden_run(self, monkeypatch):
         program = _program()
-        simulator = ConcreteSimulator(program, max_steps=MAX_STEPS)
-        golden = simulator.golden(INPUT)
+        campaign = _concrete_campaign(program)
+        golden = campaign.golden_futures()
         built = []
         original = ConcreteFutures.golden.__func__
         monkeypatch.setattr(ConcreteFutures, "golden", classmethod(
             lambda cls, *a, **k: built.append(a) or original(cls, *a, **k)))
         for bit in range(8):
-            run = simulator.run_with_spec(
-                BitFlipFaultSpec(breakpoint_pc=3, occurrence=200, bit=bit,
-                                 target=Location.register(1),
-                                 model="bitflip"), INPUT)
-            assert run.activated
-        assert built == [] and simulator.golden(INPUT) is golden
-        simulator.run_with_spec(
-            BitFlipFaultSpec(breakpoint_pc=3, target=Location.register(1),
-                             model="bitflip", bit=0), (N - 1, 8))
-        assert len(built) == 1 and simulator.golden(INPUT) is not golden
+            assert concrete_terminal(campaign, BitFlipFaultSpec(
+                breakpoint_pc=3, occurrence=200, bit=bit,
+                target=Location.register(1), model="bitflip")) is not None
+        assert built == [] and campaign.golden_futures() is golden
+        other = _concrete_campaign(program, input_values=(N - 1, 8))
+        concrete_terminal(other, BitFlipFaultSpec(
+            breakpoint_pc=3, target=Location.register(1), model="bitflip",
+            bit=0))
+        assert len(built) == 1 and other.golden_futures() is not golden
 
     def test_an_unactivated_run_keeps_the_golden_terminal(self):
         program = _program()
-        simulator = ConcreteSimulator(program, max_steps=1_000)
-        run, counters = _counting(lambda: simulator.run_with_spec(
-            FaultSpec(5, Location.register(2), value=1), INPUT))
-        assert not run.activated and run.state.status is Status.TIMEOUT
+        campaign = _concrete_campaign(program, max_steps=1_000)
+        terminal, counters = _counting(lambda: concrete_terminal(
+            campaign, FaultSpec(5, Location.register(2), value=1)))
+        assert terminal is None
         assert counters["prefix.answered"] == 1
+        end = campaign.golden_futures().checkpoints.end
+        assert end.status is Status.TIMEOUT
         expected = _replay(program, initial_state(INPUT), 5, max_steps=1_000)
-        assert _fields(run.state) == _fields(expected)
+        assert _fields(end) == _fields(expected)
 
 
 # ------------------------------------------------ breakpoints must be real
