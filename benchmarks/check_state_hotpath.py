@@ -32,11 +32,10 @@ DEFAULT_BASELINE = Path(__file__).resolve().parent / "data" \
     / "state_hotpath_bench.json"
 
 
-def load_fresh_means(path: str) -> dict:
+def load_fresh(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         report = json.load(handle)
-    return {entry["name"]: entry["stats"]["mean"]
-            for entry in report.get("benchmarks", [])}
+    return {entry["name"]: entry for entry in report.get("benchmarks", [])}
 
 
 def compare_means(baseline_means: dict, fresh_means: dict, tolerance: float,
@@ -46,8 +45,7 @@ def compare_means(baseline_means: dict, fresh_means: dict, tolerance: float,
     Prints one verdict line per baseline entry and returns the list of
     failure strings: a fresh mean beyond ``baseline * tolerance`` fails,
     and a baseline entry missing from the fresh run is itself a failure (a
-    silently skipped gate is a regressed gate).  Shared by the state
-    hot-path gate and ``check_bench_trajectory.py``.
+    silently skipped gate is a regressed gate).
     """
     failures = []
     width = max(len(name) for name in baseline_means)
@@ -70,30 +68,29 @@ def compare_means(baseline_means: dict, fresh_means: dict, tolerance: float,
     return failures
 
 
-def check_telemetry_overhead(config: dict, fresh_means: dict) -> list:
+def check_telemetry_overhead(config: dict, fresh: dict) -> list:
     """Gate the telemetry-enabled stepping cost against its disabled twin.
 
-    Unlike the absolute-mean gates above, this compares two benchmarks
-    from the *same* fresh run (``benchmark`` vs ``reference``), so host
-    speed cancels out and the budget can be tight: an enabled hub must
-    cost at most ``budget_factor`` of the plain decoded stepping path.
+    Unlike the absolute-mean gates above, this reads the ratio that
+    ``benchmark`` records in its ``extra_info``: the median per-round ratio
+    of enabled to disabled (``reference``) golden runs timed interleaved
+    in one process, so host speed cancels out and the budget can be
+    tight: an enabled hub must cost at most ``budget_factor`` of the plain
+    decoded stepping path.
     """
     if not config:
         return []
     name = config["benchmark"]
     reference = config["reference"]
     budget = float(config["budget_factor"])
-    mean = fresh_means.get(name)
-    reference_mean = fresh_means.get(reference)
+    ratio = fresh.get(name, {}).get("extra_info", {}).get("overhead_ratio")
     print(f"telemetry-overhead gate (budget {budget:g}x of {reference}):")
-    if mean is None or reference_mean is None:
-        missing = name if mean is None else reference
-        print(f"  {missing}  MISSING from the fresh run")
-        return [f"{missing}: not measured (telemetry-overhead gate)"]
-    ratio = mean / reference_mean
+    if ratio is None:
+        print(f"  {name}  overhead_ratio MISSING from the fresh run")
+        return [f"{name}: not measured (telemetry-overhead gate)"]
     verdict = "ok" if ratio <= budget else "REGRESSED"
-    print(f"  {name}  {mean * 1e6:9.3f}us vs {reference_mean * 1e6:.3f}us "
-          f"({ratio:5.3f}x, allowed <= {budget:g}x)  {verdict}")
+    print(f"  {name}  median interleaved ratio {ratio:5.3f}x "
+          f"(allowed <= {budget:g}x)  {verdict}")
     if ratio > budget:
         return [f"{name}: {ratio:.3f}x of {reference}, "
                 f"allowed <= {budget:g}x"]
@@ -104,12 +101,14 @@ def check(fresh_path: str, baseline_path: str) -> int:
     with open(baseline_path, "r", encoding="utf-8") as handle:
         baseline = json.load(handle)["microbench_baseline"]
     tolerance = float(baseline["tolerance_factor"])
-    fresh = load_fresh_means(fresh_path)
+    fresh = load_fresh(fresh_path)
+    fresh_means = {name: entry["stats"]["mean"]
+                   for name, entry in fresh.items()}
 
     print(f"state hot-path benchmark gate (tolerance {tolerance:g}x):")
     baseline_means = {name: record["mean_seconds"]
                       for name, record in baseline["benchmarks"].items()}
-    failures = compare_means(baseline_means, fresh, tolerance)
+    failures = compare_means(baseline_means, fresh_means, tolerance)
     failures += check_telemetry_overhead(baseline.get("telemetry_overhead"),
                                          fresh)
 

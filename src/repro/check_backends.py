@@ -1,0 +1,226 @@
+"""Backend byte-identity check (``repro check-backends``).
+
+Runs the same ``repro analyze`` sweep through several backends — pool,
+distributed, TCP broker variants, the ``--results`` store-backed view and
+worker-kill recovery — and diffs each normalized output against the
+serial baseline.  Everything but the timing and backend-identity lines
+must be byte-identical; the ``smoke-*`` CI jobs gate on it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from typing import Dict, List, Optional, Sequence
+
+_NORMALIZE_DROP_CONTAINS = ("elapsed seconds",)
+_NORMALIZE_DROP_PREFIXES = ("workers", "backend")
+
+
+def normalize_output(text: str) -> str:
+    """Strip timing/backend-identity lines — the same normalization the CI
+    smoke jobs used (``grep -v "elapsed seconds" -e "^workers" -e
+    "^backend"``); everything left must be byte-identical across backends."""
+    kept = []
+    for line in text.splitlines():
+        if any(token in line for token in _NORMALIZE_DROP_CONTAINS):
+            continue
+        if line.startswith(_NORMALIZE_DROP_PREFIXES):
+            continue
+        kept.append(line)
+    return "\n".join(kept) + "\n"
+
+
+class _TcpBroker:
+    """A ``repro broker`` subprocess bound to a free port."""
+
+    def __init__(self) -> None:
+        self.process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "broker", "--listen",
+             "127.0.0.1:0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+        assert self.process.stdout is not None
+        line = self.process.stdout.readline()
+        if "broker listening on " not in line:
+            self.stop()
+            raise RuntimeError(f"broker failed to start: {line!r}")
+        self.url = line.split("broker listening on ", 1)[1].strip()
+
+    def stop(self) -> None:
+        if self.process.poll() is None:
+            self.process.terminate()
+            try:
+                self.process.wait(timeout=10)
+            except subprocess.TimeoutExpired:  # pragma: no cover
+                self.process.kill()
+                self.process.wait()
+
+
+def _spawn_worker(queue: str, lease_seconds: Optional[float] = None,
+                  ) -> subprocess.Popen:
+    command = [sys.executable, "-m", "repro", "worker", "--queue", queue,
+               "--max-idle", "120"]
+    if lease_seconds is not None:
+        command += ["--lease-seconds", str(lease_seconds)]
+    return subprocess.Popen(command, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+
+
+def _stop_workers(workers: Sequence[subprocess.Popen]) -> None:
+    for worker in workers:
+        if worker.poll() is None:
+            worker.terminate()
+    for worker in workers:
+        try:
+            worker.wait(timeout=15)
+        except subprocess.TimeoutExpired:  # pragma: no cover
+            worker.kill()
+            worker.wait()
+
+
+def _sweep_argv(args: argparse.Namespace) -> List[str]:
+    argv = [sys.executable, "-m", "repro", "analyze",
+            "--workload", args.workload, "--query", args.query]
+    if args.fault_model:
+        argv += ["--fault-model", args.fault_model]
+    if getattr(args, "burst_k", None) is not None:
+        argv += ["--burst-k", str(args.burst_k)]
+    if getattr(args, "isa", None):
+        argv += ["--isa", args.isa]
+    if args.sample is not None:
+        argv += ["--sample", str(args.sample)]
+    if args.seed is not None:
+        argv += ["--seed", str(args.seed)]
+    if args.max_injections is not None:
+        argv += ["--max-injections", str(args.max_injections)]
+    if args.max_states is not None:
+        argv += ["--max-states", str(args.max_states)]
+    return argv
+
+
+def _run_analyze(argv: List[str], timeout: float,
+                 env: Optional[Dict[str, str]] = None) -> str:
+    completed = subprocess.run(argv, capture_output=True, text=True,
+                               timeout=timeout, env=env)
+    if completed.returncode != 0:
+        raise RuntimeError(f"analyze failed (exit {completed.returncode}): "
+                           f"{' '.join(argv)}\n{completed.stderr}")
+    return completed.stdout
+
+
+def _run_variant(variant: str, args: argparse.Namespace, scratch: str,
+                 timeout: float) -> str:
+    """Run one backend variant of the sweep and return its raw stdout."""
+    base = _sweep_argv(args)
+    if variant == "serial":
+        return _run_analyze(base, timeout)
+    if variant == "pool":
+        return _run_analyze(base + ["--backend", "pool", "--workers", "2"],
+                            timeout)
+    if variant == "distributed":
+        return _run_analyze(
+            base + ["--backend", "distributed", "--workers", "2"], timeout)
+    if variant == "results":
+        # Serial sweep streamed into a store: proves the store-backed lazy
+        # CampaignResult prints byte-identically to the in-memory one.
+        path = os.path.join(scratch, "results-variant.sqlite")
+        if os.path.exists(path):
+            os.unlink(path)
+        return _run_analyze(base + ["--results", path], timeout)
+    if variant in ("tcp", "tcp-kill"):
+        broker = _TcpBroker()
+        workers: List[subprocess.Popen] = []
+        killer = None
+        try:
+            extra = ["--backend", "distributed", "--workers", "0",
+                     "--queue", broker.url]
+            lease = 3.0 if variant == "tcp-kill" else None
+            if variant == "tcp-kill":
+                extra += ["--lease-seconds", "3"]
+            workers = [_spawn_worker(broker.url, lease_seconds=lease)
+                       for _ in range(2)]
+            if variant == "tcp-kill":
+                # SIGKILL one worker mid-campaign; the expired lease must
+                # requeue its claim onto the survivor.
+                import threading
+                victim = workers[0]
+                killer = threading.Timer(2.0, victim.kill)
+                killer.start()
+            return _run_analyze(base + extra, timeout)
+        finally:
+            if killer is not None:
+                killer.cancel()
+            _stop_workers(workers)
+            broker.stop()
+    raise SystemExit(f"unknown check-backends variant "
+                     f"{variant!r}")
+
+
+def run_expect_identical(args: argparse.Namespace) -> int:
+    """Backend-equivalence gate: every variant must match serial exactly."""
+    variants = [name.strip() for name in args.backends.split(",")
+                if name.strip()]
+    scratch = tempfile.mkdtemp(prefix="repro-check-backends-")
+    isa_note = f" isa={args.isa}" if getattr(args, "isa", None) else ""
+    print(f"check-backends: workload={args.workload} "
+          f"query={args.query} fault_model={args.fault_model}{isa_note} "
+          f"variants={variants}", flush=True)
+    baseline = normalize_output(
+        _run_variant("serial", args, scratch, args.timeout))
+    failures = []
+    for variant in variants:
+        started = time.perf_counter()
+        output = normalize_output(
+            _run_variant(variant, args, scratch, args.timeout))
+        elapsed = time.perf_counter() - started
+        if output == baseline:
+            print(f"  {variant:<12} identical ({elapsed:.1f}s)", flush=True)
+            continue
+        failures.append(variant)
+        print(f"  {variant:<12} DIFFERS from the serial baseline:",
+              flush=True)
+        diff = difflib.unified_diff(
+            baseline.splitlines(keepends=True),
+            output.splitlines(keepends=True),
+            fromfile="serial", tofile=variant)
+        sys.stdout.writelines(diff)
+    if failures:
+        print(f"FAIL: backends not identical to serial: {failures}",
+              file=sys.stderr)
+        return 1
+    print("all backends identical to the serial baseline")
+    return 0
+
+
+def add_check_backends_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--timeout", type=float, default=900.0,
+                        help="per-variant subprocess timeout")
+    parser.add_argument("--backends", default="pool,distributed",
+                        help="comma-separated variants to compare with the "
+                             "serial baseline: pool, distributed, results, "
+                             "tcp, tcp-kill")
+    parser.add_argument("--workload", default="factorial",
+                        help="workload to sweep")
+    parser.add_argument("--fault-model", default=None,
+                        help="fault model of the sweep")
+    parser.add_argument("--burst-k", type=int, default=None, metavar="K",
+                        help="burst size with --fault-model burst (passed "
+                             "through to 'repro analyze --burst-k')")
+    parser.add_argument("--isa", default=None, metavar="NAME",
+                        help="ISA frontend (retargets the workload, e.g. "
+                             "mips or rv32im)")
+    parser.add_argument("--query", default="err-output",
+                        help="query of the sweep")
+    parser.add_argument("--sample", type=int, default=None,
+                        help="'repro analyze --sample'")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="'repro analyze --seed'")
+    parser.add_argument("--max-injections", type=int, default=None,
+                        help="'repro analyze --max-injections'")
+    parser.add_argument("--max-states", type=int, default=None,
+                        help="'repro analyze --max-states'")

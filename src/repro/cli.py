@@ -316,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        "per-fault-model coverage)")
     report.add_argument("--results", default=None, metavar="PATH",
                         help="sqlite results store written by 'repro analyze "
-                             "--results' or 'repro bench'")
+                             "--results'")
     report.add_argument("--parity", action="store_true",
                         help="print the symbolic-vs-bit-flip parity table "
                              "instead of the aggregate report (joins each "
@@ -346,12 +346,12 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="emit Prometheus text format instead of the "
                           "human-readable frame")
 
-    from .results.bench import add_bench_arguments
-    bench = subparsers.add_parser(
-        "bench", help="unified workload driver: run the campaign matrix and "
-                      "emit a BENCH_<sha>.json trajectory point, or check "
-                      "backend equivalence with --expect-identical")
-    add_bench_arguments(bench)
+    from .check_backends import add_check_backends_arguments
+    check_backends = subparsers.add_parser(
+        "check-backends", help="run one sweep through several backends and "
+                               "diff each output against the serial "
+                               "baseline byte-for-byte")
+    add_check_backends_arguments(check_backends)
 
     return parser
 
@@ -822,9 +822,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _command_report(args)
     if args.command == "top":
         return _command_top(args)
-    if args.command == "bench":
-        from .results.bench import run_bench
-        return run_bench(args)
+    if args.command == "check-backends":
+        from .check_backends import run_expect_identical
+        return run_expect_identical(args)
     raise SystemExit(f"unknown command {args.command!r}")  # pragma: no cover
 
 

@@ -229,7 +229,7 @@ class ExecutionStrategy:
     caps.  The contract: given the same ``(campaign, injections, query)``,
     every strategy must return results equal to the serial strategy's, in
     submission order — backends may only change *where* searches run,
-    never *what* they return (`repro bench --expect-identical` enforces
+    never *what* they return (`repro check-backends` enforces
     this byte-for-byte across backends, for every fault model including
     multi-error bursts).  Each injection experiment is a pure function of
     the campaign identity, which is what makes work stealing, re-execution

@@ -87,11 +87,10 @@ class ExecutionConfig:
             ``"exception_only"`` (only the illegal-instruction outcome).
         max_control_forks: cap on the number of forked landing sites
             (0 forks none: only the crash outcome remains).
-        memory_fork_domain: where an erroneous load/store address may point —
-            ``"known"`` (currently defined memory words) or
-            ``"exception_only"``.
-        max_memory_forks: cap on the number of forked memory locations
-            (0 forks none).
+        max_memory_forks: cap on the number of forked memory locations an
+            erroneous load/store address may point to, drawn from the
+            currently defined memory words (0 forks none: a load keeps only
+            the crash outcome, a store only the fresh-address one).
         prune_unsatisfiable: whether the constraint solver prunes infeasible
             branches (turning this off is the paper's implicit baseline and is
             exercised by the ablation benchmark).
@@ -104,7 +103,6 @@ class ExecutionConfig:
     max_steps: int = 20_000
     control_fork_domain: str = "labels"
     max_control_forks: int = 128
-    memory_fork_domain: str = "known"
     max_memory_forks: int = 16
     prune_unsatisfiable: bool = True
     record_trace: bool = False
@@ -661,15 +659,14 @@ class Executor:
     def _memory_error_loads(self, state: MachineState, rt: int) -> List[MachineState]:
         """Load through a corrupted pointer: arbitrary location or exception."""
         successors: List[MachineState] = [self._crash(state, ILLEGAL_ADDRESS)]
-        if self.config.memory_fork_domain == "known":
-            for address in self._memory_fork_addresses(state):
-                branch = self._base(state)
-                value = branch.read_memory(address)
-                branch.write_register(
-                    rt, value,
-                    transfer_from=Location.memory(address) if is_err(value) else None)
-                branch.forks += 1
-                successors.append(self._advance(branch))
+        for address in self._memory_fork_addresses(state):
+            branch = self._base(state)
+            value = branch.read_memory(address)
+            branch.write_register(
+                rt, value,
+                transfer_from=Location.memory(address) if is_err(value) else None)
+            branch.forks += 1
+            successors.append(self._advance(branch))
         return successors
 
     def _execute_store(self, state: MachineState,
@@ -695,12 +692,11 @@ class Executor:
         fresh.write_memory(fresh_address, value, transfer_from=value_location)
         fresh.forks += 1
         successors.append(self._advance(fresh))
-        if self.config.memory_fork_domain == "known":
-            for address in self._memory_fork_addresses(state):
-                branch = self._base(state)
-                branch.write_memory(address, value, transfer_from=value_location)
-                branch.forks += 1
-                successors.append(self._advance(branch))
+        for address in self._memory_fork_addresses(state):
+            branch = self._base(state)
+            branch.write_memory(address, value, transfer_from=value_location)
+            branch.forks += 1
+            successors.append(self._advance(branch))
         return successors
 
     def _memory_fork_addresses(self, state: MachineState) -> List[int]:

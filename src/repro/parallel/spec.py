@@ -39,8 +39,8 @@ class CacheSpec:
     :class:`~repro.core.search.SearchResultCache` of a given size.
 
     Pool and broker workers build the default cache directly; the recipe
-    serves in-process callers that build their own (``repro bench`` and
-    the campaign benchmark).
+    serves in-process callers that build their own (the campaign
+    benchmark).
     """
 
     max_entries: Optional[int] = None

@@ -1,22 +1,24 @@
-"""Unit tests for the unified workload driver and the trajectory gate.
+"""Unit tests for the backend-check normalization and the benchmark gates.
 
-The heavyweight paths (full matrix runs, broker variants) are exercised by
-the `bench-trajectory` and smoke CI jobs; here we pin the cheap invariants
-those jobs rely on: output normalization, matrix well-formedness, sha
-resolution and the pass/fail logic of ``check_bench_trajectory.py``.
+The heavyweight paths (perfbench runs, broker variants) are exercised by
+the `perfbench-gate` and smoke CI jobs; here we pin the cheap invariants
+those jobs rely on: output normalization, the per-name comparison of the
+state hot-path gate, and the pass/fail rules of ``check_perfbench.py`` on
+synthetic runs and trajectory points.
 """
 
 import json
 import sys
 from pathlib import Path
 
-from repro.results.bench import (MATRICES, execute_entry, normalize_output,
-                                 resolve_sha)
+import pytest
+
+from repro.check_backends import normalize_output
 
 BENCHMARKS_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 sys.path.insert(0, str(BENCHMARKS_DIR))
 
-import check_bench_trajectory  # noqa: E402
+import check_perfbench  # noqa: E402
 from check_state_hotpath import compare_means  # noqa: E402
 
 
@@ -43,137 +45,132 @@ class TestNormalization:
         assert normalize_output(a) == normalize_output(b)
 
 
-class TestMatrices:
-    def test_entry_ids_are_unique_per_matrix(self):
-        for name, entries in MATRICES.items():
-            ids = [entry["id"] for entry in entries]
-            assert len(ids) == len(set(ids)), f"duplicate ids in {name!r}"
-
-    def test_full_matrix_extends_ci(self):
-        ci_ids = {entry["id"] for entry in MATRICES["ci"]}
-        full_ids = {entry["id"] for entry in MATRICES["full"]}
-        assert ci_ids < full_ids
-
-    def test_ci_matrix_contains_the_streaming_rss_pair(self):
-        ids = {entry["id"] for entry in MATRICES["ci"]}
-        assert set(check_bench_trajectory.STREAM_PAIR) <= ids
-
-    def test_resolve_sha_prefers_the_explicit_argument(self):
-        assert resolve_sha("abc123") == "abc123"
-
-    def test_ci_matrix_pairs_decoded_and_legacy_interp_entries(self):
-        """Both dispatch variants must stay under the trajectory gate."""
-        interp = {entry["id"]: entry for entry in MATRICES["ci"]
-                  if entry.get("mode") == "interp"}
-        for engine in ("concrete", "symbolic"):
-            pair = {entry["dispatch"] for entry in interp.values()
-                    if entry["engine"] == engine}
-            assert pair == {"decoded", "legacy"}, engine
-
-
-class TestInterpEntries:
-    def test_interp_entry_record_shape(self):
-        """One tiny in-process interp entry: throughput keys + wall clock.
-
-        Runs on factorial (a few hundred instructions total) so the unit
-        suite stays fast; the replace-sized entries run in the CI matrix.
-        """
-        entry = {"id": "interp-unit", "mode": "interp",
-                 "workload": "factorial", "engine": "concrete",
-                 "dispatch": "decoded", "repeats": 2}
-        record = execute_entry(entry)
-        assert record["mode"] == "interp"
-        assert record["instructions"] > 0
-        assert record["wall_clock_seconds"] > 0
-        assert record["instructions_per_second"] > 0
-        assert record["dispatch"] == "decoded"
-
-    def test_symbolic_and_legacy_variants_run(self):
-        for engine, dispatch in (("symbolic", "decoded"),
-                                 ("concrete", "legacy")):
-            entry = {"id": "interp-unit", "mode": "interp",
-                     "workload": "factorial", "engine": engine,
-                     "dispatch": dispatch, "repeats": 1}
-            record = execute_entry(entry)
-            assert record["engine"] == engine
-            assert record["dispatch"] == dispatch
-            assert record["instructions"] > 0
-
-
-def point(sha, entries, created="2026-08-08T00:00:00+00:00"):
-    return {"schema_version": 1, "sha": sha, "matrix": "ci",
-            "created": created,
-            "entries": [
-                {"id": entry_id, "wall_clock_seconds": wall,
-                 "max_rss_kb": rss}
-                for entry_id, wall, rss in entries
-            ]}
-
-
-def write_point(path, doc):
-    path.write_text(json.dumps(doc))
-    return str(path)
-
-
-class TestTrajectoryGate:
-    BASE = [("factorial-register-errout", 1.0, 25_000),
-            ("replace-results-stream-1x", 2.0, 90_000),
-            ("replace-results-stream-10x", 8.0, 150_000)]
-
-    def test_within_tolerance_passes(self, tmp_path):
-        baseline = write_point(tmp_path / "base.json", point("aaa", self.BASE))
-        fresh = write_point(tmp_path / "fresh.json", point("bbb", [
-            (i, w * 1.1, r) for i, w, r in self.BASE]))
-        assert check_bench_trajectory.check(fresh, baseline) == 0
-
-    def test_wall_clock_regression_fails(self, tmp_path):
-        baseline = write_point(tmp_path / "base.json", point("aaa", self.BASE))
-        fresh = write_point(tmp_path / "fresh.json", point("bbb", [
-            (i, w * (1.5 if i == "factorial-register-errout" else 1.0), r)
-            for i, w, r in self.BASE]))
-        assert check_bench_trajectory.check(fresh, baseline) == 1
-
-    def test_missing_entry_fails(self, tmp_path):
-        baseline = write_point(tmp_path / "base.json", point("aaa", self.BASE))
-        fresh = write_point(tmp_path / "fresh.json",
-                            point("bbb", self.BASE[:-1]))
-        assert check_bench_trajectory.check(fresh, baseline) == 1
-
-    def test_rss_blowup_on_the_streaming_pair_fails(self, tmp_path):
-        baseline = write_point(tmp_path / "base.json", point("aaa", self.BASE))
-        fresh = write_point(tmp_path / "fresh.json", point("bbb", [
-            (i, w, r * (4 if i == "replace-results-stream-10x" else 1))
-            for i, w, r in self.BASE]))
-        assert check_bench_trajectory.check(fresh, baseline) == 1
-
-    def test_first_point_passes_when_no_baseline_committed(self, tmp_path,
-                                                           monkeypatch):
-        monkeypatch.setattr(check_bench_trajectory, "TRAJECTORY_DIR",
-                            tmp_path / "empty")
-        fresh = write_point(tmp_path / "fresh.json", point("bbb", self.BASE))
-        assert check_bench_trajectory.check(fresh) == 0
-
-    def test_latest_committed_point_is_picked_by_created_time(self, tmp_path,
-                                                              monkeypatch):
-        trajectory = tmp_path / "trajectory"
-        trajectory.mkdir()
-        write_point(trajectory / "BENCH_zzz.json",
-                    point("zzz", self.BASE, created="2026-01-01T00:00:00+00:00"))
-        newer = [(i, w * 0.5, r) for i, w, r in self.BASE]
-        write_point(trajectory / "BENCH_aaa.json",
-                    point("aaa", newer, created="2026-06-01T00:00:00+00:00"))
-        monkeypatch.setattr(check_bench_trajectory, "TRAJECTORY_DIR",
-                            trajectory)
-        located = check_bench_trajectory.latest_committed_point()
-        assert located is not None
-        doc, path = located
-        assert doc["sha"] == "aaa"  # newest by created, not by filename
-        # The newer (faster) baseline makes the old timings regress.
-        fresh = write_point(tmp_path / "fresh.json", point("bbb", self.BASE))
-        assert check_bench_trajectory.check(fresh) == 1
-
+class TestCompareMeans:
     def test_compare_means_reports_missing_names(self, capsys):
         failures = compare_means({"a": 1.0, "b": 2.0}, {"a": 1.0}, 1.2)
         assert any("not measured" in failure for failure in failures)
         out = capsys.readouterr().out
         assert "MISSING" in out
+
+
+WORKLOADS = ("replace-control", "replace-register", "tcas-memory-warehouse",
+             "tcas-memory-tcp")
+METRICS = {"setup_s": 0.4, "injections_per_s": 30.0, "verdict_ms_p50": 1.0,
+           "verdict_ms_p90": 140.0, "peak_rss_mb": 80.0, "decided_frac": 0.7}
+
+
+def run_output(scale=None, drop=None, **fields):
+    """One run's stdout: a progress line, then the JSON result line."""
+    values = {name: value * (scale or {}).get(name, 1.0)
+              for name, value in METRICS.items() if name != drop}
+    result = {"correct": True, "attempted": 360, "failed": 0,
+              "metrics": {name: {"value": value, "unit": "u"}
+                          for name, value in values.items()}}
+    result.update(fields)
+    return "check: 360 verdicts\n" + json.dumps(result) + "\n"
+
+
+class TestPerfbenchGate:
+    @pytest.fixture(autouse=True)
+    def isolated(self, tmp_path, monkeypatch):
+        self.trajectory = tmp_path / "trajectory"
+        self.trajectory.mkdir()
+        self.runs = tmp_path / "runs"
+        self.runs.mkdir()
+        monkeypatch.setattr(check_perfbench, "TRAJECTORY_DIR",
+                            self.trajectory)
+        monkeypatch.setattr(check_perfbench, "head_sha", lambda: "fresh")
+        monkeypatch.delenv("GITHUB_ACTIONS", raising=False)
+        monkeypatch.chdir(tmp_path)
+
+    def commit_point(self, name, runner="local", scale=None,
+                     created="2026-10-01T00:00:00Z", schema_version=2):
+        values = {name: value * (scale or {}).get(name, 1.0)
+                  for name, value in METRICS.items()}
+        point = {"schema_version": schema_version, "sha": name,
+                 "created": created, "runner": runner,
+                 "perfbench": {workload: dict(values, attempted=360,
+                                              failed=0)
+                               for workload in WORKLOADS}}
+        (self.trajectory / f"BENCH_{name}.json").write_text(json.dumps(point))
+
+    def gate(self, outputs=None, skip=None):
+        outputs = outputs or {}
+        paths = []
+        for workload in WORKLOADS:
+            if workload == skip:
+                continue
+            path = self.runs / f"{workload}.out"
+            path.write_text(outputs.get(workload, run_output()))
+            paths.append(str(path))
+        return check_perfbench.main(paths)
+
+    def test_within_the_bounds_passes_and_writes_a_schema_2_point(self):
+        self.commit_point("base")
+        status = self.gate({"replace-register": run_output(
+            {"injections_per_s": 0.85, "verdict_ms_p90": 1.15,
+             "setup_s": 1.2})})
+        assert status == 0
+        point = json.loads(Path("BENCH_fresh.json").read_text())
+        assert point["schema_version"] == 2
+        assert point["runner"] == "local"
+        assert point["sha"] == "fresh"
+        assert set(point["perfbench"]) == set(WORKLOADS)
+        register = point["perfbench"]["replace-register"]
+        assert register["injections_per_s"] == pytest.approx(25.5)
+        assert register["attempted"] == 360 and register["failed"] == 0
+
+    @pytest.mark.parametrize("name, factor", [("injections_per_s", 0.75),
+                                              ("verdict_ms_p90", 1.25)])
+    def test_worse_beyond_the_bound_fails_in_either_direction(self, name,
+                                                              factor):
+        self.commit_point("base")
+        assert self.gate({"tcas-memory-tcp": run_output({name: factor})}) == 1
+
+    @pytest.mark.parametrize("name, factor", [("injections_per_s", 1.5),
+                                              ("verdict_ms_p90", 0.5)])
+    def test_better_beyond_the_bound_passes(self, name, factor):
+        self.commit_point("base")
+        assert self.gate({"tcas-memory-tcp": run_output({name: factor})}) == 0
+
+    def test_wrong_verdicts_fail(self):
+        assert self.gate({"replace-control": run_output(correct=False)}) == 1
+
+    def test_failed_injections_fail(self):
+        assert self.gate({"replace-control": run_output(failed=2)}) == 1
+
+    def test_a_missing_workload_fails(self):
+        assert self.gate(skip="tcas-memory-tcp") == 1
+
+    def test_a_run_without_a_result_line_fails(self):
+        assert self.gate({"tcas-memory-tcp": "Traceback ...\n"}) == 1
+
+    def test_a_missing_metric_fails(self):
+        assert self.gate({"replace-control":
+                          run_output(drop="decided_frac")}) == 1
+
+    def test_no_same_runner_baseline_passes(self, capsys):
+        # Only a CI point and an old schema-1 point, both far better.
+        self.commit_point("ci", runner="ci", scale={"injections_per_s": 9})
+        self.commit_point("old", scale={"injections_per_s": 9},
+                          schema_version=1)
+        assert self.gate() == 0
+        assert "nothing to compare with" in capsys.readouterr().out
+
+    def test_a_local_point_is_never_the_baseline_of_a_ci_run(self,
+                                                             monkeypatch):
+        monkeypatch.setenv("GITHUB_ACTIONS", "true")
+        self.commit_point("ci", runner="ci", created="2026-09-01T00:00:00Z")
+        self.commit_point("local", scale={"injections_per_s": 9},
+                          created="2026-10-01T00:00:00Z")
+        assert check_perfbench.baseline_point("ci")["sha"] == "ci"
+        assert self.gate() == 0
+        point = json.loads(Path("BENCH_fresh.json").read_text())
+        assert point["runner"] == "ci"
+
+    def test_the_newest_point_by_created_is_the_baseline(self):
+        self.commit_point("aaa", scale={"injections_per_s": 2},
+                          created="2026-10-02T00:00:00Z")
+        self.commit_point("zzz", created="2026-10-01T00:00:00Z")
+        assert check_perfbench.baseline_point("local")["sha"] == "aaa"
+        assert self.gate() == 1
