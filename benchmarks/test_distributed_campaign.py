@@ -5,15 +5,15 @@ the pool: identical per-injection results, in the same order, on the
 programs the paper evaluates.  These benches run the tcas and replace
 campaign subsets (the same fixtures the pool equivalence benches use) and
 the factorial sweep through real standalone worker processes and a
-filesystem broker, and additionally kill-and-resume the factorial campaign
-through the checkpoint journal.
+filesystem broker, and additionally kill-and-resume the tcas and replace
+campaigns through the results store.
 """
 
 import pytest
 
-from repro.distributed import (CheckpointingStrategy, DistributedConfig,
-                               run_campaign_distributed)
+from repro.distributed import DistributedConfig, run_campaign_distributed
 from repro.core import SerialExecutionStrategy
+from repro.results import RecordingStrategy, SqliteResultStore
 
 from test_parallel_campaign import (equivalence_key, replace_campaign,
                                     tcas_campaign)
@@ -51,25 +51,25 @@ def test_distributed_matches_serial_on_paper_benchmarks(benchmark,
 @pytest.mark.benchmark(group="distributed")
 @pytest.mark.parametrize("make_campaign", [tcas_campaign, replace_campaign],
                          ids=["tcas", "replace"])
-def test_interrupted_checkpoint_resume_is_identical(benchmark, make_campaign,
-                                                    tmp_path):
+def test_interrupted_resume_is_identical(benchmark, make_campaign, tmp_path):
     """A campaign killed mid-sweep resumes to serial-identical results."""
     workload, campaign, injections, spec = make_campaign()
     golden = workload.golden_output()
     query = spec.build()
-    journal_path = str(tmp_path / "campaign.ckpt")
+    store = SqliteResultStore(str(tmp_path / "results.sqlite"))
 
     serial = campaign.run(query, injections=injections)
-    # The "killed" first attempt: only part of the sweep reaches the journal.
-    CheckpointingStrategy(SerialExecutionStrategy(), journal_path).run(
-        campaign, injections[:len(injections) // 2], query)
+    # The "killed" first attempt: only part of the sweep reaches the store.
+    campaign.run(query, injections=injections[:len(injections) // 2],
+                 strategy=RecordingStrategy(SerialExecutionStrategy(), store))
 
     def resume():
-        strategy = CheckpointingStrategy(SerialExecutionStrategy(),
-                                         journal_path, resume=True)
+        strategy = RecordingStrategy(SerialExecutionStrategy(), store,
+                                     resume=True)
         return campaign.run(query, injections=injections, strategy=strategy)
 
     resumed = benchmark.pedantic(resume, rounds=1, iterations=1)
     assert equivalence_key(resumed, golden) == equivalence_key(serial, golden)
+    store.close()
     print(f"\n[DIST] {workload.name}: resume over "
-          f"{len(injections) // 2} journaled injections, identical to serial")
+          f"{len(injections) // 2} stored injections, identical to serial")

@@ -1,10 +1,11 @@
 """Backend byte-identity check (``repro check-backends``).
 
 Runs the same ``repro analyze`` sweep through several backends — pool,
-distributed, TCP broker variants, the ``--results`` store-backed view and
-worker-kill recovery — and diffs each normalized output against the
-serial baseline.  Everything but the timing and backend-identity lines
-must be byte-identical; the ``smoke-*`` CI jobs gate on it.
+distributed, TCP broker variants, the ``--results`` store-backed view, a
+``--resume`` of a half-recorded store and worker-kill recovery — and
+diffs each normalized output against the serial baseline.  Everything but
+the timing and backend-identity lines must be byte-identical; the
+``smoke-*`` CI jobs gate on it.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -114,8 +116,9 @@ def _run_analyze(argv: List[str], timeout: float,
 
 
 def _run_variant(variant: str, args: argparse.Namespace, scratch: str,
-                 timeout: float) -> str:
-    """Run one backend variant of the sweep and return its raw stdout."""
+                 timeout: float, sweep: int) -> str:
+    """Run one backend variant of the *sweep*-injection sweep and return
+    its raw stdout."""
     base = _sweep_argv(args)
     if variant == "serial":
         return _run_analyze(base, timeout)
@@ -132,6 +135,17 @@ def _run_variant(variant: str, args: argparse.Namespace, scratch: str,
         if os.path.exists(path):
             os.unlink(path)
         return _run_analyze(base + ["--results", path], timeout)
+    if variant == "resume":
+        # The first half of the sweep streams into a fresh store (the last
+        # --max-injections wins), then --resume runs the full sweep: it
+        # must skip the stored half and print the uninterrupted output.
+        path = os.path.join(scratch, "resume-variant.sqlite")
+        if os.path.exists(path):
+            os.unlink(path)
+        _run_analyze(base + ["--results", path,
+                             "--max-injections", str((sweep + 1) // 2)],
+                     timeout)
+        return _run_analyze(base + ["--results", path, "--resume"], timeout)
     if variant in ("tcp", "tcp-kill"):
         broker = _TcpBroker()
         workers: List[subprocess.Popen] = []
@@ -170,13 +184,14 @@ def run_expect_identical(args: argparse.Namespace) -> int:
     print(f"check-backends: workload={args.workload} "
           f"query={args.query} fault_model={args.fault_model}{isa_note} "
           f"variants={variants}", flush=True)
-    baseline = normalize_output(
-        _run_variant("serial", args, scratch, args.timeout))
+    serial = _run_variant("serial", args, scratch, args.timeout, 0)
+    sweep = int(re.search(r"^injections\s*: (\d+)$", serial, re.M).group(1))
+    baseline = normalize_output(serial)
     failures = []
     for variant in variants:
         started = time.perf_counter()
         output = normalize_output(
-            _run_variant(variant, args, scratch, args.timeout))
+            _run_variant(variant, args, scratch, args.timeout, sweep))
         elapsed = time.perf_counter() - started
         if output == baseline:
             print(f"  {variant:<12} identical ({elapsed:.1f}s)", flush=True)
@@ -203,7 +218,7 @@ def add_check_backends_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backends", default="pool,distributed",
                         help="comma-separated variants to compare with the "
                              "serial baseline: pool, distributed, results, "
-                             "tcp, tcp-kill")
+                             "resume, tcp, tcp-kill")
     parser.add_argument("--workload", default="factorial",
                         help="workload to sweep")
     parser.add_argument("--fault-model", default=None,

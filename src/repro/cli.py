@@ -227,12 +227,10 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--lease-seconds", type=_positive_float, default=60.0,
                          help="distributed-backend claim lease; a worker "
                               "silent this long forfeits its task")
-    analyze.add_argument("--checkpoint", default=None,
-                         help="journal completed injections to this file so "
-                              "a killed campaign can be resumed")
     analyze.add_argument("--resume", action="store_true",
-                         help="skip injections already completed in the "
-                              "--checkpoint journal")
+                         help="continue the newest matching campaign in the "
+                              "--results store: injections it already holds "
+                              "are skipped, the rest are appended to it")
     analyze.add_argument("--results", default=None, metavar="PATH",
                          help="append the campaign to a sqlite results "
                               "warehouse; the coordinator streams each "
@@ -401,9 +399,9 @@ def _resolve_backend(args: argparse.Namespace) -> str:
     if backend == "serial" and args.chunk_size is not None:
         raise SystemExit("--chunk-size only applies to --backend pool or "
                          "distributed (the serial sweep is not chunked)")
-    if args.resume and args.checkpoint is None:
-        raise SystemExit("--resume needs --checkpoint PATH (the journal to "
-                         "resume from)")
+    if args.resume and args.results is None:
+        raise SystemExit("--resume needs --results PATH (the results store "
+                         "to resume from)")
     if args.seed is not None and args.sample is None:
         raise SystemExit("--seed only applies with --sample N (a full sweep "
                          "is not randomised)")
@@ -440,12 +438,6 @@ def _build_analyze_strategy(args: argparse.Namespace, backend: str,
                                    lease_seconds=args.lease_seconds)
         strategy = DistributedExecutionStrategy(query_spec, config)
         statistics = lambda: strategy.cache_statistics  # noqa: E731
-
-    if args.checkpoint is not None:
-        from .distributed import CheckpointingStrategy
-        checkpointing = CheckpointingStrategy(strategy, args.checkpoint,
-                                              resume=args.resume)
-        return checkpointing, statistics
     return strategy, statistics
 
 
@@ -548,24 +540,16 @@ def _command_analyze(args: argparse.Namespace) -> int:
             "sample": args.sample,
             "max_injections": args.max_injections,
         }
-        # --checkpoint needs the wrapped backend to retain its result list
-        # (the journal merge zips pending and fresh results, and resumed
-        # results never pass through the streaming sink); without it the
-        # coordinator streams and retains nothing.
         strategy = RecordingStrategy(strategy, store, meta=meta,
                                      golden_output=golden,
-                                     retain=args.checkpoint is not None)
+                                     resume=args.resume)
     result = campaign.run(query, injections=injections, progress=progress,
                           strategy=strategy)
     if store is not None:
         print(f"results store: {args.results} "
-              f"(campaign {strategy.campaign_id})", file=sys.stderr)
-    if args.checkpoint is not None:
-        skipped = getattr(strategy, "skipped", 0)
-        print(f"checkpoint: {args.checkpoint}"
-              + (f" ({skipped} injections resumed from the journal)"
-                 if args.resume else ""),
-              file=sys.stderr)
+              f"(campaign {strategy.campaign_id}"
+              + (f", {strategy.resumed} injections resumed"
+                 if args.resume else "") + ")", file=sys.stderr)
     cache_statistics = cache_statistics_fn()
     if args.progress and cache_statistics is not None:
         print(f"search-result cache: {cache_statistics.describe()}",

@@ -45,7 +45,7 @@ ProgressCallback = Callable[[int, int, "InjectionResult"], None]
 #: backends that is when the containing chunk completes).  Unlike the
 #: ProgressCallback — which the pool backends only call with the *last*
 #: result of a chunk — the sink sees every result exactly once, which is
-#: what checkpoint journaling needs.
+#: what recording into a results store needs.
 ResultSink = Callable[["Injection", "InjectionResult"], None]
 
 
@@ -221,8 +221,8 @@ class ExecutionStrategy:
     worker pool, and :mod:`repro.distributed` / :mod:`repro.net` run them
     through a broker.  A backend implements :meth:`run_tasks`; every task
     of every backend goes through :func:`run_task`.  Wrappers compose by
-    overriding :meth:`run`: checkpointing, recording into a
-    :class:`~repro.results.ResultStore`, progress reporting.
+    overriding :meth:`run`: recording into (and resuming from) a
+    :class:`~repro.results.SqliteResultStore`, progress reporting.
 
     A sweep is a list of uncapped tasks (:meth:`run`), and a
     :class:`~repro.core.tasks.TaskRunner` campaign is the same list with
@@ -233,14 +233,14 @@ class ExecutionStrategy:
     this byte-for-byte across backends, for every fault model including
     multi-error bursts).  Each injection experiment is a pure function of
     the campaign identity, which is what makes work stealing, re-execution
-    after lease expiry and checkpoint resume safe.
+    after lease expiry and resume safe.
     """
 
     name: str = "abstract"
 
     #: Optional per-result hook (see :data:`ResultSink`).  :meth:`run`
     #: calls :meth:`emit_result` for every completed injection; wrappers
-    #: such as the checkpointing strategy install a sink here.
+    #: such as the recording strategy install a sink here.
     result_sink: Optional[ResultSink] = None
 
     #: When False, the strategy streams every result through
@@ -362,7 +362,7 @@ class SymbolicCampaign:
         #: any-outcome search under-reports ``hang`` terminals.
         self.deduplicate_states = deduplicate_states
         #: ISA frontend the program was retargeted through, if any; pure
-        #: provenance metadata pinned into checkpoint headers and specs.
+        #: provenance metadata pinned into campaign headers and specs.
         self.isa = isa
         self._executor = Executor(program, detectors, self.execution_config)
         # Built by the first injection, not here: set-up stays as cheap as

@@ -3,8 +3,9 @@
 Where :mod:`repro.parallel` shards a sweep across a single host's worker
 pool, this package distributes it through a durable broker to standalone
 ``repro worker`` processes — over a shared queue directory, or over TCP via
-:mod:`repro.net` for hosts that share nothing but a port — with
-checkpoint/resume riding on the same journal layer.
+:mod:`repro.net` for hosts that share nothing but a port.  A killed
+campaign resumes from its results store (``repro analyze --results PATH
+--resume``, see :mod:`repro.results.recording`) under any backend.
 
 Public surface:
 
@@ -20,26 +21,18 @@ Public surface:
 * :class:`WorkerConfig` / :func:`run_worker` — the standalone worker loop
   behind ``repro worker --queue DIR|tcp://…``;
 * :class:`Backoff` — capped exponential backoff shared by the idle polling
-  loops;
-* :class:`CheckpointJournal` / :class:`CheckpointingStrategy` — campaign
-  checkpoint/resume for any backend;
-* :class:`RecordJournal` — the crash-tolerant append-only log underneath.
+  loops.
 """
 
 from .backoff import Backoff
 from .broker import (Broker, CampaignManifest, ClaimedTask, FilesystemBroker,
                      open_broker)
-from .checkpoint import (CheckpointJournal, CheckpointingStrategy,
-                         campaign_header, injection_key)
-from .journal import RecordJournal
 from .strategy import (DistributedConfig, DistributedExecutionStrategy,
                        run_campaign_distributed)
 from .worker import WorkerConfig, run_worker
 
 __all__ = [
-    "Backoff", "Broker", "CampaignManifest", "CheckpointJournal",
-    "CheckpointingStrategy", "ClaimedTask", "DistributedConfig",
-    "DistributedExecutionStrategy", "FilesystemBroker", "RecordJournal",
-    "WorkerConfig", "campaign_header", "injection_key", "open_broker",
-    "run_campaign_distributed", "run_worker",
+    "Backoff", "Broker", "CampaignManifest", "ClaimedTask",
+    "DistributedConfig", "DistributedExecutionStrategy", "FilesystemBroker",
+    "WorkerConfig", "open_broker", "run_campaign_distributed", "run_worker",
 ]

@@ -36,7 +36,7 @@ Errors in processor control logic (register renaming and the like) are
 outside the fault model, as in the paper.  Future models (timing errors,
 multi-bit cell faults, ...) plug in by subclassing :class:`FaultModel` and
 registering in :data:`FAULT_MODELS`; everything downstream — planning,
-chunking, the four execution backends, checkpointing — operates on the
+chunking, the four execution backends, the results store — operates on the
 produced FaultSpecs and needs no change.  The authoring walkthrough (with
 burst/bitflip as worked examples) lives in ``docs/fault-models.md``.
 """
@@ -92,16 +92,16 @@ class FaultModel:
     * **Enumeration is pure.**  :meth:`enumerate` must be a deterministic
       function of ``(program, memory, pcs)`` — no wall clock, no unseeded
       randomness, no filesystem — so every backend, worker and resumed
-      checkpoint sees the identical space in the identical order.
+      campaign sees the identical space in the identical order.
     * **Specs are picklable and frozen.**  The produced
       :class:`~repro.faults.spec.FaultSpec`\\ s ride every existing
       carrier unchanged (injection chunks, task payloads, broker
-      manifests, checkpoint journals); equality must survive a pickle
+      manifests, the results store); equality must survive a pickle
       round-trip, and :meth:`~repro.errors.injector.Injection.label` must
-      be unique within the space (it keys checkpoint journals).
+      be unique within the space (resume matches stored rows by it).
     * **Models are small frozen dataclasses.**  The model instance itself
       travels inside :class:`~repro.parallel.spec.CampaignSpec` and is
-      content-digested into checkpoint headers, so configuration (e.g.
+      content-digested into the campaign header, so configuration (e.g.
       :attr:`BurstFault.k`) pins the campaign identity.
 
     Register instances in :data:`FAULT_MODELS` to expose them on the CLI

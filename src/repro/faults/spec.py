@@ -8,9 +8,10 @@ choose) and *which model* planned it.
 
 Because a ``FaultSpec`` **is** an ``Injection``, it travels through every
 existing carrier unchanged: the task payloads shipped to pool workers and
-through the filesystem and socket broker queues, and checkpoint journals
-all pickle and merge FaultSpecs exactly like plain injections — the four execution backends (serial, pool,
-distributed, tcp) need no spec-specific code.
+through the filesystem and socket broker queues, and the results store
+all pickle and merge FaultSpecs exactly like plain injections — the four
+execution backends (serial, pool, distributed, tcp) need no spec-specific
+code.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class FaultSpec(Injection):
             models that corrupt with specific values.
         model: name of the :class:`~repro.faults.models.FaultModel` that
             planned this spec (identifies the space the spec was drawn
-            from in reports and checkpoint journals).
+            from in reports and the results store).
     """
 
     value: Value = ERR
@@ -60,7 +61,7 @@ class BurstFaultSpec(FaultSpec):
     Attributes (beyond :class:`FaultSpec`'s):
         components: the component faults, **in application order**.  The
             order is part of the spec's identity: it survives pickling,
-            broker manifests and checkpoint journals unchanged (see the
+            broker manifests and the results store unchanged (see the
             round-trip property in ``tests/test_burst_parity.py``), and it
             is the order :func:`~repro.machine.executor.apply_fault_set`
             writes the corruptions in.
@@ -68,7 +69,7 @@ class BurstFaultSpec(FaultSpec):
     ``target`` mirrors the first component's target (so carriers and the
     results warehouse that index on ``(breakpoint_pc, target)`` keep
     working); :meth:`label` spells out every component so two bursts at
-    one site never collide in a checkpoint journal.
+    one site never collide in the results store.
     """
 
     components: Tuple[FaultSpec, ...] = ()

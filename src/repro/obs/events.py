@@ -1,4 +1,4 @@
-"""Append-only JSONL event sink, following the RecordJournal discipline.
+"""Append-only JSONL event sink.
 
 One JSON object per line, appended with a per-process lock.  A crash can
 tear at most the final line, so :func:`read_events` tolerates (and skips)

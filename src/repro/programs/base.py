@@ -30,7 +30,7 @@ class Workload:
     compiled: Optional[object] = None  # CompiledProgram when built by minic
     recommended_max_steps: int = 20_000
     #: ISA frontend the program was retargeted through (``None`` = the native
-    #: SymPLFIED build).  Carried into campaigns, specs and checkpoint headers.
+    #: SymPLFIED build).  Carried into campaigns, specs and campaign headers.
     isa: Optional[str] = None
 
     def initial_state(self, input_values: Optional[Sequence[int]] = None

@@ -5,21 +5,19 @@ from __future__ import annotations
 
 from .aggregates import OutcomeAggregates, SolutionOutcome, classify_result
 from .recording import (RecordingStrategy, StoredCampaignResult,
-                        StoredResultsView)
+                        StoredResultsView, campaign_header)
 from .report import format_parity_report, format_report
-from .store import (CampaignRecord, MemoryResultStore, ResultStore,
-                    SqliteResultStore)
+from .store import CampaignRecord, SqliteResultStore
 
 __all__ = [
     "CampaignRecord",
-    "MemoryResultStore",
     "OutcomeAggregates",
     "RecordingStrategy",
-    "ResultStore",
     "SolutionOutcome",
     "SqliteResultStore",
     "StoredCampaignResult",
     "StoredResultsView",
+    "campaign_header",
     "classify_result",
     "format_parity_report",
     "format_report",

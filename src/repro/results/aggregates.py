@@ -1,20 +1,20 @@
-"""Incremental outcome aggregates for streaming campaign ingestion.
+"""Outcome aggregates of a campaign, folded one injection at a time.
 
 The paper evaluates its campaigns as aggregate outcome counts over large
-injection sweeps (Tables 2-4), which is exactly what a coordinator needs to
-keep when it stops retaining every :class:`~repro.core.campaign.
-InjectionResult` in memory: :class:`OutcomeAggregates` folds each arriving
-result into running counters — one :meth:`fold` per injection, O(solutions)
-each — and reproduces every aggregate the in-memory
+injection sweeps (Tables 2-4), which is exactly what a coordinator needs
+when it stops retaining every :class:`~repro.core.campaign.
+InjectionResult` in memory: :class:`OutcomeAggregates` holds the running
+counters — one :meth:`fold` per injection, O(solutions) each — and
+reproduces every aggregate the in-memory
 :class:`~repro.core.campaign.CampaignResult` derives by scanning its full
 result list (``describe()`` counters, the outcome-kind summary of
 :func:`~repro.analysis.report.campaign_outcome_summary`).
 
 Solutions are classified once, at ingestion, into :class:`SolutionOutcome`
 records; the result store persists the same records into its indexed
-``outcomes`` table, so the store's SQL aggregates, a full-scan re-fold and
-the coordinator's incremental counters must all agree (the conformance
-suite asserts it).
+``outcomes`` table and answers the same counters from its columnar
+tables, which must equal a full-scan re-fold (the conformance suite
+asserts it).
 """
 
 from __future__ import annotations

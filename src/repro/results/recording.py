@@ -1,43 +1,77 @@
-"""Streaming campaign ingestion into a :class:`~repro.results.store.ResultStore`.
+"""Streaming campaign ingestion into the results store, and resume from it.
 
 :class:`RecordingStrategy` wraps any :class:`~repro.core.campaign.
-ExecutionStrategy` (serial, pool, distributed, TCP, checkpointing) and
-records the sweep into a results store.  Two modes:
+ExecutionStrategy` (serial, pool, distributed, TCP) and streams the sweep
+into a results store: the wrapped backend runs with ``retain_results`` off,
+every arriving result is classified and appended to the store via the
+result-sink hook, and the returned :class:`StoredCampaignResult` reads
+results lazily back out of the store — the coordinator never holds the
+sweep in memory, which is what unlocks sweeps far beyond the in-memory
+ceiling.
 
-* **streaming** (``retain=False``, the default): the wrapped backend runs
-  with ``retain_results`` off, every arriving result is folded into
-  incremental :class:`~repro.results.aggregates.OutcomeAggregates` and
-  appended to the store via the result-sink hook, and the returned
-  :class:`StoredCampaignResult` reads results lazily back out of the store
-  — the coordinator never holds the sweep in memory, which is what unlocks
-  sweeps far beyond the in-memory ceiling.
-* **retained** (``retain=True``): the wrapped backend keeps its normal
-  in-memory result list (required under ``--checkpoint``, whose journal
-  zips pending and fresh results — and whose journal-resumed results never
-  pass through the sink) and the store is populated from that list after
-  the run.  Same warehouse rows, classic memory profile.
+The store is also the campaign's durable record, so it is what a killed
+campaign resumes from (``repro analyze --results PATH --resume``).  Each
+campaign's meta carries its identity, a digest of :func:`campaign_header`;
+``RecordingStrategy(..., resume=True)`` continues the newest stored
+campaign with the same identity, skips every injection whose position and
+label match a stored row, and streams the rest into that campaign — the
+printed result is identical to an uninterrupted run.
 
 Seq assignment: results may arrive in completion order (pool and
 distributed backends merge tasks as they finish), so rows are keyed by
 submission index via :meth:`~repro.errors.injector.Injection.label`;
-sweeps with duplicate
-labels assign the duplicates' indices in arrival order (they are
-interchangeable for every aggregate).
+sweeps with duplicate labels assign the duplicates' indices in arrival
+order (they are interchangeable for every aggregate).
 """
 
 from __future__ import annotations
 
+import hashlib
+import pickle
 import time
 from collections import deque
 from typing import Deque, Dict, Iterator, List, Optional, Sequence
 
+from .. import obs as _obs
 from ..core.campaign import (CampaignResult, ExecutionStrategy,
                              InjectionResult, ProgressCallback,
                              SymbolicCampaign)
 from ..core.queries import SearchQuery
 from ..errors.injector import Injection
 from .aggregates import OutcomeAggregates, classify_result
-from .store import ResultStore
+from .store import CampaignRecord, SqliteResultStore
+
+
+def campaign_header(campaign: SymbolicCampaign, query: SearchQuery) -> Dict:
+    """The campaign identity a stored campaign is pinned to.
+
+    Everything that changes what an individual search returns must be here:
+    stored results computed under one configuration must never merge
+    with fresh results computed under another (resuming with, say, a
+    different ``--max-states`` would otherwise silently break the
+    "identical to an uninterrupted run" guarantee).
+    """
+    # The fault model and detectors are pinned by content digest:
+    # a count or type name would accept a campaign recorded under a
+    # *different* detector file.  A spurious digest mismatch (these are
+    # best-effort canonical) fails loudly toward refusing the resume,
+    # never toward a wrong merge.
+    semantics = hashlib.sha256(pickle.dumps(
+        (campaign.fault_model, campaign.detectors),
+        protocol=4)).hexdigest()
+    return {
+        "program": campaign.program.name,
+        "fault_model": campaign.fault_model.name,
+        "isa": campaign.isa,
+        "query": query.description,
+        "input_values": tuple(campaign.input_values),
+        "search_caps": (campaign.max_solutions_per_injection,
+                        campaign.max_states_per_injection,
+                        campaign.wall_clock_per_injection,
+                        campaign.deduplicate_states),
+        "execution_config": repr(campaign.execution_config),
+        "semantics_digest": semantics,
+    }
 
 
 class StoredResultsView(Sequence):
@@ -49,7 +83,7 @@ class StoredResultsView(Sequence):
     never cached — iterating twice reads the store twice.
     """
 
-    def __init__(self, store: ResultStore, campaign_id: int) -> None:
+    def __init__(self, store: SqliteResultStore, campaign_id: int) -> None:
         self.store = store
         self.campaign_id = campaign_id
 
@@ -74,15 +108,16 @@ class StoredResultsView(Sequence):
 class StoredCampaignResult(CampaignResult):
     """A campaign result whose results live in the warehouse, not in memory.
 
-    Aggregate properties answer from the incrementally-folded
-    :class:`OutcomeAggregates` in O(1); ``results`` is a lazy
-    :class:`StoredResultsView`, so code that does scan it (witness
-    printing, ``solutions()``) streams rows out of the store — and
-    ``describe()`` output stays byte-identical to the in-memory result of
-    the same sweep.
+    Aggregate properties answer in O(1) from the store's columnar
+    :class:`OutcomeAggregates`, read once when the run finishes (so a
+    resumed campaign counts its stored and fresh rows alike); ``results``
+    is a lazy :class:`StoredResultsView`, so code that does scan it
+    (witness printing, ``solutions()``) streams rows out of the store —
+    and ``describe()`` output stays byte-identical to the in-memory result
+    of the same sweep.
     """
 
-    def __init__(self, query_description: str, store: ResultStore,
+    def __init__(self, query_description: str, store: SqliteResultStore,
                  campaign_id: int, aggregates: OutcomeAggregates) -> None:
         super().__init__(query_description=query_description)
         self.store = store
@@ -112,91 +147,107 @@ class StoredCampaignResult(CampaignResult):
 
 
 class RecordingStrategy(ExecutionStrategy):
-    """Record a wrapped strategy's sweep into a results store."""
+    """Stream a wrapped strategy's sweep into a results store.
+
+    With ``resume=True`` the run continues the newest stored campaign whose
+    identity matches instead of beginning a new one (an empty store starts
+    fresh; a store holding only other campaigns is refused).
+    """
 
     name = "recording"
 
-    def __init__(self, inner: ExecutionStrategy, store: ResultStore,
+    def __init__(self, inner: ExecutionStrategy, store: SqliteResultStore,
                  meta: Optional[Dict[str, object]] = None,
                  golden_output: Optional[Sequence] = None,
-                 retain: bool = False) -> None:
+                 resume: bool = False) -> None:
         self.inner = inner
         self.store = store
         self.meta = dict(meta or {})
         self.golden_output = golden_output
-        self.retain = retain
+        self.resume = resume
         self.aggregates = OutcomeAggregates()
         #: Campaign id of the last run (None before any run).
         self.campaign_id: Optional[int] = None
+        #: Injections the last run found already stored and skipped.
+        self.resumed = 0
 
     def __getattr__(self, attribute):
-        # Diagnostics (cache_statistics, requeued_tasks, skipped, ...) pass
-        # through to the wrapped backend.
+        # Diagnostics (cache_statistics, requeued_tasks, ...) pass through
+        # to the wrapped backend.
         return getattr(self.inner, attribute)
 
-    def _sequence_map(self, injections: Sequence[Injection]
-                      ) -> Dict[str, Deque[int]]:
-        by_label: Dict[str, Deque[int]] = {}
-        for seq, injection in enumerate(injections):
-            by_label.setdefault(injection.label(), deque()).append(seq)
-        return by_label
+    def _resumable(self, identity: str,
+                   header: Dict) -> Optional[CampaignRecord]:
+        """The newest stored campaign with *identity* (None: start fresh)."""
+        records = self.store.campaigns()
+        for record in reversed(records):
+            if record.meta.get("identity") == identity:
+                return record
+        if records:
+            raise ValueError(
+                f"results store {self.store.path!r} belongs to a different "
+                f"campaign: no stored campaign has identity {identity} "
+                f"(current campaign {header!r})")
+        return None
 
     def run(self, campaign: SymbolicCampaign,
             injections: Sequence[Injection], query: SearchQuery,
             progress: Optional[ProgressCallback] = None,
             ) -> List[InjectionResult]:
         injections = list(injections)
-        self.aggregates = OutcomeAggregates()
-        self.meta.setdefault("backend", self.inner.name)
-        self.meta.setdefault("query", query.description)
-        self.campaign_id = self.store.begin_campaign(self.meta)
+        header = campaign_header(campaign, query)
+        identity = hashlib.sha256(
+            repr(sorted(header.items())).encode()).hexdigest()
+        hub = _obs.get()
+        record = self._resumable(identity, header) if self.resume else None
+        if record is None:
+            self.meta.setdefault("backend", self.inner.name)
+            self.meta.setdefault("query", query.description)
+            self.meta["identity"] = identity
+            if hub.enabled:
+                # A later resume joins this trace (see below).
+                self.meta["trace"] = hub.trace_id
+            self.campaign_id = self.store.begin_campaign(self.meta)
+            stored = set()
+        else:
+            self.campaign_id = record.campaign_id
+            if "trace" in record.meta:
+                # Both halves of the sweep share one trace id in the log.
+                hub.adopt_trace(record.meta["trace"])
+            stored = self.store.prune(self.campaign_id, [
+                injection.label() for injection in injections])
+        self.resumed = len(stored)
+        pending = [seq for seq in range(len(injections)) if seq not in stored]
         started = time.monotonic()
 
+        seqs: Dict[str, Deque[int]] = {}
+        for seq in pending:
+            seqs.setdefault(injections[seq].label(), deque()).append(seq)
+        campaign_id = self.campaign_id
         previous_sink = self.inner.result_sink
-        if self.retain:
-            # Classic memory profile: ingest from the returned list (the
-            # only complete view under --checkpoint, where journal-resumed
-            # results never pass through the sink).
-            if self.result_sink is not None:
-                self.inner.result_sink = self.result_sink
-            try:
-                results = self.inner.run(campaign, injections, query,
-                                         progress=progress)
-            finally:
-                self.inner.result_sink = previous_sink
-            for seq, result in enumerate(results):
-                outcomes = classify_result(result, self.golden_output)
-                self.aggregates.fold(result, outcomes)
-                self.store.append(self.campaign_id, seq, result, outcomes)
-        else:
-            seq_map = self._sequence_map(injections)
-            campaign_id = self.campaign_id
 
-            def ingest(injection: Injection, result: InjectionResult) -> None:
-                outcomes = classify_result(result, self.golden_output)
-                self.aggregates.fold(result, outcomes)
-                seq = seq_map[injection.label()].popleft()
-                self.store.append(campaign_id, seq, result, outcomes)
-                if previous_sink is not None:
-                    previous_sink(injection, result)
-                self.emit_result(injection, result)
+        def ingest(injection: Injection, result: InjectionResult) -> None:
+            self.store.append(campaign_id, seqs[injection.label()].popleft(),
+                              result,
+                              classify_result(result, self.golden_output))
+            if previous_sink is not None:
+                previous_sink(injection, result)
+            self.emit_result(injection, result)
 
-            self.inner.result_sink = ingest
-            self.inner.retain_results = False
-            try:
-                results = self.inner.run(campaign, injections, query,
-                                         progress=progress)
-            finally:
-                self.inner.result_sink = previous_sink
-
-        self.store.finish_campaign(self.campaign_id,
-                                   time.monotonic() - started)
-        return results
+        self.inner.result_sink = ingest
+        self.inner.retain_results = False
+        try:
+            if pending:
+                self.inner.run(campaign, [injections[seq] for seq in pending],
+                               query, progress=progress)
+        finally:
+            self.inner.result_sink = previous_sink
+        self.store.finish_campaign(campaign_id, time.monotonic() - started)
+        self.aggregates = self.store.aggregates(campaign_id)
+        return []
 
     def make_campaign_result(self, query: SearchQuery,
                              results: List[InjectionResult]) -> CampaignResult:
-        if self.retain:
-            return super().make_campaign_result(query, results)
         assert self.campaign_id is not None, "make_campaign_result before run"
         return StoredCampaignResult(query_description=query.description,
                                     store=self.store,

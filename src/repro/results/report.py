@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..core.outcomes import OutcomeKind
-from .store import CampaignRecord, ResultStore
+from .store import CampaignRecord, SqliteResultStore
 
 
 def _nonzero_in_kind_order(counts: Dict[str, int]) -> Dict[str, int]:
@@ -30,7 +30,7 @@ def _nonzero_in_kind_order(counts: Dict[str, int]) -> Dict[str, int]:
     return ordered
 
 
-def format_campaign_list(store: ResultStore) -> str:
+def format_campaign_list(store: SqliteResultStore) -> str:
     """One line per campaign: identity, size and wall clock."""
     records = store.campaigns()
     if not records:
@@ -44,7 +44,7 @@ def format_campaign_list(store: ResultStore) -> str:
     return "\n".join(lines)
 
 
-def format_campaign_report(store: ResultStore, campaign_id: int) -> str:
+def format_campaign_report(store: SqliteResultStore, campaign_id: int) -> str:
     """The full aggregate report for one campaign (no blobs touched)."""
     record = store.campaign(campaign_id)
     aggregates = store.aggregates(campaign_id)
@@ -59,7 +59,7 @@ def format_campaign_report(store: ResultStore, campaign_id: int) -> str:
     return "\n".join(lines)
 
 
-def format_outcome_distribution(store: ResultStore) -> str:
+def format_outcome_distribution(store: SqliteResultStore) -> str:
     """The Table-2-style outcome distribution, summed over every campaign."""
     totals: Dict[str, int] = {}
     total_solutions = 0
@@ -87,7 +87,7 @@ def _group_by_fault_model(records: List[CampaignRecord]
     return groups
 
 
-def format_fault_model_coverage(store: ResultStore) -> str:
+def format_fault_model_coverage(store: SqliteResultStore) -> str:
     """Per-fault-model solution coverage, with deltas against the best.
 
     Coverage is the fraction of injections with at least one
@@ -118,7 +118,7 @@ def format_fault_model_coverage(store: ResultStore) -> str:
     return "\n".join(lines)
 
 
-def format_latent_rates(store: ResultStore) -> str:
+def format_latent_rates(store: SqliteResultStore) -> str:
     """Latent-error rate (silent corruption per solution) per campaign."""
     records = store.campaigns()
     lines = ["latent-error rates:"]
@@ -144,7 +144,7 @@ def _group_by_program(records: List[CampaignRecord]
     return groups
 
 
-def format_parity_report(store: ResultStore) -> str:
+def format_parity_report(store: SqliteResultStore) -> str:
     """The symbolic-vs-bit-flip parity table (``repro report --parity``).
 
     For every program that has both a ``bitflip`` campaign (the concrete
@@ -155,7 +155,7 @@ def format_parity_report(store: ResultStore) -> str:
     :data:`~repro.concrete.parity.SYMBOLIC_COVERS` abstraction (a printed
     ``err`` covers any concrete resolution; an incomplete symbolic search
     covers a concrete hang).  Columnar only — reads
-    :meth:`~repro.results.store.ResultStore.outcome_kinds_by_point`,
+    :meth:`~repro.results.store.SqliteResultStore.outcome_kinds_by_point`,
     never a result blob.
     """
     from ..concrete.parity import ParityTally, uncovered_kinds, verdict
@@ -210,7 +210,7 @@ def format_parity_report(store: ResultStore) -> str:
     return "\n".join(lines)
 
 
-def format_report(store: ResultStore,
+def format_report(store: SqliteResultStore,
                   campaign_id: Optional[int] = None) -> str:
     """The ``repro report`` body: one campaign, or the whole warehouse."""
     if campaign_id is not None:

@@ -3,32 +3,28 @@
 Campaign output used to live only in in-memory
 :class:`~repro.core.campaign.CampaignResult` lists merged at the
 coordinator, which caps sweeps far below the paper's "millions of
-injections" scale.  A :class:`ResultStore` is the durable replacement: the
-coordinator appends each :class:`~repro.core.campaign.InjectionResult` as
-it arrives (see :class:`~repro.results.recording.RecordingStrategy`),
-inserts are batched, and the columnar schema — campaign metadata, one
-``injections`` row per experiment, one ``outcomes`` row per classified
-solution with an index on ``(campaign_id, kind)`` — answers the
-cross-campaign queries of ``repro report`` without unpickling a single
-result blob.
+injections" scale.  A :class:`SqliteResultStore` is the durable
+replacement: the coordinator appends each
+:class:`~repro.core.campaign.InjectionResult` as it arrives (see
+:class:`~repro.results.recording.RecordingStrategy`), inserts are batched,
+and the columnar schema — campaign metadata, one ``injections`` row per
+experiment, one ``outcomes`` row per classified solution with an index on
+``(campaign_id, kind)`` — answers the cross-campaign queries of
+``repro report`` without unpickling a single result blob.
 
-Two backends implement the same contract (the conformance suite in
-``tests/test_result_store.py`` is its executable form, in the style of the
-broker suite):
+One sqlite file holds any number of campaigns; WAL where the filesystem
+supports it; multiple coordinator processes may append concurrently
+(sqlite serialises the writers).  ``":memory:"`` gives a private
+in-process store.  The conformance suite in ``tests/test_result_store.py``
+is the executable form of the contract.
 
-* :class:`SqliteResultStore` — the production path: one sqlite file holds
-  any number of campaigns; WAL where the filesystem supports it; multiple
-  coordinator processes may append concurrently (sqlite serialises the
-  writers).  A ``sqlite -> parquet`` exporter would slot in as a third
-  backend behind the same contract.
-* :class:`MemoryResultStore` — the in-process backend for tests and
-  ephemeral runs, with the same batch/flush visibility semantics.
-
-Durability contract: rows become visible to readers (and, for sqlite,
-survive a crash) exactly when they are flushed — either explicitly, when a
-batch fills, or at :meth:`~ResultStore.finish_campaign`.  A crash mid-batch
-loses only the unflushed tail; reopening the store finds every flushed row
-and a campaign row still marked unfinished.
+Durability contract: rows become visible to readers (and survive a crash)
+exactly when they are flushed — explicitly, when a batch fills, when the
+oldest buffered row has waited :data:`FLUSH_INTERVAL_SECONDS`, or at
+:meth:`~SqliteResultStore.finish_campaign`.  A crash mid-batch loses only
+the unflushed tail, about a second of finished injections at most;
+reopening the store finds every flushed row and a campaign row still
+marked unfinished, which ``repro analyze --resume`` continues.
 """
 
 from __future__ import annotations
@@ -36,10 +32,10 @@ from __future__ import annotations
 import json
 import pickle
 import sqlite3
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 from .. import obs as _obs
 from ..core.campaign import InjectionResult
@@ -47,6 +43,11 @@ from .aggregates import OutcomeAggregates, SolutionOutcome
 
 #: Metadata keys promoted to their own (queryable) campaign columns.
 _META_COLUMNS = ("workload", "program", "query", "fault_model", "backend")
+
+#: The longest a buffered row waits for its batch: an append flushes once
+#: the oldest buffered row is this old, so a killed coordinator loses about
+#: a second of finished injections at most (resume re-runs them).
+FLUSH_INTERVAL_SECONDS = 1.0
 
 
 @dataclass(frozen=True)
@@ -69,129 +70,6 @@ class CampaignRecord:
             bits.append("(unfinished)")
         return " ".join(bits)
 
-
-@dataclass(frozen=True)
-class _InjectionRow:
-    """The columnar projection of one injection result (plus its pickle)."""
-
-    seq: int
-    label: str
-    model: Optional[str]
-    breakpoint_pc: int
-    target: str
-    activated: bool
-    completed: bool
-    solutions: int
-    latent: int
-    result: InjectionResult
-
-
-def _project(seq: int, result: InjectionResult,
-             outcomes: Sequence[SolutionOutcome]) -> _InjectionRow:
-    injection = result.injection
-    return _InjectionRow(
-        seq=seq,
-        label=injection.label(),
-        model=getattr(injection, "model", None),
-        breakpoint_pc=injection.breakpoint_pc,
-        target=repr(injection.target),
-        activated=result.activated,
-        completed=result.completed,
-        solutions=len(result.solutions),
-        latent=sum(1 for outcome in outcomes if outcome.latent),
-        result=result,
-    )
-
-
-class ResultStore:
-    """Contract every results-warehouse backend implements.
-
-    Writers: :meth:`begin_campaign` -> many :meth:`append` -> optional
-    :meth:`flush` -> :meth:`finish_campaign`.  Appends buffer into batches
-    of *batch_size* rows; an unflushed row is invisible to every reader.
-
-    Readers: :meth:`campaigns`, :meth:`count`, :meth:`get`,
-    :meth:`iter_results` (submission order, streaming), and the columnar
-    aggregate queries :meth:`aggregates` / :meth:`outcome_distribution`
-    which must equal a full-scan re-fold of the stored results.
-    """
-
-    def begin_campaign(self, meta: Dict[str, object]) -> int:
-        """Register a campaign; the returned id keys every later call.
-
-        The campaign row is durable immediately (not batched), so a crashed
-        run is discoverable in the warehouse."""
-        raise NotImplementedError
-
-    def append(self, campaign_id: int, seq: int, result: InjectionResult,
-               outcomes: Sequence[SolutionOutcome]) -> None:
-        """Buffer one result at submission index *seq* (auto-flush on a
-        full batch)."""
-        raise NotImplementedError
-
-    def flush(self) -> None:
-        """Make every buffered row visible (and, if durable, durable)."""
-        raise NotImplementedError
-
-    def finish_campaign(self, campaign_id: int,
-                        elapsed_seconds: float) -> None:
-        """Flush and mark the campaign complete."""
-        raise NotImplementedError
-
-    def campaigns(self) -> List[CampaignRecord]:
-        raise NotImplementedError
-
-    def campaign(self, campaign_id: int) -> CampaignRecord:
-        for record in self.campaigns():
-            if record.campaign_id == campaign_id:
-                return record
-        raise KeyError(f"no campaign {campaign_id} in the results store")
-
-    def count(self, campaign_id: int) -> int:
-        raise NotImplementedError
-
-    def get(self, campaign_id: int, seq: int) -> InjectionResult:
-        raise NotImplementedError
-
-    def iter_results(self, campaign_id: int) -> Iterator[InjectionResult]:
-        """Stream results in submission order without materialising them."""
-        raise NotImplementedError
-
-    def aggregates(self, campaign_id: int) -> OutcomeAggregates:
-        """Aggregates recomputed from the columnar data (no unpickling)."""
-        raise NotImplementedError
-
-    def outcome_distribution(self, campaign_id: int) -> Dict[str, int]:
-        """Per-outcome-kind solution counts (indexed query)."""
-        raise NotImplementedError
-
-    def outcome_kinds_by_point(self, campaign_id: int
-                               ) -> Dict[Tuple[int, str],
-                                         Tuple[FrozenSet[str], bool]]:
-        """Outcome kinds per injection point, for the parity report.
-
-        Maps ``(breakpoint_pc, repr(target))`` to ``(kinds, completed)``:
-        the set of outcome kinds any *activated* injection at that point
-        recorded, and whether every search at the point ran to completion
-        (an incomplete search may hide outcomes — the parity report's
-        hang rule keys off this).  Multiple injections can share a point
-        (e.g. one bit-flip campaign row per bit); their kinds union.
-        Columnar only — joins ``injections`` with ``outcomes``, never
-        unpickles a result blob.
-        """
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-    def __enter__(self) -> "ResultStore":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-
-# --------------------------------------------------------------------- sqlite
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS campaigns (
@@ -231,8 +109,19 @@ CREATE INDEX IF NOT EXISTS idx_injections_model
 """
 
 
-class SqliteResultStore(ResultStore):
-    """The sqlite-backed warehouse (see module docstring)."""
+class SqliteResultStore:
+    """The results warehouse (see module docstring).
+
+    Writers: :meth:`begin_campaign` -> many :meth:`append` -> optional
+    :meth:`flush` -> :meth:`finish_campaign`.  Appends buffer into batches
+    of *batch_size* rows; an unflushed row is invisible to every reader.
+
+    Readers: :meth:`campaigns`, :meth:`count`, :meth:`get`,
+    :meth:`iter_results` (submission order, streaming), and the columnar
+    aggregate queries :meth:`aggregates` / :meth:`outcome_distribution` /
+    :meth:`outcome_kinds_by_point`, which equal a full-scan re-fold of the
+    stored results.
+    """
 
     def __init__(self, path: str, batch_size: int = 256,
                  busy_timeout_seconds: float = 30.0) -> None:
@@ -247,12 +136,18 @@ class SqliteResultStore(ResultStore):
             pass  # e.g. network filesystems; the rollback journal still works
         self._connection.executescript(_SCHEMA)
         self._connection.commit()
-        self._injection_rows: List[Tuple] = []
-        self._outcome_rows: List[Tuple] = []
+        #: Buffered rows by (campaign_id, seq): a re-append replaces the
+        #: buffered row, so one flush never writes two versions of a seq.
+        self._buffer: Dict[Tuple[int, int], Tuple[Tuple, List[Tuple]]] = {}
+        self._buffered_since = 0.0
 
     # -------------------------------------------------------------- ingestion
 
     def begin_campaign(self, meta: Dict[str, object]) -> int:
+        """Register a campaign; the returned id keys every later call.
+
+        The campaign row is durable immediately (not batched), so a crashed
+        run is discoverable in the warehouse."""
         columns = [meta.get(key) for key in _META_COLUMNS]
         cursor = self._connection.execute(
             "INSERT INTO campaigns (created_at, workload, program, query, "
@@ -263,49 +158,84 @@ class SqliteResultStore(ResultStore):
 
     def append(self, campaign_id: int, seq: int, result: InjectionResult,
                outcomes: Sequence[SolutionOutcome]) -> None:
-        row = _project(seq, result, outcomes)
-        self._injection_rows.append(
-            (campaign_id, row.seq, row.label, row.model, row.breakpoint_pc,
-             row.target, int(row.activated), int(row.completed),
-             row.solutions, row.latent,
-             pickle.dumps(result, protocol=4)))
-        for index, outcome in enumerate(outcomes):
-            self._outcome_rows.append(
-                (campaign_id, seq, index, outcome.kind, outcome.detector_id,
-                 outcome.exception))
-        if len(self._injection_rows) >= self.batch_size:
+        """Buffer one result at submission index *seq*, replacing any row
+        already stored there; flush on a full batch or a stale buffer."""
+        injection = result.injection
+        if not self._buffer:
+            self._buffered_since = time.monotonic()
+        self._buffer[campaign_id, seq] = (
+            (campaign_id, seq, injection.label(),
+             getattr(injection, "model", None), injection.breakpoint_pc,
+             repr(injection.target), int(result.activated),
+             int(result.completed), len(result.solutions),
+             sum(1 for outcome in outcomes if outcome.latent),
+             pickle.dumps(result, protocol=4)),
+            [(campaign_id, seq, index, outcome.kind, outcome.detector_id,
+              outcome.exception) for index, outcome in enumerate(outcomes)])
+        if (len(self._buffer) >= self.batch_size
+                or time.monotonic() - self._buffered_since
+                >= FLUSH_INTERVAL_SECONDS):
             self.flush()
 
     def flush(self) -> None:
-        if not self._injection_rows and not self._outcome_rows:
+        """Make every buffered row visible and durable."""
+        if not self._buffer:
             return
-        rows = len(self._injection_rows)
+        rows = len(self._buffer)
         with _obs.get().span("store.flush", rows=rows):
+            # A re-appended seq may carry fewer solutions than the row it
+            # replaces: its old outcome rows go before the new ones land.
+            self._connection.executemany(
+                "DELETE FROM outcomes WHERE campaign_id = ? AND seq = ?",
+                list(self._buffer))
             self._connection.executemany(
                 "INSERT OR REPLACE INTO injections (campaign_id, seq, label, "
                 "model, breakpoint_pc, target, activated, completed, "
                 "solutions, latent, result) "
                 "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                self._injection_rows)
+                [injection for injection, _ in self._buffer.values()])
             self._connection.executemany(
-                "INSERT OR REPLACE INTO outcomes (campaign_id, seq, "
-                "solution_index, kind, detector_id, exception) "
-                "VALUES (?, ?, ?, ?, ?, ?)",
-                self._outcome_rows)
+                "INSERT INTO outcomes (campaign_id, seq, solution_index, "
+                "kind, detector_id, exception) VALUES (?, ?, ?, ?, ?, ?)",
+                [outcome for _, outcomes in self._buffer.values()
+                 for outcome in outcomes])
             self._connection.commit()
         hub = _obs.get()
         if hub.enabled:
             hub.count("store.rows", rows)
-        self._injection_rows = []
-        self._outcome_rows = []
+        self._buffer = {}
 
     def finish_campaign(self, campaign_id: int,
                         elapsed_seconds: float) -> None:
+        """Flush and mark the campaign complete."""
         self.flush()
         self._connection.execute(
             "UPDATE campaigns SET elapsed_seconds = ?, finished = 1 "
             "WHERE campaign_id = ?", (elapsed_seconds, campaign_id))
         self._connection.commit()
+
+    def prune(self, campaign_id: int, labels: Sequence[str]) -> Set[int]:
+        """Keep only the rows of the sweep *labels*; return their seqs.
+
+        A stored row survives when its seq is a position of the sweep and
+        its label is the one at that position.  Every other row — a
+        different injection at that position, or a position past the
+        sweep's end — is deleted with its outcomes, so the campaign's
+        aggregates count this sweep's injections only.
+        """
+        self.flush()
+        stored = self._connection.execute(
+            "SELECT seq, label FROM injections WHERE campaign_id = ?",
+            (campaign_id,)).fetchall()
+        kept = {seq for seq, label in stored
+                if seq < len(labels) and labels[seq] == label}
+        stale = [(campaign_id, seq) for seq, _ in stored if seq not in kept]
+        for table in ("injections", "outcomes"):
+            self._connection.executemany(
+                f"DELETE FROM {table} WHERE campaign_id = ? AND seq = ?",
+                stale)
+        self._connection.commit()
+        return kept
 
     # ---------------------------------------------------------------- queries
 
@@ -318,6 +248,12 @@ class SqliteResultStore(ResultStore):
                                elapsed_seconds=row[3],
                                finished=bool(row[4]))
                 for row in rows]
+
+    def campaign(self, campaign_id: int) -> CampaignRecord:
+        for record in self.campaigns():
+            if record.campaign_id == campaign_id:
+                return record
+        raise KeyError(f"no campaign {campaign_id} in the results store")
 
     def count(self, campaign_id: int) -> int:
         row = self._connection.execute(
@@ -335,6 +271,7 @@ class SqliteResultStore(ResultStore):
         return pickle.loads(row[0])
 
     def iter_results(self, campaign_id: int) -> Iterator[InjectionResult]:
+        """Stream results in submission order without materialising them."""
         cursor = self._connection.execute(
             "SELECT result FROM injections WHERE campaign_id = ? "
             "ORDER BY seq", (campaign_id,))
@@ -346,6 +283,7 @@ class SqliteResultStore(ResultStore):
                 yield pickle.loads(row[0])
 
     def aggregates(self, campaign_id: int) -> OutcomeAggregates:
+        """Aggregates recomputed from the columnar data (no unpickling)."""
         row = self._connection.execute(
             "SELECT COUNT(*), COALESCE(SUM(activated), 0), "
             "COALESCE(SUM(solutions > 0), 0), COALESCE(SUM(completed), 0), "
@@ -362,6 +300,7 @@ class SqliteResultStore(ResultStore):
         return aggregates
 
     def outcome_distribution(self, campaign_id: int) -> Dict[str, int]:
+        """Per-outcome-kind solution counts (indexed query)."""
         rows = self._connection.execute(
             "SELECT kind, COUNT(*) FROM outcomes WHERE campaign_id = ? "
             "GROUP BY kind", (campaign_id,)).fetchall()
@@ -370,6 +309,17 @@ class SqliteResultStore(ResultStore):
     def outcome_kinds_by_point(self, campaign_id: int
                                ) -> Dict[Tuple[int, str],
                                          Tuple[FrozenSet[str], bool]]:
+        """Outcome kinds per injection point, for the parity report.
+
+        Maps ``(breakpoint_pc, repr(target))`` to ``(kinds, completed)``:
+        the set of outcome kinds any *activated* injection at that point
+        recorded, and whether every search at the point ran to completion
+        (an incomplete search may hide outcomes — the parity report's
+        hang rule keys off this).  Multiple injections can share a point
+        (e.g. one bit-flip campaign row per bit); their kinds union.
+        Columnar only — joins ``injections`` with ``outcomes``, never
+        unpickles a result blob.
+        """
         kinds: Dict[Tuple[int, str], set] = {}
         complete: Dict[Tuple[int, str], bool] = {}
         rows = self._connection.execute(
@@ -391,137 +341,8 @@ class SqliteResultStore(ResultStore):
         self.flush()
         self._connection.close()
 
+    def __enter__(self) -> "SqliteResultStore":
+        return self
 
-# --------------------------------------------------------------------- memory
-
-class MemoryResultStore(ResultStore):
-    """In-process warehouse with the same batch/flush visibility semantics.
-
-    The backend for tests and ephemeral runs: rows live in dictionaries
-    (so it *does* retain the sweep — the streaming-RSS win belongs to the
-    sqlite backend), buffered appends become visible only on flush, and a
-    lock makes concurrent writers safe within one process.
-    """
-
-    def __init__(self, batch_size: int = 256) -> None:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.batch_size = batch_size
-        self._lock = threading.RLock()
-        self._next_campaign_id = 1
-        self._campaigns: Dict[int, CampaignRecord] = {}
-        self._rows: Dict[int, Dict[int, _InjectionRow]] = {}
-        self._outcomes: Dict[int, Dict[int, List[SolutionOutcome]]] = {}
-        self._buffer: List[Tuple[int, _InjectionRow,
-                                 List[SolutionOutcome]]] = []
-
-    def begin_campaign(self, meta: Dict[str, object]) -> int:
-        with self._lock:
-            campaign_id = self._next_campaign_id
-            self._next_campaign_id += 1
-            self._campaigns[campaign_id] = CampaignRecord(
-                campaign_id=campaign_id, created_at=time.time(),
-                meta=dict(meta))
-            self._rows[campaign_id] = {}
-            self._outcomes[campaign_id] = {}
-            return campaign_id
-
-    def append(self, campaign_id: int, seq: int, result: InjectionResult,
-               outcomes: Sequence[SolutionOutcome]) -> None:
-        with self._lock:
-            self._buffer.append((campaign_id, _project(seq, result, outcomes),
-                                 list(outcomes)))
-            if len(self._buffer) >= self.batch_size:
-                self.flush()
-
-    def flush(self) -> None:
-        with self._lock:
-            if not self._buffer:
-                return
-            rows = len(self._buffer)
-            with _obs.get().span("store.flush", rows=rows):
-                for campaign_id, row, outcomes in self._buffer:
-                    self._rows[campaign_id][row.seq] = row
-                    self._outcomes[campaign_id][row.seq] = outcomes
-                self._buffer = []
-            hub = _obs.get()
-            if hub.enabled:
-                hub.count("store.rows", rows)
-
-    def finish_campaign(self, campaign_id: int,
-                        elapsed_seconds: float) -> None:
-        with self._lock:
-            self.flush()
-            record = self._campaigns[campaign_id]
-            self._campaigns[campaign_id] = CampaignRecord(
-                campaign_id=record.campaign_id, created_at=record.created_at,
-                meta=record.meta, elapsed_seconds=elapsed_seconds,
-                finished=True)
-
-    def campaigns(self) -> List[CampaignRecord]:
-        with self._lock:
-            return [self._campaigns[campaign_id]
-                    for campaign_id in sorted(self._campaigns)]
-
-    def count(self, campaign_id: int) -> int:
-        with self._lock:
-            return len(self._rows.get(campaign_id, {}))
-
-    def get(self, campaign_id: int, seq: int) -> InjectionResult:
-        with self._lock:
-            try:
-                return self._rows[campaign_id][seq].result
-            except KeyError:
-                raise IndexError(f"campaign {campaign_id} has no result at "
-                                 f"seq {seq}") from None
-
-    def iter_results(self, campaign_id: int) -> Iterator[InjectionResult]:
-        with self._lock:
-            rows = self._rows.get(campaign_id, {})
-            ordered = [rows[seq] for seq in sorted(rows)]
-        for row in ordered:
-            yield row.result
-
-    def aggregates(self, campaign_id: int) -> OutcomeAggregates:
-        with self._lock:
-            rows = list(self._rows.get(campaign_id, {}).values())
-            aggregates = OutcomeAggregates(
-                injections_run=len(rows),
-                injections_activated=sum(1 for r in rows if r.activated),
-                injections_with_solutions=sum(1 for r in rows
-                                              if r.solutions > 0),
-                injections_completed=sum(1 for r in rows if r.completed),
-                total_solutions=sum(r.solutions for r in rows),
-                latent_solutions=sum(r.latent for r in rows))
-            aggregates.outcome_counts.update(
-                self.outcome_distribution(campaign_id))
-            return aggregates
-
-    def outcome_distribution(self, campaign_id: int) -> Dict[str, int]:
-        with self._lock:
-            counts: Dict[str, int] = {}
-            for outcomes in self._outcomes.get(campaign_id, {}).values():
-                for outcome in outcomes:
-                    counts[outcome.kind] = counts.get(outcome.kind, 0) + 1
-            return counts
-
-    def outcome_kinds_by_point(self, campaign_id: int
-                               ) -> Dict[Tuple[int, str],
-                                         Tuple[FrozenSet[str], bool]]:
-        with self._lock:
-            kinds: Dict[Tuple[int, str], set] = {}
-            complete: Dict[Tuple[int, str], bool] = {}
-            outcomes = self._outcomes.get(campaign_id, {})
-            for seq, row in self._rows.get(campaign_id, {}).items():
-                if not row.activated:
-                    continue
-                point = (row.breakpoint_pc, row.target)
-                bucket = kinds.setdefault(point, set())
-                bucket.update(outcome.kind
-                              for outcome in outcomes.get(seq, ()))
-                complete[point] = complete.get(point, True) and row.completed
-            return {point: (frozenset(bucket), complete[point])
-                    for point, bucket in kinds.items()}
-
-    def close(self) -> None:
-        self.flush()
+    def __exit__(self, *_exc) -> None:
+        self.close()

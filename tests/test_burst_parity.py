@@ -3,7 +3,7 @@ study (`repro.faults` burst/bitflip, `repro.concrete.parity`,
 `repro.results` parity report).
 
 Covers: burst enumeration invariants and component-order preservation
-through every carrier (pickle, broker manifest, checkpoint journal — a
+through every carrier (pickle, broker manifest, results store — a
 hypothesis property over component permutations), serial-vs-pool identity
 for a burst campaign, bit-flip read-modify-write semantics through the
 shared fault-application path, the parity coverage rules, and the
@@ -26,8 +26,6 @@ from repro.core import (OutcomeKind, SerialExecutionStrategy,
 from repro.core.campaign import InjectionResult
 from repro.core.search import SearchResult, SearchStatistics
 from repro.distributed import CampaignManifest, FilesystemBroker
-from repro.distributed.checkpoint import (CheckpointJournal, campaign_header,
-                                          injection_key)
 from repro.faults import (FAULT_MODELS, BitFlipFault, BitFlipFaultSpec,
                           BurstFault, BurstFaultSpec, FaultSpec, fault_model)
 from repro.isa.values import ERR, is_err
@@ -37,8 +35,8 @@ from repro.machine.state import initial_state
 from repro.parallel import (CampaignSpec, ParallelConfig,
                             ParallelExecutionStrategy, QuerySpec)
 from repro.programs import factorial_campaign, load_workload
-from repro.results import (MemoryResultStore, RecordingStrategy,
-                           format_parity_report)
+from repro.results import (RecordingStrategy, SqliteResultStore,
+                           campaign_header, format_parity_report)
 from repro.results.aggregates import SolutionOutcome
 
 
@@ -111,18 +109,18 @@ class TestComponentOrderSurvivesTheCarriers:
 
     @settings(max_examples=10, deadline=None)
     @given(order=st.permutations([1, 3, 5]))
-    def test_checkpoint_journal_round_trip_preserves_order(
+    def test_results_store_round_trip_preserves_order(
             self, order, tmp_path_factory):
         spec = _burst_with_components(order)
-        path = str(tmp_path_factory.mktemp("journal") / "journal.bin")
-        journal = CheckpointJournal(path)
-        journal.ensure_header({"id": "order-test"})
-        journal.append_result(spec, InjectionResult(injection=spec,
-                                                    activated=False))
-        completed = CheckpointJournal(path).load_completed(
-            expect_header={"id": "order-test"})
-        (key, result), = completed.items()
-        assert key == injection_key(spec) == spec.label()
+        path = str(tmp_path_factory.mktemp("store") / "results.sqlite")
+        with SqliteResultStore(path) as store:
+            campaign_id = store.begin_campaign({"id": "order-test"})
+            store.append(campaign_id, 0, InjectionResult(injection=spec,
+                                                         activated=False), [])
+        with SqliteResultStore(path) as store:
+            # Resume keys stored rows by (position, label).
+            assert store.prune(campaign_id, [spec.label()]) == {0}
+            result = store.get(campaign_id, 0)
         assert result.injection == spec
         assert [c.target.index
                 for c in result.injection.components] == list(order)
@@ -149,8 +147,8 @@ class TestComponentOrderSurvivesTheCarriers:
             assert [c.target.index for c in got.components] \
                 == [c.target.index for c in sent.components]
 
-    def test_checkpoint_header_pins_burst_k(self):
-        """Resuming a k=2 journal under k=3 must be refused: k rides the
+    def test_campaign_header_pins_burst_k(self):
+        """Resuming a k=2 campaign under k=3 must be refused: k rides the
         semantics digest."""
         k2, query = factorial_campaign(fault_model="burst")
         k3, _ = factorial_campaign(fault_model=BurstFault(k=3))
@@ -159,7 +157,7 @@ class TestComponentOrderSurvivesTheCarriers:
 
     def test_header_pins_the_dedup_knob(self):
         """--no-dedup changes what a search returns, so it is part of the
-        journal identity (search_caps)."""
+        campaign identity (search_caps)."""
         on, query = factorial_campaign(fault_model="register")
         off, _ = factorial_campaign(fault_model="register",
                                     deduplicate_states=False)
@@ -390,7 +388,7 @@ class TestParityVerdicts:
         """A complete symbolic point that misses a class is UNCOVERED, an
         incomplete one undecided, and a point no symbolic campaign ran
         counts as complete with no outcomes."""
-        store = MemoryResultStore(batch_size=1)
+        store = SqliteResultStore(":memory:", batch_size=1)
 
         def record(model, points):
             campaign_id = store.begin_campaign(
@@ -428,7 +426,7 @@ class TestWarehouseParityReport:
         """The `repro report --parity` flow: one symbolic census campaign
         (dedup off so hangs reach the watchdog) and one bit-flip campaign
         into the same store; the report joins them per injection point."""
-        store = MemoryResultStore(batch_size=4)
+        store = SqliteResultStore(":memory:", batch_size=4)
         golden = factorial.golden_output()
         for model, sample, dedup in (("register", None, False),
                                      ("bitflip", 64, True)):
@@ -450,9 +448,8 @@ class TestWarehouseParityReport:
 
     def test_outcome_kinds_by_point_unions_rows_at_one_point(self):
         """Two bit positions at one (pc, target) point fold into one row
-        whose kinds set is the union — on both store backends (the sqlite
-        side is exercised by the conformance suite too)."""
-        store = MemoryResultStore(batch_size=1)
+        whose kinds set is the union."""
+        store = SqliteResultStore(":memory:", batch_size=1)
         campaign_id = store.begin_campaign({"program": "p"})
         for seq, (bit, kind) in enumerate(((0, "hang"), (1, "incorrect"))):
             spec = BitFlipFaultSpec(breakpoint_pc=1,
@@ -469,7 +466,7 @@ class TestWarehouseParityReport:
         assert completed is True
 
     def test_non_activated_rows_do_not_create_points(self):
-        store = MemoryResultStore(batch_size=1)
+        store = SqliteResultStore(":memory:", batch_size=1)
         campaign_id = store.begin_campaign({})
         spec = BitFlipFaultSpec(breakpoint_pc=9,
                                 target=Location.register(1),

@@ -136,8 +136,8 @@ class TestAnalyzeValidation:
             main(["analyze", "--workload", "factorial", "--backend", "serial",
                   "--workers", "2"])
 
-    def test_resume_requires_checkpoint(self):
-        with pytest.raises(SystemExit, match="checkpoint"):
+    def test_resume_requires_results(self):
+        with pytest.raises(SystemExit, match="--results"):
             main(["analyze", "--workload", "factorial", "--resume"])
 
     def test_queue_requires_distributed_backend(self, tmp_path):
@@ -236,17 +236,21 @@ class TestAnalyzeBackends:
         assert "backend        : distributed" in distributed
         assert normalized(serial) == normalized(distributed)
 
-    def test_checkpoint_then_resume_completes_identically(self, tmp_path,
-                                                          capsys):
-        journal = str(tmp_path / "ckpt.pkl")
+    def test_results_then_resume_completes_identically(self, tmp_path,
+                                                       capsys):
+        store = str(tmp_path / "results.sqlite")
         serial = analyze_output(capsys)
-        # Partial sweep, then a resumed full sweep over the same journal.
+        # Partial sweep, then a resumed full sweep over the same store.
         main(["analyze", "--workload", "factorial", "--query", "err-output",
               "--max-injections", "3", "--max-states", "5000",
-              "--checkpoint", journal])
+              "--results", store])
         capsys.readouterr()
-        resumed = analyze_output(capsys, "--checkpoint", journal, "--resume")
-        assert normalized(serial) == normalized(resumed)
+        assert main(["analyze", "--workload", "factorial", "--query",
+                     "err-output", "--max-injections", "6", "--max-states",
+                     "5000", "--results", store, "--resume"]) == 0
+        resumed = capsys.readouterr()
+        assert normalized(serial) == normalized(resumed.out)
+        assert "(campaign 1, 3 injections resumed)" in resumed.err
 
 
 def fault_model_output(capsys, model, *arguments, workload="memory_walk"):

@@ -1,8 +1,8 @@
 """Tests for the distributed campaign backend (repro.distributed)."""
 
 import os
-import pickle
 import signal
+import sqlite3
 import subprocess
 import sys
 import time
@@ -10,11 +10,10 @@ import time
 import pytest
 
 from repro.core import SerialExecutionStrategy, SymbolicCampaign
-from repro.distributed import (CampaignManifest, CheckpointingStrategy,
-                               CheckpointJournal, DistributedConfig,
+from repro.distributed import (CampaignManifest, DistributedConfig,
                                DistributedExecutionStrategy, FilesystemBroker,
-                               RecordJournal, WorkerConfig, injection_key,
-                               run_campaign_distributed, run_worker)
+                               WorkerConfig, run_campaign_distributed,
+                               run_worker)
 from repro.distributed.broker import enqueue_campaign
 from repro.machine import ExecutionConfig
 from repro.parallel import CampaignSpec, QuerySpec
@@ -51,60 +50,6 @@ def factorial_fixture(max_injections=8):
     query_spec = QuerySpec.predefined("err-output",
                                       golden_output=workload.golden_output())
     return campaign, injections, query_spec
-
-
-class TestRecordJournal:
-    def test_roundtrip(self, tmp_path):
-        journal = RecordJournal(str(tmp_path / "j.pkl"))
-        with journal:
-            journal.append({"a": 1})
-            journal.append(("b", [2, 3]))
-        assert journal.load() == [{"a": 1}, ("b", [2, 3])]
-
-    def test_missing_file_loads_empty(self, tmp_path):
-        journal = RecordJournal(str(tmp_path / "absent.pkl"))
-        assert not journal.exists()
-        assert journal.load() == []
-
-    def test_truncated_tail_is_tolerated(self, tmp_path):
-        path = str(tmp_path / "j.pkl")
-        journal = RecordJournal(path)
-        with journal:
-            journal.append("first")
-            journal.append("second")
-        # Simulate a kill mid-append: chop the last record in half.
-        intact_size = os.path.getsize(path)
-        with open(path, "ab") as handle:
-            handle.write(pickle.dumps("third")[:-3])
-        assert os.path.getsize(path) > intact_size
-        assert RecordJournal(path).load() == ["first", "second"]
-
-    def test_garbage_tail_is_tolerated(self, tmp_path):
-        path = str(tmp_path / "j.pkl")
-        with RecordJournal(path) as journal:
-            journal.append("only")
-        with open(path, "ab") as handle:
-            handle.write(b"\x00garbage-not-pickle")
-        assert RecordJournal(path).load() == ["only"]
-
-    def test_append_after_corrupt_tail_truncates_first(self, tmp_path):
-        """Records appended by a resumed run must land before (not after) a
-        kill's garbage tail, or a second resume would never see them."""
-        path = str(tmp_path / "j.pkl")
-        with RecordJournal(path) as journal:
-            journal.append("first")
-        with open(path, "ab") as handle:
-            handle.write(pickle.dumps("half-written")[:-4])
-        with RecordJournal(path) as journal:
-            journal.append("after-resume")
-        assert RecordJournal(path).load() == ["first", "after-resume"]
-
-    def test_delete(self, tmp_path):
-        journal = RecordJournal(str(tmp_path / "j.pkl"))
-        journal.append(1)
-        journal.delete()
-        assert not journal.exists()
-        journal.delete()  # idempotent
 
 
 class TestFilesystemBroker:
@@ -414,153 +359,28 @@ class TestDistributedStrategy:
                 worker.wait()
 
 
-class TestCheckpointResume:
-    def test_fresh_run_journals_every_result(self, tmp_path):
-        campaign, injections, query_spec = factorial_fixture(max_injections=6)
-        query = query_spec.build()
-        journal_path = str(tmp_path / "ckpt.pkl")
-        strategy = CheckpointingStrategy(SerialExecutionStrategy(),
-                                         journal_path)
-        results = strategy.run(campaign, injections, query)
-        assert result_keys(results) == result_keys(
-            SerialExecutionStrategy().run(campaign, injections, query))
-        completed = CheckpointJournal(journal_path).load_completed()
-        assert set(completed) == {injection_key(i) for i in injections}
-
-    def test_resume_skips_completed_and_merges_in_order(self, tmp_path):
-        campaign, injections, query_spec = factorial_fixture(max_injections=8)
-        query = query_spec.build()
-        journal_path = str(tmp_path / "ckpt.pkl")
-        # A partial sweep (as if the campaign was killed after 3 injections).
-        CheckpointingStrategy(SerialExecutionStrategy(), journal_path).run(
-            campaign, injections[:3], query)
-        executed = []
-        inner = SerialExecutionStrategy()
-        inner.result_sink = lambda injection, result: \
-            executed.append(injection_key(injection))
-        resumed = CheckpointingStrategy(inner, journal_path, resume=True)
-        results = resumed.run(campaign, injections, query)
-        assert resumed.skipped == 3
-        assert executed == [injection_key(i) for i in injections[3:]]
-        assert result_keys(results) == result_keys(
-            SerialExecutionStrategy().run(campaign, injections, query))
-
-    def test_kill_mid_sweep_then_resume_is_identical(self, tmp_path):
-        campaign, injections, query_spec = factorial_fixture(max_injections=8)
-        query = query_spec.build()
-        journal_path = str(tmp_path / "ckpt.pkl")
-
-        class Killed(RuntimeError):
-            pass
-
-        class ExplodingStrategy(SerialExecutionStrategy):
-            """Dies after 3 results, like a mid-sweep SIGKILL would."""
-
-            def run(self, campaign, injections, query, progress=None):
-                results = []
-                for injection in injections:
-                    if len(results) >= 3:
-                        raise Killed
-                    result = campaign.run_injection(injection, query)
-                    results.append(result)
-                    self.emit_result(injection, result)
-                return results
-
-        with pytest.raises(Killed):
-            CheckpointingStrategy(ExplodingStrategy(), journal_path).run(
-                campaign, injections, query)
-        assert len(CheckpointJournal(journal_path).load_completed()) == 3
-        results = CheckpointingStrategy(
-            SerialExecutionStrategy(), journal_path, resume=True).run(
-                campaign, injections, query)
-        assert result_keys(results) == result_keys(
-            SerialExecutionStrategy().run(campaign, injections, query))
-
-    def test_resume_rejects_foreign_journal(self, tmp_path):
-        campaign, injections, query_spec = factorial_fixture(max_injections=3)
-        journal_path = str(tmp_path / "ckpt.pkl")
-        CheckpointingStrategy(SerialExecutionStrategy(), journal_path).run(
-            campaign, injections, query_spec.build())
-        other_query = QuerySpec.predefined("crash").build()
-        with pytest.raises(ValueError, match="different campaign"):
-            CheckpointingStrategy(SerialExecutionStrategy(), journal_path,
-                                  resume=True).run(campaign, injections,
-                                                   other_query)
-
-    def test_resume_rejects_different_detectors(self, tmp_path):
-        """Detector configuration is part of the campaign identity: results
-        searched under different detector sets must never merge."""
-        from repro.detectors import DetectorSet
-        workload = factorial_workload()
-        journal_path = str(tmp_path / "ckpt.pkl")
-        query_spec = QuerySpec.predefined(
-            "err-output", golden_output=workload.golden_output())
-        query = query_spec.build()
-        campaign_a = make_campaign(workload)
-        injections = campaign_a.enumerate_injections()[:4]
-        CheckpointingStrategy(SerialExecutionStrategy(), journal_path).run(
-            campaign_a, injections[:2], query)
-        campaign_b = make_campaign(workload)
-        campaign_b.detectors = DetectorSet.parse("det(1, $(2), >=, (0))")
-        with pytest.raises(ValueError, match="different campaign"):
-            CheckpointingStrategy(SerialExecutionStrategy(), journal_path,
-                                  resume=True).run(campaign_b, injections,
-                                                   query)
-
-    def test_corrupt_header_resume_reestablishes_the_identity_guard(
-            self, tmp_path):
-        """A kill during the very first (header) append must not disable
-        the campaign-identity check for the journal's whole life."""
-        campaign, injections, query_spec = factorial_fixture(max_injections=4)
-        query = query_spec.build()
-        journal_path = str(tmp_path / "ckpt.pkl")
-        with open(journal_path, "wb") as handle:
-            handle.write(b"\x80\x04half-written-header")  # garbage only
-        results = CheckpointingStrategy(
-            SerialExecutionStrategy(), journal_path, resume=True).run(
-                campaign, injections[:2], query)
-        assert len(results) == 2
-        # The rewritten header must now guard against a different campaign.
-        campaign.max_states_per_injection = 123
-        with pytest.raises(ValueError, match="different campaign"):
-            CheckpointingStrategy(SerialExecutionStrategy(), journal_path,
-                                  resume=True).run(campaign, injections,
-                                                   query)
-
-    def test_resume_rejects_different_search_caps(self, tmp_path):
-        """Results journaled under one --max-states must not merge with
-        fresh results searched under another."""
-        campaign, injections, query_spec = factorial_fixture(max_injections=4)
-        query = query_spec.build()
-        journal_path = str(tmp_path / "ckpt.pkl")
-        CheckpointingStrategy(SerialExecutionStrategy(), journal_path).run(
-            campaign, injections[:2], query)
-        campaign.max_states_per_injection = 123
-        with pytest.raises(ValueError, match="different campaign"):
-            CheckpointingStrategy(SerialExecutionStrategy(), journal_path,
-                                  resume=True).run(campaign, injections,
-                                                   query)
-
-    def test_fresh_run_truncates_a_stale_journal(self, tmp_path):
-        campaign, injections, query_spec = factorial_fixture(max_injections=4)
-        query = query_spec.build()
-        journal_path = str(tmp_path / "ckpt.pkl")
-        CheckpointingStrategy(SerialExecutionStrategy(), journal_path).run(
-            campaign, injections, query)
-        strategy = CheckpointingStrategy(SerialExecutionStrategy(),
-                                         journal_path)  # no resume
-        strategy.run(campaign, injections[:2], query)
-        assert strategy.skipped == 0
-        completed = CheckpointJournal(journal_path).load_completed()
-        assert set(completed) == {injection_key(i) for i in injections[:2]}
+def stored_rows(path):
+    """Injection rows a running coordinator has flushed to *path* so far."""
+    if not os.path.exists(path):
+        return 0
+    connection = sqlite3.connect(path, timeout=30)
+    try:
+        return connection.execute(
+            "SELECT COUNT(*) FROM injections").fetchone()[0]
+    except sqlite3.OperationalError:  # schema not created yet
+        return 0
+    finally:
+        connection.close()
 
 
 class TestCliKillAndResume:
     def run_cli(self, *arguments, **popen_kwargs):
+        # About two seconds of tcas memory faults: long enough that the
+        # store's timed flush lands rows before the sweep ends.
         return subprocess.Popen(
-            [sys.executable, "-m", "repro", "analyze", "--workload",
-             "factorial", "--query", "err-output", "--max-injections", "12",
-             *arguments],
+            [sys.executable, "-m", "repro", "analyze", "--workload", "tcas",
+             "--fault-model", "memory", "--query", "err-output",
+             "--max-steps", "3000", "--max-injections", "600", *arguments],
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, **popen_kwargs)
 
     @staticmethod
@@ -571,16 +391,15 @@ class TestCliKillAndResume:
                 and "elapsed seconds" not in line]
 
     def test_sigkill_mid_campaign_then_resume_matches_clean_run(self, tmp_path):
-        journal_path = str(tmp_path / "ckpt.pkl")
-        victim = self.run_cli("--checkpoint", journal_path)
+        store_path = str(tmp_path / "results.sqlite")
+        victim = self.run_cli("--results", store_path)
         try:
-            # Let it journal at least one result, then kill it hard.
+            # Let it flush at least one result, then kill it hard.
             deadline = time.monotonic() + 120
-            journal = CheckpointJournal(journal_path)
             while time.monotonic() < deadline:
                 if victim.poll() is not None:
                     break  # finished before the kill: resume still must work
-                if len(journal.load_completed()) >= 1:
+                if stored_rows(store_path) >= 1:
                     break
                 time.sleep(0.02)
             if victim.poll() is None:
@@ -591,7 +410,8 @@ class TestCliKillAndResume:
                 victim.kill()
                 victim.wait()
 
-        resumed = self.run_cli("--checkpoint", journal_path, "--resume")
+        assert stored_rows(store_path) >= 1
+        resumed = self.run_cli("--results", store_path, "--resume")
         resumed_output, _ = resumed.communicate(timeout=600)
         assert resumed.returncode == 0
         clean = self.run_cli()

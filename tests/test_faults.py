@@ -3,7 +3,7 @@
 Covers: the model registry, enumeration/sampling determinism (including a
 hypothesis property over seeds), FaultSpec value plumbing through the
 executor's fault-application path, pickle and broker-manifest round-trips
-across the filesystem and socket brokers, checkpoint-header pinning, and
+across the filesystem and socket brokers, campaign-header pinning, and
 serial-vs-pool equivalence for model-planned campaigns.
 """
 
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from repro.constraints import Location
 from repro.core import SymbolicCampaign, latent_err, output_contains_err, printed_value
 from repro.distributed import CampaignManifest, FilesystemBroker
-from repro.distributed.checkpoint import campaign_header
 from repro.faults import (FAULT_MODELS, ControlFlowFault, FaultSpec,
                           MemoryCellFault, RegisterValueFault,
                           deterministic_sample, fault_model)
@@ -26,6 +25,7 @@ from repro.net import BrokerServer, SocketBroker
 from repro.parallel import (CampaignSpec, ParallelConfig,
                             ParallelExecutionStrategy, QuerySpec)
 from repro.programs import factorial_campaign, load_workload
+from repro.results import campaign_header
 
 
 @pytest.fixture(scope="module")
@@ -229,7 +229,7 @@ class TestCampaignPlanning:
 
         assert projection(serial) == projection(pooled)
 
-    def test_checkpoint_header_pins_the_fault_model(self, factorial):
+    def test_campaign_header_pins_the_fault_model(self, factorial):
         plain, _ = factorial_campaign()
         modelled, query = factorial_campaign(fault_model="operand")
         assert campaign_header(plain, query)["fault_model"] == "register"

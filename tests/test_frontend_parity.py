@@ -95,7 +95,7 @@ class TestMinicCompilerIsaTarget:
 
 @pytest.mark.parametrize("isa", ISAS)
 def test_campaign_carries_isa_through_spec_and_header(isa):
-    from repro.distributed.checkpoint import campaign_header
+    from repro.results import campaign_header
     from repro.parallel.spec import CampaignSpec
 
     workload = load_workload("factorial", isa=isa)

@@ -14,11 +14,9 @@ import pytest
 from repro import obs
 from repro.core import (SerialExecutionStrategy, SymbolicCampaign,
                         TaskRunner, decompose_by_code_section)
-from repro.distributed import (CampaignManifest, CheckpointingStrategy,
-                               DistributedConfig,
+from repro.distributed import (CampaignManifest, DistributedConfig,
                                DistributedExecutionStrategy,
-                               FilesystemBroker, RecordJournal, WorkerConfig,
-                               run_worker)
+                               FilesystemBroker, WorkerConfig, run_worker)
 from repro.distributed.broker import enqueue_campaign
 from repro.machine import ExecutionConfig
 from repro.net import BrokerServer
@@ -27,6 +25,7 @@ from repro.obs import (JsonlEventSink, NullTelemetry, TraceContext,
 from repro.parallel import (CampaignSpec, ParallelConfig,
                             ParallelExecutionStrategy, QuerySpec)
 from repro.programs import factorial_workload
+from repro.results import RecordingStrategy, SqliteResultStore
 
 INJECTIONS = 6
 
@@ -252,34 +251,38 @@ class TestWorkerCrash:
         assert '"event": "worker.crash"' in capsys.readouterr().err
 
 
-class TestCheckpointTrace:
-    def run_checkpointed(self, journal_path, resume=False):
+class TestResumeTrace:
+    def run_recorded(self, store_path, resume=False):
         workload = factorial_workload()
         campaign = make_campaign(workload)
         injections = campaign.enumerate_injections()[:4]
         query = QuerySpec.predefined(
             "err-output", golden_output=workload.golden_output()).build()
-        strategy = CheckpointingStrategy(SerialExecutionStrategy(),
-                                         journal_path, resume=resume)
-        results = strategy.run(campaign, injections, query)
-        return results, strategy
+        with SqliteResultStore(store_path) as store:
+            strategy = RecordingStrategy(SerialExecutionStrategy(), store,
+                                         resume=resume)
+            result = campaign.run(query, injections=injections,
+                                  strategy=strategy)
+            keys = result_keys(result.results)
+            meta = store.campaign(strategy.campaign_id).meta
+        return keys, strategy, meta
 
     def test_resume_adopts_the_original_trace(self, tmp_path):
-        journal_path = str(tmp_path / "ck.pkl")
+        store_path = str(tmp_path / "results.sqlite")
         hub = obs.configure(component="coordinator")
-        first, _ = self.run_checkpointed(journal_path)
+        first, _, meta = self.run_recorded(store_path)
         original_trace = hub.trace_id
+        assert meta["trace"] == original_trace
         obs.set_hub(NullTelemetry())
 
         resumed_hub = obs.configure(component="coordinator")
         assert resumed_hub.trace_id != original_trace
-        second, strategy = self.run_checkpointed(journal_path, resume=True)
+        second, strategy, _ = self.run_recorded(store_path, resume=True)
         assert resumed_hub.trace_id == original_trace
-        assert strategy.skipped == 4
-        assert result_keys(first) == result_keys(second)
+        assert strategy.resumed == 4
+        assert first == second
 
-    def test_disabled_telemetry_journals_no_trace_record(self, tmp_path):
-        journal_path = str(tmp_path / "ck.pkl")
-        self.run_checkpointed(journal_path)
-        tags = {record[0] for record in RecordJournal(journal_path).load()}
-        assert tags == {"header", "result"}
+    def test_disabled_telemetry_stores_no_trace(self, tmp_path):
+        _, _, meta = self.run_recorded(str(tmp_path / "results.sqlite"))
+        assert "trace" not in meta
+        assert "identity" in meta

@@ -1,11 +1,10 @@
-"""ResultStore-conformance suite: the executable form of the store contract.
+"""Store-conformance suite: the executable form of the store contract.
 
-One parametrized suite, run against every warehouse backend — currently
-:class:`~repro.results.MemoryResultStore` and
-:class:`~repro.results.SqliteResultStore`.  A future backend (parquet, …)
-is conformant exactly when it passes this file unchanged: batch/flush
-visibility, submission ordering, crash-mid-batch durability, re-append
-idempotence, aggregate-vs-full-scan equality and concurrent-writer safety.
+One parametrized suite, run against :class:`~repro.results.SqliteResultStore`
+on a private ``":memory:"`` database and on a file: batch/flush visibility,
+the timed flush, submission ordering, crash-mid-batch durability, re-append
+idempotence (also with fewer solutions), pruning to a resumed sweep,
+aggregate-vs-full-scan equality and concurrent-writer safety.
 """
 
 import threading
@@ -15,8 +14,8 @@ import pytest
 from repro.core import SymbolicCampaign, output_contains_err
 from repro.machine import ExecutionConfig
 from repro.programs import factorial_workload
-from repro.results import (MemoryResultStore, OutcomeAggregates,
-                           SqliteResultStore, classify_result)
+from repro.results import OutcomeAggregates, SqliteResultStore, classify_result
+from repro.results import store as store_module
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +41,7 @@ def outcomes_for(swept):
 
 
 class MemoryHarness:
-    """Backend glue: the in-process store; both writers share the object."""
+    """A private ``":memory:"`` database: one connection, no file."""
 
     name = "memory"
     durable = False
@@ -51,26 +50,20 @@ class MemoryHarness:
         self._stores = []
 
     def make(self, batch_size=256):
-        store = MemoryResultStore(batch_size=batch_size)
+        store = SqliteResultStore(":memory:", batch_size=batch_size)
         self._stores.append(store)
         return store
 
-    def thread_writer(self, store, batch_size):
-        return store  # one object, many threads — the lock is the contract
-
-    def release_thread_writer(self, handle):
-        pass
-
     def reopen(self, store):
-        pytest.skip("the in-memory backend does not survive a process")
+        pytest.skip("a :memory: database does not survive its connection")
 
     def close(self):
         for store in self._stores:
             store.close()
 
 
-class SqliteHarness:
-    name = "sqlite"
+class FileHarness:
+    name = "file"
     durable = True
 
     def __init__(self, tmp_path):
@@ -104,10 +97,10 @@ class SqliteHarness:
                 pass
 
 
-@pytest.fixture(params=["memory", "sqlite"])
+@pytest.fixture(params=["memory", "file"])
 def harness(request, tmp_path):
     built = (MemoryHarness if request.param == "memory"
-             else SqliteHarness)(tmp_path)
+             else FileHarness)(tmp_path)
     try:
         yield built
     finally:
@@ -171,6 +164,90 @@ class TestBatching:
         aggregates = store.aggregates(campaign_id)
         assert aggregates.injections_run == 1
         assert aggregates.total_solutions == len(result.solutions)
+
+    @pytest.mark.parametrize("flush_between", [True, False],
+                             ids=["across-flushes", "within-a-batch"])
+    def test_reappend_with_fewer_solutions_leaves_no_stale_outcomes(
+            self, harness, swept, flush_between):
+        """A resumed run re-executes a position whose stored row belongs to
+        another injection; the old row's extra outcome rows must go."""
+        _, golden = swept
+        rows = sorted(outcomes_for(swept),
+                      key=lambda row: len(row[0].solutions))
+        (few, few_outcomes), (many, many_outcomes) = rows[0], rows[-1]
+        assert len(few.solutions) < len(many.solutions)
+        store = harness.make()
+        campaign_id = store.begin_campaign({})
+        store.append(campaign_id, 0, many, many_outcomes)
+        if flush_between:
+            store.flush()
+        store.append(campaign_id, 0, few, few_outcomes)
+        store.flush()
+        assert_equals_refold(store, campaign_id, golden)
+        assert store.get(campaign_id, 0).injection.label() \
+            == few.injection.label()
+
+    def test_a_stale_buffer_flushes_after_the_interval(
+            self, harness, swept, store_clock):
+        """Rows never wait much longer than the flush interval for their
+        batch, so a killed coordinator loses about a second of work."""
+        half = store_module.FLUSH_INTERVAL_SECONDS / 2
+        store = harness.make(batch_size=256)
+        rows = outcomes_for(swept)[:4]
+        campaign_id = store.begin_campaign({})
+        store.append(campaign_id, 0, *rows[0])
+        store_clock.now += half
+        store.append(campaign_id, 1, *rows[1])
+        assert store.count(campaign_id) == 0
+        store_clock.now += half
+        store.append(campaign_id, 2, *rows[2])
+        assert store.count(campaign_id) == 3
+        # The interval restarts with the next row buffered after a flush.
+        store_clock.now += half
+        store.append(campaign_id, 3, *rows[3])
+        assert store.count(campaign_id) == 3
+
+
+def assert_equals_refold(store, campaign_id, golden):
+    """Every columnar query equals a re-fold of the stored results."""
+    refold = OutcomeAggregates()
+    by_point = {}
+    for stored in store.iter_results(campaign_id):
+        outcomes = classify_result(stored, golden)
+        refold.fold(stored, outcomes)
+        if stored.activated:
+            injection = stored.injection
+            point = (injection.breakpoint_pc, repr(injection.target))
+            kinds, completed = by_point.get(point, (set(), True))
+            by_point[point] = (kinds | {o.kind for o in outcomes},
+                               completed and stored.completed)
+    assert store.aggregates(campaign_id).as_dict() == refold.as_dict()
+    assert store.outcome_distribution(campaign_id) == {
+        kind: count for kind, count in refold.outcome_counts.items()
+        if count}
+    assert {point: (set(kinds), completed) for point, (kinds, completed)
+            in store.outcome_kinds_by_point(campaign_id).items()} \
+        == by_point
+
+
+class TestPrune:
+    def test_prune_keeps_only_the_rows_of_the_sweep(self, harness, swept):
+        """Resume keeps a stored row only where the sweep has the same
+        injection at the same position; the rest are deleted."""
+        _, golden = swept
+        rows = outcomes_for(swept)[:5]
+        store = harness.make()
+        campaign_id = store.begin_campaign({})
+        for seq, (result, outcomes) in enumerate(rows[:4]):
+            store.append(campaign_id, seq, result, outcomes)
+        labels = [result.injection.label() for result, _ in rows]
+        # Position 2 now holds another injection; position 3 is past the
+        # end of the shorter sweep; position 4 was never stored.
+        sweep = labels[:2] + [labels[4]]
+        assert store.prune(campaign_id, sweep) == {0, 1}
+        assert store.count(campaign_id) == 2
+        assert_equals_refold(store, campaign_id, golden)
+        assert store.prune(campaign_id, labels) == {0, 1}
 
 
 class TestDurability:
@@ -289,9 +366,10 @@ class TestAggregates:
 
 class TestConcurrentWriters:
     def test_interleaved_writers_lose_nothing(self, harness, swept):
-        """Two coordinators appending to the same warehouse — one store
-        object from two threads (memory) or two connections onto one file
-        (sqlite) — must both land every row."""
+        """Two coordinators appending to the same warehouse — two
+        connections onto one file — must both land every row."""
+        if not harness.durable:
+            pytest.skip("a :memory: database is private to its connection")
         rows = outcomes_for(swept)
         store = harness.make(batch_size=2)
         campaign_id = store.begin_campaign({})
