@@ -25,7 +25,8 @@ Two interpreters live here:
   prefix before an injection point, for the err-free tails of a search and
   by the SimpleScalar-substitute simulator in :mod:`repro.concrete`.  Given
   a :class:`ConcreteFutures`, ``run_concrete`` ends a run early when it
-  rejoins a recorded err-free run, by copying that run's terminal state;
+  rejoins a recorded err-free run, by copying that run's terminal state,
+  and ends a hung run at its watchdog as soon as it closes a cycle;
   :func:`run_to_breakpoint` starts a prefix from the golden run's nearest
   :class:`GoldenCheckpoints` state instead of from step 0.
 
@@ -1081,6 +1082,17 @@ def run_concrete(program: Program, state: MachineState,
     the per-instruction ops.  Observable behaviour (including the exact step
     count at a timeout) is identical to single-stepping.
 
+    A run that hangs in an exact cycle ends early too.  Brent's cycle
+    detection keeps one saved block-entry key (pc and both rolling
+    hashes), saved again at every power-of-two block count.  The first
+    return to the key takes a :class:`Fingerprint`; a later return to an
+    equal state (everything but the step count) proves that the run repeats
+    every *period* steps, so the step count jumps ahead by the whole periods
+    that fit in *max_steps* and the watchdog fires after the last partial
+    period, at the step count and in the state a full run reaches.  A run
+    whose output or input position moves never repeats and is never cut.
+    The golden build (*checkpoints*) does not cut.
+
     With *futures* (bound to this program, these detectors and the state's
     input; otherwise ignored) the run also joins: before each block it looks
     for an equal mark of a finished run and, on a hit, adopts that run's
@@ -1097,6 +1109,17 @@ def run_concrete(program: Program, state: MachineState,
     steps_at_entry = state.steps
     block_runs = 0  # local counter: the loop itself stays untelemetered
     joined_steps = 0
+    # Brent's cycle detection: the saved key (pc -1: none saved), the
+    # block entries so far and the entry count of the next save.  A save
+    # costs no fingerprint: the first return of the key takes one, the next
+    # return confirms it.  The golden build never saves (next_save 0), so
+    # its record stays whole.
+    cycle_pc = -1
+    cycle_loc = cycle_out = cycle_steps = 0
+    cycle_print: Optional[Fingerprint] = None
+    entries = 0
+    next_save = 1 if checkpoints is None else 0
+    cycles = cycle_steps_skipped = 0
     marks: List[Tuple[int, int, Fingerprint, int]] = []
     if futures is not None and not futures.binds(program, detectors,
                                                  state.input):
@@ -1136,6 +1159,29 @@ def run_concrete(program: Program, state: MachineState,
                             next_mark = steps + stride
                         else:
                             checkpoints.enter(state, pc, marks)
+                if (pc == cycle_pc and state._loc_hash == cycle_loc
+                        and state._out_hash == cycle_out):
+                    fingerprint = state.fingerprint()
+                    if fingerprint == cycle_print:
+                        # Back at an equal state: skip the whole periods
+                        # that fit, and let the watchdog at the loop top
+                        # see the rest.
+                        period = steps - cycle_steps
+                        skipped = (max_steps - steps) // period * period
+                        state.steps = steps + skipped
+                        cycles += 1
+                        cycle_steps_skipped += skipped
+                        cycle_pc = -1
+                        continue
+                    cycle_print = fingerprint
+                    cycle_steps = steps
+                entries += 1
+                if entries == next_save:
+                    cycle_pc = pc
+                    cycle_loc = state._loc_hash
+                    cycle_out = state._out_hash
+                    cycle_print = None
+                    next_save *= 2
                 block = block_fns[pc]
                 if block is not None and steps + block_lens[pc] <= max_steps:
                     block(state)
@@ -1149,13 +1195,16 @@ def run_concrete(program: Program, state: MachineState,
     finally:
         hub = _obs.get()
         if hub.enabled:
-            hub.count("interp.steps",
-                      state.steps - steps_at_entry - joined_steps)
+            hub.count("interp.steps", state.steps - steps_at_entry
+                      - joined_steps - cycle_steps_skipped)
             if block_runs:
                 hub.count("interp.superblock_runs", block_runs)
             if joined_steps:
                 hub.count("interp.joins")
                 hub.count("interp.joined_steps", joined_steps)
+            if cycles:
+                hub.count("interp.cycles", cycles)
+                hub.count("interp.cycle_steps", cycle_steps_skipped)
     if checkpoints is not None:
         checkpoints.finish(state)
     if marks and not state.hung:
