@@ -1,12 +1,11 @@
 """DIST — Section 6.1: campaigns as broker-distributed tasks (PR 3).
 
-The distributed backend must be a drop-in for the serial sweep exactly like
-the pool: identical per-injection results, in the same order, on the
-programs the paper evaluates.  These benches run the tcas and replace
-campaign subsets (the same fixtures the pool equivalence benches use) and
-the factorial sweep through real standalone worker processes and a
-filesystem broker, and additionally kill-and-resume the tcas and replace
-campaigns through the results store.
+The distributed backend must be a drop-in for the serial sweep: identical
+per-injection results, in the same order, on the programs the paper
+evaluates.  These benches run the tcas and replace campaign subsets (the
+fixtures of ``test_parallel_campaign.py``) through real standalone worker
+processes and a filesystem broker, and additionally kill-and-resume them
+through the results store.
 """
 
 import pytest

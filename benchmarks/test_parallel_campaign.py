@@ -1,17 +1,12 @@
-"""PAR — Section 6.1: parallel campaign execution (cluster tasks on a pool).
+"""PAR — Section 6.1: parallel campaign execution (cluster tasks on workers).
 
-The paper distributes its search tasks over a cluster; the parallel runner
-reproduces that execution model with a worker pool on one host.  These
-benches check the two properties that make the runner usable as a drop-in
-replacement for the serial sweep:
-
-* determinism — a parallel campaign returns a ``CampaignResult`` with
-  exactly the same per-injection results (solutions, outcome classification,
-  ordering) as the serial run, on the tcas and replace programs the paper
-  evaluates;
-* scaling — sharding the factorial sweep over 4 workers beats the serial
-  sweep (asserted only when the host actually has 4 cores; the measurement
-  is always printed).
+The paper distributes its search tasks over a cluster; the distributed
+backend reproduces that execution model with broker workers on one host.
+This module holds the paper-benchmark campaign fixtures (tcas and replace
+subsets) that ``test_distributed_campaign.py`` checks for serial
+equivalence, and the scaling bench: sharding the factorial sweep over 4
+workers beats the serial sweep (asserted only when the host actually has 4
+cores; the measurement is always printed).
 """
 
 import multiprocessing
@@ -21,9 +16,10 @@ import time
 import pytest
 
 from repro.core import SymbolicCampaign, classify
+from repro.distributed import DistributedConfig, DistributedExecutionStrategy
 from repro.faults import RegisterValueFault
 from repro.machine import ExecutionConfig
-from repro.parallel import ParallelConfig, QuerySpec, run_campaign_parallel
+from repro.parallel import QuerySpec
 from repro.programs import factorial_workload, replace_workload, tcas_workload
 
 
@@ -81,29 +77,6 @@ def replace_campaign():
     return workload, campaign, injections, spec
 
 
-@pytest.mark.benchmark(group="parallel")
-@pytest.mark.parametrize("make_campaign", [tcas_campaign, replace_campaign],
-                         ids=["tcas", "replace"])
-def test_parallel_matches_serial_on_paper_benchmarks(benchmark, make_campaign):
-    workload, campaign, injections, spec = make_campaign()
-    golden = workload.golden_output()
-    query = spec.build()
-
-    serial = campaign.run(query, injections=injections)
-    parallel = benchmark.pedantic(
-        run_campaign_parallel, rounds=1, iterations=1,
-        args=(campaign, spec),
-        kwargs=dict(injections=injections,
-                    config=ParallelConfig(workers=4, chunk_size=2)))
-
-    assert equivalence_key(parallel, golden) == equivalence_key(serial, golden)
-    assert parallel.injections_run == len(injections)
-    print(f"\n[PAR] {workload.name}: {len(injections)} injections, "
-          f"serial {serial.elapsed_seconds:.2f}s vs "
-          f"4 workers {parallel.elapsed_seconds:.2f}s; "
-          f"{parallel.total_solutions} solutions, identical to serial")
-
-
 def factorial_sweep():
     """A sweep heavy enough to measure scaling: every register injection of
     the factorial kernel at several loop iterations (dynamic occurrences)."""
@@ -138,9 +111,10 @@ def test_parallel_scaling_on_factorial_sweep(benchmark):
     serial_seconds = time.perf_counter() - start
 
     parallel = benchmark.pedantic(
-        run_campaign_parallel, rounds=1, iterations=1,
-        args=(campaign, spec),
-        kwargs=dict(injections=injections, config=ParallelConfig(workers=4)))
+        campaign.run, rounds=1, iterations=1, args=(query,),
+        kwargs=dict(injections=injections,
+                    strategy=DistributedExecutionStrategy(
+                        spec, DistributedConfig(workers=4))))
     parallel_seconds = parallel.elapsed_seconds
 
     assert equivalence_key(parallel, golden) == equivalence_key(serial, golden)

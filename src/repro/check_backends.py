@@ -1,7 +1,7 @@
 """Backend byte-identity check (``repro check-backends``).
 
-Runs the same ``repro analyze`` sweep through several backends — pool,
-distributed, TCP broker variants, the ``--results`` store-backed view, a
+Runs the same ``repro analyze`` sweep through several backends — local
+broker workers, TCP broker variants, the ``--results`` store-backed view, a
 ``--resume`` of a half-recorded store and worker-kill recovery — and
 diffs each normalized output against the serial baseline.  Everything but
 the timing and backend-identity lines must be byte-identical; the
@@ -14,6 +14,7 @@ import argparse
 import difflib
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -21,6 +22,8 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 _NORMALIZE_DROP_CONTAINS = ("elapsed seconds",)
+#: The variants ``--backends`` may name; each is diffed against serial.
+VARIANTS = ("distributed", "results", "resume", "tcp", "tcp-kill")
 _NORMALIZE_DROP_PREFIXES = ("workers", "backend")
 
 
@@ -122,12 +125,8 @@ def _run_variant(variant: str, args: argparse.Namespace, scratch: str,
     base = _sweep_argv(args)
     if variant == "serial":
         return _run_analyze(base, timeout)
-    if variant == "pool":
-        return _run_analyze(base + ["--backend", "pool", "--workers", "2"],
-                            timeout)
     if variant == "distributed":
-        return _run_analyze(
-            base + ["--backend", "distributed", "--workers", "2"], timeout)
+        return _run_analyze(base + ["--workers", "2"], timeout)
     if variant == "results":
         # Serial sweep streamed into a store: proves the store-backed lazy
         # CampaignResult prints byte-identically to the in-memory one.
@@ -151,8 +150,7 @@ def _run_variant(variant: str, args: argparse.Namespace, scratch: str,
         workers: List[subprocess.Popen] = []
         killer = None
         try:
-            extra = ["--backend", "distributed", "--workers", "0",
-                     "--queue", broker.url]
+            extra = ["--workers", "0", "--queue", broker.url]
             lease = 3.0 if variant == "tcp-kill" else None
             if variant == "tcp-kill":
                 extra += ["--lease-seconds", "3"]
@@ -171,54 +169,62 @@ def _run_variant(variant: str, args: argparse.Namespace, scratch: str,
                 killer.cancel()
             _stop_workers(workers)
             broker.stop()
-    raise SystemExit(f"unknown check-backends variant "
-                     f"{variant!r}")
+    raise AssertionError(f"unhandled variant {variant!r}")
 
 
 def run_expect_identical(args: argparse.Namespace) -> int:
     """Backend-equivalence gate: every variant must match serial exactly."""
     variants = [name.strip() for name in args.backends.split(",")
                 if name.strip()]
+    unknown = [name for name in variants if name not in VARIANTS]
+    if unknown:
+        raise SystemExit(f"unknown check-backends variant(s) "
+                         f"{', '.join(unknown)}; valid variants: "
+                         f"{', '.join(VARIANTS)}")
     scratch = tempfile.mkdtemp(prefix="repro-check-backends-")
-    isa_note = f" isa={args.isa}" if getattr(args, "isa", None) else ""
-    print(f"check-backends: workload={args.workload} "
-          f"query={args.query} fault_model={args.fault_model}{isa_note} "
-          f"variants={variants}", flush=True)
-    serial = _run_variant("serial", args, scratch, args.timeout, 0)
-    sweep = int(re.search(r"^injections\s*: (\d+)$", serial, re.M).group(1))
-    baseline = normalize_output(serial)
-    failures = []
-    for variant in variants:
-        started = time.perf_counter()
-        output = normalize_output(
-            _run_variant(variant, args, scratch, args.timeout, sweep))
-        elapsed = time.perf_counter() - started
-        if output == baseline:
-            print(f"  {variant:<12} identical ({elapsed:.1f}s)", flush=True)
-            continue
-        failures.append(variant)
-        print(f"  {variant:<12} DIFFERS from the serial baseline:",
-              flush=True)
-        diff = difflib.unified_diff(
-            baseline.splitlines(keepends=True),
-            output.splitlines(keepends=True),
-            fromfile="serial", tofile=variant)
-        sys.stdout.writelines(diff)
-    if failures:
-        print(f"FAIL: backends not identical to serial: {failures}",
-              file=sys.stderr)
-        return 1
-    print("all backends identical to the serial baseline")
-    return 0
+    try:
+        isa_note = f" isa={args.isa}" if getattr(args, "isa", None) else ""
+        print(f"check-backends: workload={args.workload} "
+              f"query={args.query} fault_model={args.fault_model}{isa_note} "
+              f"variants={variants}", flush=True)
+        serial = _run_variant("serial", args, scratch, args.timeout, 0)
+        sweep = int(re.search(r"^injections\s*: (\d+)$", serial,
+                              re.M).group(1))
+        baseline = normalize_output(serial)
+        failures = []
+        for variant in variants:
+            started = time.perf_counter()
+            output = normalize_output(
+                _run_variant(variant, args, scratch, args.timeout, sweep))
+            elapsed = time.perf_counter() - started
+            if output == baseline:
+                print(f"  {variant:<12} identical ({elapsed:.1f}s)",
+                      flush=True)
+                continue
+            failures.append(variant)
+            print(f"  {variant:<12} DIFFERS from the serial baseline:",
+                  flush=True)
+            diff = difflib.unified_diff(
+                baseline.splitlines(keepends=True),
+                output.splitlines(keepends=True),
+                fromfile="serial", tofile=variant)
+            sys.stdout.writelines(diff)
+        if failures:
+            print(f"FAIL: backends not identical to serial: {failures}",
+                  file=sys.stderr)
+            return 1
+        print("all backends identical to the serial baseline")
+        return 0
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
 
 
 def add_check_backends_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--timeout", type=float, default=900.0,
                         help="per-variant subprocess timeout")
-    parser.add_argument("--backends", default="pool,distributed",
+    parser.add_argument("--backends", default="distributed",
                         help="comma-separated variants to compare with the "
-                             "serial baseline: pool, distributed, results, "
-                             "resume, tcp, tcp-kill")
+                             f"serial baseline: {', '.join(VARIANTS)}")
     parser.add_argument("--workload", default="factorial",
                         help="workload to sweep")
     parser.add_argument("--fault-model", default=None,

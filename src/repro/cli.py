@@ -38,6 +38,7 @@ from .frontend import generate_query, translate_mips
 from .isa import assemble
 from .lang import compile_source
 from .machine import ExecutionConfig, run_concrete
+from .machine.executor import CONTROL_FORK_DOMAINS
 from .programs import WORKLOADS, load_workload
 from .programs.base import Workload
 
@@ -204,26 +205,23 @@ def _build_parser() -> argparse.ArgumentParser:
                               "cycle (needed for an any-outcome census "
                               "that must report hang terminals)")
     analyze.add_argument("--control-fork-domain", default="labels",
-                         choices=("labels", "targets", "all", "exception_only"))
+                         choices=CONTROL_FORK_DOMAINS)
     analyze.add_argument("--witnesses", type=int, default=3,
                          help="number of witnesses to print")
-    analyze.add_argument("--backend", default=None,
-                         choices=("serial", "pool", "distributed"),
-                         help="execution backend (default: serial, or pool "
-                              "when --workers > 1)")
     analyze.add_argument("--workers", type=_nonnegative_int, default=1,
-                         help="worker processes for the injection sweep "
-                              "(1 = serial, the paper's single-host run; "
-                              "0 = distributed backend only, rely on "
-                              "external workers attached to --queue)")
+                         help="broker worker processes to spawn for the "
+                              "injection sweep (1 without --queue = serial "
+                              "in-process, the paper's single-host run; "
+                              "0 = rely on external workers attached to "
+                              "--queue)")
     analyze.add_argument("--chunk-size", type=_positive_int, default=None,
                          help="injections per work unit "
                               "(default: a few chunks per worker)")
     analyze.add_argument("--queue", default=None,
-                         help="queue for the distributed backend: a broker "
+                         help="broker queue the workers share: a "
                               "directory, or tcp://HOST:PORT of a running "
                               "'repro broker' (default: a private temporary "
-                              "directory)")
+                              "directory when --workers > 1)")
     analyze.add_argument("--lease-seconds", type=_positive_float, default=60.0,
                          help="distributed-backend claim lease; a worker "
                               "silent this long forfeits its task")
@@ -381,24 +379,20 @@ def _validated_queue(queue: Optional[str]) -> Optional[str]:
 
 
 def _resolve_backend(args: argparse.Namespace) -> str:
-    """Pick the execution backend, validating flag combinations."""
-    backend = args.backend
-    if backend is None:
-        backend = "pool" if args.workers > 1 else "serial"
-    if backend == "serial" and args.workers > 1:
-        raise SystemExit("--backend serial cannot use --workers > 1; pick "
-                         "--backend pool or --backend distributed")
-    if args.workers == 0 and backend != "distributed":
-        raise SystemExit("--workers 0 (external workers only) requires "
-                         "--backend distributed")
-    if backend == "distributed" and args.workers == 0 and args.queue is None:
+    """Work out the execution backend from the flags, validating them.
+
+    One worker and no ``--queue`` runs the sweep serially in-process;
+    anything else runs it on broker workers (``distributed``), on a private
+    temporary queue unless ``--queue`` names one.
+    """
+    backend = ("serial" if args.workers == 1 and args.queue is None
+               else "distributed")
+    if args.workers == 0 and args.queue is None:
         raise SystemExit("--workers 0 needs --queue DIR: external workers "
                          "must be able to find the task queue")
-    if backend != "distributed" and args.queue is not None:
-        raise SystemExit("--queue only applies to --backend distributed")
     if backend == "serial" and args.chunk_size is not None:
-        raise SystemExit("--chunk-size only applies to --backend pool or "
-                         "distributed (the serial sweep is not chunked)")
+        raise SystemExit("--chunk-size only applies with --workers > 1 or "
+                         "--queue (the serial sweep is not chunked)")
     if args.resume and args.results is None:
         raise SystemExit("--resume needs --results PATH (the results store "
                          "to resume from)")
@@ -416,29 +410,19 @@ def _build_analyze_strategy(args: argparse.Namespace, backend: str,
     Returns ``(strategy, cache_statistics_fn)`` — the statistics getter is
     read after the run, once the backend has aggregated its counters.
     """
-    from .parallel import QuerySpec
-
-    query_spec = QuerySpec.predefined(args.query, golden_output=golden,
-                                      expected_value=expected)
     if backend == "serial":
         cache = SearchResultCache()
-        strategy = SerialExecutionStrategy(result_cache=cache)
-        statistics = lambda: cache.statistics  # noqa: E731
-    elif backend == "pool":
-        from .parallel import ParallelConfig, ParallelExecutionStrategy
-        config = ParallelConfig(workers=args.workers,
-                                chunk_size=args.chunk_size)
-        strategy = ParallelExecutionStrategy(query_spec, config)
-        statistics = lambda: strategy.cache_statistics  # noqa: E731
-    else:
-        from .distributed import DistributedConfig, DistributedExecutionStrategy
-        config = DistributedConfig(workers=args.workers,
-                                   chunk_size=args.chunk_size,
-                                   queue_dir=args.queue,
-                                   lease_seconds=args.lease_seconds)
-        strategy = DistributedExecutionStrategy(query_spec, config)
-        statistics = lambda: strategy.cache_statistics  # noqa: E731
-    return strategy, statistics
+        return (SerialExecutionStrategy(result_cache=cache),
+                lambda: cache.statistics)
+    from .distributed import DistributedConfig, DistributedExecutionStrategy
+    from .parallel.spec import QuerySpec
+    strategy = DistributedExecutionStrategy(
+        QuerySpec.predefined(args.query, golden_output=golden,
+                             expected_value=expected),
+        DistributedConfig(workers=args.workers, chunk_size=args.chunk_size,
+                          queue_dir=args.queue,
+                          lease_seconds=args.lease_seconds))
+    return strategy, lambda: strategy.cache_statistics
 
 
 def _command_analyze(args: argparse.Namespace) -> int:

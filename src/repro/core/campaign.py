@@ -41,11 +41,11 @@ from .search import (BoundedModelChecker, SearchResult, SearchResultCache,
 ProgressCallback = Callable[[int, int, "InjectionResult"], None]
 
 #: Callback invoked once per completed injection experiment, as soon as the
-#: executing strategy learns the result (for the pool and distributed
-#: backends that is when the containing chunk completes).  Unlike the
-#: ProgressCallback — which the pool backends only call with the *last*
-#: result of a chunk — the sink sees every result exactly once, which is
-#: what recording into a results store needs.
+#: executing strategy learns the result (for the distributed backend that
+#: is when the containing chunk completes).  Unlike the ProgressCallback —
+#: which the distributed backend only calls with the *last* result of a
+#: chunk — the sink sees every result exactly once, which is what
+#: recording into a results store needs.
 ResultSink = Callable[["Injection", "InjectionResult"], None]
 
 
@@ -182,7 +182,7 @@ def run_task(campaign: "SymbolicCampaign", injections: Sequence[Injection],
     """Run one task's injections in order until a cap is hit.
 
     The single work unit of every backend: the serial strategy calls it
-    in-process, pool and broker workers call it on their payloads.  With
+    in-process, and broker workers call it on their payloads.  With
     ``caps=None`` (a sweep) every injection runs.  A task is incomplete
     when its wall-clock cap cut it short, or when an injection's search hit
     its own budget without finding a solution; reaching the error cap
@@ -217,10 +217,11 @@ class ExecutionStrategy:
     tasks; this abstraction keeps :class:`SymbolicCampaign` and
     :class:`~repro.core.tasks.TaskRunner` agnostic of *where* each task
     runs.  There is one strategy per backend: the serial strategy below
-    runs tasks in-process, :mod:`repro.parallel` shards them across a
-    worker pool, and :mod:`repro.distributed` / :mod:`repro.net` run them
-    through a broker.  A backend implements :meth:`run_tasks`; every task
-    of every backend goes through :func:`run_task`.  Wrappers compose by
+    runs tasks in-process, and :mod:`repro.distributed` runs them in
+    broker worker processes — local ones on a private queue, or workers
+    attached to a shared directory or a :mod:`repro.net` TCP broker.  A
+    backend implements :meth:`run_tasks`; every task of every backend goes
+    through :func:`run_task`.  Wrappers compose by
     overriding :meth:`run`: recording into (and resuming from) a
     :class:`~repro.results.SqliteResultStore`, progress reporting.
 

@@ -119,7 +119,7 @@ class SearchResultCache:
     fingerprint (and step count, which feeds the watchdog bound) explore
     exactly the same space and return identical results.  The campaign and
     task runners thread one cache through every injection of a program sweep
-    — and the parallel workers keep one per process — so that convergent
+    — and the broker workers keep one per process — so that convergent
     injection points are searched only once.
 
     Keys embed the executor object itself (compared by identity; the cache

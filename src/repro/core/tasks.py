@@ -11,7 +11,7 @@ in Sections 6.2 and 6.4.
 This module reproduces the decomposition and the aggregate statistics.  A
 task is a chunk of injections with two optional caps, so any backend's
 :class:`~repro.core.campaign.ExecutionStrategy` runs it: in-process by
-default, or on a worker pool or through a broker, with the caps travelling
+default, or in broker worker processes, with the caps travelling
 inside each work unit.
 """
 

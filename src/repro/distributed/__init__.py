@@ -1,9 +1,10 @@
 """Distributed campaign execution: the paper's cluster runs, for real.
 
-Where :mod:`repro.parallel` shards a sweep across a single host's worker
-pool, this package distributes it through a durable broker to standalone
-``repro worker`` processes — over a shared queue directory, or over TCP via
-:mod:`repro.net` for hosts that share nothing but a port.  A killed
+This package is the one multi-process backend: it distributes a sweep
+through a durable broker to standalone ``repro worker`` processes — spawned
+locally on a private queue directory (``repro analyze --workers N``),
+attached to a shared queue directory, or over TCP via :mod:`repro.net` for
+hosts that share nothing but a port.  A killed
 campaign resumes from its results store (``repro analyze --results PATH
 --resume``, see :mod:`repro.results.recording`) under any backend.
 

@@ -1,10 +1,10 @@
 """The distributed campaign backend (coordinator side).
 
 :class:`DistributedExecutionStrategy` plugs into the same
-:class:`~repro.core.campaign.ExecutionStrategy` seam as the serial and pool
-backends, but executes tasks through a broker: a sweep is chunked exactly
-like the pool's, each task — an uncapped chunk, or a paper-style search
-task with its error/wall-clock caps — is enqueued as a durable queue entry,
+:class:`~repro.core.campaign.ExecutionStrategy` seam as the serial backend,
+but executes tasks through a broker: a sweep is chunked into a few tasks
+per worker, each task — an uncapped chunk, or a paper-style search task
+with its error/wall-clock caps — is enqueued as a durable queue entry,
 standalone ``repro worker`` processes (spawned locally by default, or
 attached externally to the same queue) claim and execute them, and the
 coordinator merges results back in submission order — so a distributed
@@ -44,23 +44,47 @@ from ..core.queries import SearchQuery
 from ..core.search import CacheStatistics
 from ..core.tasks import default_chunk_size
 from ..errors.injector import Injection
-from ..parallel.runner import _check_query_consistency, _merge_cache_statistics
 from ..parallel.spec import CampaignSpec, QuerySpec
 from .backoff import Backoff
 from .broker import (CampaignManifest, FilesystemBroker, enqueue_campaign,
                      open_broker)
 
 
+def _check_query_consistency(query: Optional[SearchQuery],
+                             query_spec: QuerySpec) -> None:
+    """Guard against the spec and the in-process query drifting apart.
+
+    Workers rebuild the query from *query_spec*; if the caller also holds a
+    live query it must describe the same predicate, otherwise the
+    distributed run would silently answer a different question than the
+    serial one.
+    """
+    built = query_spec.build()
+    if query is not None and query.description != built.description:
+        raise ValueError(
+            f"query spec builds {built.description!r} but the campaign was "
+            f"asked to search for {query.description!r}; pass a matching "
+            f"QuerySpec so workers search for the same predicate")
+
+
+def _merge_cache_statistics(worker_stats: Dict[str, CacheStatistics],
+                            ) -> CacheStatistics:
+    """Sum the final per-worker cache counters into one aggregate."""
+    total = CacheStatistics()
+    for stats in worker_stats.values():
+        total.accumulate(stats)
+    return total
+
+
 def note_worker_snapshot(worker_stats: Dict[str, CacheStatistics],
                          worker_name: str, stats: CacheStatistics) -> None:
     """Keep the *latest* cumulative snapshot per worker.
 
-    Cache counters are monotonic per process, but unlike the pool (whose
-    ``imap_unordered`` yields in completion order) broker results are
-    fetched in index order — a requeued low-index chunk can deliver a
-    worker's newest snapshot before an older one attached to a higher
-    index.  Last-write-wins would then undercount, so keep the snapshot
-    with the largest counter total instead.
+    Cache counters are monotonic per process, but broker results are
+    fetched in index order, not completion order — a requeued low-index
+    chunk can deliver a worker's newest snapshot before an older one
+    attached to a higher index.  Last-write-wins would then undercount, so
+    keep the snapshot with the largest counter total instead.
     """
     previous = worker_stats.get(worker_name)
     if previous is None or (stats.lookups + stats.stores + stats.evictions
@@ -76,7 +100,8 @@ class DistributedConfig:
     Attributes:
         workers: standalone worker processes to spawn locally; ``0`` means
             none — external workers pointed at *queue_dir* do all the work.
-        chunk_size: injections per task; ``None`` picks the pool's heuristic.
+        chunk_size: injections per task; ``None`` picks a few chunks per
+            worker (:func:`~repro.core.tasks.default_chunk_size`).
         queue_dir: queue locator — a broker directory, or ``tcp://host:port``
             for a running ``repro broker`` server.  ``None`` uses a private
             temporary directory (removed after the run).  Required when
@@ -371,8 +396,8 @@ def run_campaign_distributed(campaign: SymbolicCampaign,
     """Run a symbolic campaign on the distributed backend.
 
     The one-call equivalent of ``campaign.run(query, strategy=
-    DistributedExecutionStrategy(...))``, mirroring
-    :func:`~repro.parallel.runner.run_campaign_parallel`.
+    DistributedExecutionStrategy(...))`` with the query built from
+    *query_spec*.
     """
     query = query_spec.build()
     strategy = DistributedExecutionStrategy(query_spec, config)

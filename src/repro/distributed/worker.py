@@ -1,13 +1,16 @@
 """The standalone campaign worker (``repro worker --queue DIR|tcp://…``).
 
-A worker is the distributed counterpart of one pool process: it loads the
-campaign manifest from the broker, rebuilds the campaign, query and cache
-once with the existing :mod:`repro.parallel.worker` machinery, then claims
-and executes work units until the queue is drained.  A unit is one task —
-its injections plus its caps (``None`` for a sweep chunk) — run through the
-same work function as a pool worker's.  While a unit runs the worker renews
-the lease on its claim so the coordinator can tell a slow worker from a
-dead one.
+A worker loads the campaign manifest from the broker and rebuilds the
+campaign, query and a per-process
+:class:`~repro.core.search.SearchResultCache` once (:func:`initialize_worker`),
+then claims and executes work units until the queue is drained.  A unit is
+one task — its submission index, its injections and its caps (``None`` for a
+sweep chunk) — run through :func:`run_work_unit`.  While a unit runs the
+worker renews the lease on its claim so the coordinator can tell a slow
+worker from a dead one.  The worker answers with the task outcome and a
+snapshot of its cache and telemetry counters, keyed by the worker's name,
+and the coordinator merges out-of-order completions into a deterministic,
+submission-ordered report.
 
 Workers are stateless and interchangeable: any number can be pointed at the
 same queue — a shared directory or a ``tcp://`` broker — from any machine,
@@ -25,18 +28,79 @@ from __future__ import annotations
 
 import contextlib
 import json
-import multiprocessing
 import os
 import sys
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from .. import obs as _obs
-from ..parallel.worker import initialize_worker, run_work_unit
+from ..core.campaign import (SymbolicCampaign, TaskCaps, TaskOutcome,
+                             run_task)
+from ..core.queries import SearchQuery
+from ..core.search import CacheStatistics, SearchResultCache
+from ..errors.injector import Injection
+from ..obs import TelemetrySnapshot
+from ..parallel.spec import CampaignSpec, QuerySpec
 from .backoff import Backoff
 from .broker import Broker, ClaimedTask, open_broker
+
+#: A worker's counters at the end of one work unit: (worker name,
+#: cumulative cache statistics, telemetry snapshot or None).  Cache counters
+#: are monotonic, so the coordinator keeps the latest snapshot per worker
+#: and sums them when the queue drains; the telemetry snapshot is merged
+#: into the coordinator hub the same way (events drained, metrics
+#: latest-wins).
+CacheSnapshot = Tuple[str, CacheStatistics, Optional[TelemetrySnapshot]]
+
+#: One work unit: (submission index, the task's injections, its caps).
+WorkUnit = Tuple[int, Tuple[Injection, ...], Optional[TaskCaps]]
+
+#: Per-process worker context, populated by :func:`initialize_worker`.
+_WORKER: Dict[str, object] = {}
+
+
+def initialize_worker(campaign_spec: CampaignSpec, query_spec: QuerySpec,
+                      name: str) -> None:
+    """Rebuild the campaign, query and cache once per manifest.
+
+    *name* identifies this worker both as the key of its cache snapshots
+    and as the component of its telemetry.
+    """
+    # Always replace the hub: worker events buffer locally and ship with
+    # each work unit's snapshot.
+    _obs.activate_worker(campaign_spec.telemetry, component=name)
+    _WORKER["name"] = name
+    _WORKER["campaign"] = campaign_spec.build()
+    _WORKER["query"] = query_spec.build()
+    _WORKER["cache"] = SearchResultCache()
+
+
+def run_work_unit(unit: WorkUnit) -> Tuple[int, TaskOutcome, CacheSnapshot]:
+    """Run one task through :func:`~repro.core.campaign.run_task`.
+
+    Returns (submission index, task outcome, cache snapshot).  The outcome
+    is the result list plus two scalars; the task's injections stay on the
+    coordinator.  The snapshot is taken after the unit's span closes, so
+    the span ships with the unit it times.
+    """
+    index, injections, caps = unit
+    try:
+        campaign: SymbolicCampaign = _WORKER["campaign"]
+        query: SearchQuery = _WORKER["query"]
+        cache: SearchResultCache = _WORKER["cache"]
+    except KeyError:  # pragma: no cover - a unit ran before its manifest
+        raise RuntimeError("worker used before initialize_worker ran") from None
+    with _obs.get().span("worker.unit", index=index,
+                         injections=len(injections)):
+        outcome = run_task(campaign, injections, query, cache, caps)
+    stats = cache.statistics
+    return index, outcome, (
+        _WORKER["name"],
+        CacheStatistics(hits=stats.hits, misses=stats.misses,
+                        stores=stats.stores, evictions=stats.evictions),
+        _obs.get().snapshot())
 
 
 @dataclass
@@ -146,10 +210,9 @@ def run_worker(config: WorkerConfig,
     finishes and publishes, an unstarted claim is released back to the
     queue, and no lease is left to expire.
     """
-    # Standalone workers are each their own MainProcess; give the process a
-    # unique name so per-worker cache snapshots aggregate correctly (the
-    # pool's snapshot machinery keys counters by process name).
-    multiprocessing.current_process().name = f"repro-worker-{os.getpid()}"
+    # One name per process keys this worker's cache snapshots and
+    # telemetry apart from every other worker's.
+    name = f"repro-worker-{os.getpid()}"
     stopping = should_stop or (lambda: False)
     # The CLI may have attached its own --telemetry sink before calling us;
     # worker initialisation replaces the hub (see activate_worker), so the
@@ -162,9 +225,9 @@ def run_worker(config: WorkerConfig,
         return 0  # stopped while waiting for a campaign to appear
 
     def initialize(manifest) -> None:
-        initialize_worker(manifest.campaign_spec, manifest.query_spec)
+        initialize_worker(manifest.campaign_spec, manifest.query_spec, name)
         if own_sink is not None:
-            _obs.attach_sink(own_sink)
+            _obs.attach_sink(own_sink, component=name)
 
     initialize(manifest)
 
@@ -230,9 +293,8 @@ def run_worker(config: WorkerConfig,
             initialize(manifest)
         try:
             with _lease_renewal(broker, claim, config.lease_seconds):
-                with _obs.get().span("worker.unit", index=claim.index):
-                    index, outcome, snapshot = run_work_unit(
-                        (claim.index, *claim.payload))
+                index, outcome, snapshot = run_work_unit(
+                    (claim.index, *claim.payload))
             # Results are tagged with the manifest's campaign id so a
             # coordinator reusing this queue directory can reject
             # stragglers from a previous campaign.

@@ -67,11 +67,15 @@ from .exceptions import (DIVIDE_BY_ZERO, ILLEGAL_ADDRESS, ILLEGAL_INSTRUCTION,
 from .state import Fingerprint, MachineState, Status, TraceEntry
 
 __all__ = [
-    "ConcreteFutures", "ExecutionConfig", "Executor", "GoldenCheckpoints",
-    "SymbolicValueEncountered", "apply_fault", "apply_fault_set",
-    "concrete_step", "concrete_step_legacy", "run_concrete",
+    "CONTROL_FORK_DOMAINS", "ConcreteFutures", "ExecutionConfig", "Executor",
+    "GoldenCheckpoints", "SymbolicValueEncountered", "apply_fault",
+    "apply_fault_set", "concrete_step", "concrete_step_legacy", "run_concrete",
     "run_concrete_legacy", "run_concrete_until", "run_to_breakpoint",
 ]
+
+
+#: Where an erroneous control target may land (``ExecutionConfig``).
+CONTROL_FORK_DOMAINS = ("labels", "targets", "all", "exception_only")
 
 
 @dataclass
@@ -110,6 +114,11 @@ class ExecutionConfig:
     legacy_dispatch: bool = False
 
     def __post_init__(self) -> None:
+        if self.control_fork_domain not in CONTROL_FORK_DOMAINS:
+            raise ValueError(
+                f"control_fork_domain must be one of "
+                f"{', '.join(CONTROL_FORK_DOMAINS)}, got "
+                f"{self.control_fork_domain!r}")
         for name in ("max_control_forks", "max_memory_forks"):
             if getattr(self, name) < 0:
                 raise ValueError(

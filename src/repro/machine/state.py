@@ -529,7 +529,7 @@ class MachineState:
 
     def __getstate__(self):
         # Flatten the CoW structure: a pickled state is self-contained, so
-        # worker-pool round-trips cannot alias bases across processes.
+        # broker round-trips cannot alias bases across processes.
         return {
             "pc": self.pc,
             "registers": self._registers.as_tuple(),

@@ -9,7 +9,7 @@ service for hosts that share nothing but a route to one port:
 * :class:`SocketBroker` — the client implementing the same
   :class:`~repro.distributed.broker.Broker` contract as the filesystem
   broker, so ``repro worker --queue tcp://host:port`` and ``repro analyze
-  --backend distributed --queue tcp://…`` work unchanged;
+  --queue tcp://…`` work unchanged;
 * :mod:`repro.net.framing` — the length-prefixed JSON/pickle wire format.
 
 Broker selection by queue URL lives in

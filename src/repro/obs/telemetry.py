@@ -7,7 +7,7 @@ attribute load and a branch.  ``repro analyze --telemetry PATH`` (and the
 worker/broker equivalents) swap in a real :class:`Telemetry` hub.
 
 Spans use the monotonic clock and nest through a thread-local stack, so a
-``span("broker.complete")`` opened inside ``span("worker.unit")`` parents
+``span("search.solve")`` opened inside ``span("worker.unit")`` parents
 correctly.  Cross-process parenting rides :class:`TraceContext`, a tiny
 picklable carrier embedded in ``CampaignSpec``: the worker
 activates a fresh hub under the coordinator's trace and span ids, and ships
@@ -485,11 +485,11 @@ def activate_worker(context: Optional[TraceContext],
                     component: Optional[str] = None) -> Any:
     """Install the worker-side hub for a (possibly absent) trace context.
 
-    Always *replaces* the global hub: under the fork start method a pool
-    child inherits the coordinator's hub — including its open sink file —
-    and concurrent appends from many children would interleave.  Workers
-    therefore get a fresh sink-less hub (events buffer until the next
-    snapshot ships them) or the null hub when telemetry is off.
+    Always *replaces* the global hub, so that a worker that switches to a
+    new campaign manifest starts from that campaign's trace context.
+    Workers get a fresh sink-less hub named *component* (events buffer
+    until the next result snapshot ships them to the coordinator) or the
+    null hub when telemetry is off.
     """
     if context is None:
         return set_hub(NullTelemetry())

@@ -3,8 +3,8 @@
 Worker processes cannot receive a live :class:`~repro.core.campaign.
 SymbolicCampaign` or :class:`~repro.core.queries.SearchQuery` directly: the
 campaign carries an executor, and generated queries close over lambdas that
-do not survive pickling (and must not, on spawn-based platforms).  Instead
-the parent describes the experiment with two small picklable specs:
+do not survive pickling.  Instead the coordinator describes the experiment
+with two small picklable specs:
 
 * :class:`CampaignSpec` — the campaign's constructor arguments (program,
   inputs, detectors, fault model, execution config and search caps);
@@ -12,9 +12,9 @@ the parent describes the experiment with two small picklable specs:
   query generator (paper Section 5, "Supporting Tools") or a module-level
   factory callable plus arguments.
 
-Each worker rebuilds the campaign and query once in its initializer and
-reuses them for every work unit it processes, so the (cheap) reconstruction
-cost is paid once per process, not once per task.
+Each worker rebuilds the campaign and query once per manifest and reuses
+them for every work unit it processes, so the (cheap) reconstruction cost
+is paid once per process, not once per task.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class CacheSpec:
     """A picklable recipe for a per-process
     :class:`~repro.core.search.SearchResultCache` of a given size.
 
-    Pool and broker workers build the default cache directly; the recipe
+    Broker workers build the default cache directly; the recipe
     serves in-process callers that build their own (the campaign
     benchmark).
     """
@@ -112,13 +112,13 @@ class CampaignSpec:
     #: :class:`~repro.core.campaign.SymbolicCampaign`).
     deduplicate_states: bool = True
     #: ISA frontend name the program was retargeted through (``None`` = the
-    #: native SymPLFIED build); plain metadata, so it pickles through pool
-    #: initializers and broker manifests like ``fault_model`` does.
+    #: native SymPLFIED build); plain metadata, so it pickles through broker
+    #: manifests like ``fault_model`` does.
     isa: Optional[str] = None
     #: Campaign-scoped trace context (trace id + the coordinator span the
     #: worker's spans should parent under); ``None`` when telemetry is off.
-    #: Rides every carrier the spec rides — pool initializers, broker
-    #: manifests — and never reaches :class:`SymbolicCampaign` itself.
+    #: Rides every broker manifest and never reaches
+    #: :class:`SymbolicCampaign` itself.
     telemetry: Optional[TraceContext] = None
 
     @classmethod

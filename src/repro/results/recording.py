@@ -1,7 +1,7 @@
 """Streaming campaign ingestion into the results store, and resume from it.
 
 :class:`RecordingStrategy` wraps any :class:`~repro.core.campaign.
-ExecutionStrategy` (serial, pool, distributed, TCP) and streams the sweep
+ExecutionStrategy` (serial, distributed, TCP) and streams the sweep
 into a results store: the wrapped backend runs with ``retain_results`` off,
 every arriving result is classified and appended to the store via the
 result-sink hook, and the returned :class:`StoredCampaignResult` reads
@@ -17,8 +17,8 @@ campaign with the same identity, skips every injection whose position and
 label match a stored row, and streams the rest into that campaign — the
 printed result is identical to an uninterrupted run.
 
-Seq assignment: results may arrive in completion order (pool and
-distributed backends merge tasks as they finish), so rows are keyed by
+Seq assignment: results may arrive in completion order (the
+distributed backend merges tasks as they finish), so rows are keyed by
 submission index via :meth:`~repro.errors.injector.Injection.label`;
 sweeps with duplicate labels assign the duplicates' indices in arrival
 order (they are interchangeable for every aggregate).

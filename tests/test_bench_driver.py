@@ -2,7 +2,8 @@
 
 The heavyweight paths (perfbench runs, broker variants) are exercised by
 the `perfbench-gate` and smoke CI jobs; here we pin the cheap invariants
-those jobs rely on: output normalization, the per-name comparison of the
+those jobs rely on: output normalization, the up-front check of
+``repro check-backends`` variant names, the per-name comparison of the
 state hot-path gate, and the pass/fail rules of ``check_perfbench.py`` on
 synthetic runs and trajectory points.
 """
@@ -13,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.check_backends import normalize_output
+from repro import check_backends
+from repro.check_backends import VARIANTS, normalize_output
+from repro.cli import _build_parser, main
 
 BENCHMARKS_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 sys.path.insert(0, str(BENCHMARKS_DIR))
@@ -43,6 +46,41 @@ class TestNormalization:
         a = "injections run : 5\nelapsed seconds : 1.0\n"
         b = "injections run : 5\nelapsed seconds : 9.9\n"
         assert normalize_output(a) == normalize_output(b)
+
+
+class TestCheckBackendsVariants:
+    @pytest.mark.parametrize("backends", ["distributed,bogus", "pool"])
+    def test_unknown_variant_exits_before_any_run(self, backends,
+                                                  monkeypatch):
+        ran = []
+        monkeypatch.setattr(check_backends, "_run_variant",
+                            lambda variant, *args: ran.append(variant))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check-backends", "--backends", backends])
+        message = str(exit_info.value)
+        assert "unknown check-backends variant" in message
+        assert backends.split(",")[-1] in message
+        assert f"valid variants: {', '.join(VARIANTS)}" in message
+        assert "\n" not in message
+        assert ran == []
+
+    def test_scratch_directory_is_removed_after_the_run(self, monkeypatch,
+                                                         capsys):
+        scratches = []
+
+        def fake_variant(variant, args, scratch, timeout, sweep):
+            scratches.append(scratch)
+            return "injections     : 2\n"
+
+        monkeypatch.setattr(check_backends, "_run_variant", fake_variant)
+        assert main(["check-backends", "--backends", "results"]) == 0
+        assert "all backends identical" in capsys.readouterr().out
+        assert len(set(scratches)) == 1
+        assert not Path(scratches[0]).exists()
+
+    def test_default_is_the_distributed_variant(self):
+        args = _build_parser().parse_args(["check-backends"])
+        assert args.backends == "distributed"
 
 
 class TestCompareMeans:

@@ -4,8 +4,8 @@ study (`repro.faults` burst/bitflip, `repro.concrete.parity`,
 
 Covers: burst enumeration invariants and component-order preservation
 through every carrier (pickle, broker manifest, results store — a
-hypothesis property over component permutations), serial-vs-pool identity
-for a burst campaign, bit-flip read-modify-write semantics through the
+hypothesis property over component permutations), serial-vs-distributed
+identity for a burst campaign, bit-flip read-modify-write semantics through the
 shared fault-application path, the parity coverage rules, and the
 superset property on factorial (every concrete bit-flip outcome class is
 covered by the symbolic campaign).
@@ -32,8 +32,9 @@ from repro.isa.values import ERR, is_err
 from repro.machine import ExecutionConfig
 from repro.machine.executor import apply_fault_set
 from repro.machine.state import initial_state
-from repro.parallel import (CampaignSpec, ParallelConfig,
-                            ParallelExecutionStrategy, QuerySpec)
+from repro.distributed import (DistributedConfig,
+                               DistributedExecutionStrategy)
+from repro.parallel import CampaignSpec, QuerySpec
 from repro.programs import factorial_campaign, load_workload
 from repro.results import (RecordingStrategy, SqliteResultStore,
                            campaign_header, format_parity_report)
@@ -213,7 +214,8 @@ class TestFaultSetApplication:
 # ----------------------------------------------------- backend equivalence
 
 class TestBurstBackendEquivalence:
-    def test_pool_run_is_identical_to_serial_for_a_burst_campaign(self):
+    def test_distributed_run_is_identical_to_serial_for_a_burst_campaign(
+            self):
         """Includes the witness constraints in the projection: a burst of
         two errs can leave a purely relational constraint map (e.g.
         ``$(3) <= $(4)``), which must survive the worker->coordinator
@@ -222,10 +224,11 @@ class TestBurstBackendEquivalence:
                                              max_states_per_injection=4000)
         injections = campaign.plan_injections(sample=4, seed=7)
         serial = campaign.run(query, injections=injections)
-        pooled = campaign.run(query, injections=injections,
-                              strategy=ParallelExecutionStrategy(
-                                  QuerySpec.predefined("err-output"),
-                                  ParallelConfig(workers=2, chunk_size=2)))
+        distributed = campaign.run(
+            query, injections=injections,
+            strategy=DistributedExecutionStrategy(
+                QuerySpec.predefined("err-output"),
+                DistributedConfig(workers=2, chunk_size=2)))
 
         def projection(result):
             return [(r.injection, r.activated,
@@ -234,7 +237,7 @@ class TestBurstBackendEquivalence:
                       for s in r.solutions])
                     for r in result.results]
 
-        assert projection(serial) == projection(pooled)
+        assert projection(serial) == projection(distributed)
 
 
 # ------------------------------------------------------------- parity study

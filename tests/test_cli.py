@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, _resolve_backend, main
 
 
 @pytest.fixture()
@@ -131,28 +131,31 @@ class TestAnalyzeValidation:
         out = analyze_output(capsys, "--workers", "2", "--chunk-size", "999")
         assert "injections run             : 6" in out
 
-    def test_backend_serial_with_workers_conflicts(self):
-        with pytest.raises(SystemExit, match="serial"):
-            main(["analyze", "--workload", "factorial", "--backend", "serial",
-                  "--workers", "2"])
-
     def test_resume_requires_results(self):
         with pytest.raises(SystemExit, match="--results"):
             main(["analyze", "--workload", "factorial", "--resume"])
 
-    def test_queue_requires_distributed_backend(self, tmp_path):
-        with pytest.raises(SystemExit, match="distributed"):
-            main(["analyze", "--workload", "factorial", "--queue",
-                  str(tmp_path / "q")])
-
-    def test_workers_zero_requires_distributed_backend(self):
-        with pytest.raises(SystemExit, match="distributed"):
+    def test_workers_zero_requires_queue(self):
+        with pytest.raises(SystemExit, match="queue"):
             main(["analyze", "--workload", "factorial", "--workers", "0"])
 
-    def test_workers_zero_with_distributed_requires_queue(self):
-        with pytest.raises(SystemExit, match="queue"):
-            main(["analyze", "--workload", "factorial", "--backend",
-                  "distributed", "--workers", "0"])
+    @pytest.mark.parametrize("argv,backend", [
+        ([], "serial"),
+        (["--workers", "2"], "distributed"),
+        (["--queue", "q"], "distributed"),
+        (["--workers", "0", "--queue", "tcp://host:1"], "distributed")])
+    def test_backend_follows_workers_and_queue(self, argv, backend):
+        """One worker and no queue runs in-process; anything else runs on
+        broker workers."""
+        args = _build_parser().parse_args(
+            ["analyze", "--workload", "factorial", *argv])
+        assert _resolve_backend(args) == backend
+
+    def test_backend_is_an_unknown_argument(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["analyze", "--workload", "factorial", "--backend", "pool"])
+        assert "unrecognized arguments: --backend" \
+            in capsys.readouterr().err
 
     def test_chunk_size_requires_a_chunked_backend(self):
         with pytest.raises(SystemExit, match="chunk"):
@@ -206,35 +209,32 @@ class TestQueueLocatorValidation:
 
     def test_analyze_rejects_an_unknown_queue_scheme(self):
         with pytest.raises(SystemExit, match="unknown queue scheme 'tpc'"):
-            main(["analyze", "--workload", "factorial", "--backend",
-                  "distributed", "--workers", "2",
+            main(["analyze", "--workload", "factorial", "--workers", "2",
                   "--queue", "tpc://localhost:1"])
 
     def test_analyze_rejects_a_portless_tcp_locator(self):
         with pytest.raises(SystemExit, match="tcp://HOST:PORT"):
-            main(["analyze", "--workload", "factorial", "--backend",
-                  "distributed", "--workers", "2", "--queue", "tcp://host"])
+            main(["analyze", "--workload", "factorial", "--workers", "2",
+                  "--queue", "tcp://host"])
 
     def test_analyze_rejects_an_out_of_range_port(self):
         with pytest.raises(SystemExit, match="port out of range"):
-            main(["analyze", "--workload", "factorial", "--backend",
-                  "distributed", "--workers", "2",
+            main(["analyze", "--workload", "factorial", "--workers", "2",
                   "--queue", "tcp://host:99999"])
 
 
 class TestAnalyzeBackends:
-    def test_explicit_pool_backend_matches_serial(self, capsys):
-        serial = analyze_output(capsys)
-        pooled = analyze_output(capsys, "--backend", "pool", "--workers", "2")
-        assert "backend        : pool" in pooled
-        assert normalized(serial) == normalized(pooled)
-
     def test_distributed_backend_matches_serial(self, capsys):
         serial = analyze_output(capsys)
-        distributed = analyze_output(capsys, "--backend", "distributed",
-                                     "--workers", "2")
+        distributed = analyze_output(capsys, "--workers", "2")
         assert "backend        : distributed" in distributed
         assert normalized(serial) == normalized(distributed)
+
+    def test_queue_alone_runs_one_local_worker(self, tmp_path, capsys):
+        serial = analyze_output(capsys)
+        queued = analyze_output(capsys, "--queue", str(tmp_path / "queue"))
+        assert "backend        : distributed" in queued
+        assert normalized(serial) == normalized(queued)
 
     def test_results_then_resume_completes_identically(self, tmp_path,
                                                        capsys):
@@ -281,16 +281,11 @@ class TestAnalyzeFaultModels:
         second = fault_model_output(capsys, "operand")
         assert normalized(first) == normalized(second)
 
-    def test_fault_model_pool_backend_matches_serial(self, capsys):
-        serial = fault_model_output(capsys, "register")
-        pooled = fault_model_output(capsys, "register",
-                                    "--backend", "pool", "--workers", "2")
-        assert normalized(serial) == normalized(pooled)
-
-    def test_fault_model_distributed_backend_matches_serial(self, capsys):
-        serial = fault_model_output(capsys, "control")
-        distributed = fault_model_output(capsys, "control", "--backend",
-                                         "distributed", "--workers", "2")
+    @pytest.mark.parametrize("model", ["register", "control"])
+    def test_fault_model_distributed_backend_matches_serial(self, model,
+                                                            capsys):
+        serial = fault_model_output(capsys, model)
+        distributed = fault_model_output(capsys, model, "--workers", "2")
         assert normalized(serial) == normalized(distributed)
 
     def test_latent_err_query_is_exposed(self, capsys):
@@ -371,15 +366,15 @@ class TestIsaSelection:
         retargeted = analyze_output(capsys, "--isa", isa)
         assert masked(native) == masked(retargeted)
 
-    def test_rv32im_register_pool_matches_serial(self, capsys):
-        """The acceptance criterion: --isa rv32im --fault-model register is
-        byte-identical across the serial and pool backends."""
+    def test_rv32im_register_distributed_matches_serial(self, capsys):
+        """--isa rv32im --fault-model register is byte-identical across the
+        serial and distributed backends."""
         serial = analyze_output(capsys, "--isa", "rv32im",
                                 "--fault-model", "register")
-        pooled = analyze_output(capsys, "--isa", "rv32im",
-                                "--fault-model", "register",
-                                "--backend", "pool", "--workers", "2")
-        assert normalized(serial) == normalized(pooled)
+        distributed = analyze_output(capsys, "--isa", "rv32im",
+                                     "--fault-model", "register",
+                                     "--workers", "2")
+        assert normalized(serial) == normalized(distributed)
 
     def test_isa_applies_to_run_and_concrete(self, capsys):
         assert main(["run", "--workload", "factorial", "--input", "4",

@@ -1,5 +1,6 @@
 """Tests for the distributed campaign backend (repro.distributed)."""
 
+import dataclasses
 import os
 import signal
 import sqlite3
@@ -9,13 +10,17 @@ import time
 
 import pytest
 
-from repro.core import SerialExecutionStrategy, SymbolicCampaign
+from repro import obs
+from repro.core import (SearchTask, SerialExecutionStrategy,
+                        SymbolicCampaign, TaskCaps, run_task)
 from repro.distributed import (CampaignManifest, DistributedConfig,
                                DistributedExecutionStrategy, FilesystemBroker,
                                WorkerConfig, run_campaign_distributed,
                                run_worker)
 from repro.distributed.broker import enqueue_campaign
+from repro.distributed.worker import initialize_worker, run_work_unit
 from repro.machine import ExecutionConfig
+from repro.obs import NullTelemetry, TraceContext
 from repro.parallel import CampaignSpec, QuerySpec
 from repro.programs import factorial_workload
 
@@ -195,6 +200,48 @@ class TestWorkerLoop:
         serial = SerialExecutionStrategy().run(campaign, injections,
                                                query_spec.build())
         assert result_keys(distributed) == result_keys(serial)
+        # Every snapshot is keyed by the one name this worker process has.
+        assert {payload[3][0] for payload in payloads.values()} \
+            == {f"repro-worker-{os.getpid()}"}
+
+
+class TestWorkUnit:
+    @pytest.fixture(autouse=True)
+    def restore_hub(self):
+        yield
+        obs.set_hub(NullTelemetry())
+
+    def test_work_unit_ships_back_results_not_injections(self):
+        """A worker replies with the task outcome — the result list plus two
+        scalars — and never echoes the task it was sent."""
+        campaign, injections, query_spec = factorial_fixture(max_injections=3)
+        chunk = tuple(injections)
+        initialize_worker(CampaignSpec.from_campaign(campaign), query_spec,
+                          "w-unit")
+        index, outcome, _snapshot = run_work_unit(
+            (7, chunk, TaskCaps(max_errors=1)))
+        assert index == 7
+        results, elapsed, completed = outcome
+        assert isinstance(elapsed, float) and isinstance(completed, bool)
+        assert [r.injection for r in results] == list(chunk[:len(results)])
+        assert not any(isinstance(part, SearchTask) for part in outcome)
+        serial, _, serial_completed = run_task(
+            campaign, chunk, query_spec.build(), caps=TaskCaps(max_errors=1))
+        assert result_keys(results) == result_keys(serial)
+        assert completed == serial_completed
+
+    def test_worker_name_keys_cache_snapshot_and_telemetry(self):
+        """The name a worker is initialised with is both the key of its
+        cache snapshots and the component of its telemetry, so the
+        coordinator keeps each worker's counters apart."""
+        campaign, injections, query_spec = factorial_fixture(max_injections=2)
+        spec = dataclasses.replace(CampaignSpec.from_campaign(campaign),
+                                   telemetry=TraceContext(trace_id="tr-w"))
+        initialize_worker(spec, query_spec, "w-7")
+        _, _, (name, stats, telemetry) = run_work_unit(
+            (0, tuple(injections), None))
+        assert name == "w-7" and telemetry.component == "w-7"
+        assert stats.lookups == len(injections)
 
 
 class TestWorkerManifestSwitch:

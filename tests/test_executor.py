@@ -10,7 +10,8 @@ from repro.machine import (DIVIDE_BY_ZERO, ExecutionConfig, Executor,
                            INPUT_EXHAUSTED, MachineModelError, Status,
                            TIMED_OUT, concrete_step, initial_state,
                            run_concrete, run_concrete_until)
-from repro.machine.executor import SymbolicValueEncountered
+from repro.machine.executor import (CONTROL_FORK_DOMAINS,
+                                   SymbolicValueEncountered)
 from repro.programs.factorial import factorial_workload
 
 
@@ -253,6 +254,19 @@ class TestForkCaps:
     def test_negative_cap_is_rejected(self, field):
         with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
             ExecutionConfig(**{field: -1})
+
+    def test_unknown_control_fork_domain_is_rejected_when_built(self):
+        """A misspelt domain fails at construction, not at the first control
+        fault deep inside a campaign (or on a worker after its claim)."""
+        with pytest.raises(ValueError, match="control_fork_domain must be "
+                           "one of labels, targets, all, exception_only, "
+                           "got 'label'"):
+            ExecutionConfig(control_fork_domain="label")
+
+    @pytest.mark.parametrize("domain", CONTROL_FORK_DOMAINS)
+    def test_every_control_fork_domain_is_accepted(self, domain):
+        assert ExecutionConfig(
+            control_fork_domain=domain).control_fork_domain == domain
 
 
 class TestIOAndSpecial:

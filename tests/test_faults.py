@@ -4,7 +4,7 @@ Covers: the model registry, enumeration/sampling determinism (including a
 hypothesis property over seeds), FaultSpec value plumbing through the
 executor's fault-application path, pickle and broker-manifest round-trips
 across the filesystem and socket brokers, campaign-header pinning, and
-serial-vs-pool equivalence for model-planned campaigns.
+serial-vs-distributed equivalence for model-planned campaigns.
 """
 
 import pickle
@@ -22,8 +22,9 @@ from repro.faults import (FAULT_MODELS, ControlFlowFault, FaultSpec,
 from repro.isa import assemble
 from repro.isa.values import ERR
 from repro.net import BrokerServer, SocketBroker
-from repro.parallel import (CampaignSpec, ParallelConfig,
-                            ParallelExecutionStrategy, QuerySpec)
+from repro.distributed import (DistributedConfig,
+                               DistributedExecutionStrategy)
+from repro.parallel import CampaignSpec, QuerySpec
 from repro.programs import factorial_campaign, load_workload
 from repro.results import campaign_header
 
@@ -212,22 +213,23 @@ class TestCampaignPlanning:
         assert all(spec.model == "register" for spec in sampled)
 
     @pytest.mark.parametrize("name", ["register", "control"])
-    def test_pool_run_is_identical_to_serial_for_a_model_campaign(self, name):
+    def test_distributed_run_is_identical_to_serial_for_a_model_campaign(
+            self, name):
         campaign, query = factorial_campaign(fault_model=name,
                                              max_states_per_injection=4000)
         injections = campaign.plan_injections(sample=5, seed=3)
         serial = campaign.run(query, injections=injections)
         query_spec = QuerySpec.predefined("err-output")
-        pooled = campaign.run(query, injections=injections,
-                              strategy=ParallelExecutionStrategy(
-                                  query_spec, ParallelConfig(workers=2,
-                                                             chunk_size=2)))
+        distributed = campaign.run(
+            query, injections=injections,
+            strategy=DistributedExecutionStrategy(
+                query_spec, DistributedConfig(workers=2, chunk_size=2)))
         def projection(result):
             return [(r.injection, r.activated,
                      [(s.state.output_values(), s.depth) for s in r.solutions])
                     for r in result.results]
 
-        assert projection(serial) == projection(pooled)
+        assert projection(serial) == projection(distributed)
 
     def test_campaign_header_pins_the_fault_model(self, factorial):
         plain, _ = factorial_campaign()

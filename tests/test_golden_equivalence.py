@@ -2,10 +2,10 @@
 
 ``tests/golden/campaign_equivalence.json`` was produced by the seed code
 (before the copy-on-write state refactor) on the tcas and replace
-subsets the parallel benchmarks exercise.  The refactor promises a
+subsets the campaign benchmarks exercise.  The refactor promises a
 byte-identical ``CampaignResult`` — same injections, activation flags,
 completion flags, and per-solution outputs/statuses/depths/outcomes in the
-same order — for the serial sweep AND the 2-worker parallel sweep.
+same order — for the serial sweep AND the 2-worker distributed sweep.
 
 The golden file predates the fault-model registry: its injection labels
 lack the ``[register] `` tag a :class:`RegisterValueFault` spec carries,
@@ -21,7 +21,8 @@ from repro.core import SymbolicCampaign, classify
 from repro.faults import RegisterValueFault
 from repro.isa.values import is_err
 from repro.machine import ExecutionConfig
-from repro.parallel import ParallelConfig, QuerySpec, run_campaign_parallel
+from repro.distributed import DistributedConfig, run_campaign_distributed
+from repro.parallel import QuerySpec
 from repro.programs import replace_workload, tcas_workload
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "campaign_equivalence.json"
@@ -119,7 +120,8 @@ def test_two_worker_campaign_matches_pre_refactor_golden(name, make_campaign,
                                                          golden_data):
     workload, campaign, injections, spec = make_campaign()
     golden = workload.golden_output()
-    result = run_campaign_parallel(
+    result = run_campaign_distributed(
         campaign, spec, injections=injections,
-        config=ParallelConfig(workers=2, chunk_size=2))
+        config=DistributedConfig(workers=2, chunk_size=2,
+                                 wall_clock_timeout=600.0))
     assert equivalence_key(result, golden) == golden_results(golden_data, name)

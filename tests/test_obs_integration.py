@@ -4,7 +4,7 @@ result neutrality under every campaign backend.
 The load-bearing guarantee is that ``--telemetry`` observes a campaign
 without perturbing it: the result projection (labels, activation,
 solutions) must be identical with the hub enabled and disabled, under the
-serial, pool, distributed-filesystem and distributed-TCP backends alike.
+serial, distributed-filesystem and distributed-TCP backends alike.
 """
 
 import pickle
@@ -22,8 +22,7 @@ from repro.machine import ExecutionConfig
 from repro.net import BrokerServer
 from repro.obs import (JsonlEventSink, NullTelemetry, TraceContext,
                        read_events)
-from repro.parallel import (CampaignSpec, ParallelConfig,
-                            ParallelExecutionStrategy, QuerySpec)
+from repro.parallel import CampaignSpec, QuerySpec
 from repro.programs import factorial_workload
 from repro.results import RecordingStrategy, SqliteResultStore
 
@@ -126,13 +125,15 @@ class TestSerialBackend:
         assert metrics["counters"]["search.runs"] == INJECTIONS
 
 
-class TestPoolBackend:
+class TestLocalWorkersBackend:
+    """Broker workers spawned on a private queue (``--workers N``)."""
+
     def strategy(self):
-        return ParallelExecutionStrategy(
+        return DistributedExecutionStrategy(
             QuerySpec.predefined(
                 "err-output",
                 golden_output=factorial_workload().golden_output()),
-            ParallelConfig(workers=2))
+            DistributedConfig(workers=2, chunk_size=2))
 
     def test_results_unchanged_and_worker_spans_absorbed(self, tmp_path):
         baseline = run_campaign(strategy=self.strategy())
@@ -142,12 +143,16 @@ class TestPoolBackend:
 
         events = read_events(path)
         [root] = spans_of(events, "campaign.run")
-        chunks = spans_of(events, "worker.chunk")
-        assert chunks, "worker spans must ship back to the coordinator"
-        assert all(c["component"] != "coordinator" for c in chunks)
-        assert all(c["parent"] == root["span"] for c in chunks)
-        chunk_ids = {c["span"] for c in chunks}
-        assert all(s["parent"] in chunk_ids
+        # Every unit's span ships back, the last one of each worker
+        # included, and parents under the coordinator's publish span.
+        units = spans_of(events, "worker.unit")
+        assert len(units) == INJECTIONS // 2
+        assert all(u["component"] != "coordinator" for u in units)
+        [publish] = spans_of(events, "broker.publish")
+        assert publish["parent"] == root["span"]
+        assert all(u["parent"] == publish["span"] for u in units)
+        unit_ids = {u["span"] for u in units}
+        assert all(s["parent"] in unit_ids
                    for s in spans_of(events, "search.solve"))
         assert {e["trace"] for e in events} == {root["trace"]}
         [metrics] = [e for e in events if e["type"] == "metrics"]
@@ -155,7 +160,7 @@ class TestPoolBackend:
         assert metrics["workers"], "per-worker counters must be reported"
 
     def test_capped_tasks_trace_through_the_campaign_spec(self, tmp_path):
-        """Capped tasks carry no trace of their own: pool workers parent
+        """Capped tasks carry no trace of their own: broker workers parent
         their spans from the campaign spec, as they do for a sweep."""
         workload = factorial_workload()
         campaign = make_campaign(workload)
@@ -171,13 +176,13 @@ class TestPoolBackend:
         finally:
             obs.finalize()
         events = read_events(path)
-        chunks = spans_of(events, "worker.chunk")
-        assert len(chunks) == len(tasks)
-        assert all(c["component"] != "coordinator" for c in chunks)
-        chunk_ids = {c["span"] for c in chunks}
+        units = spans_of(events, "worker.unit")
+        assert len(units) == len(tasks)
+        assert all(u["component"] != "coordinator" for u in units)
+        unit_ids = {u["span"] for u in units}
         solves = spans_of(events, "search.solve")
         assert len(solves) == sum(len(t.results) for t in report.task_results)
-        assert all(s["parent"] in chunk_ids for s in solves)
+        assert all(s["parent"] in unit_ids for s in solves)
         assert {e["trace"] for e in events} == {"tr-tasks"}
 
 

@@ -135,7 +135,7 @@ class TestBatching:
 
     def test_iteration_is_submission_ordered(self, harness, swept):
         """Results stream back by seq even when appended out of order
-        (completion order under pool/distributed is arrival order)."""
+        (completion order under the distributed backend is arrival order)."""
         store = harness.make()
         rows = outcomes_for(swept)[:4]
         campaign_id = store.begin_campaign({})

@@ -1,10 +1,9 @@
 """Capped search tasks on every backend (paper Section 6.1).
 
 A task is a chunk of injections with two optional caps, and every backend
-runs it through the same work unit — in-process, in a pool worker or in a
-broker worker.  A capped task campaign must therefore report the same
-tasks, results, completion and error counts wherever its tasks ran; only
-timing may differ.
+runs it through the same work unit — in-process or in a broker worker.  A
+capped task campaign must therefore report the same tasks, results,
+completion and error counts wherever its tasks ran; only timing may differ.
 """
 
 import pytest
@@ -14,10 +13,10 @@ from repro.core import (SerialExecutionStrategy, SymbolicCampaign,
 from repro.distributed import DistributedConfig, DistributedExecutionStrategy
 from repro.machine import ExecutionConfig
 from repro.net import BrokerServer
-from repro.parallel import ParallelConfig, ParallelExecutionStrategy, QuerySpec
+from repro.parallel import QuerySpec
 from repro.programs import factorial_workload
 
-BACKENDS = ("serial", "pool", "filesystem-broker", "tcp-broker")
+BACKENDS = ("serial", "local-workers", "filesystem-broker", "tcp-broker")
 
 
 def factorial_tasks():
@@ -50,9 +49,9 @@ def report_keys(report):
 def make_strategy(backend, query_spec, tmp_path, server):
     if backend == "serial":
         return SerialExecutionStrategy()
-    if backend == "pool":
-        return ParallelExecutionStrategy(query_spec, ParallelConfig(workers=2))
-    queue = server.url if backend == "tcp-broker" else str(tmp_path / "queue")
+    # local-workers is `repro analyze --workers 2`: a private temporary queue.
+    queue = {"local-workers": None, "tcp-broker": server.url}.get(
+        backend, str(tmp_path / "queue"))
     return DistributedExecutionStrategy(
         query_spec, DistributedConfig(workers=2, queue_dir=queue,
                                       poll_interval=0.01,
@@ -135,13 +134,10 @@ def test_uncapped_sweep_matches_serial_on_every_backend(backend, tmp_path,
 def test_sweep_chunk_size_follows_each_backend():
     _, _, query_spec = factorial_tasks()
     assert SerialExecutionStrategy().sweep_chunk_size(100) == 1
-    # A one-worker pool runs in-process and streams like the serial sweep.
-    assert ParallelExecutionStrategy(
-        query_spec, ParallelConfig(workers=1, chunk_size=7)
-    ).sweep_chunk_size(100) == 1
-    assert ParallelExecutionStrategy(
-        query_spec, ParallelConfig(workers=2, chunk_size=7)
-    ).sweep_chunk_size(100) == 7
     assert DistributedExecutionStrategy(
         query_spec, DistributedConfig(chunk_size=5)
     ).sweep_chunk_size(100) == 5
+    # Without an explicit size, a few chunks per worker.
+    assert DistributedExecutionStrategy(
+        query_spec, DistributedConfig(workers=4)
+    ).sweep_chunk_size(100) == 7
