@@ -218,10 +218,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="injections per work unit "
                               "(default: a few chunks per worker)")
     analyze.add_argument("--queue", default=None,
-                         help="broker queue the workers share: a "
-                              "directory, or tcp://HOST:PORT of a running "
-                              "'repro broker' (default: a private temporary "
-                              "directory when --workers > 1)")
+                         help="tcp://HOST:PORT of a running 'repro broker' "
+                              "the workers share (default: a private "
+                              "broker when --workers > 1)")
     analyze.add_argument("--lease-seconds", type=_positive_float, default=60.0,
                          help="distributed-backend claim lease; a worker "
                               "silent this long forfeits its task")
@@ -267,7 +266,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        "workers and coordinators that share no filesystem")
     broker.add_argument("--listen", default="127.0.0.1:0",
                         help="HOST:PORT to listen on (port 0 picks a free "
-                             "port and prints it)")
+                             "port and prints it); the broker has no "
+                             "authentication, so listen on trusted "
+                             "networks only")
     broker.add_argument("--lease-seconds", type=_positive_float, default=60.0,
                         help="default claim lease for workers that do not "
                              "request their own")
@@ -286,9 +287,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "worker", help="standalone campaign worker: drain tasks from a "
                        "distributed queue")
     worker.add_argument("--queue", required=True,
-                        help="queue shared with the coordinator: a broker "
-                             "directory, or tcp://HOST:PORT of a running "
-                             "'repro broker'")
+                        help="tcp://HOST:PORT of the 'repro broker' shared "
+                             "with the coordinator")
     worker.add_argument("--poll-interval", type=_positive_float, default=0.1,
                         help="seconds between queue polls when idle")
     worker.add_argument("--max-idle", type=_positive_float, default=None,
@@ -366,13 +366,13 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _validated_queue(queue: Optional[str]) -> Optional[str]:
-    """Reject unknown ``--queue`` schemes and malformed ``tcp://`` locators
+    """Reject anything but a well-formed ``tcp://HOST:PORT`` ``--queue``
     with a one-line error instead of a traceback deep in the backend."""
     if queue is None:
         return None
-    from .distributed.broker import validate_queue_locator
+    from .net.client import parse_queue_url
     try:
-        validate_queue_locator(queue)
+        parse_queue_url(queue)
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
     return queue
@@ -383,13 +383,14 @@ def _resolve_backend(args: argparse.Namespace) -> str:
 
     One worker and no ``--queue`` runs the sweep serially in-process;
     anything else runs it on broker workers (``distributed``), on a private
-    temporary queue unless ``--queue`` names one.
+    broker unless ``--queue`` names one.
     """
     backend = ("serial" if args.workers == 1 and args.queue is None
                else "distributed")
     if args.workers == 0 and args.queue is None:
-        raise SystemExit("--workers 0 needs --queue DIR: external workers "
-                         "must be able to find the task queue")
+        raise SystemExit("--workers 0 needs --queue tcp://HOST:PORT: "
+                         "external workers must be able to find the task "
+                         "queue")
     if backend == "serial" and args.chunk_size is not None:
         raise SystemExit("--chunk-size only applies with --workers > 1 or "
                          "--queue (the serial sweep is not chunked)")
@@ -437,7 +438,7 @@ def _command_analyze(args: argparse.Namespace) -> int:
     try:
         model = fault_model(args.fault_model)
     except ValueError as exc:
-        # Mirror validate_queue_locator: one readable line, no traceback.
+        # Mirror _validated_queue: one readable line, no traceback.
         raise SystemExit(str(exc)) from None
     if args.burst_k is not None:
         if model.name != "burst":
@@ -766,9 +767,7 @@ def _command_report(args: argparse.Namespace) -> int:
 def _command_top(args: argparse.Namespace) -> int:
     from .obs.top import run_top
 
-    if not args.queue.startswith("tcp://"):
-        raise SystemExit("repro top needs --queue tcp://HOST:PORT (the live "
-                         "view polls a running 'repro broker')")
+    _validated_queue(args.queue)
     return run_top(args.queue, interval=args.interval,
                    iterations=args.iterations, once=args.once,
                    prometheus=args.prometheus)

@@ -218,8 +218,8 @@ class ExecutionStrategy:
     :class:`~repro.core.tasks.TaskRunner` agnostic of *where* each task
     runs.  There is one strategy per backend: the serial strategy below
     runs tasks in-process, and :mod:`repro.distributed` runs them in
-    broker worker processes — local ones on a private queue, or workers
-    attached to a shared directory or a :mod:`repro.net` TCP broker.  A
+    broker worker processes — local ones on a private Unix-socket broker, or
+    workers attached to a shared :mod:`repro.net` TCP broker.  A
     backend implements :meth:`run_tasks`; every task of every backend goes
     through :func:`run_task`.  Wrappers compose by
     overriding :meth:`run`: recording into (and resuming from) a

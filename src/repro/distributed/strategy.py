@@ -4,19 +4,21 @@
 :class:`~repro.core.campaign.ExecutionStrategy` seam as the serial backend,
 but executes tasks through a broker: a sweep is chunked into a few tasks
 per worker, each task — an uncapped chunk, or a paper-style search task
-with its error/wall-clock caps — is enqueued as a durable queue entry,
-standalone ``repro worker`` processes (spawned locally by default, or
-attached externally to the same queue) claim and execute them, and the
-coordinator merges results back in submission order — so a distributed
+with its error/wall-clock caps — is enqueued on a
+:class:`~repro.net.BrokerServer`, standalone ``repro worker`` processes
+(spawned locally by default, or attached externally to the same broker)
+claim and execute them, and the coordinator merges results back in
+submission order — so a distributed
 :class:`~repro.core.campaign.CampaignResult` or
 :class:`~repro.core.tasks.TaskCampaignReport` is identical (solutions,
 outcomes, ordering) to the serial one, with only wall-clock fields
 differing.
 
-The queue locator decides the transport: a directory path uses the durable
-:class:`~repro.distributed.broker.FilesystemBroker`; ``tcp://host:port``
-connects to a ``repro broker`` server, so coordinator and workers need not
-share any filesystem.
+Without a queue locator the coordinator starts a private broker server in
+its own process, on a Unix socket in a directory only its owner can enter,
+and points its local workers at it; the server goes away with the run.
+``tcp://host:port`` instead connects to a ``repro broker`` server, so
+coordinator and workers need not share a host.
 
 Fault tolerance: worker death is handled twice over — expired leases return
 the dead worker's claims to the queue (any surviving worker re-runs them),
@@ -27,6 +29,7 @@ invisible in the results.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shutil
 import subprocess
@@ -44,10 +47,10 @@ from ..core.queries import SearchQuery
 from ..core.search import CacheStatistics
 from ..core.tasks import default_chunk_size
 from ..errors.injector import Injection
+from ..net import (CampaignManifest, SocketBroker, enqueue_campaign,
+                   private_server)
 from ..parallel.spec import CampaignSpec, QuerySpec
 from .backoff import Backoff
-from .broker import (CampaignManifest, FilesystemBroker, enqueue_campaign,
-                     open_broker)
 
 
 def _check_query_consistency(query: Optional[SearchQuery],
@@ -102,9 +105,9 @@ class DistributedConfig:
             none — external workers pointed at *queue_dir* do all the work.
         chunk_size: injections per task; ``None`` picks a few chunks per
             worker (:func:`~repro.core.tasks.default_chunk_size`).
-        queue_dir: queue locator — a broker directory, or ``tcp://host:port``
-            for a running ``repro broker`` server.  ``None`` uses a private
-            temporary directory (removed after the run).  Required when
+        queue_dir: ``tcp://host:port`` of a running ``repro broker``
+            server.  ``None`` starts a private broker on a Unix socket in the
+            coordinator's process for the length of the run.  Required when
             ``workers=0``, since external workers must be able to find the
             queue.
         lease_seconds: how long a claimed task may go without a lease
@@ -112,7 +115,8 @@ class DistributedConfig:
         poll_interval: coordinator/worker base polling period; idle
             polling decays exponentially from here (see
             :class:`~repro.distributed.backoff.Backoff`).
-        wall_clock_timeout: overall safety bound on the run (None = none).
+        wall_clock_timeout: overall safety bound on the run in seconds
+            (None = none).
         max_worker_restarts: how many times dead local workers are replaced
             before the coordinator gives up.
     """
@@ -136,6 +140,12 @@ class DistributedConfig:
         if self.lease_seconds <= 0:
             raise ValueError(
                 f"lease_seconds must be positive, got {self.lease_seconds}")
+        if self.poll_interval <= 0:
+            raise ValueError(
+                f"poll_interval must be positive, got {self.poll_interval}")
+        if self.wall_clock_timeout is not None and self.wall_clock_timeout <= 0:
+            raise ValueError(f"wall_clock_timeout must be positive, got "
+                             f"{self.wall_clock_timeout}")
 
     def resolve_chunk_size(self, total: int) -> int:
         if self.chunk_size is not None:
@@ -149,14 +159,16 @@ class DistributedConfig:
 
 
 class _LocalWorkerPool:
-    """Locally spawned ``repro worker`` subprocesses, with respawn-on-death."""
+    """Locally spawned ``repro worker`` subprocesses, with respawn-on-death.
 
-    def __init__(self, queue: str, log_dir: str,
-                 config: DistributedConfig) -> None:
+    Worker logs go to a private temporary directory that :meth:`shutdown`
+    removes.
+    """
+
+    def __init__(self, queue: str, config: DistributedConfig) -> None:
         self.queue = queue
         self.config = config
-        self.log_dir = log_dir
-        os.makedirs(self.log_dir, exist_ok=True)
+        self.log_dir = tempfile.mkdtemp(prefix="repro-worker-logs-")
         self._procs: List[subprocess.Popen] = []
         self._logs: Dict[int, str] = {}
         self._spawned = 0
@@ -227,6 +239,7 @@ class _LocalWorkerPool:
                 except subprocess.TimeoutExpired:  # pragma: no cover
                     process.kill()
                     process.wait()
+        shutil.rmtree(self.log_dir, ignore_errors=True)
 
     def log_tails(self, max_bytes: int = 2000) -> str:
         tails = []
@@ -246,11 +259,11 @@ class _LocalWorkerPool:
 class DistributedExecutionStrategy(ExecutionStrategy):
     """Execute a campaign's tasks through a broker (see module docstring).
 
-    Owns the queue's lifecycle for one run: resolve the locator (private
-    temporary directory, shared directory, or ``tcp://`` URL), reset and
-    publish the campaign, spawn/respawn local workers, fetch results in
-    index order with idle backoff, requeue expired leases, and reject
-    stragglers from a previous campaign that reused the queue.
+    Owns the queue's lifecycle for one run: start a private Unix-socket
+    broker or connect to a ``tcp://`` one, reset and publish the campaign,
+    spawn/respawn local workers, fetch results in index order with idle
+    backoff, requeue expired leases, and reject stragglers from a previous
+    campaign that reused the broker.
     """
 
     name = "distributed"
@@ -277,39 +290,32 @@ class DistributedExecutionStrategy(ExecutionStrategy):
         worker_stats: Dict[str, CacheStatistics] = {}
         if tasks:
             config = self.config
-            owns_queue_dir = config.queue_dir is None
-            is_remote = (config.queue_dir is not None
-                         and config.queue_dir.startswith("tcp://"))
-            queue = config.queue_dir or tempfile.mkdtemp(prefix="repro-queue-")
-            # Local workers need somewhere for their logs even when the
-            # queue itself is a TCP URL with no directory behind it.
-            log_dir = (tempfile.mkdtemp(prefix="repro-worker-logs-")
-                       if is_remote else os.path.join(queue, "workers"))
-            payloads = [(task.injections, caps) for task in tasks]
-            try:
-                yield from self._drive(queue, log_dir, campaign, payloads,
+            # Exits run in reverse: the client closes, then the private
+            # server stops.  The local workers are gone by then (see
+            # _drive), so the server has no client left when it stops.
+            with contextlib.ExitStack() as stack:
+                queue = config.queue_dir or stack.enter_context(
+                    private_server(config.lease_seconds)).url
+                broker = stack.enter_context(
+                    SocketBroker(queue, lease_seconds=config.lease_seconds))
+                payloads = [(task.injections, caps) for task in tasks]
+                yield from self._drive(broker, queue, campaign, payloads,
                                        worker_stats)
-            finally:
-                if owns_queue_dir:
-                    shutil.rmtree(queue, ignore_errors=True)
-                if is_remote:
-                    shutil.rmtree(log_dir, ignore_errors=True)
         self.cache_statistics = _merge_cache_statistics(worker_stats)
 
-    def _drive(self, queue: str, log_dir: str, campaign: SymbolicCampaign,
-               payloads: List[object],
+    def _drive(self, broker: SocketBroker, queue: str,
+               campaign: SymbolicCampaign, payloads: List[object],
                worker_stats: Dict[str, CacheStatistics],
                ) -> Iterator[Tuple[int, TaskOutcome]]:
         config = self.config
-        broker = open_broker(queue, lease_seconds=config.lease_seconds)
         # A queue serves one campaign at a time: purge whatever a previous
         # run left behind, and tag this run so stragglers of the old
         # campaign (workers still finishing an old claim) cannot be
         # mistaken for this campaign's results.
         campaign_id = os.urandom(8).hex()
         broker.reset()
-        # Manifest and full task set are durable before any worker starts, so
-        # workers never observe a half-published campaign.
+        # Manifest and full task set are published before any worker starts,
+        # so workers never observe a half-published campaign.
         with _obs.get().span("broker.publish", campaign=campaign_id,
                              tasks=len(payloads)):
             enqueue_campaign(
@@ -320,16 +326,15 @@ class DistributedExecutionStrategy(ExecutionStrategy):
                     campaign_id=campaign_id),
                 list(enumerate(payloads)))
 
-        pool: Optional[_LocalWorkerPool] = None
-        if config.workers > 0:
-            pool = _LocalWorkerPool(queue, log_dir, config)
-            pool.spawn(min(config.workers, len(payloads)))
-
         merged: Set[int] = set()
         deadline = (None if config.wall_clock_timeout is None
                     else time.monotonic() + config.wall_clock_timeout)
         idle = Backoff(config.poll_interval, metric="coordinator.idle")
+        pool = (_LocalWorkerPool(queue, config) if config.workers > 0
+                else None)
         try:
+            if pool is not None:
+                pool.spawn(min(config.workers, len(payloads)))
             while len(merged) < len(payloads):
                 fresh = broker.fetch_new_results(seen=merged)
                 for index, payload in fresh:
@@ -359,11 +364,7 @@ class DistributedExecutionStrategy(ExecutionStrategy):
                     hub = _obs.get()
                     if hub.enabled:
                         hub.event("broker.requeue", tasks=requeued)
-                        if not isinstance(broker, FilesystemBroker):
-                            # The filesystem broker counts its own requeues
-                            # in-process; a remote (TCP) broker's happen
-                            # server-side, so account for them here.
-                            hub.count("broker.requeued", len(requeued))
+                        hub.count("broker.requeued", len(requeued))
                 if pool is not None:
                     pool.reap_and_respawn()
                     if (pool.alive_count() == 0 and len(merged) < len(payloads)

@@ -1,4 +1,4 @@
-"""The standalone campaign worker (``repro worker --queue DIR|tcp://…``).
+"""The standalone campaign worker (``repro worker --queue tcp://HOST:PORT``).
 
 A worker loads the campaign manifest from the broker and rebuilds the
 campaign, query and a per-process
@@ -13,11 +13,11 @@ and the coordinator merges out-of-order completions into a deterministic,
 submission-ordered report.
 
 Workers are stateless and interchangeable: any number can be pointed at the
-same queue — a shared directory or a ``tcp://`` broker — from any machine,
-started before or after the coordinator.  Exit conditions: a queue this
-worker saw live is drained (normal — a queue *already* drained at attach
-time is a previous campaign's leftover, and the worker waits for the next
-reset instead), nothing has been claimable for ``max_idle_seconds``
+same ``tcp://`` broker from any machine, started before or after the
+coordinator.  Exit conditions: a queue this worker saw live is drained
+(normal — a queue *already* drained at attach time is a previous
+campaign's leftover, and the worker waits for the next reset instead),
+nothing has been claimable for ``max_idle_seconds``
 (stale queue guard), or a stop was requested (e.g. ``SIGTERM``) — in which
 case the worker finishes the unit it is executing, publishes its result,
 releases any still-unstarted claim, and exits cleanly instead of stranding
@@ -41,10 +41,10 @@ from ..core.campaign import (SymbolicCampaign, TaskCaps, TaskOutcome,
 from ..core.queries import SearchQuery
 from ..core.search import CacheStatistics, SearchResultCache
 from ..errors.injector import Injection
+from ..net import ClaimedTask, SocketBroker
 from ..obs import TelemetrySnapshot
 from ..parallel.spec import CampaignSpec, QuerySpec
 from .backoff import Backoff
-from .broker import Broker, ClaimedTask, open_broker
 
 #: A worker's counters at the end of one work unit: (worker name,
 #: cumulative cache statistics, telemetry snapshot or None).  Cache counters
@@ -107,7 +107,7 @@ def run_work_unit(unit: WorkUnit) -> Tuple[int, TaskOutcome, CacheSnapshot]:
 class WorkerConfig:
     """Tunables of one standalone worker."""
 
-    #: Queue locator: a shared directory, or ``tcp://host:port``.
+    #: ``tcp://host:port`` of the broker holding the campaign.
     queue_dir: str
     poll_interval: float = 0.1
     #: Give up when nothing was claimable for this long (None = wait forever).
@@ -123,13 +123,13 @@ class WorkerConfig:
 
 
 @contextlib.contextmanager
-def _lease_renewal(broker: Broker, claim: ClaimedTask,
+def _lease_renewal(broker: SocketBroker, claim: ClaimedTask,
                    lease_seconds: float) -> Iterator[None]:
     """Refresh the claim's lease from a background thread while it runs.
 
     A single symbolic search can outlast the lease (there is no
     per-injection wall-clock cap by default), and the executing thread
-    cannot renew mid-search — so a daemon thread touches the claim every
+    cannot renew mid-search — so a daemon thread renews the claim every
     third of the lease, keeping slow-but-alive workers distinguishable from
     dead ones and avoiding duplicate chunk execution.
     """
@@ -149,7 +149,7 @@ def _lease_renewal(broker: Broker, claim: ClaimedTask,
         thread.join()
 
 
-def _await_manifest(broker: Broker, config: WorkerConfig,
+def _await_manifest(broker: SocketBroker, config: WorkerConfig,
                     stopping: Callable[[], bool]):
     """Wait for a campaign manifest, honouring stop requests and backoff.
 
@@ -171,7 +171,7 @@ def _await_manifest(broker: Broker, config: WorkerConfig,
     return None
 
 
-def _crash_cleanup(broker: Broker, claim: ClaimedTask,
+def _crash_cleanup(broker: SocketBroker, claim: ClaimedTask,
                    exc: BaseException) -> None:
     """Crash-path cleanup: hand the claim back, log a structured event.
 
@@ -210,16 +210,23 @@ def run_worker(config: WorkerConfig,
     finishes and publishes, an unstarted claim is released back to the
     queue, and no lease is left to expire.
     """
+    with SocketBroker(config.queue_dir,
+                      lease_seconds=config.lease_seconds) as broker:
+        return _drain(broker, config, on_task,
+                      should_stop or (lambda: False))
+
+
+def _drain(broker: SocketBroker, config: WorkerConfig,
+           on_task: Optional[Callable[[int, int], None]],
+           stopping: Callable[[], bool]) -> int:
+    """The claim loop of :func:`run_worker` over its open broker."""
     # One name per process keys this worker's cache snapshots and
     # telemetry apart from every other worker's.
     name = f"repro-worker-{os.getpid()}"
-    stopping = should_stop or (lambda: False)
     # The CLI may have attached its own --telemetry sink before calling us;
     # worker initialisation replaces the hub (see activate_worker), so the
     # sink is captured here and re-attached after every (re)initialisation.
     own_sink = getattr(_obs.get(), "sink", None)
-    broker = open_broker(config.queue_dir,
-                         lease_seconds=config.lease_seconds)
     manifest = _await_manifest(broker, config, stopping)
     if manifest is None:
         return 0  # stopped while waiting for a campaign to appear
@@ -279,8 +286,8 @@ def run_worker(config: WorkerConfig,
             broker.release(claim)
             break
         # Revalidate the manifest before executing: a coordinator may have
-        # reset this queue directory and published a new campaign while we
-        # idled (e.g. the previous coordinator was killed).  Executing the
+        # reset this queue and published a new campaign while we idled
+        # (e.g. the previous coordinator was killed).  Executing the
         # claim under the stale context would produce results the new
         # coordinator rejects, re-enqueueing the task forever.
         try:
@@ -296,8 +303,8 @@ def run_worker(config: WorkerConfig,
                 index, outcome, snapshot = run_work_unit(
                     (claim.index, *claim.payload))
             # Results are tagged with the manifest's campaign id so a
-            # coordinator reusing this queue directory can reject
-            # stragglers from a previous campaign.
+            # coordinator reusing this broker can reject stragglers from a
+            # previous campaign.
             with _obs.get().span("broker.complete", index=claim.index):
                 broker.complete(claim, (manifest.campaign_id, index,
                                         outcome, snapshot))

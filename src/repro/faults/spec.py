@@ -7,10 +7,10 @@ symbolic ``err`` by default, or any concrete integer a future model may
 choose) and *which model* planned it.
 
 Because a ``FaultSpec`` **is** an ``Injection``, it travels through every
-existing carrier unchanged: the task payloads shipped through the
-filesystem and socket broker queues, and the results store, all pickle
-and merge FaultSpecs exactly like plain injections — the execution
-backends (serial, distributed, tcp) need no spec-specific code.
+existing carrier unchanged: the task payloads shipped through the broker
+and the results store pickle and merge FaultSpecs exactly like plain
+injections — the execution backends (serial, broker workers) need no
+spec-specific code.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
-"""The socket-backed :class:`~repro.distributed.broker.Broker` client.
+"""The broker client, and the campaign records it carries.
 
 :class:`SocketBroker` speaks the framed protocol of :mod:`repro.net.framing`
-to a :class:`~repro.net.server.BrokerServer` and implements the exact
-contract of :class:`~repro.distributed.broker.FilesystemBroker`, so the
-coordinator, the standalone worker loop and the whole-task strategy run
-unchanged over TCP — ``--queue tcp://host:port`` instead of ``--queue DIR``.
+to a :class:`~repro.net.server.BrokerServer`; it is the one broker the
+coordinator, the standalone worker loop and the whole-task strategy use —
+whether the server is a ``repro broker`` on another host (``tcp://``) or
+the private server a ``--workers N`` coordinator starts for itself
+(``unix://``).
 
 Connection handling is deliberately simple: one persistent connection,
 re-opened transparently when a call fails mid-flight.  Every operation is
@@ -20,12 +21,45 @@ from __future__ import annotations
 import pickle
 import socket
 import time
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import (TYPE_CHECKING, Callable, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
 from .. import obs as _obs
-from ..distributed.broker import Broker, CampaignManifest, ClaimedTask
 from .framing import (ProtocolError, TruncatedFrame, recv_message,
                       send_message)
+
+if TYPE_CHECKING:  # annotations only: repro.net imports no campaign code
+    from ..parallel.spec import CampaignSpec, QuerySpec
+
+
+@dataclass
+class CampaignManifest:
+    """Everything a standalone worker needs to execute the campaign's tasks.
+
+    *campaign_id* is a per-run nonce: workers echo it in every result, so a
+    coordinator reusing a broker can tell this campaign's results from a
+    previous campaign's stragglers.  Per-task caps are not part of the
+    manifest: they travel inside each task's payload.
+    """
+
+    campaign_spec: CampaignSpec
+    query_spec: QuerySpec
+    campaign_id: str = ""
+
+
+@dataclass
+class ClaimedTask:
+    """A task this worker owns until it completes or its lease expires.
+
+    *token* is the server's name for the claim: renewals, releases and
+    completions quote it, so a claim that expired and was handed to another
+    worker cannot be renewed or released by its former owner.
+    """
+
+    index: int
+    payload: object
+    token: str
 
 
 class BrokerConnectionError(ConnectionError):
@@ -36,10 +70,23 @@ class BrokerOperationError(RuntimeError):
     """The broker server rejected or failed an operation."""
 
 
-def parse_queue_url(url: str) -> Tuple[str, int]:
-    """Parse a ``tcp://host:port`` queue URL into (host, port)."""
+def parse_queue_url(url: str) -> Union[Tuple[str, int], str]:
+    """Parse a queue URL into the socket address it names.
+
+    ``tcp://host:port`` gives ``(host, port)``; ``unix:///abs/path`` — the
+    private broker a ``--workers N`` coordinator starts for its own local
+    workers — gives the socket path.  Anything else raises ``ValueError``
+    with a one-line message naming the expected form — an unknown scheme, a
+    directory path, a missing or out-of-range port — so every ``--queue``
+    consumer fails up front.
+    """
+    if url.startswith("unix://") and url[len("unix://"):].startswith("/"):
+        return url[len("unix://"):]
     if not url.startswith("tcp://"):
-        raise ValueError(f"not a tcp:// queue URL: {url!r}")
+        what = (f"unknown queue scheme {url.split('://', 1)[0]!r} in {url!r}"
+                if "://" in url else f"not a broker URL: {url!r}")
+        raise ValueError(f"{what}; expected tcp://HOST:PORT of a running "
+                         f"'repro broker'")
     rest = url[len("tcp://"):].rstrip("/")
     host, separator, port_text = rest.rpartition(":")
     if not separator or not host or not port_text.isdigit():
@@ -50,12 +97,23 @@ def parse_queue_url(url: str) -> Tuple[str, int]:
     return host, port
 
 
-class SocketBroker(Broker):
-    """A :class:`Broker` over one TCP connection (see the module docstring).
+class SocketBroker:
+    """The coordinator/worker contract over one TCP connection.
 
-    *claim tokens* ride in :attr:`ClaimedTask.claim_path` — the field the
-    filesystem broker uses for the claim file path — so the claimed-task
-    handle stays backend-agnostic.
+    Lifecycle: the coordinator :meth:`reset`\\ s the queue, then publishes
+    the campaign with :func:`enqueue_campaign` (:meth:`publish_manifest`,
+    :meth:`put_task` per task, :meth:`close_queue`).  Workers
+    :meth:`load_manifest`, then loop :meth:`claim_next` -> work
+    (:meth:`renew_lease` while busy) -> :meth:`complete`; the coordinator
+    drains with :meth:`fetch_new_results` and :meth:`requeue_expired` until
+    :meth:`is_drained`.
+
+    Payloads are opaque pickles: a task is its injections — sequences of
+    :class:`~repro.faults.spec.FaultSpec` (including composite
+    :class:`~repro.faults.spec.BurstFaultSpec`\\ s) — plus its caps, and
+    must round-trip byte-faithfully: the broker moves bytes and never
+    re-encodes them.  ``tests/test_broker_conformance.py`` is the
+    executable form of this contract.
     """
 
     def __init__(self, url: str, lease_seconds: float = 60.0,
@@ -63,7 +121,7 @@ class SocketBroker(Broker):
         if lease_seconds <= 0:
             raise ValueError(f"lease_seconds must be positive, got {lease_seconds}")
         self.url = url
-        self.host, self.port = parse_queue_url(url)
+        self.address = parse_queue_url(url)
         self.lease_seconds = lease_seconds
         self.timeout = timeout
         self.connect_retries = connect_retries
@@ -73,9 +131,18 @@ class SocketBroker(Broker):
 
     def _connect(self) -> socket.socket:
         if self._sock is None:
-            sock = socket.create_connection((self.host, self.port),
-                                            timeout=self.timeout)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if isinstance(self.address, str):
+                sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                sock.settimeout(self.timeout)
+                try:
+                    sock.connect(self.address)
+                except OSError:
+                    sock.close()
+                    raise
+            else:
+                sock = socket.create_connection(self.address,
+                                                timeout=self.timeout)
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._sock = sock
         return self._sock
 
@@ -152,6 +219,7 @@ class SocketBroker(Broker):
         self._call({"op": "publish_manifest"}, [self._dumps(manifest)])
 
     def reset(self) -> None:
+        """Purge every artifact of a previous campaign from the queue."""
         self._call({"op": "reset"})
 
     def put_task(self, index: int, payload: object) -> None:
@@ -209,8 +277,8 @@ class SocketBroker(Broker):
                 self._call({"op": "settle", "index": index, "token": token})
                 continue
             if status == "conflict":
-                # The index already has a result; honour the caller's
-                # validator exactly like the filesystem claim loop does.
+                # The index already has a result; the caller's validator
+                # decides whether it settles the task.
                 settled = True
                 try:
                     settled = bool(result_valid(pickle.loads(blobs[1])))
@@ -220,19 +288,31 @@ class SocketBroker(Broker):
                     self._call({"op": "settle", "index": index,
                                 "token": token})
                     continue
-            return ClaimedTask(index=index, payload=payload, claim_path=token)
+            return ClaimedTask(index=index, payload=payload, token=token)
 
     def renew_lease(self, claim: ClaimedTask) -> None:
+        """Push the claim's lease deadline out by ``lease_seconds``.
+
+        Renewing a claim that already expired is a harmless no-op: the
+        server only honours the current holder's token.
+        """
         self._call({"op": "renew", "index": claim.index,
-                    "token": claim.claim_path, "lease": self.lease_seconds})
+                    "token": claim.token, "lease": self.lease_seconds})
 
     def release(self, claim: ClaimedTask) -> None:
+        """Return a live claim to the pending queue without completing it.
+
+        The graceful half of lease recovery: a worker shutting down (e.g.
+        on SIGTERM) releases its claim so another worker picks the task up
+        at once instead of after lease expiry.  Releasing an expired or
+        completed claim is a harmless no-op.
+        """
         self._call({"op": "release", "index": claim.index,
-                    "token": claim.claim_path})
+                    "token": claim.token})
 
     def complete(self, claim: ClaimedTask, result_payload: object) -> None:
         self._call({"op": "complete", "index": claim.index,
-                    "token": claim.claim_path},
+                    "token": claim.token},
                    [self._dumps(result_payload)])
 
     # ----------------------------------------------------------------- queries
@@ -256,5 +336,20 @@ class SocketBroker(Broker):
         return self._stats()["results"]
 
     def is_drained(self) -> bool:
+        """True once every enqueued task has a result."""
         stats = self._stats()
         return stats["total"] is not None and stats["results"] >= stats["total"]
+
+
+def enqueue_campaign(broker: SocketBroker, manifest: CampaignManifest,
+                     payloads: Sequence[Tuple[int, object]]) -> None:
+    """Publish a campaign: manifest first, tasks second, then close.
+
+    The ordering matters for workers that race the coordinator: they block
+    on the manifest, never observe tasks without one, and treat the queue as
+    open-ended until the closing record states the total task count.
+    """
+    broker.publish_manifest(manifest)
+    for index, payload in payloads:
+        broker.put_task(index, payload)
+    broker.close_queue(len(payloads))

@@ -1,14 +1,21 @@
 """The TCP broker server (``repro broker --listen HOST:PORT``).
 
-The server is the network twin of the shared queue directory: it holds one
-campaign's manifest, pending tasks, claims and results in memory and exposes
-the :class:`~repro.distributed.broker.Broker` operations over the framed
-protocol of :mod:`repro.net.framing`.  Payloads are stored and returned as
-opaque byte strings — the server never unpickles anything, so it can run
-standalone on a host that shares nothing with the coordinator but a port.
+The server holds one campaign's manifest, pending tasks, claims and results
+in memory and exposes the :class:`~repro.net.client.SocketBroker`
+operations over the framed protocol of :mod:`repro.net.framing`.  Payloads
+are stored and returned as opaque byte strings — the server never unpickles
+anything, so it can run standalone on a host that shares nothing with the
+coordinator but a port, or inside a coordinator that spawns its own local
+workers.
 
-Semantics mirror :class:`~repro.distributed.broker.FilesystemBroker`
-operation for operation:
+Access control is the transport's.  A TCP listener accepts any peer that
+can reach its port, and clients unpickle what the broker hands them, so
+``repro broker --listen`` belongs on a trusted network only.  The private
+broker of a ``--workers N`` coordinator (:func:`private_server`) listens on
+a Unix socket instead, inside a directory only its owner can enter: other
+users on a shared host can neither connect to it nor stand in for it.
+
+Semantics:
 
 * a claim hands out the lowest pending index exactly once and starts a
   lease; leases are renewed by token and expire on the server's monotonic
@@ -27,11 +34,15 @@ half-written frame from a dying worker can never corrupt the campaign.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import shutil
 import socket
 import socketserver
+import tempfile
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .framing import MAX_BLOBS, ProtocolError, recv_message, send_message
 
@@ -136,8 +147,12 @@ class _Server(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
 
+class _UnixServer(socketserver.ThreadingUnixStreamServer):
+    daemon_threads = True
+
+
 class BrokerServer:
-    """A standalone TCP broker for one campaign queue.
+    """A broker for one campaign queue, on TCP or (with *path*) a Unix socket.
 
     Start it programmatically (``start()``/``stop()``, used by tests and by
     coordinators that own their broker) or serve it in the foreground from
@@ -146,12 +161,14 @@ class BrokerServer:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  lease_seconds: float = 60.0,
-                 connection_timeout: float = 600.0) -> None:
+                 connection_timeout: float = 600.0,
+                 path: Optional[str] = None) -> None:
         if lease_seconds <= 0:
             raise ValueError(f"lease_seconds must be positive, got {lease_seconds}")
         self.connection_timeout = connection_timeout
         self.state = _BrokerState(lease_seconds)
-        self._server = _Server((host, port), _Handler)
+        self._server = (_Server((host, port), _Handler) if path is None
+                        else _UnixServer(path, _Handler))
         self._server.broker = self  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
         self._started_monotonic = time.monotonic()
@@ -161,14 +178,17 @@ class BrokerServer:
     # ------------------------------------------------------------- lifecycle
 
     @property
-    def address(self) -> Tuple[str, int]:
-        host, port = self._server.server_address[:2]
-        return host, port
+    def address(self) -> Union[Tuple[str, int], str]:
+        """``(host, port)`` of a TCP server, the socket path of a Unix one."""
+        address = self._server.server_address
+        return address if isinstance(address, str) else tuple(address[:2])
 
     @property
     def url(self) -> str:
-        host, port = self.address
-        return f"tcp://{host}:{port}"
+        address = self.address
+        if isinstance(address, str):
+            return f"unix://{address}"
+        return f"tcp://{address[0]}:{address[1]}"
 
     def start(self) -> "BrokerServer":
         self._thread = threading.Thread(target=self._server.serve_forever,
@@ -258,8 +278,8 @@ class BrokerServer:
             if op == "complete":
                 index = int(header["index"])
                 state.results[index] = blobs[0]
-                # Mirror the filesystem broker: completion always clears the
-                # live claim for the index, whichever twin holds it.
+                # Completion always clears the live claim for the index,
+                # whichever twin holds it.
                 state.claimed.pop(index, None)
                 return {"ok": True}, []
             if op == "results":
@@ -306,6 +326,24 @@ class BrokerServer:
         now = time.monotonic()
         with self.state.lock:
             return self._telemetry_status(now)
+
+
+@contextlib.contextmanager
+def private_server(lease_seconds: float = 60.0) -> Iterator[BrokerServer]:
+    """A running broker only its owner can reach, removed on exit.
+
+    It listens on a Unix socket in a fresh ``mkdtemp`` directory (mode
+    0700): no other user of the host can connect to it, nor bind a socket
+    in its place after it stops, so only the owner's own processes ever
+    exchange pickles with it.
+    """
+    directory = tempfile.mkdtemp(prefix="repro-broker-")
+    try:
+        with BrokerServer(lease_seconds=lease_seconds,
+                          path=os.path.join(directory, "broker.sock")) as server:
+            yield server
+    finally:
+        shutil.rmtree(directory, ignore_errors=True)
 
 
 def parse_listen_address(text: str) -> Tuple[str, int]:

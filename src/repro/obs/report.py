@@ -88,7 +88,8 @@ def format_telemetry_report(events: Sequence[Dict[str, Any]]) -> str:
                          f"steps={int(steps):<10}idle_s={waits:.3f}")
 
     requeues = counters.get("broker.requeued", 0)
-    renewals = counters.get("broker.lease_renewals", 0)
+    # Every renewal is one "renew" round trip of a worker's broker client.
+    renewals = counters.get("net.ops.renew", 0)
     if requeues or renewals:
         lines.append("")
         lines.append("== lease health ==")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net import BrokerServer
 from repro.results import store as store_module
 
 
@@ -25,3 +26,10 @@ def store_clock(monkeypatch):
     clock = FakeClock()
     monkeypatch.setattr(store_module, "time", clock)
     return clock
+
+
+@pytest.fixture
+def server():
+    """A broker server on a free loopback port, stopped after the test."""
+    with BrokerServer() as broker_server:
+        yield broker_server

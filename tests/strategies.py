@@ -4,18 +4,25 @@ Hypothesis strategies for small valid programs over the whole instruction
 set (loops, calls, I/O, ``check`` sites, throws) and for machine inputs
 with ``err`` values in registers and memory, plus the helpers that build a
 state from those inputs and summarise one for comparison.  Used by the
-decode-equivalence suite and by the cycle-cut oracle.
+decode-equivalence suite and by the cycle-cut oracle.  The carrier
+round-trip suite also draws arbitrary machine states and fault specs
+(:func:`_machine_state`, :func:`_fault_spec`).
 """
 
 from __future__ import annotations
 
 from hypothesis import strategies as st
 
+from repro.constraints import (ComparisonOp, Constraint, ConstraintMap,
+                               ConstraintSet, Location, RelationalConstraint)
 from repro.detectors import DetectorSet
-from repro.isa.instructions import INSTRUCTION_SET, make
+from repro.faults import BitFlipFaultSpec, BurstFaultSpec, FaultSpec
+from repro.isa.instructions import INSTRUCTION_SET, NUM_REGISTERS, make
 from repro.isa.program import Program
 from repro.isa.values import ERR
-from repro.machine.state import initial_state
+from repro.machine.state import (_MEMORY_FLATTEN_LIMIT,
+                                 _REGISTER_FLATTEN_LIMIT, MachineState,
+                                 initial_state)
 
 # Small pools keep the generated programs interacting: loops form, registers
 # get read after being written, memory addresses collide.
@@ -117,3 +124,95 @@ def _state_summary(state):
     return (state.pc, state.steps, state.status, state.exception,
             state.input_pos, state.output_values(), state.fingerprint(),
             state.forks, state.constraints)
+
+
+_VALUES = st.one_of(st.just(ERR), st.integers(-9, 9))
+_LOCATIONS = st.one_of(
+    st.builds(Location.register, st.integers(1, NUM_REGISTERS - 1)),
+    st.builds(Location.memory, st.integers(0, 90)))
+_OPS = st.sampled_from(list(ComparisonOp))
+
+
+@st.composite
+def _constraint_map(draw):
+    """Any constraint map: empty, per-location, relational-only or both."""
+    sets = draw(st.dictionaries(
+        _LOCATIONS,
+        st.lists(st.builds(Constraint, _OPS, st.integers(-5, 5)),
+                 min_size=1, max_size=3).map(ConstraintSet().add_all),
+        max_size=3))
+    relational = draw(st.frozensets(
+        st.builds(RelationalConstraint, _LOCATIONS, _OPS, _LOCATIONS)
+        .map(RelationalConstraint.normalized), max_size=3))
+    return ConstraintMap(sets, relational)
+
+
+@st.composite
+def _machine_state(draw):
+    """An arbitrary machine state.
+
+    Register and memory writes land in copy-on-write overlays, some deeper
+    than the flatten thresholds, and a fork part-way makes the later
+    writes sit on a shared base.  ``err`` may sit in the pc, registers,
+    memory and output; the constraint map is any :func:`_constraint_map`;
+    the status is running or any terminal one.
+    """
+    state = initial_state(
+        input_values=draw(st.lists(st.integers(-3, 9), max_size=4)),
+        memory=draw(st.dictionaries(st.integers(0, 90), _VALUES,
+                                    max_size=6)))
+    registers = draw(st.sampled_from((0, 3, _REGISTER_FLATTEN_LIMIT + 4)))
+    words = draw(st.sampled_from((0, 5, _MEMORY_FLATTEN_LIMIT + 4)))
+    writes = ([(MachineState.write_register, 1 + number)
+               for number in range(registers)]
+              + [(MachineState.write_memory, 10 + address)
+                 for address in range(words)])
+    values = draw(st.lists(_VALUES, min_size=len(writes),
+                           max_size=len(writes)))
+    fork_at = draw(st.integers(0, len(writes)))
+    for position, ((write, where), value) in enumerate(zip(writes, values)):
+        if position == fork_at:
+            state = state.copy()
+        write(state, where, value)
+    for item in draw(st.lists(st.one_of(_VALUES, st.just("text")),
+                              max_size=4)):
+        state.append_output(item)
+    state.input_pos = draw(st.integers(0, len(state.input)))
+    state.pc = draw(st.one_of(st.just(ERR), st.integers(0, 40)))
+    state.steps = draw(st.integers(0, 10 ** 6))
+    state.constraints = draw(_constraint_map())
+    finish = draw(st.sampled_from(
+        ("running", "halt", "throw", "detect", "time_out")))
+    if finish == "halt":
+        state.halt()
+    elif finish == "throw":
+        state.throw("boom")
+    elif finish == "detect":
+        state.detect(1, "detector 1 fired")
+    elif finish == "time_out":
+        state.time_out("watchdog")
+    return state
+
+
+@st.composite
+def _fault_spec(draw):
+    """A single, burst (2-3 ordered components) or bit-flip fault spec."""
+    pc = draw(st.integers(0, 40))
+    occurrence = draw(st.integers(1, 3))
+
+    def single():
+        return FaultSpec(breakpoint_pc=pc, target=draw(_LOCATIONS),
+                         occurrence=occurrence, value=draw(_VALUES),
+                         model="register")
+
+    kind = draw(st.sampled_from(("single", "burst", "bitflip")))
+    if kind == "single":
+        return single()
+    if kind == "bitflip":
+        return BitFlipFaultSpec(breakpoint_pc=pc, target=draw(_LOCATIONS),
+                                occurrence=occurrence, model="bitflip",
+                                bit=draw(st.integers(0, 31)))
+    components = tuple(single() for _ in range(draw(st.integers(2, 3))))
+    return BurstFaultSpec(breakpoint_pc=pc, target=components[0].target,
+                          occurrence=occurrence, model="burst",
+                          components=components)

@@ -1,58 +1,34 @@
-"""Broker-conformance suite: the executable form of the Broker contract.
+"""Broker-conformance suite: the executable form of the broker contract.
 
-One parametrized suite, run against every backend — currently
-:class:`~repro.distributed.broker.FilesystemBroker` (shared directory) and
-:class:`~repro.net.SocketBroker` (TCP server).  A future backend (redis, …)
-is conformant exactly when it passes this file unchanged: claim ordering
-and exclusivity, lease expiry/renewal/requeue, double-complete idempotence,
-graceful release, stale-result validation, truncated-payload quarantine,
-and queue lifecycle accounting.
+Every test runs :class:`~repro.net.SocketBroker` clients against a
+:class:`~repro.net.BrokerServer` on both transports a campaign uses: TCP
+(``repro broker --listen``, the shared broker of a multi-host run) and the
+Unix socket of :func:`~repro.net.private_server` (the private broker of
+``repro analyze --workers N``).  It covers claim ordering and exclusivity,
+lease expiry/renewal/requeue, double-complete idempotence, graceful
+release, stale-result validation, truncated-payload quarantine, and queue
+lifecycle accounting.
 """
 
-import os
 import pickle
 import time
 
 import pytest
 
-from repro.distributed import CampaignManifest, FilesystemBroker
-from repro.net import BrokerServer, SocketBroker
+from repro.net import (BrokerServer, CampaignManifest, SocketBroker,
+                       private_server)
 from repro.parallel import QuerySpec
 
 
-class FilesystemHarness:
-    """Backend-specific glue: build clients over one queue, corrupt tasks."""
-
-    name = "filesystem"
-
-    def __init__(self, tmp_path):
-        self.root = str(tmp_path / "queue")
-
-    def make(self, lease_seconds=60.0):
-        return FilesystemBroker(self.root, lease_seconds=lease_seconds)
-
-    def corrupt_pending(self, index):
-        """Truncate a pending task's payload, as external damage would."""
-        path = os.path.join(self.root, "tasks", "pending",
-                            f"task-{index:08d}.pkl")
-        with open(path, "rb") as handle:
-            intact = handle.read()
-        with open(path, "wb") as handle:
-            handle.write(intact[:max(1, len(intact) - 4)])
-
-    def close(self):
-        pass
-
-
 class SocketHarness:
-    name = "socket"
+    """Clients of one server, and a way to corrupt a task."""
 
-    def __init__(self, tmp_path):
-        self.server = BrokerServer().start()
+    def __init__(self, url):
+        self.url = url
         self.clients = []
 
     def make(self, lease_seconds=60.0):
-        client = SocketBroker(self.server.url, lease_seconds=lease_seconds)
+        client = SocketBroker(self.url, lease_seconds=lease_seconds)
         self.clients.append(client)
         return client
 
@@ -66,17 +42,17 @@ class SocketHarness:
     def close(self):
         for client in self.clients:
             client.close()
-        self.server.stop()
 
 
-@pytest.fixture(params=["filesystem", "socket"])
-def harness(request, tmp_path):
-    built = (FilesystemHarness if request.param == "filesystem"
-             else SocketHarness)(tmp_path)
-    try:
-        yield built
-    finally:
-        built.close()
+@pytest.fixture(params=["tcp", "unix"])
+def harness(request):
+    serving = BrokerServer() if request.param == "tcp" else private_server()
+    with serving as server:
+        built = SocketHarness(server.url)
+        try:
+            yield built
+        finally:
+            built.close()
 
 
 @pytest.fixture
@@ -174,6 +150,16 @@ class TestLeases:
             time.sleep(0.1)
             broker.renew_lease(claim)
         assert broker.requeue_expired() == []
+
+    def test_lease_clock_starts_at_claim_not_enqueue(self, harness):
+        """A task that queued longer than the lease must not be considered
+        expired the instant it is claimed."""
+        broker = harness.make(lease_seconds=0.05)
+        broker.put_task(0, "work")
+        time.sleep(0.1)  # the task outlives the lease while still pending
+        claim = broker.claim_next()
+        assert claim is not None
+        assert broker.requeue_expired() == []  # lease is fresh, not stale
 
     def test_renew_after_expiry_is_a_harmless_noop(self, harness):
         broker = harness.make(lease_seconds=0.05)

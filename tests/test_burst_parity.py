@@ -25,13 +25,13 @@ from repro.core import (OutcomeKind, SerialExecutionStrategy,
                         SymbolicCampaign, any_outcome)
 from repro.core.campaign import InjectionResult
 from repro.core.search import SearchResult, SearchStatistics
-from repro.distributed import CampaignManifest, FilesystemBroker
 from repro.faults import (FAULT_MODELS, BitFlipFault, BitFlipFaultSpec,
                           BurstFault, BurstFaultSpec, FaultSpec, fault_model)
 from repro.isa.values import ERR, is_err
 from repro.machine import ExecutionConfig
 from repro.machine.executor import apply_fault_set
 from repro.machine.state import initial_state
+from repro.net import CampaignManifest, SocketBroker
 from repro.distributed import (DistributedConfig,
                                DistributedExecutionStrategy)
 from repro.parallel import CampaignSpec, QuerySpec
@@ -126,23 +126,23 @@ class TestComponentOrderSurvivesTheCarriers:
         assert [c.target.index
                 for c in result.injection.components] == list(order)
 
-    def test_broker_manifest_round_trip_preserves_order(
-            self, tmp_path, factorial):
+    def test_broker_manifest_round_trip_preserves_order(self, factorial,
+                                                        server):
         campaign = SymbolicCampaign(factorial.program,
                                     fault_model=FAULT_MODELS["burst"])
         chunk = tuple(campaign.plan_injections(sample=4, seed=7))
         assert any(len(spec.components) == 2 for spec in chunk)
-        broker = FilesystemBroker(str(tmp_path / "queue"))
-        broker.reset()
-        broker.publish_manifest(CampaignManifest(
-            campaign_spec=CampaignSpec.from_campaign(campaign),
-            query_spec=QuerySpec.predefined("err-output"),
-            campaign_id="burst-rt"))
-        broker.put_task(0, chunk)
-        consumer = FilesystemBroker(str(tmp_path / "queue"))
-        manifest = consumer.load_manifest(timeout=5)
+        with SocketBroker(server.url) as broker, \
+                SocketBroker(server.url) as consumer:
+            broker.reset()
+            broker.publish_manifest(CampaignManifest(
+                campaign_spec=CampaignSpec.from_campaign(campaign),
+                query_spec=QuerySpec.predefined("err-output"),
+                campaign_id="burst-rt"))
+            broker.put_task(0, chunk)
+            manifest = consumer.load_manifest(timeout=5)
+            claim = consumer.claim_next()
         assert manifest.campaign_spec.fault_model == FAULT_MODELS["burst"]
-        claim = consumer.claim_next()
         assert claim.payload == chunk
         for sent, got in zip(chunk, claim.payload):
             assert [c.target.index for c in got.components] \

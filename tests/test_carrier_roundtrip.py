@@ -1,15 +1,25 @@
-"""Round trips through the cross-process carriers of an injection result.
+"""Round trips through the cross-process carriers of a campaign.
 
-A worker's results reach the coordinator as a broker result payload, and a
-recorded campaign reads them back out of the results store; both pickle.
-Random programs searched from ``err``-carrying inputs must come back equal,
-field by field, through both: each solution's fingerprint, constraint map,
-output, status and step count, and the result's ``completed`` flag.
+Fault specs travel to workers as broker task payloads; a worker's results
+reach the coordinator as a broker result payload, and a recorded campaign
+reads them back out of the results store.  Every carrier pickles, so each
+shape must come back equal, field by field, through each of them:
+
+* arbitrary machine states (overlays past the flatten thresholds, ``err``
+  in the pc, registers, memory and output, relational-only constraint
+  maps, every status) through pickle and both broker payloads;
+* single, burst and bit-flip fault specs through the same three;
+* random programs searched from ``err``-carrying inputs, as injection
+  results, through a broker result payload and through the results store.
+
+States compare by fingerprint, constraint map, output, status and step
+count; results add their ``completed`` flag.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import tempfile
 
 from hypothesis import given, settings
@@ -17,12 +27,16 @@ from hypothesis import given, settings
 from repro.constraints import Location
 from repro.core import BoundedModelChecker, any_outcome
 from repro.core.campaign import InjectionResult
-from repro.distributed import FilesystemBroker
 from repro.errors import Injection
+from repro.faults import BurstFaultSpec
 from repro.machine import ExecutionConfig, Executor
+from repro.machine.state import (_MEMORY_FLATTEN_LIMIT,
+                                 _REGISTER_FLATTEN_LIMIT, Status)
+from repro.net import BrokerServer, SocketBroker
 from repro.results import SqliteResultStore
 from repro.results.aggregates import classify_result
-from strategies import _DETECTORS, _fresh_state, _machine_inputs, _program
+from strategies import (_DETECTORS, _fault_spec, _fresh_state,
+                        _machine_inputs, _machine_state, _program)
 
 
 def _searched(program, inputs) -> InjectionResult:
@@ -36,16 +50,36 @@ def _searched(program, inputs) -> InjectionResult:
         activated=True, search=search)
 
 
+def _state_fields(state):
+    return (state.fingerprint(), state.constraints, state.output_values(),
+            state.status, state.steps)
+
+
 def _fields(result: InjectionResult):
     return (result.completed,
-            [(solution.state.fingerprint(), solution.state.constraints,
-              solution.state.output_values(), solution.state.status,
-              solution.state.steps)
-             for solution in result.solutions])
+            [_state_fields(solution.state) for solution in result.solutions])
 
 
-def _through_broker(directory: str, result: InjectionResult):
-    broker = FilesystemBroker(os.path.join(directory, "queue"))
+def _through_broker(broker: SocketBroker, payload):
+    """*payload* as a worker claims it from a task and as the coordinator
+    fetches it from a result."""
+    broker.reset()
+    broker.put_task(0, payload)
+    claim = broker.claim_next()
+    broker.complete(claim, payload)
+    [(index, result)] = broker.fetch_new_results(set())
+    assert index == claim.index == 0
+    return claim.payload, result
+
+
+def _through_carriers(broker: SocketBroker, payload):
+    """*payload* back from pickle, a broker task and a broker result."""
+    return (pickle.loads(pickle.dumps(payload, protocol=4)),
+            *_through_broker(broker, payload))
+
+
+def _through_worker_result(broker: SocketBroker, result: InjectionResult):
+    broker.reset()
     broker.put_task(0, ((result.injection,), None))
     claim = broker.claim_next()
     # The payload a worker publishes: (campaign id, index, task outcome,
@@ -69,21 +103,69 @@ def _through_store(directory: str, result: InjectionResult):
         store.close()
 
 
+def test_machine_states_survive_pickle_and_the_broker():
+    deep, relational_only, statuses = [], [], set()
+    with BrokerServer() as server, SocketBroker(server.url) as broker:
+
+        @settings(max_examples=200, deadline=None)
+        @given(state=_machine_state())
+        def check(state):
+            deep.append(
+                len(state.registers._overlay) > _REGISTER_FLATTEN_LIMIT
+                or len(state.memory._overlay) > _MEMORY_FLATTEN_LIMIT)
+            backs = _through_carriers(broker, state)
+            # fingerprint() may fold a deep overlay: take it only after
+            # every carrier saw the state as drawn.
+            expected = _state_fields(state)
+            for back in backs:
+                assert _state_fields(back) == expected
+            relational_only.append(len(state.constraints) == 0
+                                   and bool(state.constraints.relational()))
+            statuses.add(state.status)
+
+        check()
+    # The draw must reach the shapes the carriers could get wrong.
+    assert any(deep) and any(relational_only)
+    assert statuses == set(Status)
+
+
+def test_fault_specs_survive_pickle_and_the_broker():
+    kinds = set()
+    with BrokerServer() as server, SocketBroker(server.url) as broker:
+
+        @settings(max_examples=100, deadline=None)
+        @given(spec=_fault_spec())
+        def check(spec):
+            for back in _through_carriers(broker, spec):
+                assert type(back) is type(spec)
+                assert back == spec
+                assert back.label() == spec.label()
+                if isinstance(spec, BurstFaultSpec):
+                    assert [c.target for c in back.components] \
+                        == [c.target for c in spec.components]
+            kinds.add(type(spec).__name__)
+
+        check()
+    assert kinds == {"FaultSpec", "BurstFaultSpec", "BitFlipFaultSpec"}
+
+
 def test_results_survive_the_broker_payload_and_the_store():
     drawn = []
+    with BrokerServer() as server, SocketBroker(server.url) as broker:
 
-    @settings(max_examples=200, deadline=None)
-    @given(program=_program(), inputs=_machine_inputs())
-    def check(program, inputs):
-        result = _searched(program, inputs)
-        expected = _fields(result)
-        with tempfile.TemporaryDirectory() as directory:
-            assert _fields(_through_broker(directory, result)) == expected
-            assert _fields(_through_store(directory, result)) == expected
-        drawn.append(any(len(solution.state.constraints)
-                         for solution in result.solutions))
+        @settings(max_examples=200, deadline=None)
+        @given(program=_program(), inputs=_machine_inputs())
+        def check(program, inputs):
+            result = _searched(program, inputs)
+            expected = _fields(result)
+            assert _fields(_through_worker_result(broker, result)) \
+                == expected
+            with tempfile.TemporaryDirectory() as directory:
+                assert _fields(_through_store(directory, result)) == expected
+            drawn.append(any(len(solution.state.constraints)
+                             for solution in result.solutions))
 
-    check()
+        check()
     # The draw must include solutions that carry constraints, or equality
     # would not show that constraint maps survive the trip.
     assert any(drawn)

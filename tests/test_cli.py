@@ -142,7 +142,7 @@ class TestAnalyzeValidation:
     @pytest.mark.parametrize("argv,backend", [
         ([], "serial"),
         (["--workers", "2"], "distributed"),
-        (["--queue", "q"], "distributed"),
+        (["--queue", "tcp://host:1"], "distributed"),
         (["--workers", "0", "--queue", "tcp://host:1"], "distributed")])
     def test_backend_follows_workers_and_queue(self, argv, backend):
         """One worker and no queue runs in-process; anything else runs on
@@ -222,6 +222,20 @@ class TestQueueLocatorValidation:
             main(["analyze", "--workload", "factorial", "--workers", "2",
                   "--queue", "tcp://host:99999"])
 
+    @pytest.mark.parametrize("argv", [
+        ["worker", "--queue", "/tmp/q"],
+        ["analyze", "--workload", "factorial", "--workers", "0",
+         "--queue", "/tmp/q"],
+        ["worker", "--queue", "./queue"],
+        ["analyze", "--workload", "factorial", "--workers", "2",
+         "--queue", "queue"]])
+    def test_a_directory_queue_names_the_broker_url(self, argv):
+        """Queues are brokers: a directory path exits with one line that
+        names the tcp://HOST:PORT form instead."""
+        with pytest.raises(SystemExit, match="tcp://HOST:PORT") as info:
+            main(argv)
+        assert "\n" not in str(info.value)
+
 
 class TestAnalyzeBackends:
     def test_distributed_backend_matches_serial(self, capsys):
@@ -230,9 +244,9 @@ class TestAnalyzeBackends:
         assert "backend        : distributed" in distributed
         assert normalized(serial) == normalized(distributed)
 
-    def test_queue_alone_runs_one_local_worker(self, tmp_path, capsys):
+    def test_queue_alone_runs_one_local_worker(self, server, capsys):
         serial = analyze_output(capsys)
-        queued = analyze_output(capsys, "--queue", str(tmp_path / "queue"))
+        queued = analyze_output(capsys, "--queue", server.url)
         assert "backend        : distributed" in queued
         assert normalized(serial) == normalized(queued)
 

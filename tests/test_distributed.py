@@ -1,5 +1,6 @@
 """Tests for the distributed campaign backend (repro.distributed)."""
 
+import contextlib
 import dataclasses
 import os
 import signal
@@ -13,13 +14,13 @@ import pytest
 from repro import obs
 from repro.core import (SearchTask, SerialExecutionStrategy,
                         SymbolicCampaign, TaskCaps, run_task)
-from repro.distributed import (CampaignManifest, DistributedConfig,
-                               DistributedExecutionStrategy, FilesystemBroker,
-                               WorkerConfig, run_campaign_distributed,
-                               run_worker)
-from repro.distributed.broker import enqueue_campaign
+from repro.distributed import (DistributedConfig,
+                               DistributedExecutionStrategy, WorkerConfig,
+                               run_campaign_distributed, run_worker)
 from repro.distributed.worker import initialize_worker, run_work_unit
 from repro.machine import ExecutionConfig
+from repro.net import (BrokerConnectionError, CampaignManifest, SocketBroker,
+                       enqueue_campaign)
 from repro.obs import NullTelemetry, TraceContext
 from repro.parallel import CampaignSpec, QuerySpec
 from repro.programs import factorial_workload
@@ -57,127 +58,11 @@ def factorial_fixture(max_injections=8):
     return campaign, injections, query_spec
 
 
-class TestFilesystemBroker:
-    def make_broker(self, tmp_path, lease_seconds=60.0):
-        return FilesystemBroker(str(tmp_path / "queue"),
-                                lease_seconds=lease_seconds)
-
-    def test_rejects_bad_lease(self, tmp_path):
-        with pytest.raises(ValueError, match="lease_seconds"):
-            self.make_broker(tmp_path, lease_seconds=0)
-
-    def test_claim_is_exclusive_and_ordered(self, tmp_path):
-        broker = self.make_broker(tmp_path)
-        broker.put_task(1, "payload-1")
-        broker.put_task(0, "payload-0")
-        first = broker.claim_next()
-        second = broker.claim_next()
-        assert (first.index, first.payload) == (0, "payload-0")
-        assert (second.index, second.payload) == (1, "payload-1")
-        assert broker.claim_next() is None
-        assert broker.pending_count() == 0
-        assert broker.claimed_count() == 2
-
-    def test_complete_publishes_result_and_releases_claim(self, tmp_path):
-        broker = self.make_broker(tmp_path)
-        broker.put_task(0, "work")
-        claim = broker.claim_next()
-        broker.complete(claim, {"answer": 42})
-        assert broker.claimed_count() == 0
-        assert broker.fetch_new_results(seen=set()) == [(0, {"answer": 42})]
-        assert broker.fetch_new_results(seen={0}) == []
-
-    def test_expired_lease_is_requeued_and_reclaimable(self, tmp_path):
-        broker = self.make_broker(tmp_path, lease_seconds=0.05)
-        broker.put_task(0, "work")
-        claim = broker.claim_next()
-        assert broker.requeue_expired() == []  # lease still fresh
-        time.sleep(0.1)
-        assert broker.requeue_expired() == [0]
-        reclaimed = broker.claim_next()
-        assert reclaimed.index == 0
-        # Completing through the *stale* claim is still safe (same payload).
-        broker.complete(claim, "result")
-        broker.complete(reclaimed, "result")
-        assert broker.results_count() == 1
-
-    def test_renew_lease_prevents_requeue(self, tmp_path):
-        broker = self.make_broker(tmp_path, lease_seconds=0.2)
-        broker.put_task(0, "work")
-        claim = broker.claim_next()
-        for _ in range(3):
-            time.sleep(0.1)
-            broker.renew_lease(claim)
-        assert broker.requeue_expired() == []
-
-    def test_claim_skips_tasks_that_already_have_results(self, tmp_path):
-        broker = self.make_broker(tmp_path)
-        broker.put_task(0, "work")
-        claim = broker.claim_next()
-        broker.complete(claim, "result")
-        broker.put_task(0, "work")  # requeue race leftover
-        assert broker.claim_next() is None
-        assert broker.pending_count() == 0  # the stale entry was dropped
-
-    def test_queue_close_and_drain_accounting(self, tmp_path):
-        broker = self.make_broker(tmp_path)
-        assert broker.total_tasks() is None
-        broker.put_task(0, "a")
-        broker.close_queue(1)
-        assert broker.total_tasks() == 1
-        assert not broker.is_drained()
-        claim = broker.claim_next()
-        broker.complete(claim, "r")
-        assert broker.is_drained()
-
-    def test_manifest_wait_times_out(self, tmp_path):
-        broker = self.make_broker(tmp_path)
-        with pytest.raises(TimeoutError):
-            broker.load_manifest(timeout=0.1, poll_interval=0.02)
-
-    def test_lease_clock_starts_at_claim_not_enqueue(self, tmp_path):
-        """A task that queued longer than the lease must not be considered
-        expired the instant it is claimed (the rename preserves mtime)."""
-        broker = self.make_broker(tmp_path, lease_seconds=0.05)
-        broker.put_task(0, "work")
-        time.sleep(0.1)  # the task outlives the lease while still pending
-        claim = broker.claim_next()
-        assert claim is not None
-        assert broker.requeue_expired() == []  # lease is fresh, not stale
-
-    def test_claim_ignores_results_the_validator_rejects(self, tmp_path):
-        """A stale result from a previous campaign must not swallow a live
-        task when a validator (the worker's campaign-id check) rejects it."""
-        broker = self.make_broker(tmp_path)
-        broker.put_task(0, "work")
-        claim = broker.claim_next()
-        broker.complete(claim, ("old-campaign", 0, [], None))
-        broker.put_task(0, "work")  # the new campaign's task, same index
-        assert broker.claim_next(
-            result_valid=lambda payload: payload[0] == "new-campaign"
-        ) is not None
-        broker.reset()
-        assert broker.pending_count() == broker.results_count() == 0
-
-    def test_reset_purges_a_previous_campaign(self, tmp_path):
-        broker = self.make_broker(tmp_path)
-        broker.put_task(0, "stale-task")
-        claim = broker.claim_next()
-        broker.put_task(1, "stale-pending")
-        broker.complete(claim, "stale-result")
-        broker.close_queue(2)
-        broker.reset()
-        assert broker.pending_count() == 0
-        assert broker.claimed_count() == 0
-        assert broker.results_count() == 0
-        assert broker.total_tasks() is None
-
-
 class TestWorkerLoop:
-    def test_worker_drains_queue_to_serial_equivalent_results(self, tmp_path):
+    def test_worker_drains_queue_to_serial_equivalent_results(self, server):
         campaign, injections, query_spec = factorial_fixture()
-        queue_dir = str(tmp_path / "queue")
-        broker = FilesystemBroker(queue_dir)
+        queue_dir = server.url
+        broker = SocketBroker(queue_dir)
         chunks = [tuple(injections[i:i + 2])
                   for i in range(0, len(injections), 2)]
         enqueue_campaign(
@@ -245,15 +130,15 @@ class TestWorkUnit:
 
 
 class TestWorkerManifestSwitch:
-    def test_surviving_worker_picks_up_a_new_campaign(self, tmp_path):
+    def test_surviving_worker_picks_up_a_new_campaign(self, server):
         """A worker that outlives its campaign (killed coordinator) must
         rebuild its context when a new campaign takes over the queue,
         instead of executing the new tasks under the stale manifest."""
         import threading
 
         campaign, injections, query_spec = factorial_fixture(max_injections=6)
-        queue_dir = str(tmp_path / "queue")
-        broker = FilesystemBroker(queue_dir)
+        queue_dir = server.url
+        broker = SocketBroker(queue_dir)
         spec = CampaignSpec.from_campaign(campaign)
         # Campaign A: published but never closed (its coordinator "died").
         broker.publish_manifest(CampaignManifest(
@@ -271,7 +156,7 @@ class TestWorkerManifestSwitch:
             time.sleep(0.01)
         assert broker.results_count() == 1
 
-        # Campaign B takes over the same queue directory.
+        # Campaign B takes over the same queue.
         broker.reset()
         broker.publish_manifest(CampaignManifest(
             campaign_spec=spec, query_spec=query_spec, campaign_id="B"))
@@ -297,6 +182,35 @@ class TestDistributedStrategy:
             DistributedConfig(workers=0)  # external mode needs a queue
         with pytest.raises(ValueError, match="lease_seconds"):
             DistributedConfig(lease_seconds=0)
+        with pytest.raises(ValueError, match="poll_interval"):
+            DistributedConfig(poll_interval=0)
+        with pytest.raises(ValueError, match="poll_interval"):
+            DistributedConfig(poll_interval=-0.5)
+        with pytest.raises(ValueError, match="wall_clock_timeout"):
+            DistributedConfig(wall_clock_timeout=0)
+        with pytest.raises(ValueError, match="wall_clock_timeout"):
+            DistributedConfig(wall_clock_timeout=-1.0)
+        DistributedConfig(wall_clock_timeout=None)  # no bound is fine
+
+    def test_coordinator_fails_before_spawning_workers(self, monkeypatch):
+        """The coordinator's own set-up (its idle backoff) must fail before
+        any worker process exists: a failure after the spawn but outside
+        the supervised block used to leave workers running unsupervised."""
+        import repro.distributed.strategy as strategy_module
+        spawned = []
+        monkeypatch.setattr(strategy_module._LocalWorkerPool, "_spawn_one",
+                            lambda pool: spawned.append(pool))
+
+        def broken_backoff(*args, **kwargs):
+            raise ValueError("backoff set-up failed")
+
+        monkeypatch.setattr(strategy_module, "Backoff", broken_backoff)
+        campaign, injections, query_spec = factorial_fixture(max_injections=2)
+        with pytest.raises(ValueError, match="backoff set-up failed"):
+            run_campaign_distributed(
+                campaign, query_spec, injections=injections,
+                config=DistributedConfig(workers=2, poll_interval=0.01))
+        assert spawned == []
 
     def test_empty_sweep(self):
         campaign, _, query_spec = factorial_fixture()
@@ -360,19 +274,18 @@ class TestDistributedStrategy:
         stats = strategy.cache_statistics
         assert stats is not None and stats.lookups == len(injections)
 
-    def test_reusing_a_queue_directory_does_not_leak_stale_results(
-            self, tmp_path):
-        """Back-to-back campaigns over the same --queue DIR must each get
-        their own results (regression: stale result files used to be merged
+    def test_reusing_a_queue_does_not_leak_stale_results(self, server):
+        """Back-to-back campaigns over the same --queue must each get
+        their own results (regression: stale results used to be merged
         into the next campaign's CampaignResult)."""
-        queue_dir = str(tmp_path / "queue")
+        queue_dir = server.url
         campaign, injections, query_spec = factorial_fixture(max_injections=6)
         config = DistributedConfig(workers=1, chunk_size=2, queue_dir=queue_dir,
                                    poll_interval=0.01,
                                    wall_clock_timeout=300.0)
         first = run_campaign_distributed(campaign, query_spec,
                                          injections=injections, config=config)
-        # Second campaign: different sweep over the same queue directory.
+        # Second campaign: different sweep over the same queue.
         second = run_campaign_distributed(campaign, query_spec,
                                           injections=injections[2:],
                                           config=config)
@@ -380,9 +293,9 @@ class TestDistributedStrategy:
         assert result_keys(second.results) == result_keys(serial.results)
         assert first.injections_run == 6 and second.injections_run == 4
 
-    def test_external_worker_attaches_to_explicit_queue(self, tmp_path):
+    def test_external_worker_attaches_to_explicit_queue(self, server):
         campaign, injections, query_spec = factorial_fixture(max_injections=4)
-        queue_dir = str(tmp_path / "queue")
+        queue_dir = server.url
         worker = subprocess.Popen(
             [sys.executable, "-m", "repro", "worker", "--queue", queue_dir,
              "--poll-interval", "0.02", "--max-idle", "60",
@@ -418,6 +331,99 @@ def stored_rows(path):
         return 0
     finally:
         connection.close()
+
+
+class TestPrivateBroker:
+    """``--workers N`` without a queue runs on a private ``BrokerServer``
+    that the coordinator owns for exactly one run, with worker logs in a
+    temporary directory that goes away with it."""
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """Every private server and worker pool a run creates."""
+        import repro.distributed.strategy as strategy_module
+        seen = {"servers": [], "pools": []}
+        real_private_server = strategy_module.private_server
+
+        @contextlib.contextmanager
+        def recording_server(*args, **kwargs):
+            with real_private_server(*args, **kwargs) as server:
+                seen["servers"].append(server)
+                yield server
+
+        class RecordingPool(strategy_module._LocalWorkerPool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                seen["pools"].append(self)
+
+        monkeypatch.setattr(strategy_module, "private_server",
+                            recording_server)
+        monkeypatch.setattr(strategy_module, "_LocalWorkerPool", RecordingPool)
+        return seen
+
+    @staticmethod
+    def run_small(config, max_injections=2):
+        campaign, injections, query_spec = factorial_fixture(
+            max_injections=max_injections)
+        return run_campaign_distributed(campaign, query_spec,
+                                        injections=injections, config=config)
+
+    @staticmethod
+    def assert_stopped(server):
+        with pytest.raises(BrokerConnectionError):
+            SocketBroker(server.url, connect_retries=0).telemetry()
+        assert not os.path.exists(os.path.dirname(server.address))
+
+    def test_private_broker_is_stopped_after_the_run(self, recorded):
+        result = self.run_small(DistributedConfig(
+            workers=1, poll_interval=0.01, wall_clock_timeout=300.0))
+        assert result.injections_run == 2
+        [server] = recorded["servers"]
+        assert server.url.startswith("unix://")
+        self.assert_stopped(server)
+
+    def test_private_broker_takes_the_configured_lease(self, recorded):
+        self.run_small(DistributedConfig(
+            workers=1, lease_seconds=7.5, poll_interval=0.01,
+            wall_clock_timeout=300.0))
+        [server] = recorded["servers"]
+        assert server.state.default_lease == 7.5
+
+    def test_explicit_queue_starts_no_private_broker(self, recorded, server):
+        result = self.run_small(DistributedConfig(
+            workers=1, queue_dir=server.url, poll_interval=0.01,
+            wall_clock_timeout=300.0))
+        assert result.injections_run == 2
+        assert recorded["servers"] == []
+        [pool] = recorded["pools"]
+        assert pool.queue == server.url
+
+    def test_worker_logs_are_removed_after_the_run(self, recorded):
+        self.run_small(DistributedConfig(
+            workers=2, chunk_size=1, poll_interval=0.01,
+            wall_clock_timeout=300.0))
+        [pool] = recorded["pools"]
+        assert pool.queue == recorded["servers"][0].url
+        assert not os.path.exists(pool.log_dir)
+
+    def test_abandoned_run_stops_its_workers_and_broker(self, recorded):
+        """A caller that stops consuming results mid-campaign still gets
+        its workers reaped, its logs removed and its broker stopped."""
+        campaign, injections, query_spec = factorial_fixture(max_injections=4)
+        strategy = DistributedExecutionStrategy(
+            query_spec, DistributedConfig(workers=1, chunk_size=1,
+                                          poll_interval=0.01,
+                                          wall_clock_timeout=300.0))
+        tasks = [SearchTask(identifier=index, injections=(injection,))
+                 for index, injection in enumerate(injections)]
+        outcomes = strategy.run_tasks(campaign, tasks, query_spec.build())
+        next(outcomes)
+        outcomes.close()
+        [server] = recorded["servers"]
+        [pool] = recorded["pools"]
+        assert pool.alive_count() == 0
+        assert not os.path.exists(pool.log_dir)
+        self.assert_stopped(server)
 
 
 class TestCliKillAndResume:

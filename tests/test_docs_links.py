@@ -5,6 +5,8 @@ fabricated tree, and the live gate — the repo's own tracked markdown must
 contain no dead relative links (the same check CI runs).
 """
 
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +57,28 @@ class TestRepoDocs:
         proc = subprocess.run([sys.executable, str(CHECKER)],
                               cwd=REPO_ROOT, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_tree_outside_a_git_checkout_is_walked(self, tmp_path):
+        """Without git metadata (an unpacked archive) the checker walks the
+        tree instead of dying on ``git ls-files``, skipping caches and
+        virtualenvs, and reports exactly the one dead link."""
+        (tmp_path / "tools").mkdir()
+        shutil.copy(CHECKER, tmp_path / "tools" / CHECKER.name)
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "guide.md").write_text("# guide\n")
+        (tmp_path / "README.md").write_text(
+            "[good](docs/guide.md) and [dead](docs/missing.md)\n")
+        for skipped in (".venv", ".pytest_cache"):
+            (tmp_path / skipped).mkdir()
+            (tmp_path / skipped / "vendored.md").write_text("[x](nope.md)\n")
+        # Keep git from finding a checkout above the temporary tree.
+        env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(tmp_path.parent))
+        proc = subprocess.run(
+            [sys.executable, str(tmp_path / "tools" / CHECKER.name)],
+            cwd=tmp_path, capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["README.md: docs/missing.md",
+                                            "1 dead relative link(s)"]
 
     def test_checker_exits_nonzero_on_a_dead_link(self, tmp_path):
         doc = tmp_path / "broken.md"

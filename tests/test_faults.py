@@ -15,13 +15,12 @@ from hypothesis import strategies as st
 
 from repro.constraints import Location
 from repro.core import SymbolicCampaign, latent_err, output_contains_err, printed_value
-from repro.distributed import CampaignManifest, FilesystemBroker
 from repro.faults import (FAULT_MODELS, ControlFlowFault, FaultSpec,
                           MemoryCellFault, RegisterValueFault,
                           deterministic_sample, fault_model)
 from repro.isa import assemble
 from repro.isa.values import ERR
-from repro.net import BrokerServer, SocketBroker
+from repro.net import CampaignManifest, SocketBroker
 from repro.distributed import (DistributedConfig,
                                DistributedExecutionStrategy)
 from repro.parallel import CampaignSpec, QuerySpec
@@ -243,41 +242,21 @@ class TestCampaignPlanning:
 
 # ------------------------------------------------- broker manifest round-trip
 
-class BrokerPair:
-    """Two independent broker clients over one queue (publisher/consumer)."""
-
-    def __init__(self, kind, tmp_path):
-        self.server = None
-        if kind == "filesystem":
-            root = str(tmp_path / "queue")
-            self.publisher = FilesystemBroker(root)
-            self.consumer = FilesystemBroker(root)
-        else:
-            self.server = BrokerServer().start()
-            self.publisher = SocketBroker(self.server.url)
-            self.consumer = SocketBroker(self.server.url)
-
-    def close(self):
-        if self.server is not None:
-            self.publisher.close()
-            self.consumer.close()
-            self.server.stop()
-
-
-@pytest.fixture(params=["filesystem", "socket"])
-def broker_pair(request, tmp_path):
-    pair = BrokerPair(request.param, tmp_path)
-    try:
-        yield pair
-    finally:
-        pair.close()
+@pytest.fixture
+def broker_pair(server):
+    """Two independent broker clients over one server (publisher and
+    consumer)."""
+    with SocketBroker(server.url) as publisher, \
+            SocketBroker(server.url) as consumer:
+        yield publisher, consumer
 
 
 class TestManifestRoundTrip:
     def test_fault_specs_and_model_survive_the_broker_unchanged(
             self, broker_pair, factorial):
-        """The distributed/net manifests carry FaultSpecs (in chunk payloads)
-        and the planning FaultModel (in the CampaignSpec) byte-faithfully."""
+        """The broker manifest carries FaultSpecs (in chunk payloads) and the
+        planning FaultModel (in the CampaignSpec) byte-faithfully."""
+        publisher, consumer = broker_pair
         campaign = SymbolicCampaign(factorial.program,
                                     fault_model=FAULT_MODELS["operand"])
         chunk = tuple(campaign.plan_injections(sample=4, seed=9))
@@ -285,16 +264,16 @@ class TestManifestRoundTrip:
             campaign_spec=CampaignSpec.from_campaign(campaign),
             query_spec=QuerySpec.predefined("err-output"),
             campaign_id="faults-rt")
-        broker_pair.publisher.reset()
-        broker_pair.publisher.publish_manifest(manifest)
-        broker_pair.publisher.put_task(0, chunk)
+        publisher.reset()
+        publisher.publish_manifest(manifest)
+        publisher.put_task(0, chunk)
 
-        received = broker_pair.consumer.load_manifest(timeout=5)
+        received = consumer.load_manifest(timeout=5)
         assert received.campaign_spec.fault_model == FAULT_MODELS["operand"]
         rebuilt = received.campaign_spec.build()
         assert rebuilt.fault_model == campaign.fault_model
 
-        claim = broker_pair.consumer.claim_next()
+        claim = consumer.claim_next()
         assert claim.payload == chunk
         assert all(isinstance(spec, FaultSpec) for spec in claim.payload)
         assert all(spec.value is ERR for spec in claim.payload)

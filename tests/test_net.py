@@ -1,8 +1,10 @@
 """Tests for the network campaign fabric (repro.net) and its CLI surface."""
 
+import os
 import pickle
 import signal
 import socket
+import stat
 import subprocess
 import sys
 import threading
@@ -10,18 +12,16 @@ import time
 
 import pytest
 
-from repro.core import (SerialExecutionStrategy, SymbolicCampaign,
-                        TaskRunner, decompose_by_chunk)
-from repro.distributed import (CampaignManifest, DistributedConfig,
-                               DistributedExecutionStrategy,
-                               FilesystemBroker, WorkerConfig, open_broker,
+from repro.core import SymbolicCampaign, TaskRunner, decompose_by_chunk
+from repro.distributed import (DistributedConfig,
+                               DistributedExecutionStrategy, WorkerConfig,
                                run_campaign_distributed, run_worker)
 from repro.distributed.backoff import Backoff
-from repro.distributed.broker import enqueue_campaign
 from repro.machine import ExecutionConfig
-from repro.net import (BrokerServer, ProtocolError, SocketBroker,
-                       parse_listen_address, parse_queue_url, recv_message,
-                       send_message)
+from repro.net import (BrokerConnectionError, CampaignManifest,
+                       ProtocolError, SocketBroker, enqueue_campaign,
+                       parse_listen_address, parse_queue_url, private_server,
+                       recv_message, send_message)
 from repro.parallel import CampaignSpec, QuerySpec
 from repro.programs import factorial_workload
 
@@ -59,13 +59,6 @@ def factorial_fixture(max_injections=8):
     query_spec = QuerySpec.predefined("err-output",
                                       golden_output=workload.golden_output())
     return campaign, injections, query_spec
-
-
-@pytest.fixture
-def server():
-    broker_server = BrokerServer().start()
-    yield broker_server
-    broker_server.stop()
 
 
 class TestFraming:
@@ -127,7 +120,9 @@ class TestAddressParsing:
     def test_queue_url(self):
         assert parse_queue_url("tcp://10.0.0.7:9001") == ("10.0.0.7", 9001)
         assert parse_queue_url("tcp://localhost:80/") == ("localhost", 80)
-        for bad in ("tcp://nohost", "tcp://host:port", "dir/queue"):
+        assert parse_queue_url("unix:///run/b.sock") == "/run/b.sock"
+        for bad in ("tcp://nohost", "tcp://host:port", "dir/queue",
+                    "unix://relative.sock"):
             with pytest.raises(ValueError):
                 parse_queue_url(bad)
 
@@ -137,10 +132,69 @@ class TestAddressParsing:
         with pytest.raises(ValueError):
             parse_listen_address("7461")
 
-    def test_open_broker_picks_backend_by_scheme(self, server, tmp_path):
-        assert isinstance(open_broker(server.url), SocketBroker)
-        assert isinstance(open_broker(str(tmp_path / "queue")),
-                          FilesystemBroker)
+    def test_anything_but_a_tcp_url_is_a_one_line_error(self, tmp_path):
+        """A queue is a broker URL: a directory path or an unknown scheme
+        is refused up front with one line naming the expected form."""
+        for bad in (str(tmp_path / "queue"), "redis://host:6379"):
+            with pytest.raises(ValueError, match="tcp://HOST:PORT") as info:
+                SocketBroker(bad)
+            assert "\n" not in str(info.value)
+
+
+    @pytest.mark.parametrize("bad", [
+        "relative/queue", "/shared/queue", "file:///shared/queue", "tcp://",
+        "tcp://:9001", "tcp://host:0"])
+    def test_every_malformed_queue_url_is_one_line_naming_the_form(self, bad):
+        with pytest.raises(ValueError, match="tcp://HOST:PORT|port out of "
+                                             "range") as info:
+            parse_queue_url(bad)
+        assert "\n" not in str(info.value)
+        assert repr(bad) in str(info.value)
+
+
+class TestPrivateServer:
+    """The private broker of ``--workers N`` hands pickles to whoever
+    connects, so it must be reachable by its owner's processes only."""
+
+    def test_listens_in_a_directory_only_its_owner_can_enter(self):
+        with private_server(lease_seconds=7.5) as server:
+            assert server.url.startswith("unix://")
+            assert server.state.default_lease == 7.5
+            directory = os.path.dirname(parse_queue_url(server.url))
+            info = os.stat(directory)
+            assert stat.S_IMODE(info.st_mode) == 0o700
+            assert info.st_uid == os.getuid()
+            with SocketBroker(server.url) as broker:
+                broker.put_task(0, "work")
+                assert broker.claim_next().payload == "work"
+        assert not os.path.exists(directory)
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or os.geteuid() != 0,
+                        reason="acting as another user needs root")
+    def test_another_user_cannot_complete_a_task(self):
+        nobody = 65534
+        with private_server() as server, SocketBroker(server.url) as owner:
+            owner.put_task(0, "work")
+            claim = owner.claim_next()
+            child = os.fork()
+            if child == 0:  # pragma: no cover - runs in the forked child
+                code = 1  # the forged completion got through
+                try:
+                    os.setgroups([])
+                    os.setgid(nobody)
+                    os.setuid(nobody)
+                    SocketBroker(server.url, connect_retries=0).complete(
+                        claim, "forged")
+                except BrokerConnectionError as exc:
+                    code = 0 if isinstance(exc.__cause__,
+                                           PermissionError) else 2
+                except BaseException:
+                    code = 3
+                os._exit(code)
+            _, status = os.waitpid(child, 0)
+            assert os.waitstatus_to_exitcode(status) == 0
+            assert owner.results_count() == 0
+            assert owner.claimed_count() == 1
 
 
 class TestServerRobustness:
@@ -226,32 +280,6 @@ class TestBackoff:
         assert Backoff(5.0).cap == 5.0  # never below the base interval
 
 
-class TestWorkerOverTcp:
-    def test_worker_drains_a_tcp_queue_to_serial_results(self, server):
-        campaign, injections, query_spec = factorial_fixture()
-        broker = SocketBroker(server.url)
-        chunks = [tuple(injections[i:i + 2])
-                  for i in range(0, len(injections), 2)]
-        enqueue_campaign(
-            broker,
-            CampaignManifest(
-                campaign_spec=CampaignSpec.from_campaign(campaign),
-                query_spec=query_spec),
-            [(index, (chunk, None)) for index, chunk in enumerate(chunks)])
-        executed = run_worker(WorkerConfig(queue_dir=server.url,
-                                           poll_interval=0.01,
-                                           max_idle_seconds=10.0))
-        assert executed == len(chunks)
-        assert broker.is_drained()
-        payloads = dict(broker.fetch_new_results(seen=set()))
-        distributed = [result for index in sorted(payloads)
-                       for result in payloads[index][2][0]]
-        serial = SerialExecutionStrategy().run(campaign, injections,
-                                               query_spec.build())
-        assert result_keys(distributed) == result_keys(serial)
-        broker.close()
-
-
 class TestWorkerReattach:
     def test_worker_attaching_to_a_drained_queue_waits_for_the_next_campaign(
             self, server):
@@ -317,9 +345,9 @@ class TestGracefulStop:
         return split
 
     def test_stop_between_claim_and_execution_releases_the_task(
-            self, tmp_path):
-        queue = str(tmp_path / "queue")
-        broker = FilesystemBroker(queue)
+            self, server):
+        queue = server.url
+        broker = SocketBroker(queue)
         self.enqueue(broker, chunks=2)
         # should_stop: False through the manifest wait and loop start, True
         # right after the claim — the worker must hand the task back
@@ -333,9 +361,9 @@ class TestGracefulStop:
         assert broker.pending_count() == 2  # nothing lost, nothing leased
 
     def test_stop_during_execution_finishes_and_publishes_the_unit(
-            self, tmp_path):
-        queue = str(tmp_path / "queue")
-        broker = FilesystemBroker(queue)
+            self, server):
+        queue = server.url
+        broker = SocketBroker(queue)
         self.enqueue(broker, chunks=2)
         # False through manifest wait, loop start and post-claim; True once
         # execution finished.
@@ -348,26 +376,26 @@ class TestGracefulStop:
         assert broker.claimed_count() == 0
         assert broker.pending_count() == 1
 
-    def test_stop_during_manifest_wait_exits_cleanly(self, tmp_path):
+    def test_stop_during_manifest_wait_exits_cleanly(self, server):
         """A worker waiting for a campaign to appear must honour a stop
         request instead of blocking out its full manifest timeout."""
         started = time.monotonic()
         executed = run_worker(
-            WorkerConfig(queue_dir=str(tmp_path / "queue"),
+            WorkerConfig(queue_dir=server.url,
                          poll_interval=0.01, manifest_timeout=60.0),
             should_stop=lambda: time.monotonic() - started > 0.1)
         assert executed == 0
         assert time.monotonic() - started < 30.0
 
-    def test_manifest_timeout_still_raises(self, tmp_path):
+    def test_manifest_timeout_still_raises(self, server):
         with pytest.raises(TimeoutError, match="manifest"):
-            run_worker(WorkerConfig(queue_dir=str(tmp_path / "queue"),
+            run_worker(WorkerConfig(queue_dir=server.url,
                                     poll_interval=0.01,
                                     manifest_timeout=0.1))
 
-    def test_cli_worker_exits_cleanly_on_sigterm(self, tmp_path):
-        queue = str(tmp_path / "queue")
-        broker = FilesystemBroker(queue)
+    def test_cli_worker_exits_cleanly_on_sigterm(self, server):
+        queue = server.url
+        broker = SocketBroker(queue)
         # Queue left open: without the signal the worker would idle forever.
         self.enqueue(broker, chunks=3, close=False)
         worker = subprocess.Popen(
@@ -425,8 +453,8 @@ class TestCliBroker:
 
     def test_worker_reports_an_unreachable_broker_cleanly(self):
         """No broker listening: the worker must exit with a one-line
-        message, not a traceback (parity with the directory backend's
-        manifest-timeout message)."""
+        message, not a traceback (parity with the manifest-timeout
+        message)."""
         result = subprocess.run(
             [sys.executable, "-m", "repro", "worker",
              "--queue", "tcp://127.0.0.1:1"],  # port 1: nothing listens
@@ -531,7 +559,7 @@ class TestDistributedTasks:
         assert distributed.total_tasks == serial.total_tasks
         assert distributed.total_errors_found == serial.total_errors_found
 
-    def test_per_task_caps_travel_with_each_work_unit(self, tmp_path):
+    def test_per_task_caps_travel_with_each_work_unit(self):
         """Workers must honour the coordinator runner's per-task error cap
         (paper Section 6.1: at most 10 errors per task) — capped task
         results are identical to the serial capped run."""
@@ -544,8 +572,7 @@ class TestDistributedTasks:
                    for tr in serial.task_results)
         distributed = runner.run(
             tasks, query_spec.build(),
-            strategy=self.strategy(query_spec, str(tmp_path / "queue"),
-                                   workers=1))
+            strategy=self.strategy(query_spec, None, workers=1))
         assert task_result_keys(distributed.task_results) \
             == task_result_keys(serial.task_results)
 

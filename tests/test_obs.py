@@ -369,7 +369,7 @@ class TestReportFormatting:
              "ts": 0.0},
             {"type": "metrics", "trace": "t", "component": "coordinator",
              "ts": 0.0, "counters": {"search.runs": 2,
-                                     "broker.lease_renewals": 1},
+                                     "net.ops.renew": 1},
              "gauges": {}, "histograms": {},
              "workers": {"w1": {"search.runs": 2, "executor.steps": 10}},
              "dropped_events": 0},

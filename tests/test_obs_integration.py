@@ -3,23 +3,24 @@ result neutrality under every campaign backend.
 
 The load-bearing guarantee is that ``--telemetry`` observes a campaign
 without perturbing it: the result projection (labels, activation,
-solutions) must be identical with the hub enabled and disabled, under the
-serial, distributed-filesystem and distributed-TCP backends alike.
+solutions) must be identical with the hub enabled and disabled, in-process
+and on broker workers alike.
 """
 
 import pickle
+import re
 
 import pytest
 
 from repro import obs
 from repro.core import (SerialExecutionStrategy, SymbolicCampaign,
                         TaskRunner, decompose_by_code_section)
-from repro.distributed import (CampaignManifest, DistributedConfig,
-                               DistributedExecutionStrategy,
-                               FilesystemBroker, WorkerConfig, run_worker)
-from repro.distributed.broker import enqueue_campaign
+from repro.cli import main
+from repro.distributed import (DistributedConfig,
+                               DistributedExecutionStrategy, WorkerConfig,
+                               run_worker)
 from repro.machine import ExecutionConfig
-from repro.net import BrokerServer
+from repro.net import CampaignManifest, SocketBroker, enqueue_campaign
 from repro.obs import (JsonlEventSink, NullTelemetry, TraceContext,
                        read_events)
 from repro.parallel import CampaignSpec, QuerySpec
@@ -34,13 +35,6 @@ def restore_hub():
     """Every test leaves the process-global hub disabled again."""
     yield
     obs.set_hub(NullTelemetry())
-
-
-@pytest.fixture
-def server():
-    broker_server = BrokerServer().start()
-    yield broker_server
-    broker_server.stop()
 
 
 def make_campaign(workload):
@@ -126,7 +120,7 @@ class TestSerialBackend:
 
 
 class TestLocalWorkersBackend:
-    """Broker workers spawned on a private queue (``--workers N``)."""
+    """Broker workers spawned on a private broker (``--workers N``)."""
 
     def strategy(self):
         return DistributedExecutionStrategy(
@@ -209,24 +203,36 @@ class TestDistributedBackends:
         assert {e["trace"] for e in events} == {root["trace"]}
         [metrics] = [e for e in events if e["type"] == "metrics"]
         assert metrics["counters"]["search.runs"] == INJECTIONS
-        # Filesystem queues count broker.claims in-process; TCP queues
-        # count the client-side round-trips instead.
-        claims = (metrics["counters"].get("broker.claims", 0)
-                  + metrics["counters"].get("net.ops.claim", 0))
-        assert claims >= len(units)
+        assert metrics["counters"].get("net.ops.claim", 0) >= len(units)
 
-    def test_filesystem_queue(self, tmp_path):
-        self.check(tmp_path, str(tmp_path / "qa"), str(tmp_path / "qb"))
+    def test_private_queue(self, tmp_path):
+        self.check(tmp_path, None, None)
 
     def test_tcp_queue(self, tmp_path, server):
         self.check(tmp_path, server.url, server.url)
 
+    def test_report_counts_lease_renewals_over_tcp(self, tmp_path, server,
+                                                   capsys):
+        """Workers renew their claims every third of the lease, and the
+        lease-health section of the report must count those renewals."""
+        path = str(tmp_path / "tele.jsonl")
+        assert main(["analyze", "--workload", "tcas", "--max-steps", "3000",
+                     "--query", "err-output", "--max-injections", "8",
+                     "--workers", "1", "--queue", server.url,
+                     "--lease-seconds", "0.6", "--telemetry", path]) == 0
+        capsys.readouterr()
+        assert main(["report", "--telemetry", path]) == 0
+        renewals = re.search(r"^lease renewals: (\d+)$",
+                             capsys.readouterr().out, re.MULTILINE)
+        assert renewals is not None and int(renewals.group(1)) > 0
+
 
 class TestWorkerCrash:
-    def test_crash_releases_claim_and_logs_event(self, tmp_path, capsys):
+    def test_crash_releases_claim_and_logs_event(self, tmp_path, server,
+                                                 capsys):
         workload = factorial_workload()
-        queue = str(tmp_path / "queue")
-        broker = FilesystemBroker(queue)
+        queue = server.url
+        broker = SocketBroker(queue)
         enqueue_campaign(
             broker,
             CampaignManifest(
@@ -245,7 +251,7 @@ class TestWorkerCrash:
         obs.finalize()
 
         # The claim went back to the queue instead of stranding a lease.
-        reclaim = FilesystemBroker(queue).claim_next()
+        reclaim = SocketBroker(queue).claim_next()
         assert reclaim is not None and reclaim.index == 0
 
         [crash] = [e for e in read_events(sink_path)

@@ -12,11 +12,10 @@ from repro.core import (SerialExecutionStrategy, SymbolicCampaign,
                         TaskRunner, decompose_by_code_section)
 from repro.distributed import DistributedConfig, DistributedExecutionStrategy
 from repro.machine import ExecutionConfig
-from repro.net import BrokerServer
 from repro.parallel import QuerySpec
 from repro.programs import factorial_workload
 
-BACKENDS = ("serial", "local-workers", "filesystem-broker", "tcp-broker")
+BACKENDS = ("serial", "local-workers", "tcp-broker")
 
 
 def factorial_tasks():
@@ -46,28 +45,19 @@ def report_keys(report):
             for task_result in report.task_results]
 
 
-def make_strategy(backend, query_spec, tmp_path, server):
+def make_strategy(backend, query_spec, server):
     if backend == "serial":
         return SerialExecutionStrategy()
-    # local-workers is `repro analyze --workers 2`: a private temporary queue.
-    queue = {"local-workers": None, "tcp-broker": server.url}.get(
-        backend, str(tmp_path / "queue"))
+    # local-workers is `repro analyze --workers 2`: a private broker.
+    queue = None if backend == "local-workers" else server.url
     return DistributedExecutionStrategy(
         query_spec, DistributedConfig(workers=2, queue_dir=queue,
                                       poll_interval=0.01,
                                       wall_clock_timeout=300.0))
 
 
-@pytest.fixture
-def server():
-    broker_server = BrokerServer().start()
-    yield broker_server
-    broker_server.stop()
-
-
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_capped_tasks_report_identically_on_every_backend(backend, tmp_path,
-                                                          server):
+def test_capped_tasks_report_identically_on_every_backend(backend, server):
     campaign, tasks, query_spec = factorial_tasks()
     runner = TaskRunner(campaign, max_errors_per_task=1)
     serial = runner.run(tasks, query_spec.build())
@@ -76,7 +66,7 @@ def test_capped_tasks_report_identically_on_every_backend(backend, tmp_path,
     assert any(len(task_result.results) < len(task_result.task)
                for task_result in serial.task_results)
 
-    strategy = make_strategy(backend, query_spec, tmp_path, server)
+    strategy = make_strategy(backend, query_spec, server)
     progress = []
     report = runner.run(tasks, query_spec.build(), strategy=strategy,
                         progress=lambda done, total, _result:
@@ -93,11 +83,11 @@ def test_capped_tasks_report_identically_on_every_backend(backend, tmp_path,
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_wall_clock_cap_marks_every_task_incomplete_on_every_backend(
-        backend, tmp_path, server):
+        backend, server):
     campaign, tasks, query_spec = factorial_tasks()
     runner = TaskRunner(campaign, max_errors_per_task=10_000,
                         wall_clock_per_task=1e-9)
-    strategy = make_strategy(backend, query_spec, tmp_path, server)
+    strategy = make_strategy(backend, query_spec, server)
     report = runner.run(tasks, query_spec.build(), strategy=strategy)
     assert [t.task.identifier for t in report.task_results] \
         == [task.identifier for task in tasks]
@@ -106,15 +96,14 @@ def test_wall_clock_cap_marks_every_task_incomplete_on_every_backend(
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_uncapped_sweep_matches_serial_on_every_backend(backend, tmp_path,
-                                                        server):
+def test_uncapped_sweep_matches_serial_on_every_backend(backend, server):
     """A sweep is the same loop with no caps: every injection runs, each
     result is emitted once, and the merge restores sweep order."""
     campaign, _, query_spec = factorial_tasks()
     injections = campaign.enumerate_injections()
     serial = campaign.run(query_spec.build(), injections=injections)
 
-    strategy = make_strategy(backend, query_spec, tmp_path, server)
+    strategy = make_strategy(backend, query_spec, server)
     emitted = []
     strategy.result_sink = lambda injection, result: \
         emitted.append(injection.label())

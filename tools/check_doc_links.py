@@ -5,12 +5,16 @@ Scans every tracked ``*.md`` file (or the paths given as arguments) for
 inline markdown links and checks that each *relative* target exists on
 disk, resolved against the linking file's directory.  External links
 (``http(s)://``, ``mailto:``) and pure in-page anchors (``#section``) are
-ignored; a ``path#anchor`` link is checked for ``path`` only.
+ignored; a ``path#anchor`` link is checked for ``path`` only.  Outside a
+git checkout (an unpacked archive, say) every ``*.md`` under the repo root
+is scanned instead, skipping version-control, cache and virtualenv
+directories.
 
 Exit status: 0 when every relative link resolves, 1 otherwise (one line
 per dead link, ``file: target``).
 """
 
+import os
 import re
 import subprocess
 import sys
@@ -26,12 +30,28 @@ EXTERNAL = ("http://", "https://", "mailto:")
 # references point at assets that were never vendored.
 EXCLUDED = {"PAPER.md", "PAPERS.md", "SNIPPETS.md", "ISSUE.md"}
 
+# Directories the tree walk skips: version control, virtualenvs and tool
+# caches (any name ending in "_cache" too).
+SKIPPED_DIRS = {".git", ".hg", ".svn", ".venv", "venv", ".tox", ".nox",
+                "node_modules", "__pycache__", ".hypothesis", ".benchmarks"}
+
 
 def markdown_files(root: Path):
-    tracked = subprocess.run(
-        ["git", "ls-files", "*.md", "**/*.md"], cwd=root,
-        capture_output=True, text=True, check=True).stdout.split()
-    return [root / name for name in tracked if name not in EXCLUDED]
+    """The tracked markdown files, or every one under *root* when *root*
+    is not a git checkout."""
+    try:
+        names = subprocess.run(
+            ["git", "ls-files", "*.md", "**/*.md"], cwd=root,
+            capture_output=True, text=True, check=True).stdout.split()
+    except (OSError, subprocess.CalledProcessError):
+        names = []
+        for directory, subdirs, files in os.walk(root):
+            subdirs[:] = sorted(name for name in subdirs
+                                if name not in SKIPPED_DIRS
+                                and not name.endswith("_cache"))
+            names += [Path(directory, name).relative_to(root).as_posix()
+                      for name in sorted(files) if name.endswith(".md")]
+    return [root / name for name in names if name not in EXCLUDED]
 
 
 def dead_links(path: Path, root: Path):
