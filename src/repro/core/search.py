@@ -7,7 +7,9 @@ on top of the symbolic executor:
 
 * states are expanded breadth-first, so shallow error manifestations are
   found before deep ones;
-* duplicate states (same fingerprint) are explored only once;
+* duplicate states (same fingerprint) are explored only once.  States can
+  only merge where control flow joins, so a state is fingerprinted only
+  where it may equal one already seen (see :meth:`BoundedModelChecker.search`);
 * branches whose constraint maps are unsatisfiable never reach the frontier
   (the executor prunes them);
 * the search is bounded by the watchdog instruction limit (carried by the
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .. import obs as _obs
+from ..machine.decode import decoded_program
 from ..machine.executor import (SEARCH_MARK_STRIDE, ConcreteFutures, Executor,
                                 run_concrete)
 from ..machine.state import Fingerprint, MachineState, state_contains_err
@@ -206,10 +209,34 @@ class BoundedModelChecker:
         caps.  ``completed`` is True when the whole reachable space was
         explored (so the absence of solutions is a *proof* that the program is
         resilient to the injected error class, per the paper's output #1).
+
+        Deduplication fingerprints a successor only where it can equal a
+        state already seen.  A successor skips the fingerprint when it is
+        its parent's only successor, fell through (``pc == parent pc + 1``)
+        to a pc that carries no label, is still running and still holds
+        ``err`` (so the next pop steps it instead of handing it to
+        ``run_concrete``).  Every other successor is fingerprinted: forks,
+        jump, taken-branch and ``jr`` arrivals, label addresses, terminal
+        and err-free states.  Fall-through strictly raises the pc, so every
+        cycle crosses a fingerprinted state and a looping lineage still
+        ends.  A merge at an unfingerprinted state is caught at the next
+        fingerprinted one, where breadth-first order lets the shallower
+        copy arrive first: solutions, their depths and ``completed`` are
+        those of fingerprinting every successor whenever the state budget
+        is not hit, while ``explored_states`` also counts the states a
+        missed merge ran before it was caught.  The one exception is the
+        watchdog, which counts steps where the fingerprint does not: a
+        deeper copy that reaches ``max_steps`` before the next fingerprinted
+        state ends as a ``TIMEOUT``, a hang the earlier merge had dropped.
         """
         start_time = time.monotonic()
-        steps_before = self.executor.steps_executed
-        concrete_before = self.executor.concrete_steps
+        executor = self.executor
+        steps_before = executor.steps_executed
+        concrete_before = executor.concrete_steps
+        collapsed_before = executor.collapsed_loads
+        deduplicate = self.deduplicate
+        labelled = decoded_program(executor.program).labelled
+        fingerprints = 0
         statistics = SearchStatistics()
         solutions: List[Solution] = []
         frontier: deque = deque()
@@ -250,7 +277,6 @@ class BoundedModelChecker:
             statistics.explored_states += 1
 
             if state.is_running and self.concretize and not state_contains_err(state):
-                executor = self.executor
                 if futures is None:
                     futures = ConcreteFutures(
                         executor.program, executor.detectors, state.input,
@@ -265,20 +291,36 @@ class BoundedModelChecker:
                     solutions.append(Solution(state=state, depth=depth))
                 continue
 
-            successors = self.executor.advance(state)
+            pc = state.pc  # advance may reuse *state* as its successor
+            successors = executor.advance(state)
             statistics.expanded_states += 1
             if not successors:
                 statistics.pruned_states += 1
                 continue
+            if not deduplicate:
+                for successor in successors:
+                    frontier.append((successor, depth + 1))
+                continue
+            if len(successors) == 1:
+                successor = successors[0]
+                # An int parent pc whose successor sits at pc + 1 was a valid
+                # address, so the fall-through pc indexes ``labelled``.
+                if (type(pc) is int and successor.pc == pc + 1
+                        and not labelled[pc + 1] and successor.is_running
+                        and state_contains_err(successor)):
+                    frontier.append((successor, depth + 1))
+                    continue
             for successor in successors:
-                if self.deduplicate:
-                    fingerprint = successor.fingerprint()
-                    if fingerprint in seen:
-                        statistics.deduplicated_states += 1
-                        continue
-                    seen.add(fingerprint)
+                fingerprints += 1
+                fingerprint = successor.fingerprint()
+                if fingerprint in seen:
+                    statistics.deduplicated_states += 1
+                    continue
+                seen.add(fingerprint)
                 frontier.append((successor, depth + 1))
 
+        collapsed = executor.collapsed_loads - collapsed_before
+        statistics.deduplicated_states += collapsed
         statistics.elapsed_seconds = time.monotonic() - start_time
         hub = _obs.get()
         if hub.enabled:
@@ -288,11 +330,13 @@ class BoundedModelChecker:
             hub.count("search.explored", statistics.explored_states)
             hub.count("search.terminal", statistics.terminal_states)
             hub.count("search.deduplicated", statistics.deduplicated_states)
+            hub.count("search.fingerprints", fingerprints)
+            hub.count("search.collapsed_loads", collapsed)
             hub.observe("search.seconds", statistics.elapsed_seconds)
             hub.count("executor.steps",
-                      self.executor.steps_executed - steps_before)
+                      executor.steps_executed - steps_before)
             hub.count("executor.concrete_steps",
-                      self.executor.concrete_steps - concrete_before)
+                      executor.concrete_steps - concrete_before)
         return SearchResult(solutions=solutions, statistics=statistics,
                             completed=completed, stop_reason=stop_reason)
 

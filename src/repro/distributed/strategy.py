@@ -162,13 +162,17 @@ class _LocalWorkerPool:
     """Locally spawned ``repro worker`` subprocesses, with respawn-on-death.
 
     Worker logs go to a private temporary directory that :meth:`shutdown`
-    removes.
+    removes, made inside *log_parent* when given (the private broker's
+    owner-only directory, so a killed coordinator leaves one directory
+    behind, not two).
     """
 
-    def __init__(self, queue: str, config: DistributedConfig) -> None:
+    def __init__(self, queue: str, config: DistributedConfig,
+                 log_parent: Optional[str] = None) -> None:
         self.queue = queue
         self.config = config
-        self.log_dir = tempfile.mkdtemp(prefix="repro-worker-logs-")
+        self.log_dir = tempfile.mkdtemp(prefix="repro-worker-logs-",
+                                        dir=log_parent)
         self._procs: List[subprocess.Popen] = []
         self._logs: Dict[int, str] = {}
         self._spawned = 0
@@ -294,18 +298,23 @@ class DistributedExecutionStrategy(ExecutionStrategy):
             # server stops.  The local workers are gone by then (see
             # _drive), so the server has no client left when it stops.
             with contextlib.ExitStack() as stack:
-                queue = config.queue_dir or stack.enter_context(
-                    private_server(config.lease_seconds)).url
+                queue, log_parent = config.queue_dir, None
+                if queue is None:
+                    server = stack.enter_context(
+                        private_server(config.lease_seconds))
+                    queue = server.url
+                    log_parent = os.path.dirname(server.address)
                 broker = stack.enter_context(
                     SocketBroker(queue, lease_seconds=config.lease_seconds))
                 payloads = [(task.injections, caps) for task in tasks]
                 yield from self._drive(broker, queue, campaign, payloads,
-                                       worker_stats)
+                                       worker_stats, log_parent)
         self.cache_statistics = _merge_cache_statistics(worker_stats)
 
     def _drive(self, broker: SocketBroker, queue: str,
                campaign: SymbolicCampaign, payloads: List[object],
                worker_stats: Dict[str, CacheStatistics],
+               log_parent: Optional[str],
                ) -> Iterator[Tuple[int, TaskOutcome]]:
         config = self.config
         # A queue serves one campaign at a time: purge whatever a previous
@@ -330,8 +339,8 @@ class DistributedExecutionStrategy(ExecutionStrategy):
         deadline = (None if config.wall_clock_timeout is None
                     else time.monotonic() + config.wall_clock_timeout)
         idle = Backoff(config.poll_interval, metric="coordinator.idle")
-        pool = (_LocalWorkerPool(queue, config) if config.workers > 0
-                else None)
+        pool = (_LocalWorkerPool(queue, config, log_parent)
+                if config.workers > 0 else None)
         try:
             if pool is not None:
                 pool.spawn(min(config.workers, len(payloads)))

@@ -37,6 +37,10 @@ once per program and caches the result, so the hot loops become
   ``control_fork_domain`` setting, replacing the per-fork
   ``label_addresses()`` sort.
 
+* ``labelled`` — one flag per pc marking the label addresses, the points
+  where a fall-through can meet a jump or branch and search states can
+  merge; the model checker fingerprints a fall-through state only there.
+
 All generated code mutates state exclusively through the CoW write API
 (``write_register`` / ``write_memory`` / ``append_output``), preserving the
 incremental fingerprint and err-census bookkeeping.
@@ -433,7 +437,7 @@ class DecodedProgram:
     """
 
     __slots__ = ("name", "length", "entries", "concrete_ops", "block_fns",
-                 "block_lens", "_label_addresses", "_ct_targets",
+                 "block_lens", "labelled", "_label_addresses", "_ct_targets",
                  "_fork_targets", "__weakref__")
 
     def __init__(self, program: Program) -> None:
@@ -443,6 +447,13 @@ class DecodedProgram:
             DecodedInstruction(pc, instruction, program)
             for pc, instruction in enumerate(program.code))
         self._label_addresses = program.label_addresses()
+        #: ``labelled[pc]`` is 1 where *pc* carries a label, for every pc a
+        #: fall-through can reach (``0 .. length`` inclusive).
+        flags = bytearray(self.length + 1)
+        for address in self._label_addresses:
+            if 0 <= address <= self.length:
+                flags[address] = 1
+        self.labelled = bytes(flags)
         self._ct_targets = program.control_transfer_targets()
         self._fork_targets: Dict[Tuple[str, int], List[int]] = {}
 

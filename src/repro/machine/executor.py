@@ -210,6 +210,9 @@ class Executor:
         self.steps_executed = 0
         #: The share of ``steps_executed`` that ``advance`` ran concretely.
         self.concrete_steps = 0
+        #: Lifetime count of load-fork siblings never built because an
+        #: earlier fork address loaded the same concrete value.
+        self.collapsed_loads = 0
         self._decoded: DecodedProgram = decoded_program(program)
         if self.config.legacy_dispatch:
             self._dispatch = None
@@ -667,14 +670,27 @@ class Executor:
         return [self._advance(successor)]
 
     def _memory_error_loads(self, state: MachineState, rt: int) -> List[MachineState]:
-        """Load through a corrupted pointer: arbitrary location or exception."""
+        """Load through a corrupted pointer: arbitrary location or exception.
+
+        An address whose concrete value an earlier address already loaded
+        would build a successor identical to that one's, so it builds none
+        and counts in ``collapsed_loads``.  Each ``err`` cell keeps its own
+        successor: the register takes that cell's constraints.
+        """
         successors: List[MachineState] = [self._crash(state, ILLEGAL_ADDRESS)]
+        loaded = set()
         for address in self._memory_fork_addresses(state):
+            value = state.read_memory(address)
+            if value is ERR:
+                transfer: Optional[Location] = Location.memory(address)
+            elif value in loaded:
+                self.collapsed_loads += 1
+                continue
+            else:
+                loaded.add(value)
+                transfer = None
             branch = self._base(state)
-            value = branch.read_memory(address)
-            branch.write_register(
-                rt, value,
-                transfer_from=Location.memory(address) if is_err(value) else None)
+            branch.write_register(rt, value, transfer_from=transfer)
             branch.forks += 1
             successors.append(self._advance(branch))
         return successors

@@ -7,6 +7,7 @@ import signal
 import sqlite3
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
@@ -405,6 +406,32 @@ class TestPrivateBroker:
         [pool] = recorded["pools"]
         assert pool.queue == recorded["servers"][0].url
         assert not os.path.exists(pool.log_dir)
+
+    def test_worker_logs_live_in_the_private_broker_directory(
+            self, recorded, monkeypatch, tmp_path):
+        """A SIGKILLed coordinator leaves one directory behind, not two: a
+        ``--workers 2`` run makes no ``repro-worker-logs-*`` directory in
+        the temporary directory, only the broker's, with the logs in it."""
+        import repro.distributed.strategy as strategy_module
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        listings = []
+        real_spawn = strategy_module._LocalWorkerPool.spawn
+
+        def listing_spawn(pool, count):
+            listings.append(sorted(os.listdir(tmp_path)))
+            real_spawn(pool, count)
+
+        monkeypatch.setattr(strategy_module._LocalWorkerPool, "spawn",
+                            listing_spawn)
+        self.run_small(DistributedConfig(
+            workers=2, chunk_size=1, poll_interval=0.01,
+            wall_clock_timeout=300.0))
+        [server] = recorded["servers"]
+        [pool] = recorded["pools"]
+        broker_dir = os.path.dirname(server.address)
+        assert listings == [[os.path.basename(broker_dir)]]
+        assert os.path.dirname(pool.log_dir) == broker_dir
+        assert os.listdir(tmp_path) == []
 
     def test_abandoned_run_stops_its_workers_and_broker(self, recorded):
         """A caller that stops consuming results mid-campaign still gets

@@ -58,6 +58,25 @@ class TestRepoDocs:
                               cwd=REPO_ROOT, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
+    def test_tracked_file_deleted_from_the_worktree_is_skipped(self,
+                                                               tmp_path):
+        """A tracked markdown file deleted but not committed is not read
+        (it used to crash the checker); a link to it is still dead."""
+        (tmp_path / "tools").mkdir()
+        shutil.copy(CHECKER, tmp_path / "tools" / CHECKER.name)
+        (tmp_path / "README.md").write_text("[gone](GONE.md)\n")
+        (tmp_path / "GONE.md").write_text("# soon deleted\n")
+        subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
+        subprocess.run(["git", "add", "README.md", "GONE.md"], cwd=tmp_path,
+                       check=True)
+        (tmp_path / "GONE.md").unlink()
+        proc = subprocess.run(
+            [sys.executable, str(tmp_path / "tools" / CHECKER.name)],
+            cwd=tmp_path, capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.splitlines() == ["README.md: GONE.md",
+                                            "1 dead relative link(s)"]
+
     def test_tree_outside_a_git_checkout_is_walked(self, tmp_path):
         """Without git metadata (an unpacked archive) the checker walks the
         tree instead of dying on ``git ls-files``, skipping caches and

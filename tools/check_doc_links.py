@@ -38,7 +38,8 @@ SKIPPED_DIRS = {".git", ".hg", ".svn", ".venv", "venv", ".tox", ".nox",
 
 def markdown_files(root: Path):
     """The tracked markdown files, or every one under *root* when *root*
-    is not a git checkout."""
+    is not a git checkout.  A tracked file deleted from the working tree
+    has no links to check and is skipped (links *to* it are still dead)."""
     try:
         names = subprocess.run(
             ["git", "ls-files", "*.md", "**/*.md"], cwd=root,
@@ -51,7 +52,8 @@ def markdown_files(root: Path):
                                 and not name.endswith("_cache"))
             names += [Path(directory, name).relative_to(root).as_posix()
                       for name in sorted(files) if name.endswith(".md")]
-    return [root / name for name in names if name not in EXCLUDED]
+    return [root / name for name in names
+            if name not in EXCLUDED and (root / name).is_file()]
 
 
 def dead_links(path: Path, root: Path):
