@@ -21,6 +21,17 @@ the same runner (``ci`` under GitHub Actions, ``local`` elsewhere), so CI
 numbers are never compared with numbers from another host.  Without one,
 the gate passes.
 
+A committed ``local`` point was measured in another session, perhaps on
+another host, so host drift alone can move it past a bound.  A local run
+is therefore gated against runs of the parent commit made in the same
+session when they are given, as files named ``<workload>.parent.out``
+(the same ``perfbench/run.py`` command run in a checkout of the parent)::
+
+    python benchmarks/check_perfbench.py *.out   # W.out and W.parent.out
+
+A workload without a parent run falls back to the committed point.  The
+CI runner always gates against its committed ``ci`` point.
+
 Exit status 0 when every check passes, 1 otherwise.
 """
 
@@ -84,8 +95,14 @@ def regressed(metric: dict, base: float, fresh: float) -> bool:
 def check(paths) -> int:
     config = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = config["end_to_end"]
-    runs = {Path(path).name.split(".")[0]: load_run(path) for path in paths}
+    runs, parents = {}, {}
+    for path in paths:
+        workload, _, suffix = Path(path).name.partition(".")
+        (parents if suffix == "parent.out" else runs)[workload] = \
+            load_run(path)
     runner = "ci" if os.environ.get("GITHUB_ACTIONS") else "local"
+    if runner != "local":
+        parents = {}  # CI gates against its own committed points only
     failures = []
     perfbench = {}
     for workload in (entry["name"] for entry in config["workloads"]):
@@ -109,10 +126,19 @@ def check(paths) -> int:
     if baseline is None:
         print(f"no committed '{runner}' point: nothing to compare with")
     else:
-        print(f"baseline: {baseline['sha']} ({runner}, "
+        print(f"committed baseline: {baseline['sha']} ({runner}, "
               f"{baseline['created']})")
+    if parents:
+        print(f"same-session parent runs: {', '.join(sorted(parents))}")
     for workload, values in perfbench.items():
         base_values = (baseline or {}).get("perfbench", {}).get(workload, {})
+        if workload in parents:
+            parent = parents[workload]
+            if parent is None:
+                failures.append(f"{workload}: parent run has no result")
+                continue
+            base_values = {name: data["value"] for name, data
+                           in parent.get("metrics", {}).items()}
         for metric in metrics:
             name = metric["name"]
             base, fresh = base_values.get(name), values.get(name)
@@ -152,7 +178,8 @@ def main(argv=None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("runs", nargs="+", metavar="WORKLOAD.out",
                         help="output of one perfbench/run.py run, named "
-                             "after its workload")
+                             "after its workload (WORKLOAD.parent.out: the "
+                             "parent commit's run in the same session)")
     return check(parser.parse_args(argv).runs)
 
 

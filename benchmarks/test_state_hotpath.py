@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.machine import run_concrete, run_concrete_legacy
+from repro.machine import Status, run_concrete, run_concrete_legacy
 from repro.machine.executor import ExecutionConfig, Executor
 from repro.machine.state import initial_state
 from repro.programs import load_workload
@@ -127,6 +127,29 @@ def test_concrete_run_legacy_cost(benchmark, factorial_workload):
 
     state = benchmark(golden_run)
     assert not state.is_running
+
+
+@pytest.mark.benchmark(group="interp-hotpath")
+def test_concrete_run_replace_cost(benchmark):
+    """``run_concrete`` over the replace golden run.
+
+    About 11,400 instructions per round, mostly the stack-frame ``ldi`` /
+    ``sti`` traffic that also fills the err-free tails of a replace
+    campaign, so the superblock bodies dominate the time rather than the
+    per-call overhead the 36-instruction factorial run measures.
+    """
+    workload = load_workload("replace")
+    expected = workload.golden_output()
+
+    def golden_run():
+        state = workload.initial_state()
+        run_concrete(workload.program, state, workload.detectors,
+                     workload.recommended_max_steps)
+        return state
+
+    state = benchmark(golden_run)
+    assert state.status is Status.HALTED
+    assert state.output_values() == expected
 
 
 def symbolic_golden_run(workload, executor):

@@ -16,16 +16,22 @@ once per program and caches the result, so the hot loops become
 * per-address *concrete ops* — tiny specialised Python functions (one per
   instruction) implementing the exact semantics of the legacy
   ``concrete_step`` string dispatch for that single instruction.  They are
-  the only err-free semantics: ``run_concrete`` runs them, and so does the
-  symbolic ``Executor`` for every instruction whose read set holds no
-  ``err``.
+  the err-free semantics of single-stepping: ``run_concrete`` runs them
+  where it enters no superblock, and so does the symbolic ``Executor`` for
+  every instruction whose read set holds no ``err``.
 
 * *superblocks* — runs of straight-line, non-forking instructions fused into
   a single generated function.  ``run_concrete`` enters a superblock when the
   program counter sits on a block leader and the step budget allows the whole
   block; faults, detectors (``check``), control transfers and interpreter
-  breakpoints fall back to the single-instruction ops, so observable
-  semantics are bit-identical to single-stepping.
+  breakpoints fall back to the single-instruction ops.  A block keeps its
+  registers in Python locals: each source register is read from the state
+  once, at its first use, and each destination is written back once through
+  ``write_register`` at every block exit — the end of the block, or a
+  mid-block ``err`` read, illegal address, divide by zero or exhausted
+  input, before that exit takes effect.  ``steps`` and ``pc`` are set once
+  per exit, so the state any exit leaves (fingerprint, err census,
+  constraint map, raised message) is bit-identical to single-stepping's.
 
   Ops and superblocks are generated and ``exec``-compiled on demand: each
   table slot starts as a stub that compiles its function the first time it
@@ -43,7 +49,8 @@ once per program and caches the result, so the hot loops become
 
 All generated code mutates state exclusively through the CoW write API
 (``write_register`` / ``write_memory`` / ``append_output``), preserving the
-incremental fingerprint and err-census bookkeeping.
+incremental fingerprint and err-census bookkeeping; superblock loads read
+the memory overlay and base directly.
 
 The cache is keyed by program identity with weakref eviction and is rebuilt
 inside worker processes — decoded tables are never pickled (generated
@@ -215,14 +222,17 @@ class DecodedInstruction:
 # --------------------------------------------------------------------------
 # Generated concrete ops and superblocks.
 #
-# The emitters below produce the body of one instruction's concrete
+# ``_emit_concrete`` produces the body of one instruction's concrete
 # semantics as source lines over a local ``state`` (and ``detectors`` for
-# ``check``).  The statements replicate the legacy ``concrete_step``
-# behaviour exactly: ``steps`` is incremented before any operand read, the
-# program counter is only advanced at the very end (so a raised
-# ``SymbolicValueEncountered`` leaves it on the faulting instruction), store
-# reads the address register before the value register, and all error
-# messages are byte-identical.
+# ``check``): the single-instruction ops that ``run_concrete`` falls back to
+# and that ``Executor`` runs for err-free instructions.  The statements
+# replicate the legacy ``concrete_step`` behaviour exactly: ``steps`` is
+# incremented before any operand read, the program counter is only advanced
+# at the very end (so a raised ``SymbolicValueEncountered`` leaves it on the
+# faulting instruction), store reads the address register before the value
+# register, and all error messages are byte-identical.  ``_emit_block``
+# produces a whole superblock with the same observable semantics, but with
+# its registers held in locals between one read and one write-back.
 # --------------------------------------------------------------------------
 
 def _reg_read(lines: List[str], var: str, number: int) -> None:
@@ -364,6 +374,122 @@ def _emit_concrete(d: DecodedInstruction, next_pc: int) -> List[str]:
     return lines
 
 
+def _emit_block(entries: Sequence[DecodedInstruction], start: int,
+                end: int) -> List[str]:
+    """Source lines running ``entries[start:end]`` as one superblock.
+
+    Registers live in locals ``r<n>`` for the whole block: a source register
+    is read from the state once, at its first use, with the ``err`` check;
+    a destination is written back once through ``write_register``, at the
+    end and before every mid-block exit takes effect.  Each exit sets
+    ``steps`` and ``pc`` once, to what single-stepping leaves: the faulting
+    instruction's step counted and the pc on it.  Loads read the memory
+    overlay and base directly; stores, input and output go through the
+    state API in program order.  Every register and memory write still
+    passes the write API, so the XOR location hash, the err census and the
+    constraint map end equal to single-stepping's.  (A negative shift
+    count is none of these exits: single-stepping raises ``ValueError``
+    part-way through the instruction, and no caller reads the state after
+    that.)
+    """
+    lines = ["    steps = state.steps",
+             "    rov = state._registers._overlay",
+             "    rbase = state._registers._base"]
+    if any(entries[pc].category is Category.LOAD for pc in range(start, end)):
+        lines += ["    mov = state._memory._overlay",
+                  "    mbase = state._memory._base"]
+    held = set()                # registers with a local
+    dirty: List[int] = []       # registers written, in first-write order
+
+    def leave(pc: int, pad: str, *tail: str) -> List[str]:
+        """Write back, count the step of *pc*, stay on it, then *tail*."""
+        return ([f"{pad}state.write_register({n}, r{n})" for n in dirty]
+                + [f"{pad}state.steps = steps + {pc - start + 1}",
+                   f"{pad}state.pc = {pc}"]
+                + [pad + statement for statement in tail])
+
+    def read(pc: int, number: int) -> str:
+        if number == 0:
+            return "0"
+        if number not in held:
+            held.add(number)
+            lines.extend([f"    r{number} = rov.get({number})",
+                          f"    if r{number} is None:",
+                          f"        r{number} = rbase[{number}]",
+                          f"    if r{number} is _ERR:",
+                          *leave(pc, "        ", "raise _SVE('register "
+                                 f"${number} is err')")])
+        return f"r{number}"
+
+    def write(number: int, expr: str) -> None:
+        if number == 0:
+            return  # writes to $0 are discarded
+        lines.append(f"    r{number} = {expr}")
+        held.add(number)
+        if number not in dirty:
+            dirty.append(number)
+
+    for pc in range(start, end):
+        d = entries[pc]
+        category = d.category
+        if category is Category.ARITHMETIC:
+            a = read(pc, d.b)
+            rhs = read(pc, d.c) if d.third_is_reg else repr(d.c)
+            if d.divmod and rhs == "0":
+                # Divides by zero whatever the operands: the rest of the
+                # block is unreachable.
+                return lines + leave(pc, "    ",
+                                     "state.throw(_DIVIDE_BY_ZERO)", "return")
+            if d.divmod:
+                lines.append(f"    if {rhs} == 0:")
+                lines.extend(leave(pc, "        ",
+                                   "state.throw(_DIVIDE_BY_ZERO)", "return"))
+                fn = "_div" if d.operator == "div" else "_mod"
+                write(d.a, f"{fn}({a}, {rhs})")
+            else:
+                write(d.a, f"{a} {_INFIX_OPS[d.operator]} {rhs}")
+        elif category is Category.COMPARE:
+            a = read(pc, d.b)
+            rhs = read(pc, d.c) if d.third_is_reg else repr(d.c)
+            write(d.a, f"1 if {a} {_COMPARE_INFIX[d.compare_op]} {rhs} "
+                       "else 0")
+        elif category is Category.MOVE:
+            write(d.a, read(pc, d.b) if d.is_mov else repr(d.b))
+        elif category is Category.LOAD:
+            lines.append(f"    addr = {read(pc, d.b)} + {d.c!r}")
+            lines.extend(["    v = mov.get(addr)",
+                          "    if v is None:",
+                          "        v = mbase.get(addr)",
+                          "        if v is None:",
+                          *leave(pc, "            ",
+                                 "state.throw(_ILLEGAL_ADDRESS)", "return"),
+                          "    if v is _ERR:",
+                          *leave(pc, "        ",
+                                 "raise _SVE('memory %d is err' % addr)")])
+            write(d.a, "v")
+        elif category is Category.STORE:
+            address = read(pc, d.b)
+            lines.append(f"    state.write_memory({address} + {d.c!r}, "
+                         f"{read(pc, d.a)})")
+        elif category is Category.IO_READ:
+            lines.append("    if not state.has_input():")
+            lines.extend(leave(pc, "        ",
+                               "state.throw(_INPUT_EXHAUSTED)", "return"))
+            if d.a == 0:
+                lines.append("    state.next_input()")  # consumed, discarded
+            else:
+                write(d.a, "state.next_input()")
+        elif category is Category.IO_WRITE:
+            item = read(pc, d.a) if d.is_print else repr(d.a)
+            lines.append(f"    state.append_output({item})")
+        elif d.special != "nop":  # pragma: no cover - planning fuses no other
+            raise MachineModelError(f"cannot fuse {d.text!r} into a block")
+    return (lines
+            + [f"    state.write_register({n}, r{n})" for n in dirty]
+            + [f"    state.steps = steps + {end - start}",
+               f"    state.pc = {end}"])
+
+
 def _exec_namespace(program: Program) -> Dict[str, object]:
     return {
         "_ERR": ERR,
@@ -384,23 +510,28 @@ def _exec_namespace(program: Program) -> Dict[str, object]:
     }
 
 
+def _emit_op(entries: Sequence[DecodedInstruction], start: int,
+             end: int) -> List[str]:
+    """The single-instruction op at *start* (``end`` is ``start + 1``)."""
+    return _emit_concrete(entries[start], end)
+
+
 def _lazy(slots: List[Optional[Callable]], start: int, end: int,
           entries: Sequence[DecodedInstruction], namespace: Dict[str, object],
-          prefix: str, params: str, counter: str) -> Callable:
+          emit: Callable[..., List[str]], prefix: str, params: str,
+          counter: str) -> Callable:
     """Placeholder for ``slots[start]`` that compiles on its first call.
 
-    The call generates ``entries[start:end]`` as one function, compiles it
-    with *namespace* as its globals, stores it in its slot (so later
-    lookups get the compiled function) and runs it.  The stub closes over
-    the entries, its slot list and the namespace only — never the Program
-    or a bound method of it, so a cached DecodedProgram does not keep its
-    program alive.
+    The call generates ``emit(entries, start, end)`` as one function,
+    compiles it with *namespace* as its globals, stores it in its slot (so
+    later lookups get the compiled function) and runs it.  The stub closes
+    over the entries, its slot list and the namespace only — never the
+    Program or a bound method of it, so a cached DecodedProgram does not
+    keep its program alive.
     """
     def stub(*args):
         name = f"{prefix}{start}"
-        body: List[str] = []
-        for pc in range(start, end):
-            body.extend(_emit_concrete(entries[pc], pc + 1))
+        body = emit(entries, start, end)
         source = "\n".join([f"def {name}({params}):", *body])
         scope: Dict[str, Callable] = {}
         exec(compile(source, f"<decoded {namespace['_NAME']} {name}>",
@@ -461,14 +592,15 @@ class DecodedProgram:
         entries = self.entries
         ops: List[Callable] = [None] * self.length
         for pc in range(self.length):
-            ops[pc] = _lazy(ops, pc, pc + 1, entries, namespace, "_op",
-                            "state, detectors", "interp.ops_compiled")
+            ops[pc] = _lazy(ops, pc, pc + 1, entries, namespace, _emit_op,
+                            "_op", "state, detectors", "interp.ops_compiled")
         self.concrete_ops = ops
         blocks: List[Optional[Callable]] = [None] * self.length
         self.block_lens: List[int] = [0] * self.length
         for start, end in self._plan_superblocks():
             blocks[start] = _lazy(blocks, start, end, entries, namespace,
-                                  "_blk", "state", "interp.superblocks_compiled")
+                                  _emit_block, "_blk", "state",
+                                  "interp.superblocks_compiled")
             self.block_lens[start] = end - start
         self.block_fns = blocks
         hub = _obs.get()

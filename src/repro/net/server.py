@@ -39,6 +39,7 @@ import os
 import shutil
 import socket
 import socketserver
+import stat
 import tempfile
 import threading
 import time
@@ -328,6 +329,47 @@ class BrokerServer:
             return self._telemetry_status(now)
 
 
+#: Name prefix of a private broker directory; the coordinator's pid follows.
+PRIVATE_PREFIX = "repro-broker-"
+
+
+def sweep_stale_private_dirs(parent: Optional[str] = None) -> List[str]:
+    """Remove private broker directories whose coordinator is gone.
+
+    A coordinator killed before its ``finally`` runs (SIGKILL) leaves its
+    ``repro-broker-<pid>-*`` directory behind.  An entry of *parent* (the
+    temporary directory by default) is removed only if it is a real
+    directory, not a symlink, owned by this user, and its pid names no
+    live process.  Returns the removed paths.
+    """
+    parent = tempfile.gettempdir() if parent is None else parent
+    removed = []
+    try:
+        names = os.listdir(parent)
+    except OSError:
+        return removed
+    for name in names:
+        pid_text, separator, _ = name[len(PRIVATE_PREFIX):].partition("-")
+        if (not name.startswith(PRIVATE_PREFIX) or not separator
+                or not pid_text.isdigit()):
+            continue
+        path = os.path.join(parent, name)
+        try:
+            info = os.lstat(path)
+        except OSError:
+            continue
+        if not stat.S_ISDIR(info.st_mode) or info.st_uid != os.getuid():
+            continue
+        try:
+            os.kill(int(pid_text), 0)
+        except ProcessLookupError:
+            shutil.rmtree(path, ignore_errors=True)
+            removed.append(path)
+        except (OSError, OverflowError):
+            pass  # alive under another user, or not a pid at all
+    return removed
+
+
 @contextlib.contextmanager
 def private_server(lease_seconds: float = 60.0) -> Iterator[BrokerServer]:
     """A running broker only its owner can reach, removed on exit.
@@ -335,9 +377,12 @@ def private_server(lease_seconds: float = 60.0) -> Iterator[BrokerServer]:
     It listens on a Unix socket in a fresh ``mkdtemp`` directory (mode
     0700): no other user of the host can connect to it, nor bind a socket
     in its place after it stops, so only the owner's own processes ever
-    exchange pickles with it.
+    exchange pickles with it.  The directory name carries the
+    coordinator's pid, and each start first sweeps the directories of
+    coordinators that died without removing theirs.
     """
-    directory = tempfile.mkdtemp(prefix="repro-broker-")
+    sweep_stale_private_dirs()
+    directory = tempfile.mkdtemp(prefix=f"{PRIVATE_PREFIX}{os.getpid()}-")
     try:
         with BrokerServer(lease_seconds=lease_seconds,
                           path=os.path.join(directory, "broker.sock")) as server:

@@ -132,7 +132,7 @@ class TestPerfbenchGate:
                                for workload in WORKLOADS}}
         (self.trajectory / f"BENCH_{name}.json").write_text(json.dumps(point))
 
-    def gate(self, outputs=None, skip=None):
+    def gate(self, outputs=None, skip=None, parents=None):
         outputs = outputs or {}
         paths = []
         for workload in WORKLOADS:
@@ -140,6 +140,10 @@ class TestPerfbenchGate:
                 continue
             path = self.runs / f"{workload}.out"
             path.write_text(outputs.get(workload, run_output()))
+            paths.append(str(path))
+        for workload, output in (parents or {}).items():
+            path = self.runs / f"{workload}.parent.out"
+            path.write_text(output)
             paths.append(str(path))
         return check_perfbench.main(paths)
 
@@ -212,3 +216,33 @@ class TestPerfbenchGate:
         self.commit_point("zzz", created="2026-10-01T00:00:00Z")
         assert check_perfbench.baseline_point("local")["sha"] == "aaa"
         assert self.gate() == 1
+
+    def test_a_same_session_parent_run_is_the_local_baseline(self, capsys):
+        # The committed point is far better (another host); the parent run
+        # of this session matches, so the gate passes.
+        self.commit_point("far", scale={"injections_per_s": 9})
+        parents = {workload: run_output() for workload in WORKLOADS}
+        assert self.gate(parents=parents) == 0
+        assert "same-session parent runs" in capsys.readouterr().out
+        point = json.loads(Path("BENCH_fresh.json").read_text())
+        assert point["perfbench"]["replace-control"]["injections_per_s"] \
+            == pytest.approx(30.0)
+
+    def test_worse_than_the_parent_run_beyond_the_bound_fails(self):
+        self.commit_point("base")
+        assert self.gate(parents={"tcas-memory-tcp": run_output(
+            {"injections_per_s": 1 / 0.75})}) == 1
+
+    def test_a_workload_without_a_parent_run_falls_back_to_the_point(self):
+        self.commit_point("far", scale={"injections_per_s": 9})
+        assert self.gate(parents={"tcas-memory-tcp": run_output()}) == 1
+
+    def test_a_parent_run_without_a_result_fails(self):
+        assert self.gate(parents={"replace-control": "Traceback ...\n"}) == 1
+
+    def test_ci_ignores_parent_runs(self, monkeypatch):
+        monkeypatch.setenv("GITHUB_ACTIONS", "true")
+        self.commit_point("ci", runner="ci")
+        parents = {workload: run_output({"injections_per_s": 9})
+                   for workload in WORKLOADS}
+        assert self.gate(parents=parents) == 0

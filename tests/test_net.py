@@ -22,6 +22,7 @@ from repro.net import (BrokerConnectionError, CampaignManifest,
                        ProtocolError, SocketBroker, enqueue_campaign,
                        parse_listen_address, parse_queue_url, private_server,
                        recv_message, send_message)
+from repro.net.server import sweep_stale_private_dirs
 from repro.parallel import CampaignSpec, QuerySpec
 from repro.programs import factorial_workload
 
@@ -195,6 +196,43 @@ class TestPrivateServer:
             assert os.waitstatus_to_exitcode(status) == 0
             assert owner.results_count() == 0
             assert owner.claimed_count() == 1
+
+    def test_directory_name_carries_the_coordinator_pid(self):
+        with private_server() as server:
+            name = os.path.basename(
+                os.path.dirname(parse_queue_url(server.url)))
+            assert name.startswith(f"repro-broker-{os.getpid()}-")
+
+    def test_sweep_removes_only_dead_coordinators_directories(self, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", ""])
+        child.wait()  # reaped: its pid names no live process
+        dead = tmp_path / f"repro-broker-{child.pid}-a"
+        live = tmp_path / f"repro-broker-{os.getpid()}-b"
+        old_style = tmp_path / "repro-broker-abc123"
+        for directory in (dead, live, old_style):
+            directory.mkdir()
+            (directory / "broker.sock").write_bytes(b"")
+        target = tmp_path / "elsewhere"
+        target.mkdir()
+        link = tmp_path / f"repro-broker-{child.pid}-c"
+        link.symlink_to(target, target_is_directory=True)
+        plain = tmp_path / f"repro-broker-{child.pid}-d"
+        plain.write_bytes(b"")
+        assert sweep_stale_private_dirs(str(tmp_path)) == [str(dead)]
+        assert not dead.exists()
+        for kept in (live, old_style, target, link, plain):
+            assert kept.exists()
+
+    @pytest.mark.skipif(os.geteuid() != 0,
+                        reason="giving a directory away needs root")
+    def test_sweep_keeps_another_users_directory(self, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", ""])
+        child.wait()
+        theirs = tmp_path / f"repro-broker-{child.pid}-a"
+        theirs.mkdir()
+        os.chown(theirs, 65534, 65534)
+        assert sweep_stale_private_dirs(str(tmp_path)) == []
+        assert theirs.exists()
 
 
 class TestServerRobustness:
