@@ -152,6 +152,40 @@ def test_concrete_run_replace_cost(benchmark):
     assert state.output_values() == expected
 
 
+@pytest.mark.benchmark(group="interp-hotpath")
+def test_symbolic_search_tcas_memory_cost(benchmark):
+    """One tcas memory-fault search: memory word 1006 holds ``err`` from
+    the first visit to pc 11 on.
+
+    About 3,100 search states, nearly all chain states (only successors
+    that fall through to an unlabelled pc and still hold ``err``), so
+    the time is the chained lineage between merge points: superblocks
+    where no register holds ``err``, single steps where one does.
+    """
+    from repro.core import BoundedModelChecker
+    from repro.core.campaign import prepare_injected_state
+
+    workload = load_workload("tcas")
+    campaign, query = workload.campaign(kind="err-output",
+                                        fault_model="memory",
+                                        max_states_per_injection=5000)
+    [injection] = [injection for injection in campaign.plan_injections()
+                   if injection.breakpoint_pc == 11
+                   and injection.target.index == 1006]
+    golden = campaign.golden_futures()
+    state = prepare_injected_state(
+        workload.program, injection, campaign.fresh_initial_state(),
+        detectors=workload.detectors,
+        max_prefix_steps=campaign.execution_config.max_steps, golden=golden)
+    executor = Executor(workload.program, workload.detectors,
+                        campaign.execution_config)
+    checker = BoundedModelChecker(executor, max_states=5000, golden=golden)
+
+    result = benchmark(checker.search, [state], query)
+    assert result.completed
+    assert result.statistics.explored_states > 3000
+
+
 def symbolic_golden_run(workload, executor):
     state = workload.initial_state()
     while state.is_running:

@@ -36,6 +36,7 @@ from .detectors import DetectorSet, EMPTY_DETECTORS
 from .faults import FAULT_MODELS, fault_model
 from .frontend import generate_query, translate_mips
 from .isa import assemble
+from .isa.parser import AssemblyError
 from .lang import compile_source
 from .machine import ExecutionConfig, run_concrete
 from .machine.executor import CONTROL_FORK_DOMAINS
@@ -101,7 +102,11 @@ def _load_workload(args: argparse.Namespace) -> Workload:
             workload.detectors = detectors
     elif args.program:
         with open(args.program, "r", encoding="utf-8") as handle:
-            program = assemble(handle.read(), name=args.program)
+            source = handle.read()
+        try:
+            program = assemble(source, name=args.program)
+        except AssemblyError as exc:
+            raise SystemExit(f"{args.program}: {exc}") from None
         workload = Workload(name=args.program, program=program,
                             detectors=detectors, default_input=input_values,
                             recommended_max_steps=args.max_steps)

@@ -108,9 +108,10 @@ class ConstraintMap:
 
     def without(self, location: Location) -> "ConstraintMap":
         """Drop every fact about *location* (it was overwritten by a concrete value)."""
-        if location not in self._sets and not any(
+        relational = self._relational
+        if location not in self._sets and (not relational or not any(
                 rel.left == location or rel.right == location
-                for rel in self._relational):
+                for rel in relational)):
             return self
         new_sets = {loc: cset for loc, cset in self._sets.items() if loc != location}
         new_relational = frozenset(

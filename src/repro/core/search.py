@@ -10,6 +10,9 @@ on top of the symbolic executor:
 * duplicate states (same fingerprint) are explored only once.  States can
   only merge where control flow joins, so a state is fingerprinted only
   where it may equal one already seen (see :meth:`BoundedModelChecker.search`);
+* between those merge points an ``err`` lineage runs ahead in place as a
+  chain, through superblocks where no register holds ``err``, while the
+  pops keep breadth-first order exactly;
 * branches whose constraint maps are unsatisfiable never reach the frontier
   (the executor prunes them);
 * the search is bounded by the watchdog instruction limit (carried by the
@@ -26,10 +29,10 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .. import obs as _obs
-from ..machine.decode import decoded_program
 from ..machine.executor import (SEARCH_MARK_STRIDE, ConcreteFutures, Executor,
                                 run_concrete)
-from ..machine.state import Fingerprint, MachineState, state_contains_err
+from ..machine.state import (Fingerprint, MachineState, Status,
+                             state_contains_err)
 from .queries import SearchQuery
 
 
@@ -228,18 +231,43 @@ class BoundedModelChecker:
         watchdog, which counts steps where the fingerprint does not: a
         deeper copy that reaches ``max_steps`` before the next fingerprinted
         state ends as a ``TIMEOUT``, a hang the earlier merge had dropped.
+
+        Such a *chain state* is neither fingerprinted nor branched at, so
+        its lineage runs ahead in place from the popped state
+        (:meth:`Executor.chain`, through superblocks where no register
+        holds ``err``), while the pops keep exactly the breadth-first order
+        of stepping one state per pop.  A frontier entry is ``(state,
+        depth, credits, pending)``: *credits* counts the chain pops already
+        run ahead.  Popping a credited entry only counts an explored and an
+        expanded state and re-appends the entry one level deeper.  At the
+        pop that spends the last credit, *pending* is the chain's last
+        result and applies there: the successors to dedup and queue, or the
+        exception to raise.  ``None`` means the state is stepped at that
+        pop as usual.  When every entry holds credits, whole rounds run in
+        one step, stopping exactly at the state budget.  Queue order,
+        budget cut points, dedup races and the solution order are those of
+        one state per pop, and so is every field of the result.  A chain
+        never runs past the last pop the state budget allows, and a load,
+        store or ``jr`` through an ``err`` register waits for its own pop,
+        so a search cut early builds none of those forks.  Telemetry counts
+        ``search.chain_pops`` (pops served by credit, bulk ones included),
+        ``search.chain_blocks`` and ``search.bulk_rounds``.
         """
         start_time = time.monotonic()
         executor = self.executor
         steps_before = executor.steps_executed
         concrete_before = executor.concrete_steps
         collapsed_before = executor.collapsed_loads
+        blocks_before = executor.chain_blocks
         deduplicate = self.deduplicate
-        labelled = decoded_program(executor.program).labelled
+        max_states = self.max_states
         fingerprints = 0
         statistics = SearchStatistics()
         solutions: List[Solution] = []
+        # Entries are (state, depth, credits, pending); see the docstring.
         frontier: deque = deque()
+        credited = 0  # entries holding credits
+        chain_pops = bulk_rounds = 0
         # Fingerprints hash in O(1) (rolling hashes maintained by the state's
         # write API) and compare structurally on collision, so membership
         # tests here cost O(1) expected without risking a false merge.
@@ -254,16 +282,22 @@ class BoundedModelChecker:
         # reuses a popped state as its own successor, so the caller's
         # initial states are copied once here and never touched.
         for state in initial_states:
-            frontier.append((state.copy(), 0))
+            frontier.append((state.copy(), 0, 0, None))
 
+        # The hot counters live in locals until the loop ends.
+        explored = expanded = max_frontier = 0
+        running = Status.RUNNING
+        concretize = self.concretize
         while frontier:
-            statistics.max_frontier = max(statistics.max_frontier, len(frontier))
+            size = len(frontier)
+            if size > max_frontier:
+                max_frontier = size
 
             if len(solutions) >= self.max_solutions:
                 stop_reason = "solution cap reached"
                 completed = False
                 break
-            if statistics.explored_states >= self.max_states:
+            if explored >= max_states:
                 stop_reason = "state budget exhausted"
                 completed = False
                 break
@@ -273,43 +307,81 @@ class BoundedModelChecker:
                 completed = False
                 break
 
-            state, depth = frontier.popleft()
-            statistics.explored_states += 1
+            if credited == size:
+                # Every entry holds credits: whole rounds of credited pops
+                # keep the queue order, so run them in one step, stopping
+                # before a round would cross the state budget.
+                rounds = min(min(entry[2] for entry in frontier),
+                             (max_states - explored) // size)
+                if rounds:
+                    popped = rounds * size
+                    explored += popped
+                    expanded += popped
+                    chain_pops += popped
+                    bulk_rounds += rounds
+                    frontier = deque((state, depth + rounds, credits - rounds,
+                                      pending)
+                                     for state, depth, credits, pending
+                                     in frontier)
+                    credited = sum(1 for entry in frontier if entry[2])
+                    continue
 
-            if state.is_running and self.concretize and not state_contains_err(state):
-                if futures is None:
-                    futures = ConcreteFutures(
-                        executor.program, executor.detectors, state.input,
-                        SEARCH_MARK_STRIDE, parent=self.golden)
-                run_concrete(executor.program, state, executor.detectors,
-                             max_steps=executor.config.max_steps,
-                             futures=futures)
+            state, depth, credits, pending = frontier.popleft()
+            explored += 1
 
-            if not state.is_running:
-                statistics.terminal_states += 1
-                if query(state):
-                    solutions.append(Solution(state=state, depth=depth))
+            if credits:
+                # A chain state the chain has already stepped: its pop only
+                # counts, and the entry moves on to the next one.
+                expanded += 1
+                chain_pops += 1
+                if credits == 1:
+                    credited -= 1
+                frontier.append((state, depth + 1, credits - 1, pending))
                 continue
 
-            pc = state.pc  # advance may reuse *state* as its successor
-            successors = executor.advance(state)
-            statistics.expanded_states += 1
+            if pending is None:
+                if (concretize and state.status is running
+                        and not state_contains_err(state)):
+                    if futures is None:
+                        futures = ConcreteFutures(
+                            executor.program, executor.detectors, state.input,
+                            SEARCH_MARK_STRIDE, parent=self.golden)
+                    run_concrete(executor.program, state, executor.detectors,
+                                 max_steps=executor.config.max_steps,
+                                 futures=futures)
+
+                if state.status is not running:
+                    statistics.terminal_states += 1
+                    if query(state):
+                        solutions.append(Solution(state=state, depth=depth))
+                    continue
+
+                # The entry's next pop comes after every entry queued now,
+                # so at most this many chain states are ever popped.
+                chained, state, pending = executor.chain(
+                    state, max_states - explored - len(frontier))
+                expanded += 1
+                if chained:
+                    # The successor is a chain state; the chain's later
+                    # states are credits of the same entry.
+                    if chained > 1:
+                        credited += 1
+                    frontier.append((state, depth + 1, chained - 1, pending))
+                    continue
+            else:
+                # The last chain state, advanced ahead: its result applies now.
+                expanded += 1
+                if pending.__class__ is not list:
+                    raise pending
+
+            successors = pending
             if not successors:
                 statistics.pruned_states += 1
                 continue
             if not deduplicate:
                 for successor in successors:
-                    frontier.append((successor, depth + 1))
+                    frontier.append((successor, depth + 1, 0, None))
                 continue
-            if len(successors) == 1:
-                successor = successors[0]
-                # An int parent pc whose successor sits at pc + 1 was a valid
-                # address, so the fall-through pc indexes ``labelled``.
-                if (type(pc) is int and successor.pc == pc + 1
-                        and not labelled[pc + 1] and successor.is_running
-                        and state_contains_err(successor)):
-                    frontier.append((successor, depth + 1))
-                    continue
             for successor in successors:
                 fingerprints += 1
                 fingerprint = successor.fingerprint()
@@ -317,8 +389,11 @@ class BoundedModelChecker:
                     statistics.deduplicated_states += 1
                     continue
                 seen.add(fingerprint)
-                frontier.append((successor, depth + 1))
+                frontier.append((successor, depth + 1, 0, None))
 
+        statistics.explored_states = explored
+        statistics.expanded_states = expanded
+        statistics.max_frontier = max_frontier
         collapsed = executor.collapsed_loads - collapsed_before
         statistics.deduplicated_states += collapsed
         statistics.elapsed_seconds = time.monotonic() - start_time
@@ -332,6 +407,10 @@ class BoundedModelChecker:
             hub.count("search.deduplicated", statistics.deduplicated_states)
             hub.count("search.fingerprints", fingerprints)
             hub.count("search.collapsed_loads", collapsed)
+            hub.count("search.chain_pops", chain_pops)
+            hub.count("search.chain_blocks",
+                      executor.chain_blocks - blocks_before)
+            hub.count("search.bulk_rounds", bulk_rounds)
             hub.observe("search.seconds", statistics.elapsed_seconds)
             hub.count("executor.steps",
                       executor.steps_executed - steps_before)

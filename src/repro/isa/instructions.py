@@ -112,6 +112,9 @@ ARITHMETIC_RRR = ("add", "sub", "mult", "div", "mod", "and", "or", "xor")
 ARITHMETIC_RRI = ("addi", "subi", "multi", "divi", "modi", "ori", "andi",
                   "xori", "slli", "srli")
 
+#: Shifts by an immediate count, which must not be negative.
+SHIFT_IMMEDIATES = ("slli", "srli")
+
 #: Comparison setters (register-register-register form).
 COMPARE_RRR = ("seteq", "setne", "setgt", "setlt", "setge", "setle")
 
@@ -212,6 +215,9 @@ class Instruction:
                 if not isinstance(operand, int):
                     raise InvalidInstructionError(
                         f"{self.opcode}: bad immediate operand {operand!r}")
+                if self.opcode in SHIFT_IMMEDIATES and operand < 0:
+                    raise InvalidInstructionError(
+                        f"{self.opcode}: negative shift count {operand}")
             else:
                 if not isinstance(operand, str):
                     raise InvalidInstructionError(

@@ -26,7 +26,8 @@ from __future__ import annotations
 import re
 from typing import List, Optional, Tuple
 
-from .instructions import (INSTRUCTION_SET, Instruction, NUM_REGISTERS,
+from .instructions import (INSTRUCTION_SET, Instruction,
+                           InvalidInstructionError, NUM_REGISTERS,
                            OperandKind)
 from .program import Program, ProgramBuilder, ProgramError
 
@@ -140,7 +141,12 @@ def parse_instruction(text: str, line_number: int = 0) -> Instruction:
     operands = tuple(
         _parse_operand(kind, token_kind, token, opcode, line_number)
         for kind, (token_kind, token) in zip(spec.signature, operand_tokens))
-    return Instruction(opcode, operands)
+    instruction = Instruction(opcode, operands)
+    try:
+        instruction.validate()
+    except InvalidInstructionError as exc:
+        raise AssemblyError(str(exc), line_number) from exc
+    return instruction
 
 
 def assemble(source: str, name: str = "program") -> Program:

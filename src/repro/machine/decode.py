@@ -24,7 +24,10 @@ once per program and caches the result, so the hot loops become
   a single generated function.  ``run_concrete`` enters a superblock when the
   program counter sits on a block leader and the step budget allows the whole
   block; faults, detectors (``check``), control transfers and interpreter
-  breakpoints fall back to the single-instruction ops.  A block keeps its
+  breakpoints fall back to the single-instruction ops.  The symbolic
+  search's chains (``Executor.chain``) enter them too, where no label
+  lies inside or at the end of the block (``chain_block_lens``) and no
+  register holds ``err``.  A block keeps its
   registers in Python locals: each source register is read from the state
   once, at its first use, and each destination is written back once through
   ``write_register`` at every block exit — the end of the block, or a
@@ -46,6 +49,9 @@ once per program and caches the result, so the hot loops become
 * ``labelled`` — one flag per pc marking the label addresses, the points
   where a fall-through can meet a jump or branch and search states can
   merge; the model checker fingerprints a fall-through state only there.
+  ``chain_block_lens`` — per pc, the length of the superblock there if no
+  pc it falls through to carries a label, else 0: the blocks a search
+  chain may run in one call.
 
 All generated code mutates state exclusively through the CoW write API
 (``write_register`` / ``write_memory`` / ``append_output``), preserving the
@@ -145,12 +151,16 @@ class DecodedInstruction:
     It is ``None`` for ``check`` (a detector reads whatever its expression
     names) and for unhandled specials, which always take the symbolic
     handlers.
+
+    ``fork_base`` is the register whose ``err`` makes the instruction fork
+    over an address domain — the base of a load or store, the target of a
+    ``jr`` — and ``None`` for every other instruction.
     """
 
     __slots__ = ("pc", "next_pc", "instruction", "opcode", "category", "text",
                  "source", "a", "b", "c", "third_is_reg", "operator",
                  "divmod", "compare_op", "target", "special",
-                 "is_mov", "is_print", "reads")
+                 "is_mov", "is_print", "reads", "fork_base")
 
     def __init__(self, pc: int, instruction: Instruction,
                  program: Program) -> None:
@@ -213,6 +223,11 @@ class DecodedInstruction:
                 self.special = "unhandled"
                 self.b = (f"unhandled special opcode {self.opcode} "
                           f"at pc {pc} ({self.source})")
+        self.fork_base: Optional[int] = None
+        if category in (Category.LOAD, Category.STORE):
+            self.fork_base = self.b
+        elif category is Category.JUMP_REGISTER:
+            self.fork_base = self.a
         self.reads: Optional[Tuple[int, ...]] = None
         if category is not Category.CHECK and self.special != "unhandled":
             self.reads = tuple([operands[i] for i in instruction.spec.reads
@@ -387,10 +402,9 @@ def _emit_block(entries: Sequence[DecodedInstruction], start: int,
     overlay and base directly; stores, input and output go through the
     state API in program order.  Every register and memory write still
     passes the write API, so the XOR location hash, the err census and the
-    constraint map end equal to single-stepping's.  (A negative shift
-    count is none of these exits: single-stepping raises ``ValueError``
-    part-way through the instruction, and no caller reads the state after
-    that.)
+    constraint map end equal to single-stepping's.  (A shift raises no
+    exit: its count is an immediate, and building the instruction rejects
+    a negative one.)
     """
     lines = ["    steps = state.steps",
              "    rov = state._registers._overlay",
@@ -568,8 +582,9 @@ class DecodedProgram:
     """
 
     __slots__ = ("name", "length", "entries", "concrete_ops", "block_fns",
-                 "block_lens", "labelled", "_label_addresses", "_ct_targets",
-                 "_fork_targets", "__weakref__")
+                 "block_lens", "chain_block_lens", "labelled",
+                 "_label_addresses", "_ct_targets", "_fork_targets",
+                 "__weakref__")
 
     def __init__(self, program: Program) -> None:
         self.name = program.name
@@ -603,6 +618,14 @@ class DecodedProgram:
                                   "interp.superblocks_compiled")
             self.block_lens[start] = end - start
         self.block_fns = blocks
+        #: ``chain_block_lens[pc]`` is ``block_lens[pc]`` where no pc in
+        #: ``pc + 1 .. end`` carries a label, else 0: every state the block
+        #: passes through, and the one it leaves, is a fall-through to an
+        #: unlabelled pc, so a search chain may run the block in one call.
+        labelled = self.labelled
+        self.chain_block_lens = bytes(
+            size if size and not any(labelled[pc + 1:pc + size + 1]) else 0
+            for pc, size in enumerate(self.block_lens))
         hub = _obs.get()
         if hub.enabled:
             hub.count("interp.programs_decoded")

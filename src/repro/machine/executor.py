@@ -213,6 +213,8 @@ class Executor:
         #: Lifetime count of load-fork siblings never built because an
         #: earlier fork address loaded the same concrete value.
         self.collapsed_loads = 0
+        #: Lifetime count of superblocks that :meth:`chain` ran.
+        self.chain_blocks = 0
         self._decoded: DecodedProgram = decoded_program(program)
         if self.config.legacy_dispatch:
             self._dispatch = None
@@ -344,6 +346,130 @@ class Executor:
                     return []
                 return [state]
         return self.step(state)
+
+    def chain(self, state: MachineState, limit: int
+              ) -> Tuple[int, Optional[MachineState], object]:
+        """:meth:`advance` *state*, then keep advancing while it chains.
+
+        A *chain state* is the only successor of its parent, fell through
+        to a pc that carries no label, is still running and still holds
+        ``err``.  The model checker neither fingerprints nor branches at
+        one, so the pops that would step it can run now, ahead of
+        breadth-first order, and be counted at their turn.  The chain ends
+        at the first step that does not make a chain state.
+
+        Returns ``(n, last, result)``: *n* chain states were made and
+        *last* is the *n*-th.  *result* is what advancing *last* gave: its
+        successor list, or, when *n* > 0, the exception it raised.  It is
+        ``None`` when the chain stopped before advancing *last*: past
+        *limit* chain states, or at a load, store or ``jr`` through an
+        ``err`` register, whose fork is built only at its own pop.  *last*
+        is ``None`` where *result* is a list (the step may have consumed
+        it).  With *n* 0, *result* is ``advance(state)``, which may raise.
+
+        On a leader of ``chain_block_lens``, with no register holding
+        ``err`` and the watchdog beyond the block's end, the chain runs the
+        whole superblock on a copy.  A block writes no ``err``, so the err
+        census only falls inside it: if the copy ends running and still
+        holding ``err``, every state in between was a chain state.  Else the
+        chain keeps the state from before the block and single-steps.  The
+        block skips ``advance``'s satisfiability check: a concrete write
+        only drops facts from the constraint map (``ConstraintMap.without``),
+        which keeps a satisfiable map satisfiable, so only the popped state
+        itself (``n`` 0) is checked before a block.  For the same reason a
+        concrete step of a chain state skips the check too.
+        """
+        decoded = self._decoded
+        entries = decoded.entries
+        labelled = decoded.labelled
+        length = decoded.length
+        config = self.config
+        # Blocks and inline concrete steps follow the decoded dispatch and
+        # record no trace; otherwise every step goes through advance.
+        fast = self._dispatch is not None and not config.record_trace
+        ops = decoded.concrete_ops
+        block_fns = decoded.block_fns
+        chain_lens = decoded.chain_block_lens
+        max_steps = config.max_steps
+        prune = config.prune_unsatisfiable
+        detectors = self.detectors
+        running = Status.RUNNING
+        n = 0
+        while True:
+            pc = state.pc
+            valid = type(pc) is int and 0 <= pc < length
+            inline = valid and fast
+            steps = state.steps
+            if inline:
+                size = chain_lens[pc]
+                if (size and not state._reg_err_count
+                        and steps + size <= max_steps
+                        and (n or not prune
+                             or state.constraints.satisfiable())):
+                    trial = state.copy()
+                    try:
+                        block_fns[pc](trial)
+                        chained = (trial.status is running
+                                   and trial._err_count > 0)
+                    except Exception:
+                        # Whatever the block raised, single-stepping
+                        # raises again at the pop it belongs to.
+                        chained = False
+                    if chained:
+                        state = trial
+                        n += size
+                        self.steps_executed += size
+                        self.concrete_steps += size
+                        self.chain_blocks += 1
+                        if n > limit:
+                            return n, state, None
+                        continue
+            if n and valid:
+                entry = entries[pc]
+                base = entry.fork_base
+                if base is not None and state.read_register(base) is ERR:
+                    return n, state, None
+            try:
+                if not (n and inline):
+                    successors = self.advance(state)
+                else:
+                    reads = entry.reads
+                    concrete = steps < max_steps and reads is not None
+                    if concrete and state._reg_err_count:
+                        read = state.read_register
+                        for number in reads:
+                            if read(number) is ERR:
+                                concrete = False
+                                break
+                    if concrete:
+                        # advance's concrete step, in place.  A load that
+                        # meets an err cell raises before any write.
+                        try:
+                            ops[pc](state, detectors)
+                        except SymbolicValueEncountered:
+                            state.steps = steps
+                            concrete = False
+                    if concrete:
+                        self.steps_executed += 1
+                        self.concrete_steps += 1
+                        successors = [state]
+                    else:
+                        successors = self.step(state)
+            except Exception as exc:
+                if not n:
+                    raise
+                return n, None, exc
+            if len(successors) == 1:
+                successor = successors[0]
+                if (valid and successor.pc == pc + 1 and not labelled[pc + 1]
+                        and successor.status is running
+                        and successor._err_count > 0):
+                    state = successor
+                    n += 1
+                    if n > limit:
+                        return n, state, None
+                    continue
+            return n, None, successors
 
     def run(self, state: MachineState,
             max_states: int = 1_000_000) -> List[MachineState]:

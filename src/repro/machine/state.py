@@ -375,6 +375,11 @@ def _zero_registers_hash() -> int:
 _ZERO_REGISTERS_HASH: Optional[int] = None
 
 
+#: One shared (immutable) :class:`Location` per register, for the write path.
+_REGISTER_LOCATIONS = tuple(Location.register(number)
+                            for number in range(NUM_REGISTERS))
+
+
 class MachineState:
     """A complete machine state.
 
@@ -389,7 +394,7 @@ class MachineState:
     __slots__ = ("pc", "_registers", "_memory", "input", "input_pos",
                  "_output", "constraints", "steps", "status", "exception",
                  "detector_id", "trace", "forks", "_loc_hash", "_out_hash",
-                 "_err_count")
+                 "_err_count", "_reg_err_count")
 
     def __init__(self,
                  pc: Value = 0,
@@ -434,6 +439,9 @@ class MachineState:
                 loc_hash ^= _register_mix(number, value)
                 if is_err(value):
                     err_count += 1
+        #: The register share of the err census (O(1): "does any
+        #: register hold err?"), kept by write_register.
+        self._reg_err_count: int = err_count
         for address, value in self._memory._base.items():
             loc_hash ^= _memory_mix(address, value)
             if is_err(value):
@@ -485,6 +493,7 @@ class MachineState:
         clone._loc_hash = self._loc_hash
         clone._out_hash = self._out_hash
         clone._err_count = self._err_count
+        clone._reg_err_count = self._reg_err_count
         return clone
 
     def flatten(self) -> None:
@@ -524,6 +533,7 @@ class MachineState:
         self._loc_hash = terminal._loc_hash
         self._out_hash = terminal._out_hash
         self._err_count = terminal._err_count
+        self._reg_err_count = terminal._reg_err_count
 
     # ---------------------------------------------------------------- pickling
 
@@ -591,12 +601,14 @@ class MachineState:
         if is_err(old):
             if not is_err(value):
                 self._err_count -= 1
+                self._reg_err_count -= 1
         elif is_err(value):
             self._err_count += 1
+            self._reg_err_count += 1
         constraints = self.constraints
         if constraints.empty and transfer_from is None:
             return  # nothing to clear and nothing to carry over
-        destination = Location.register(number)
+        destination = _REGISTER_LOCATIONS[number]
         if is_err(value) and transfer_from is not None:
             self.constraints = constraints.without(destination) \
                                           .transfer(transfer_from, destination)

@@ -17,7 +17,8 @@ from repro.constraints import (ComparisonOp, Constraint, ConstraintMap,
                                ConstraintSet, Location, RelationalConstraint)
 from repro.detectors import DetectorSet
 from repro.faults import BitFlipFaultSpec, BurstFaultSpec, FaultSpec
-from repro.isa.instructions import INSTRUCTION_SET, NUM_REGISTERS, make
+from repro.isa.instructions import (INSTRUCTION_SET, NUM_REGISTERS,
+                                    SHIFT_IMMEDIATES, make)
 from repro.isa.program import Program
 from repro.isa.values import ERR
 from repro.machine.state import (_MEMORY_FLATTEN_LIMIT,
@@ -31,7 +32,9 @@ _IMMS = st.integers(-4, 7)
 _ADDRS = st.integers(0, 7)
 
 _ARITH = ("add", "sub", "mult", "div", "mod", "addi", "subi", "multi",
-          "divi", "modi", "ori", "andi", "xori")
+          "divi", "modi", "ori", "andi", "xori", "slli", "srli")
+#: Shift counts: the ISA rejects a negative one when it is built.
+_SHIFTS = st.integers(0, 7)
 _COMPARE = ("seteq", "setne", "setgt", "setlt", "setge", "setle",
             "seteqi", "setnei", "setgti", "setlti", "setgei", "setlei")
 
@@ -42,6 +45,14 @@ _DETECTORS = DetectorSet.parse("det(1, $(2), >=, ($(3)) + *(4))")
 
 def _label_for(target: int) -> str:
     return f"L{target}"
+
+
+def _third(opcode: str):
+    """The third operand of an arithmetic or compare *opcode*."""
+    if opcode in SHIFT_IMMEDIATES:
+        return _SHIFTS
+    return _IMMS if INSTRUCTION_SET[opcode].signature[2].value == "imm" \
+        else _REGS
 
 
 @st.composite
@@ -58,9 +69,7 @@ def _instruction(draw, n_labels: int):
     else:
         opcode = kind
     if kind in ("arith", "compare"):
-        sig = INSTRUCTION_SET[opcode].signature
-        third = draw(_IMMS) if sig[2].value == "imm" else draw(_REGS)
-        return make(opcode, draw(_REGS), draw(_REGS), third)
+        return make(opcode, draw(_REGS), draw(_REGS), draw(_third(opcode)))
     if kind == "mov":
         return make("mov", draw(_REGS), draw(_REGS))
     if kind == "li":

@@ -52,6 +52,14 @@ class TestRunCommand:
         assert main(["run", "--program", asm_file]) == 1
         assert "input exhausted" in capsys.readouterr().out
 
+    def test_run_rejects_a_negative_shift_count_by_line(self, tmp_path):
+        path = tmp_path / "shift.s"
+        path.write_text("li $2, 3\nslli $1 $2 #-1\nhalt\n")
+        with pytest.raises(SystemExit) as raised:
+            main(["run", "--program", str(path)])
+        assert str(raised.value) == \
+            f"{path}: line 2: slli: negative shift count -1"
+
     def test_exactly_one_source_required(self, asm_file):
         with pytest.raises(SystemExit):
             main(["run", "--program", asm_file, "--workload", "factorial"])

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.constraints import (ComparisonOp, Constraint, ConstraintMap, ConstraintSet,
                                Location, RelationalConstraint, from_constraints,
                                relational_conflict)
+from strategies import _LOCATIONS, _constraint_map
 
 
 # --------------------------------------------------------------------- Location
@@ -209,6 +210,22 @@ class TestConstraintMap:
         assert not cleared.relational()
         # untouched map keeps its facts
         assert loc_a in cmap
+
+    @settings(max_examples=500, deadline=None)
+    @given(cmap=_constraint_map(), data=st.data())
+    def test_without_keeps_a_satisfiable_map_satisfiable(self, cmap, data):
+        """A concrete write only drops facts, so it cannot make a feasible
+        path infeasible: the search's chains skip the per-instruction
+        satisfiability check inside a superblock on this ground."""
+        if not cmap.satisfiable():
+            return
+        named = sorted(set(cmap._sets)
+                       | {end for rel in cmap.relational()
+                          for end in (rel.left, rel.right)},
+                       key=lambda location: (location.kind, location.index))
+        choices = [_LOCATIONS] + ([st.sampled_from(named)] if named else [])
+        location = data.draw(st.one_of(*choices))
+        assert cmap.without(location).satisfiable()
 
     def test_transfer_copies_constraints(self):
         src, dst = Location.register(1), Location.register(2)

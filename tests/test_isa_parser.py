@@ -27,6 +27,17 @@ class TestParseInstruction:
         assert instruction.opcode == "addi"
         assert instruction.operands == (3, 4, -7)
 
+    def test_negative_shift_count_is_rejected_with_its_line(self):
+        assert parse_instruction("slli $1 $2 #0").operands == (1, 2, 0)
+        with pytest.raises(AssemblyError,
+                           match="line 3: srli: negative shift count -2"):
+            assemble("li $2, 1\nnop\nsrli $1 $2 #-2\nhalt\n")
+        for opcode in ("slli", "srli"):
+            with pytest.raises(ValueError, match="negative shift count"):
+                make(opcode, 1, 2, -1)
+        # Other immediates may be negative.
+        assert make("addi", 1, 2, -1).operands == (1, 2, -1)
+
     def test_bare_immediates_allowed(self):
         assert parse_instruction("beq $5 0 exit").operands == (5, 0, "exit")
 
