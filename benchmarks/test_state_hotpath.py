@@ -186,6 +186,41 @@ def test_symbolic_search_tcas_memory_cost(benchmark):
     assert result.statistics.explored_states > 3000
 
 
+@pytest.mark.benchmark(group="interp-hotpath")
+def test_symbolic_search_replace_register_cost(benchmark):
+    """One replace register-fault search: the stack pointer ``$29`` holds
+    ``err`` from the first visit to pc 980, and the search stops at a
+    1,000-state budget.
+
+    Every load and store through ``$29`` forks over memory, so the
+    frontier outgrows the budget long before the last pop: this times
+    a budget-cut search, where the pops past the settled cut step
+    nothing, as 110 of the replace register sweep's searches end.
+    """
+    from repro.core import BoundedModelChecker
+    from repro.core.campaign import prepare_injected_state
+
+    workload = load_workload("replace")
+    campaign, query = workload.campaign(kind="err-output",
+                                        fault_model="register",
+                                        max_states_per_injection=1000)
+    [injection] = [injection for injection in campaign.plan_injections()
+                   if injection.breakpoint_pc == 980
+                   and injection.target.index == 29]
+    golden = campaign.golden_futures()
+    state = prepare_injected_state(
+        workload.program, injection, campaign.fresh_initial_state(),
+        detectors=workload.detectors,
+        max_prefix_steps=campaign.execution_config.max_steps, golden=golden)
+    executor = Executor(workload.program, workload.detectors,
+                        campaign.execution_config)
+    checker = BoundedModelChecker(executor, max_states=1000, golden=golden)
+
+    result = benchmark(checker.search, [state], query)
+    assert result.stop_reason == "state budget exhausted"
+    assert result.statistics.explored_states == 1000
+
+
 def symbolic_golden_run(workload, executor):
     state = workload.initial_state()
     while state.is_running:

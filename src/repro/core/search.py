@@ -18,7 +18,9 @@ on top of the symbolic executor:
 * the search is bounded by the watchdog instruction limit (carried by the
   executor's configuration), a state budget, a wall-clock budget and a cap on
   the number of solutions — mirroring the per-task caps used for the cluster
-  runs in Section 6.1 (at most 10 errors and 30 minutes per task).
+  runs in Section 6.1 (at most 10 errors and 30 minutes per task);
+* once the state budget is certain to cut the search, it steps no state
+  whose successors would never be popped.
 """
 
 from __future__ import annotations
@@ -50,7 +52,16 @@ class Solution:
 
 @dataclass
 class SearchStatistics:
-    """Counters describing one search run."""
+    """Counters describing one search run.
+
+    ``explored_states`` counts pops, ``expanded_states`` pops of a running
+    state and ``terminal_states`` pops of a terminal one; the three are
+    those of stepping every popped state, also past a settled budget cut
+    (see :meth:`BoundedModelChecker.search`), where a running state is
+    counted as expanded without being stepped.  ``deduplicated_states``,
+    ``pruned_states`` and ``max_frontier`` count only what the search
+    built: past a settled cut it builds nothing, so they stop growing.
+    """
 
     explored_states: int = 0
     expanded_states: int = 0
@@ -246,12 +257,30 @@ class BoundedModelChecker:
         pop as usual.  When every entry holds credits, whole rounds run in
         one step, stopping exactly at the state budget.  Queue order,
         budget cut points, dedup races and the solution order are those of
-        one state per pop, and so is every field of the result.  A chain
-        never runs past the last pop the state budget allows, and a load,
-        store or ``jr`` through an ``err`` register waits for its own pop,
-        so a search cut early builds none of those forks.  Telemetry counts
+        one state per pop, and so is every field of the result up to a
+        settled cut (below).  A chain never runs past the last pop the
+        state budget allows, and a load, store or ``jr`` through an ``err``
+        register waits for its own pop, so a search cut early builds none
+        of those forks.
+
+        The budget cut is *settled* once ``explored + len(frontier) >
+        max_states``: the last queued entry is never popped, nor is
+        anything queued after it, and the sum never falls again (a plain
+        pop leaves it flat, a credited pop raises it).  From there the
+        search steps nothing.  Credited pops and bulk rounds count as
+        before, an err-free running state still runs its concrete tail and
+        a terminal state still counts and may be a solution; any other
+        popped running state, and an entry carrying *pending*, counts as
+        explored and expanded and is dropped.  A successor loop queues up
+        to the successor that settles the cut and no further.  So the
+        solutions, their depths, ``completed``, ``stop_reason`` and the
+        explored, expanded and terminal counts are those of stepping every
+        popped state; ``deduplicated_states``, ``pruned_states`` and
+        ``max_frontier`` count only what was built, and a step past the
+        settled cut that would raise is never taken.  Telemetry counts
         ``search.chain_pops`` (pops served by credit, bulk ones included),
-        ``search.chain_blocks`` and ``search.bulk_rounds``.
+        ``search.chain_blocks``, ``search.bulk_rounds`` and
+        ``search.cut_pops`` (pops dropped past a settled cut).
         """
         start_time = time.monotonic()
         executor = self.executor
@@ -267,7 +296,7 @@ class BoundedModelChecker:
         # Entries are (state, depth, credits, pending); see the docstring.
         frontier: deque = deque()
         credited = 0  # entries holding credits
-        chain_pops = bulk_rounds = 0
+        chain_pops = bulk_rounds = cut_pops = 0
         # Fingerprints hash in O(1) (rolling hashes maintained by the state's
         # write API) and compare structurally on collision, so membership
         # tests here cost O(1) expected without risking a false merge.
@@ -339,6 +368,10 @@ class BoundedModelChecker:
                 frontier.append((state, depth + 1, credits - 1, pending))
                 continue
 
+            # The pops the budget leaves after every entry queued now.  Below
+            # zero the cut is settled: the last queued entry is never popped,
+            # so neither is anything queued from here on.  Step nothing.
+            room = max_states - explored - len(frontier)
             if pending is None:
                 if (concretize and state.status is running
                         and not state_contains_err(state)):
@@ -356,11 +389,14 @@ class BoundedModelChecker:
                         solutions.append(Solution(state=state, depth=depth))
                     continue
 
+            expanded += 1
+            if room < 0:
+                cut_pops += 1
+                continue
+            if pending is None:
                 # The entry's next pop comes after every entry queued now,
-                # so at most this many chain states are ever popped.
-                chained, state, pending = executor.chain(
-                    state, max_states - explored - len(frontier))
-                expanded += 1
+                # so at most *room* chain states are ever popped.
+                chained, state, pending = executor.chain(state, room)
                 if chained:
                     # The successor is a chain state; the chain's later
                     # states are credits of the same entry.
@@ -368,19 +404,19 @@ class BoundedModelChecker:
                         credited += 1
                     frontier.append((state, depth + 1, chained - 1, pending))
                     continue
-            else:
-                # The last chain state, advanced ahead: its result applies now.
-                expanded += 1
-                if pending.__class__ is not list:
-                    raise pending
+            elif pending.__class__ is not list:
+                # The last chain state, advanced ahead: its exception is
+                # raised at its own pop.
+                raise pending
 
             successors = pending
             if not successors:
                 statistics.pruned_states += 1
                 continue
+            # Queue successors up to the first that settles the cut.
             if not deduplicate:
-                for successor in successors:
-                    frontier.append((successor, depth + 1, 0, None))
+                frontier.extend((successor, depth + 1, 0, None)
+                                for successor in successors[:room + 1])
                 continue
             for successor in successors:
                 fingerprints += 1
@@ -390,6 +426,9 @@ class BoundedModelChecker:
                     continue
                 seen.add(fingerprint)
                 frontier.append((successor, depth + 1, 0, None))
+                room -= 1
+                if room < 0:
+                    break
 
         statistics.explored_states = explored
         statistics.expanded_states = expanded
@@ -411,6 +450,7 @@ class BoundedModelChecker:
             hub.count("search.chain_blocks",
                       executor.chain_blocks - blocks_before)
             hub.count("search.bulk_rounds", bulk_rounds)
+            hub.count("search.cut_pops", cut_pops)
             hub.observe("search.seconds", statistics.elapsed_seconds)
             hub.count("executor.steps",
                       executor.steps_executed - steps_before)

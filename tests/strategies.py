@@ -6,7 +6,10 @@ with ``err`` values in registers and memory, plus the helpers that build a
 state from those inputs and summarise one for comparison.  Used by the
 decode-equivalence suite and by the cycle-cut oracle.  The carrier
 round-trip suite also draws arbitrary machine states and fault specs
-(:func:`_machine_state`, :func:`_fault_spec`).
+(:func:`_machine_state`, :func:`_fault_spec`).  The search suites draw
+mostly straight-line programs with sparse labels (:func:`_sparse_labels`),
+where err lineages chain between merge points, and initial states from
+:data:`_SEARCH_STATES`.
 """
 
 from __future__ import annotations
@@ -201,6 +204,54 @@ def _machine_state(draw):
     elif finish == "time_out":
         state.time_out("watchdog")
     return state
+
+
+@st.composite
+def _straight(draw):
+    """A fusible instruction, or ``check 2``, which names no detector of
+    ``_DETECTORS`` and raises when it is stepped."""
+    kind = draw(st.sampled_from(("arith", "compare", "li", "ldi", "sti",
+                                 "print", "nop", "check")))
+    if kind in ("arith", "compare"):
+        opcode = draw(st.sampled_from(_ARITH if kind == "arith" else _COMPARE))
+        return make(opcode, draw(_REGS), draw(_REGS), draw(_third(opcode)))
+    if kind == "li":
+        return make("li", draw(_REGS), draw(_IMMS))
+    if kind in ("ldi", "sti"):
+        return make(kind, draw(_REGS), draw(_REGS), draw(_ADDRS))
+    if kind == "print":
+        return make("print", draw(_REGS))
+    if kind == "check":
+        return make("check", 2)
+    return make("nop")
+
+
+@st.composite
+def _sparse_labels(draw):
+    """A random program, mostly straight-line code, keeping the labels its
+    instructions name and each other label at random: fall-throughs onto
+    unlabelled pcs chain, and runs of fusible code are blocks."""
+    program = draw(_program())
+    code = tuple(draw(st.one_of(st.just(instruction), _straight()))
+                 for instruction in program.code[:-1]) + program.code[-1:]
+    named = {operand for instruction in code
+             for operand in instruction.operands if isinstance(operand, str)}
+    labels = {name: address for name, address in program.labels.items()
+              if name in named or draw(st.integers(0, 3)) == 0}
+    return Program(code=code, labels=labels, name=program.name)
+
+
+def _memory_errs(inputs):
+    """*inputs* with ``err`` only in memory: chains may run blocks."""
+    input_values, memory, _ = inputs
+    return _fresh_state((input_values, {**memory, 0: ERR}, []))
+
+
+#: Initial search states: fresh ones with ``err`` anywhere, with ``err``
+#: only in memory, or arbitrary ones (any status, any constraint map).
+_SEARCH_STATES = st.one_of(_machine_inputs().map(_fresh_state),
+                           _machine_inputs().map(_memory_errs),
+                           _machine_state())
 
 
 @st.composite

@@ -10,7 +10,9 @@ shape must come back equal, field by field, through each of them:
   maps, every status) through pickle and both broker payloads;
 * single, burst and bit-flip fault specs through the same three;
 * random programs searched from ``err``-carrying inputs, as injection
-  results, through a broker result payload and through the results store.
+  results, through a broker result payload and through the results store;
+* arbitrary terminal machine states (a solution is never running) as the
+  solutions of an injection result, through the results store.
 
 States compare by fingerprint, constraint map, output, status and step
 count; results add their ``completed`` flag.
@@ -23,9 +25,11 @@ import pickle
 import tempfile
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.constraints import Location
-from repro.core import BoundedModelChecker, any_outcome
+from repro.core import (BoundedModelChecker, SearchResult, SearchStatistics,
+                        Solution, any_outcome)
 from repro.core.campaign import InjectionResult
 from repro.errors import Injection
 from repro.faults import BurstFaultSpec
@@ -39,15 +43,18 @@ from strategies import (_DETECTORS, _fault_spec, _fresh_state,
                         _machine_inputs, _machine_state, _program)
 
 
-def _searched(program, inputs) -> InjectionResult:
-    """Search every outcome reachable from the drawn (erroneous) state."""
-    executor = Executor(program, _DETECTORS, ExecutionConfig(max_steps=48))
-    search = BoundedModelChecker(executor, max_solutions=6,
-                                 max_states=300).search(
-        [_fresh_state(inputs)], any_outcome())
+def _injection_result(search) -> InjectionResult:
     return InjectionResult(
         injection=Injection(breakpoint_pc=0, target=Location.register(1)),
         activated=True, search=search)
+
+
+def _searched(program, inputs) -> InjectionResult:
+    """Search every outcome reachable from the drawn (erroneous) state."""
+    executor = Executor(program, _DETECTORS, ExecutionConfig(max_steps=48))
+    return _injection_result(BoundedModelChecker(
+        executor, max_solutions=6, max_states=300).search(
+            [_fresh_state(inputs)], any_outcome()))
 
 
 def _state_fields(state):
@@ -169,3 +176,32 @@ def test_results_survive_the_broker_payload_and_the_store():
     # The draw must include solutions that carry constraints, or equality
     # would not show that constraint maps survive the trip.
     assert any(drawn)
+
+
+def test_machine_states_survive_the_store_as_solutions():
+    deep, statuses = [], set()
+
+    @settings(max_examples=100, deadline=None)
+    @given(states=st.lists(_machine_state().filter(
+               lambda state: not state.is_running), min_size=1, max_size=3),
+           completed=st.booleans())
+    def check(states, completed):
+        result = _injection_result(SearchResult(
+            solutions=[Solution(state=state, depth=depth)
+                       for depth, state in enumerate(states)],
+            statistics=SearchStatistics(), completed=completed,
+            stop_reason="exhausted" if completed else "solution cap reached"))
+        deep.extend(len(state.registers._overlay) > _REGISTER_FLATTEN_LIMIT
+                    or len(state.memory._overlay) > _MEMORY_FLATTEN_LIMIT
+                    for state in states)
+        with tempfile.TemporaryDirectory() as directory:
+            back = _through_store(directory, result)
+        # As above, fingerprints only once the store saw the states as drawn.
+        assert _fields(back) == _fields(result)
+        assert [solution.depth for solution in back.solutions] \
+            == list(range(len(states)))
+        statuses.update(state.status for state in states)
+
+    check()
+    assert any(deep)
+    assert statuses == set(Status) - {Status.RUNNING}

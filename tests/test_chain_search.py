@@ -4,14 +4,16 @@
 merge points (``Executor.chain``) and only counts the pops it has run
 ahead, so every field of the ``SearchResult`` must equal that of the loop
 that steps one state per pop.  That loop is kept here, test-side, as the
-oracle: :func:`merge_point_search`.  The random cases draw programs and
+oracle: :func:`merge_point_search`, which settles a budget cut as the
+search does (its ``cut=False`` form, which steps every popped state, is
+the oracle of ``test_settled_cut``).  The random cases draw programs and
 states from ``strategies``, with random watchdogs, state budgets, solution
 caps, and dedup, pruning and tracing on and off; the explicit cases pin a
-budget cut inside a chain and inside a bulk round, a superblock rolled
-back because it cleared the last ``err``, a chain block that would run
-through a label, a chain ending at a label, a load fork deferred to its
-own pop and an exception raised at its own pop, plus the telemetry
-counters and the register share of the err census.
+budget cut inside a chain and inside a bulk round, pops past a settled
+cut, a superblock rolled back because it cleared the last ``err``, a
+chain block that would run through a label, a chain ending at a label, a
+load fork deferred to its own pop and an exception raised at its own pop,
+plus the telemetry counters and the register share of the err census.
 """
 
 from __future__ import annotations
@@ -29,27 +31,28 @@ from repro.constraints import (ComparisonOp, Constraint, ConstraintMap,
                                ConstraintSet, Location)
 from repro.core.search import run_concrete
 from repro.detectors import DetectorSet
-from repro.isa.instructions import make
 from repro.isa.parser import assemble
-from repro.isa.program import Program
 from repro.isa.values import ERR
 from repro.machine import ExecutionConfig, Executor, initial_state
 from repro.machine.decode import decoded_program
 from repro.machine.exceptions import MachineModelError
 from repro.machine.executor import SEARCH_MARK_STRIDE, ConcreteFutures
 from repro.machine.state import state_contains_err
-from strategies import (_ADDRS, _ARITH, _COMPARE, _DETECTORS, _IMMS, _REGS,
-                        _fresh_state, _machine_inputs, _machine_state,
-                        _program, _state_summary, _third)
+from strategies import (_DETECTORS, _SEARCH_STATES, _sparse_labels,
+                        _state_summary)
 
 
 def merge_point_search(checker: BoundedModelChecker, initial_states,
-                       query) -> SearchResult:
+                       query, cut: bool = True) -> SearchResult:
     """The search loop that steps one state per pop.
 
     Breadth-first, fingerprinting every successor except an only successor
     that fell through to an unlabelled pc, is still running and still holds
     ``err``; with the same caps, concretize handoff and concrete futures.
+    With *cut*, once ``explored + len(frontier) > max_states`` it steps no
+    popped running state, and a successor loop queues nothing after the
+    successor that takes the sum past the budget: nothing queued then is
+    ever popped.
     """
     start_time = time.monotonic()
     executor = checker.executor
@@ -61,6 +64,11 @@ def merge_point_search(checker: BoundedModelChecker, initial_states,
     futures = None
     frontier = deque((state.copy(), 0) for state in initial_states)
     stop_reason, completed = "exhausted", True
+
+    def settled():
+        return cut and (statistics.explored_states + len(frontier)
+                        > checker.max_states)
+
     while frontier:
         statistics.max_frontier = max(statistics.max_frontier, len(frontier))
         if len(solutions) >= checker.max_solutions:
@@ -84,14 +92,19 @@ def merge_point_search(checker: BoundedModelChecker, initial_states,
             if query(state):
                 solutions.append(Solution(state=state, depth=depth))
             continue
+        statistics.expanded_states += 1
+        if settled():
+            continue
         pc = state.pc
         successors = executor.advance(state)
-        statistics.expanded_states += 1
         if not successors:
             statistics.pruned_states += 1
             continue
         if not checker.deduplicate:
-            frontier.extend((successor, depth + 1) for successor in successors)
+            for successor in successors:
+                frontier.append((successor, depth + 1))
+                if settled():
+                    break
             continue
         if len(successors) == 1:
             successor = successors[0]
@@ -107,6 +120,8 @@ def merge_point_search(checker: BoundedModelChecker, initial_states,
                 continue
             seen.add(fingerprint)
             frontier.append((successor, depth + 1))
+            if settled():
+                break
     statistics.deduplicated_states += executor.collapsed_loads - collapsed_before
     statistics.elapsed_seconds = time.monotonic() - start_time
     return SearchResult(solutions=solutions, statistics=statistics,
@@ -155,54 +170,9 @@ def _counters(program, states, **caps):
         obs.set_hub(previous)
 
 
-@st.composite
-def _straight(draw):
-    """A fusible instruction, or ``check 2``, which names no detector of
-    ``_DETECTORS`` and raises when it is stepped."""
-    kind = draw(st.sampled_from(("arith", "compare", "li", "ldi", "sti",
-                                 "print", "nop", "check")))
-    if kind in ("arith", "compare"):
-        opcode = draw(st.sampled_from(_ARITH if kind == "arith" else _COMPARE))
-        return make(opcode, draw(_REGS), draw(_REGS), draw(_third(opcode)))
-    if kind == "li":
-        return make("li", draw(_REGS), draw(_IMMS))
-    if kind in ("ldi", "sti"):
-        return make(kind, draw(_REGS), draw(_REGS), draw(_ADDRS))
-    if kind == "print":
-        return make("print", draw(_REGS))
-    if kind == "check":
-        return make("check", 2)
-    return make("nop")
-
-
-@st.composite
-def _sparse_labels(draw):
-    """A random program, mostly straight-line code, keeping the labels its
-    instructions name and each other label at random: fall-throughs onto
-    unlabelled pcs chain, and runs of fusible code are blocks."""
-    program = draw(_program())
-    code = tuple(draw(st.one_of(st.just(instruction), _straight()))
-                 for instruction in program.code[:-1]) + program.code[-1:]
-    named = {operand for instruction in code
-             for operand in instruction.operands if isinstance(operand, str)}
-    labels = {name: address for name, address in program.labels.items()
-              if name in named or draw(st.integers(0, 3)) == 0}
-    return Program(code=code, labels=labels, name=program.name)
-
-
-def _memory_errs(inputs):
-    """*inputs* with ``err`` only in memory: chains may run blocks."""
-    input_values, memory, _ = inputs
-    return _fresh_state((input_values, {**memory, 0: ERR}, []))
-
-
-_STATES = st.one_of(_machine_inputs().map(_fresh_state),
-                    _machine_inputs().map(_memory_errs), _machine_state())
-
-
 @settings(max_examples=400, deadline=None)
-@given(program=_sparse_labels(), states=st.lists(_STATES, min_size=1,
-                                                 max_size=3),
+@given(program=_sparse_labels(),
+       states=st.lists(_SEARCH_STATES, min_size=1, max_size=3),
        max_steps=st.integers(1, 300), max_states=st.integers(1, 400),
        max_solutions=st.integers(1, 50), deduplicate=st.booleans(),
        prune=st.booleans(), trace=st.booleans())
@@ -243,6 +213,21 @@ def test_a_budget_cut_inside_a_chain():
     # The chain stops at the last pop the budget allows: the five popped
     # states are stepped, none beyond.
     assert counters["executor.steps"] == 5
+    assert counters["search.cut_pops"] == 0
+
+
+def test_pops_past_a_settled_cut_are_counted_and_step_nothing():
+    """Three err lineages and a budget of three pops: the first pop's
+    chain queues the entry that settles the cut, so the other two
+    lineages' pops are served without a step."""
+    states = [_err_in(1), _err_in(3), _err_in(4)]
+    chained, reference = _both(_LINE, states, max_states=3)
+    assert chained == reference
+    result, counters = _counters(_LINE, states, max_states=3)
+    assert result.statistics.explored_states == 3
+    assert counters["search.cut_pops"] == 2
+    assert counters["search.chain_pops"] == 0
+    assert counters["executor.steps"] == 1
 
 
 def test_a_budget_cut_inside_a_bulk_round():
