@@ -5,9 +5,11 @@ Compares a fresh pytest-benchmark JSON (``pytest
 benchmarks/test_state_hotpath.py --benchmark-json=FRESH.json``) against the
 committed baseline in ``benchmarks/data/state_hotpath_bench.json``.  The
 baseline covers both benchmark groups: ``state-hotpath`` (CoW fork and
-fingerprint costs) and ``interp-hotpath`` (decoded concrete run, legacy
-reference, symbolic stepping) — the decoded/legacy pair keeps the dispatch
-speedup itself under the gate, not just its absolute cost.  Each
+fingerprint costs) and ``interp-hotpath`` (decoded concrete run, the test
+suite's string-dispatch ``reference_run``, symbolic stepping) — the
+decoded/reference pair (``test_concrete_run_decoded_cost`` /
+``test_concrete_run_legacy_cost``) keeps the dispatch speedup itself under
+the gate, not just its absolute cost.  Each
 benchmark's fresh mean must stay within ``tolerance_factor`` of the recorded
 baseline mean — generous enough for shared-runner noise, tight enough to
 catch the step change a broken CoW fork or fingerprint would cause — and a

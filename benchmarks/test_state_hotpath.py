@@ -14,16 +14,23 @@ layer) to ~4s with byte-identical results.
 
 import json
 import statistics
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
 from repro import obs
-from repro.machine import Status, run_concrete, run_concrete_legacy
+from repro.machine import Status, run_concrete
 from repro.machine.executor import ExecutionConfig, Executor
 from repro.machine.state import initial_state
 from repro.programs import load_workload
+
+# The string-dispatch reference interpreter lives with the tests.
+TESTS_DIR = Path(__file__).resolve().parent.parent / "tests"
+sys.path.insert(0, str(TESTS_DIR))
+
+from reference_interpreter import reference_run  # noqa: E402
 
 BENCH_RECORD = Path(__file__).resolve().parent / "data" / "state_hotpath_bench.json"
 
@@ -91,8 +98,9 @@ def test_fingerprint_dedup_hit_cost(benchmark):
 # The golden factorial run is short (~36 instructions), so each benchmark
 # round times one complete decode-cache-warm execution: per-instruction
 # dispatch cost dominates and a regression of the decoded tables or the
-# superblock planner shows up as a step change.  The legacy variant is kept
-# as the in-run reference point: decoded must stay well under it.
+# superblock planner shows up as a step change.  The string-dispatch
+# reference interpreter is timed as the in-run reference point: decoded must
+# stay well under it.
 
 @pytest.fixture(scope="module")
 def factorial_workload():
@@ -116,13 +124,13 @@ def test_concrete_run_decoded_cost(benchmark, factorial_workload):
 
 @pytest.mark.benchmark(group="interp-hotpath")
 def test_concrete_run_legacy_cost(benchmark, factorial_workload):
-    """The legacy string-dispatch ``run_concrete_legacy`` reference."""
+    """The string-dispatch ``reference_run`` from the test suite."""
     workload = factorial_workload
 
     def golden_run():
         state = workload.initial_state()
-        run_concrete_legacy(workload.program, state, workload.detectors,
-                            workload.recommended_max_steps)
+        reference_run(workload.program, state, workload.detectors,
+                      workload.recommended_max_steps)
         return state
 
     state = benchmark(golden_run)

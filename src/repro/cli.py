@@ -147,7 +147,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--detectors", help="path to a det(...) detector file")
     parser.add_argument("--input", type=int, nargs="*", default=None,
                         help="input values for the program's read instructions")
-    parser.add_argument("--max-steps", type=int, default=20_000,
+    parser.add_argument("--max-steps", type=_positive_int, default=20_000,
                         help="watchdog bound on executed instructions")
 
 
@@ -199,9 +199,9 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--max-injections", type=_positive_int, default=None,
                          help="cap on the number of injections swept "
                               "(must be >= 1; omit it to sweep everything)")
-    analyze.add_argument("--max-solutions", type=int, default=10,
+    analyze.add_argument("--max-solutions", type=_positive_int, default=10,
                          help="per-injection cap on reported errors")
-    analyze.add_argument("--max-states", type=int, default=20_000,
+    analyze.add_argument("--max-states", type=_positive_int, default=20_000,
                          help="per-injection cap on explored states")
     analyze.add_argument("--no-dedup", action="store_true",
                          help="disable search-state deduplication so "
@@ -211,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               "that must report hang terminals)")
     analyze.add_argument("--control-fork-domain", default="labels",
                          choices=CONTROL_FORK_DOMAINS)
-    analyze.add_argument("--witnesses", type=int, default=3,
+    analyze.add_argument("--witnesses", type=_nonnegative_int, default=3,
                          help="number of witnesses to print")
     analyze.add_argument("--workers", type=_nonnegative_int, default=1,
                          help="broker worker processes to spawn for the "

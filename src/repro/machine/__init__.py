@@ -9,8 +9,7 @@ from .decode import (DecodedInstruction, DecodedProgram, clear_decode_cache,
                      decoded_program)
 from .executor import (ConcreteFutures, ExecutionConfig, Executor,
                        GoldenCheckpoints, SymbolicValueEncountered,
-                       concrete_step, concrete_step_legacy, run_concrete,
-                       run_concrete_legacy, run_concrete_until,
+                       concrete_step, run_concrete, run_concrete_until,
                        run_to_breakpoint)
 
 __all__ = [
@@ -21,6 +20,5 @@ __all__ = [
     "DecodedInstruction", "DecodedProgram", "clear_decode_cache", "decoded_program",
     "ConcreteFutures", "ExecutionConfig", "Executor", "GoldenCheckpoints",
     "SymbolicValueEncountered",
-    "concrete_step", "concrete_step_legacy", "run_concrete",
-    "run_concrete_legacy", "run_concrete_until", "run_to_breakpoint",
+    "concrete_step", "run_concrete", "run_concrete_until", "run_to_breakpoint",
 ]

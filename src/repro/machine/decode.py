@@ -14,9 +14,9 @@ once per program and caches the result, so the hot loops become
   used by traces and error messages.
 
 * per-address *concrete ops* — tiny specialised Python functions (one per
-  instruction) implementing the exact semantics of the legacy
-  ``concrete_step`` string dispatch for that single instruction.  They are
-  the err-free semantics of single-stepping: ``run_concrete`` runs them
+  instruction) implementing the exact semantics of the string-dispatch
+  ``reference_step`` of the test suite for that single instruction.  They
+  are the err-free semantics of single-stepping: ``run_concrete`` runs them
   where it enters no superblock, and so does the symbolic ``Executor`` for
   every instruction whose read set holds no ``err``.
 
@@ -241,7 +241,7 @@ class DecodedInstruction:
 # semantics as source lines over a local ``state`` (and ``detectors`` for
 # ``check``): the single-instruction ops that ``run_concrete`` falls back to
 # and that ``Executor`` runs for err-free instructions.  The statements
-# replicate the legacy ``concrete_step`` behaviour exactly: ``steps`` is
+# replicate the string-dispatch ``reference_step`` exactly: ``steps`` is
 # incremented before any operand read, the program counter is only advanced
 # at the very end (so a raised ``SymbolicValueEncountered`` leaves it on the
 # faulting instruction), store reads the address register before the value
@@ -263,7 +263,7 @@ def _emit_concrete(d: DecodedInstruction, next_pc: int) -> List[str]:
     """Source lines executing *d* on ``state``, falling through to *next_pc*.
 
     Terminating outcomes (halt / throw / detect) return without touching the
-    program counter, exactly like the legacy interpreter.
+    program counter, exactly like the reference interpreter.
     """
     lines: List[str] = ["    state.steps += 1"]
     category = d.category

@@ -33,11 +33,10 @@ Two interpreters live here:
 Both interpreters run off the pre-decoded tables built by
 :mod:`repro.machine.decode`: operands, comparison operators, binary
 operators and branch targets are resolved once per program, so the hot loop
-does no string work.  The original string-dispatch implementations are
-kept verbatim — ``ExecutionConfig(legacy_dispatch=True)`` for the symbolic
-executor, :func:`concrete_step_legacy` / :func:`run_concrete_legacy` for the
-concrete one — as the semantic reference for the decode-equivalence tests
-and benchmarks.
+does no string work.  Each engine has this one dispatch path; the original
+string-dispatch interpreter of both lives in the test suite
+(``tests/reference_interpreter.py``) as the semantic reference the
+decode-equivalence tests check these paths against.
 """
 
 from __future__ import annotations
@@ -50,27 +49,22 @@ from .. import obs as _obs
 from ..constraints import ComparisonOp, Location
 from ..detectors import DetectorSet, EMPTY_DETECTORS, execute_detector
 from ..errors.comparison import resolve_comparison
-from ..errors.propagation import (IMMEDIATE_ALIASES, NonDeterministicOperation,
-                                  concrete_binary, symbolic_binary)
-from ..isa.instructions import (Category, Instruction,
-                                RETURN_ADDRESS_REGISTER, ZERO_REGISTER,
-                                compare_base_opcode)
+from ..errors.propagation import NonDeterministicOperation, symbolic_binary
+from ..isa.instructions import Category, ZERO_REGISTER
 from ..isa.program import Program
 from ..isa.values import ERR, Value, is_err
-from .decode import COMPARE_OPS as _COMPARE_OPS
 from .decode import (DecodedInstruction, DecodedProgram, cap_evenly,
                      decoded_program)
 from .exceptions import (DIVIDE_BY_ZERO, ILLEGAL_ADDRESS, ILLEGAL_INSTRUCTION,
-                         INPUT_EXHAUSTED, MachineModelError,
-                         SymbolicValueEncountered, TIMED_OUT,
-                         detector_exception)
+                         MachineModelError, SymbolicValueEncountered,
+                         TIMED_OUT, detector_exception)
 from .state import Fingerprint, MachineState, Status, TraceEntry
 
 __all__ = [
     "CONTROL_FORK_DOMAINS", "ConcreteFutures", "ExecutionConfig", "Executor",
     "GoldenCheckpoints", "SymbolicValueEncountered", "apply_fault",
-    "apply_fault_set", "concrete_step", "concrete_step_legacy", "run_concrete",
-    "run_concrete_legacy", "run_concrete_until", "run_to_breakpoint",
+    "apply_fault_set", "concrete_step", "run_concrete", "run_concrete_until",
+    "run_to_breakpoint",
 ]
 
 
@@ -100,9 +94,6 @@ class ExecutionConfig:
             branches (turning this off is the paper's implicit baseline and is
             exercised by the ablation benchmark).
         record_trace: whether to append a human-readable trace entry per step.
-        legacy_dispatch: run the original string-dispatch handlers instead of
-            the pre-decoded dispatch table.  Test-only flag kept for the
-            decode-equivalence suite and legacy-vs-decoded benchmarks.
     """
 
     max_steps: int = 20_000
@@ -111,7 +102,6 @@ class ExecutionConfig:
     max_memory_forks: int = 16
     prune_unsatisfiable: bool = True
     record_trace: bool = False
-    legacy_dispatch: bool = False
 
     def __post_init__(self) -> None:
         if self.control_fork_domain not in CONTROL_FORK_DOMAINS:
@@ -216,10 +206,7 @@ class Executor:
         #: Lifetime count of superblocks that :meth:`chain` ran.
         self.chain_blocks = 0
         self._decoded: DecodedProgram = decoded_program(program)
-        if self.config.legacy_dispatch:
-            self._dispatch = None
-        else:
-            self._dispatch = self._build_dispatch()
+        self._dispatch = self._build_dispatch()
 
     def _build_dispatch(self) -> List:
         """Per-pc handler table: ``handlers[pc](self, state, decoded[pc])``.
@@ -255,45 +242,30 @@ class Executor:
             return self._control_error_successors(state, note="fetch with corrupted PC")
 
         dispatch = self._dispatch
-        text: Optional[str] = None
-        if dispatch is not None:
-            if type(pc) is int and 0 <= pc < len(dispatch):
-                decoded = self._decoded.entries[pc]
-                successors = None
-                reads = decoded.reads
-                if reads is not None:
-                    read = state.read_register
-                    for number in reads:
-                        if read(number) is ERR:
-                            break
-                    else:
-                        # No err operand: the concrete op, on a copy.  A
-                        # load that meets an err cell raises, and the
-                        # handler below takes it instead.
-                        successor = state.copy()
-                        try:
-                            self._decoded.concrete_ops[pc](successor,
-                                                           self.detectors)
-                            successors = [successor]
-                        except SymbolicValueEncountered:
-                            pass
-                if successors is None:
-                    successors = dispatch[pc](self, state, decoded)
-                text = decoded.text
+        if not (type(pc) is int and 0 <= pc < len(dispatch)):
+            crashed = state.copy()
+            crashed.throw(ILLEGAL_INSTRUCTION)
+            return [crashed]
+        decoded = self._decoded.entries[pc]
+        successors = None
+        reads = decoded.reads
+        if reads is not None:
+            read = state.read_register
+            for number in reads:
+                if read(number) is ERR:
+                    break
             else:
-                crashed = state.copy()
-                crashed.throw(ILLEGAL_INSTRUCTION)
-                return [crashed]
-        else:
-            instruction = self.program.fetch(pc)
-            if instruction is None:
-                crashed = state.copy()
-                crashed.throw(ILLEGAL_INSTRUCTION)
-                return [crashed]
-            handler = self._HANDLERS[instruction.category]
-            successors = handler(self, state, instruction)
-            if self.config.record_trace:
-                text = instruction.render()
+                # No err operand: the concrete op, on a copy.  A load that
+                # meets an err cell raises, and the handler below takes it
+                # instead.
+                successor = state.copy()
+                try:
+                    self._decoded.concrete_ops[pc](successor, self.detectors)
+                    successors = [successor]
+                except SymbolicValueEncountered:
+                    pass
+        if successors is None:
+            successors = dispatch[pc](self, state, decoded)
 
         if self.config.prune_unsatisfiable:
             successors = [s for s in successors if s.constraints.satisfiable()]
@@ -301,7 +273,7 @@ class Executor:
         if self.config.record_trace:
             for successor in successors:
                 successor.steps = steps
-                successor.add_trace_entry(TraceEntry(pc, text))
+                successor.add_trace_entry(TraceEntry(pc, decoded.text))
         else:
             for successor in successors:
                 successor.steps = steps
@@ -318,10 +290,8 @@ class Executor:
         write (only the step count moved), so it is undone and ``step``
         takes over, as it does for everything else.
         """
-        dispatch = self._dispatch
         pc = state.pc
-        if (dispatch is not None and type(pc) is int
-                and 0 <= pc < len(dispatch)
+        if (type(pc) is int and 0 <= pc < len(self._dispatch)
                 and state.status is Status.RUNNING):
             steps = state.steps
             config = self.config
@@ -384,9 +354,9 @@ class Executor:
         labelled = decoded.labelled
         length = decoded.length
         config = self.config
-        # Blocks and inline concrete steps follow the decoded dispatch and
-        # record no trace; otherwise every step goes through advance.
-        fast = self._dispatch is not None and not config.record_trace
+        # Blocks and inline concrete steps record no trace; with trace
+        # recording on, every step goes through advance.
+        fast = not config.record_trace
         ops = decoded.concrete_ops
         block_fns = decoded.block_fns
         chain_lens = decoded.chain_block_lens
@@ -471,47 +441,12 @@ class Executor:
                     continue
             return n, None, successors
 
-    def run(self, state: MachineState,
-            max_states: int = 1_000_000) -> List[MachineState]:
-        """Exhaustively run *state* to termination, returning all final states.
-
-        Convenience wrapper mostly used by tests and examples; the model
-        checker in :mod:`repro.core.search` offers the full search interface.
-        """
-        frontier = [state]
-        finals: List[MachineState] = []
-        explored = 0
-        while frontier:
-            current = frontier.pop()
-            for successor in self.step(current):
-                explored += 1
-                if explored > max_states:
-                    raise MachineModelError("state budget exhausted in Executor.run")
-                if successor.is_running:
-                    frontier.append(successor)
-                else:
-                    finals.append(successor)
-        return finals
-
     # ------------------------------------------------------------ base helpers
-
-    def _base(self, state: MachineState) -> MachineState:
-        return state.copy()
-
-    def _advance(self, state: MachineState) -> MachineState:
-        state.pc = state.pc + 1
-        return state
 
     def _crash(self, state: MachineState, message: str) -> MachineState:
         crashed = state.copy()
         crashed.throw(message)
         return crashed
-
-    def _register_value(self, state: MachineState, number: int
-                        ) -> Tuple[Value, Optional[Location]]:
-        value = state.read_register(number)
-        location = Location.register(number) if is_err(value) else None
-        return value, location
 
     # ----------------------------------------------------- decoded handlers
     #
@@ -688,112 +623,9 @@ class Executor:
         Category.CHECK: _dx_check,
     }
 
-    # ------------------------------------------- legacy string-dispatch path
+    # ------------------------------------------------------ err-fork helpers
     #
-    # The original handlers, kept verbatim as the semantic reference for the
-    # decoded dispatch table (``ExecutionConfig(legacy_dispatch=True)``).
-
-    def _execute_arithmetic(self, state: MachineState,
-                            instruction: Instruction) -> List[MachineState]:
-        rd, rs = instruction.operands[0], instruction.operands[1]
-        left = state.read_register(rs)
-        third = instruction.operands[2]
-        if instruction.spec.signature[2].value == "reg":
-            right = state.read_register(third)
-            right_location = Location.register(third) if is_err(right) else None
-        else:
-            right = third
-            right_location = None
-
-        try:
-            result = symbolic_binary(instruction.opcode, left, right)
-        except ZeroDivisionError:
-            return [self._crash(state, DIVIDE_BY_ZERO)]
-        except NonDeterministicOperation as operation:
-            return self._resolve_nondeterministic_arithmetic(
-                state, instruction, left, right, right_location, operation)
-
-        successor = self._base(state)
-        successor.write_register(rd, result)
-        return [self._advance(successor)]
-
-    def _resolve_nondeterministic_arithmetic(
-            self, state: MachineState, instruction: Instruction,
-            left: Value, right: Value, right_location: Optional[Location],
-            operation: NonDeterministicOperation) -> List[MachineState]:
-        """Fork on whether the symbolic operand equals zero (Section 5.2 rules)."""
-        rd = instruction.operands[0]
-        operator = IMMEDIATE_ALIASES.get(instruction.opcode, instruction.opcode)
-        outcomes = resolve_comparison(
-            state.constraints, ComparisonOp.EQ, right, 0,
-            left_location=right_location, right_location=None)
-        successors: List[MachineState] = []
-        for outcome in outcomes:
-            branch = self._base(state)
-            branch.constraints = outcome.constraints
-            if outcome.result:  # the symbolic operand is zero
-                if operator in ("div", "mod"):
-                    branch.throw(DIVIDE_BY_ZERO)
-                    successors.append(branch)
-                    continue
-                branch.write_register(rd, 0)
-            else:
-                branch.write_register(rd, ERR)
-            successors.append(self._advance(branch))
-        return successors
-
-    def _execute_compare(self, state: MachineState,
-                         instruction: Instruction) -> List[MachineState]:
-        rd, rs = instruction.operands[0], instruction.operands[1]
-        op = _COMPARE_OPS[compare_base_opcode(instruction.opcode)]
-        left, left_location = self._register_value(state, rs)
-        third = instruction.operands[2]
-        if instruction.spec.signature[2].value == "reg":
-            right, right_location = self._register_value(state, third)
-        else:
-            right, right_location = third, None
-
-        outcomes = resolve_comparison(state.constraints, op, left, right,
-                                      left_location, right_location)
-        successors: List[MachineState] = []
-        for outcome in outcomes:
-            branch = self._base(state)
-            branch.constraints = outcome.constraints
-            branch.write_register(rd, 1 if outcome.result else 0)
-            if outcome.forked:
-                branch.forks += 1
-            successors.append(self._advance(branch))
-        return successors
-
-    def _execute_move(self, state: MachineState,
-                      instruction: Instruction) -> List[MachineState]:
-        successor = self._base(state)
-        rd = instruction.operands[0]
-        if instruction.opcode == "mov":
-            rs = instruction.operands[1]
-            value = state.read_register(rs)
-            successor.write_register(
-                rd, value,
-                transfer_from=Location.register(rs) if is_err(value) else None)
-        else:  # li
-            successor.write_register(rd, instruction.operands[1])
-        return [self._advance(successor)]
-
-    def _execute_load(self, state: MachineState,
-                      instruction: Instruction) -> List[MachineState]:
-        rt, rs, offset = instruction.operands
-        base = state.read_register(rs)
-        if is_err(base):
-            return self._memory_error_loads(state, rt)
-        address = base + offset
-        if not state.is_defined_address(address):
-            return [self._crash(state, ILLEGAL_ADDRESS)]
-        value = state.read_memory(address)
-        successor = self._base(state)
-        successor.write_register(
-            rt, value,
-            transfer_from=Location.memory(address) if is_err(value) else None)
-        return [self._advance(successor)]
+    # Shared by the decoded handlers and the fetch of a corrupted pc.
 
     def _memory_error_loads(self, state: MachineState, rt: int) -> List[MachineState]:
         """Load through a corrupted pointer: arbitrary location or exception.
@@ -815,24 +647,12 @@ class Executor:
             else:
                 loaded.add(value)
                 transfer = None
-            branch = self._base(state)
+            branch = state.copy()
             branch.write_register(rt, value, transfer_from=transfer)
             branch.forks += 1
-            successors.append(self._advance(branch))
+            branch.pc = state.pc + 1
+            successors.append(branch)
         return successors
-
-    def _execute_store(self, state: MachineState,
-                       instruction: Instruction) -> List[MachineState]:
-        rt, rs, offset = instruction.operands
-        value = state.read_register(rt)
-        value_location = Location.register(rt) if is_err(value) else None
-        base = state.read_register(rs)
-        if is_err(base):
-            return self._memory_error_stores(state, value, value_location)
-        address = base + offset
-        successor = self._base(state)
-        successor.write_memory(address, value, transfer_from=value_location)
-        return [self._advance(successor)]
 
     def _memory_error_stores(self, state: MachineState, value: Value,
                              value_location: Optional[Location]) -> List[MachineState]:
@@ -840,69 +660,28 @@ class Executor:
         or create a new value in memory (paper Section 5.2)."""
         successors: List[MachineState] = []
         fresh_address = max(state.memory) + 1 if state.memory else 0
-        fresh = self._base(state)
+        fresh = state.copy()
         fresh.write_memory(fresh_address, value, transfer_from=value_location)
         fresh.forks += 1
-        successors.append(self._advance(fresh))
+        fresh.pc = state.pc + 1
+        successors.append(fresh)
         for address in self._memory_fork_addresses(state):
-            branch = self._base(state)
+            branch = state.copy()
             branch.write_memory(address, value, transfer_from=value_location)
             branch.forks += 1
-            successors.append(self._advance(branch))
+            branch.pc = state.pc + 1
+            successors.append(branch)
         return successors
 
     def _memory_fork_addresses(self, state: MachineState) -> List[int]:
         return cap_evenly(sorted(state.memory), self.config.max_memory_forks)
-
-    def _execute_branch(self, state: MachineState,
-                        instruction: Instruction) -> List[MachineState]:
-        rs, immediate, label = instruction.operands
-        op = ComparisonOp.EQ if instruction.opcode == "beq" else ComparisonOp.NE
-        value, location = self._register_value(state, rs)
-        target = self.program.resolve(label)
-        outcomes = resolve_comparison(state.constraints, op, value, immediate,
-                                      location, None)
-        successors: List[MachineState] = []
-        for outcome in outcomes:
-            branch = self._base(state)
-            branch.constraints = outcome.constraints
-            if outcome.forked:
-                branch.forks += 1
-            branch.pc = target if outcome.result else branch.pc + 1
-            successors.append(branch)
-        return successors
-
-    def _execute_jump(self, state: MachineState,
-                      instruction: Instruction) -> List[MachineState]:
-        successor = self._base(state)
-        successor.pc = self.program.resolve(instruction.operands[0])
-        return [successor]
-
-    def _execute_call(self, state: MachineState,
-                      instruction: Instruction) -> List[MachineState]:
-        successor = self._base(state)
-        successor.write_register(RETURN_ADDRESS_REGISTER, state.pc + 1)
-        successor.pc = self.program.resolve(instruction.operands[0])
-        return [successor]
-
-    def _execute_jump_register(self, state: MachineState,
-                               instruction: Instruction) -> List[MachineState]:
-        target = state.read_register(instruction.operands[0])
-        if is_err(target):
-            return self._control_error_successors(
-                state, note=f"jr ${instruction.operands[0]} with corrupted target")
-        if not self.program.is_valid_address(target):
-            return [self._crash(state, ILLEGAL_INSTRUCTION)]
-        successor = self._base(state)
-        successor.pc = target
-        return [successor]
 
     def _control_error_successors(self, state: MachineState,
                                   note: str = "") -> List[MachineState]:
         """Erroneous control transfer: arbitrary valid code location or crash."""
         successors: List[MachineState] = [self._crash(state, ILLEGAL_INSTRUCTION)]
         for target in self._control_fork_targets():
-            branch = self._base(state)
+            branch = state.copy()
             branch.pc = target
             branch.forks += 1
             successors.append(branch)
@@ -911,75 +690,6 @@ class Executor:
     def _control_fork_targets(self) -> List[int]:
         return self._decoded.fork_targets(self.config.control_fork_domain,
                                           self.config.max_control_forks)
-
-    def _execute_io_read(self, state: MachineState,
-                         instruction: Instruction) -> List[MachineState]:
-        if not state.has_input():
-            return [self._crash(state, INPUT_EXHAUSTED)]
-        successor = self._base(state)
-        value = successor.next_input()
-        successor.write_register(instruction.operands[0], value)
-        return [self._advance(successor)]
-
-    def _execute_io_write(self, state: MachineState,
-                          instruction: Instruction) -> List[MachineState]:
-        successor = self._base(state)
-        if instruction.opcode == "print":
-            successor.append_output(state.read_register(instruction.operands[0]))
-        else:  # prints
-            successor.append_output(instruction.operands[0])
-        return [self._advance(successor)]
-
-    def _execute_check(self, state: MachineState,
-                       instruction: Instruction) -> List[MachineState]:
-        identifier = instruction.operands[0]
-        detector = self.detectors.get(identifier)
-        if detector is None:
-            raise MachineModelError(
-                f"check instruction references unknown detector {identifier}")
-        outcomes = execute_detector(detector, state)
-        successors: List[MachineState] = []
-        for outcome in outcomes:
-            branch = self._base(state)
-            branch.constraints = outcome.constraints
-            if outcome.forked:
-                branch.forks += 1
-            if outcome.detected:
-                branch.detect(identifier, detector_exception(identifier))
-            else:
-                self._advance(branch)
-            successors.append(branch)
-        return successors
-
-    def _execute_special(self, state: MachineState,
-                         instruction: Instruction) -> List[MachineState]:
-        if instruction.opcode == "halt":
-            successor = self._base(state)
-            successor.halt()
-            return [successor]
-        if instruction.opcode == "nop":
-            return [self._advance(self._base(state))]
-        if instruction.opcode == "throw":
-            return [self._crash(state, instruction.operands[0])]
-        raise MachineModelError(
-            f"unhandled special opcode {instruction.opcode} at pc {state.pc} "
-            f"({self.program.source_line(state.pc)})")
-
-    _HANDLERS = {
-        Category.ARITHMETIC: _execute_arithmetic,
-        Category.COMPARE: _execute_compare,
-        Category.MOVE: _execute_move,
-        Category.LOAD: _execute_load,
-        Category.STORE: _execute_store,
-        Category.BRANCH: _execute_branch,
-        Category.JUMP: _execute_jump,
-        Category.CALL: _execute_call,
-        Category.JUMP_REGISTER: _execute_jump_register,
-        Category.IO_READ: _execute_io_read,
-        Category.IO_WRITE: _execute_io_write,
-        Category.CHECK: _execute_check,
-        Category.SPECIAL: _execute_special,
-    }
 
 
 # --------------------------------------------------------------------------
@@ -1438,135 +1148,4 @@ def run_to_breakpoint(program: Program, initial: MachineState,
                        max_steps)
     if hub.enabled:
         hub.count("prefix.steps", state.steps - steps)
-    return state
-
-
-# --------------------------------------------------------------------------
-# Legacy string-dispatch concrete interpreter, kept verbatim as the semantic
-# reference for the decoded ops (decode-equivalence tests and benchmarks).
-# --------------------------------------------------------------------------
-
-def concrete_step_legacy(program: Program, state: MachineState,
-                         detectors: DetectorSet = EMPTY_DETECTORS) -> MachineState:
-    """Original string-dispatch :func:`concrete_step` (reference semantics)."""
-    pc = state.pc
-    if is_err(pc):
-        raise SymbolicValueEncountered("PC is err")
-    instruction = program.fetch(pc)
-    if instruction is None:
-        state.throw(ILLEGAL_INSTRUCTION)
-        return state
-
-    opcode = instruction.opcode
-    operands = instruction.operands
-    category = instruction.category
-    state.steps += 1
-
-    def reg(number: int) -> int:
-        value = state.read_register(number)
-        if is_err(value):
-            raise SymbolicValueEncountered(f"register ${number} is err")
-        return value
-
-    if category is Category.ARITHMETIC:
-        rd, rs, third = operands
-        left = reg(rs)
-        right = reg(third) if instruction.spec.signature[2].value == "reg" else third
-        operator = IMMEDIATE_ALIASES.get(opcode, opcode)
-        if operator in ("div", "mod") and right == 0:
-            state.throw(DIVIDE_BY_ZERO)
-            return state
-        state.write_register(rd, concrete_binary(operator, left, right))
-        state.pc = pc + 1
-    elif category is Category.COMPARE:
-        rd, rs, third = operands
-        op = _COMPARE_OPS[compare_base_opcode(opcode)]
-        left = reg(rs)
-        right = reg(third) if instruction.spec.signature[2].value == "reg" else third
-        state.write_register(rd, 1 if op.evaluate(left, right) else 0)
-        state.pc = pc + 1
-    elif category is Category.MOVE:
-        value = reg(operands[1]) if opcode == "mov" else operands[1]
-        state.write_register(operands[0], value)
-        state.pc = pc + 1
-    elif category is Category.LOAD:
-        rt, rs, offset = operands
-        address = reg(rs) + offset
-        if not state.is_defined_address(address):
-            state.throw(ILLEGAL_ADDRESS)
-            return state
-        value = state.read_memory(address)
-        if is_err(value):
-            raise SymbolicValueEncountered(f"memory {address} is err")
-        state.write_register(rt, value)
-        state.pc = pc + 1
-    elif category is Category.STORE:
-        rt, rs, offset = operands
-        state.write_memory(reg(rs) + offset, reg(rt))
-        state.pc = pc + 1
-    elif category is Category.BRANCH:
-        rs, immediate, label = operands
-        value = reg(rs)
-        taken = (value == immediate) if opcode == "beq" else (value != immediate)
-        state.pc = program.resolve(label) if taken else pc + 1
-    elif category is Category.JUMP:
-        state.pc = program.resolve(operands[0])
-    elif category is Category.CALL:
-        state.write_register(RETURN_ADDRESS_REGISTER, pc + 1)
-        state.pc = program.resolve(operands[0])
-    elif category is Category.JUMP_REGISTER:
-        target = reg(operands[0])
-        if not program.is_valid_address(target):
-            state.throw(ILLEGAL_INSTRUCTION)
-            return state
-        state.pc = target
-    elif category is Category.IO_READ:
-        if not state.has_input():
-            state.throw(INPUT_EXHAUSTED)
-            return state
-        state.write_register(operands[0], state.next_input())
-        state.pc = pc + 1
-    elif category is Category.IO_WRITE:
-        if opcode == "print":
-            state.append_output(reg(operands[0]))
-        else:
-            state.append_output(operands[0])
-        state.pc = pc + 1
-    elif category is Category.CHECK:
-        detector = detectors.get(operands[0])
-        if detector is None:
-            raise MachineModelError(
-                f"check instruction references unknown detector {operands[0]}")
-        outcomes = execute_detector(detector, state)
-        if len(outcomes) != 1:
-            raise SymbolicValueEncountered("detector outcome is symbolic")
-        if outcomes[0].detected:
-            state.detect(operands[0], detector_exception(operands[0]))
-        else:
-            state.pc = pc + 1
-    elif category is Category.SPECIAL:
-        if opcode == "halt":
-            state.halt()
-        elif opcode == "nop":
-            state.pc = pc + 1
-        elif opcode == "throw":
-            state.throw(operands[0])
-        else:  # pragma: no cover - exhaustive
-            raise MachineModelError(
-                f"unhandled special opcode {opcode} at pc {pc} "
-                f"({program.source_line(pc)})")
-    else:  # pragma: no cover - exhaustive
-        raise MachineModelError(f"unhandled category {category}")
-    return state
-
-
-def run_concrete_legacy(program: Program, state: MachineState,
-                        detectors: DetectorSet = EMPTY_DETECTORS,
-                        max_steps: int = 200_000) -> MachineState:
-    """Single-stepping :func:`run_concrete` over the legacy dispatch."""
-    while state.is_running:
-        if state.steps >= max_steps:
-            state.time_out(TIMED_OUT)
-            break
-        concrete_step_legacy(program, state, detectors)
     return state

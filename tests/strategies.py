@@ -4,7 +4,9 @@ Hypothesis strategies for small valid programs over the whole instruction
 set (loops, calls, I/O, ``check`` sites, throws) and for machine inputs
 with ``err`` values in registers and memory, plus the helpers that build a
 state from those inputs and summarise one for comparison.  Used by the
-decode-equivalence suite and by the cycle-cut oracle.  The carrier
+decode-equivalence suite, by the cycle-cut oracle and, err-free
+(:data:`_GOLDEN_INPUTS`, :func:`_open_program`), by the join and
+checkpoint oracles.  The carrier
 round-trip suite also draws arbitrary machine states and fault specs
 (:func:`_machine_state`, :func:`_fault_spec`).  The search suites draw
 mostly straight-line programs with sparse labels (:func:`_sparse_labels`),
@@ -111,6 +113,18 @@ def _program(draw):
 
 
 @st.composite
+def _open_program(draw):
+    """A :func:`_program` whose final ``halt`` is, half the time, a ``nop``:
+    a run may then fall off the end of the code, which ends it without
+    executing an instruction."""
+    program = draw(_program())
+    if draw(st.booleans()):
+        return program
+    return Program(code=program.code[:-1] + (make("nop"),),
+                   labels=program.labels, name=program.name)
+
+
+@st.composite
 def _machine_inputs(draw):
     """Input tape, initial memory and (possibly erroneous) register writes."""
     input_values = draw(st.lists(st.integers(-3, 9), max_size=4))
@@ -122,6 +136,20 @@ def _machine_inputs(draw):
                   st.one_of(st.just(ERR), st.integers(-3, 9))),
         max_size=2))
     return input_values, memory, corruptions
+
+
+def _err_free(inputs):
+    """*inputs* with every ``err`` replaced by 0."""
+    input_values, memory, corruptions = inputs
+    return (input_values,
+            {address: 0 if value is ERR else value
+             for address, value in memory.items()},
+            [(register, 0 if value is ERR else value)
+             for register, value in corruptions])
+
+
+#: Inputs a golden (err-free) run starts from.
+_GOLDEN_INPUTS = _machine_inputs().map(_err_free)
 
 
 def _fresh_state(inputs):

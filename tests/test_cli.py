@@ -128,6 +128,30 @@ class TestAnalyzeValidation:
             main(["concrete", "--workload", "factorial", "--max-injections", "0"])
         assert "must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("analyze", "--max-steps", "-5"),
+        ("analyze", "--max-steps", "0"),
+        ("analyze", "--max-states", "-1"),
+        ("analyze", "--max-states", "0"),
+        ("analyze", "--max-solutions", "0"),
+        ("analyze", "--witnesses", "-2"),
+        ("run", "--max-steps", "0"),
+        ("concrete", "--max-steps", "-1"),
+    ])
+    def test_a_cap_that_would_search_nothing_is_rejected(
+            self, capsys, command, flag, value):
+        """A cap below its floor would make the sweep explore nothing and
+        still read as a proof of resilience: argparse refuses it."""
+        argv = [command, "--workload", "factorial", flag, value]
+        if command == "analyze":
+            argv += ["--sample", "2", "--seed", "1"]
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        captured = capsys.readouterr()
+        assert "resilient" not in captured.out
+        assert f"argument {flag}: must be >=" in captured.err
+
     def test_chunk_size_zero_is_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["analyze", "--workload", "factorial", "--chunk-size", "0"])

@@ -23,10 +23,10 @@ from repro import obs
 from repro.detectors import EMPTY_DETECTORS
 from repro.isa.parser import assemble
 from repro.machine import (ConcreteFutures, Status, concrete_step,
-                           initial_state, run_concrete, run_concrete_legacy,
-                           run_concrete_until)
+                           initial_state, run_concrete, run_concrete_until)
 from repro.machine.exceptions import SymbolicValueEncountered
 from repro.machine.state import recompute_incremental_state
+from reference_interpreter import reference_run
 from strategies import (_DETECTORS, _fresh_state, _machine_inputs, _program,
                         _state_summary)
 
@@ -60,7 +60,7 @@ def _run(runner, program, state, detectors, max_steps):
 
 def _cut_and_uncut(program, state, max_steps, detectors=EMPTY_DETECTORS):
     """(cut run, uncut run, counters of the cut run) from copies of *state*."""
-    uncut = _run(run_concrete_legacy, program, state.copy(), detectors,
+    uncut = _run(reference_run, program, state.copy(), detectors,
                  max_steps)
     cut, counters = _counting(lambda: _run(
         run_concrete, program, state.copy(), detectors, max_steps))
@@ -193,7 +193,7 @@ def test_cut_counts_from_the_entry_step():
     program = assemble(CUT["aligned"])
     state = initial_state()
     state.steps = 500
-    expected = run_concrete_legacy(program, state.copy(), max_steps=5_000)
+    expected = reference_run(program, state.copy(), max_steps=5_000)
     _, counters = _counting(lambda: run_concrete(program, state,
                                                  max_steps=5_000))
     assert _summary(state) == _summary(expected)
@@ -237,7 +237,7 @@ def test_a_hung_tail_publishes_nothing_and_later_tails_still_join():
     layer = ConcreteFutures(program, EMPTY_DETECTORS, INPUT, 256)
     hung = run_concrete_until(program, initial_state(INPUT), stop_pc=1)
     hung.write_register(1, 7)
-    expected = run_concrete_legacy(program, hung.copy(), max_steps=20_000)
+    expected = reference_run(program, hung.copy(), max_steps=20_000)
     _, counters = _counting(lambda: run_concrete(
         program, hung, max_steps=20_000, futures=layer))
     assert _summary(hung) == _summary(expected)
@@ -289,6 +289,6 @@ def test_the_golden_build_records_the_whole_hung_run():
     assert len(checkpoints.steps) > 10
     for steps, state in zip(checkpoints.steps, checkpoints.states):
         assert state.fingerprint() == states[steps].fingerprint()
-    end = run_concrete_legacy(program, initial_state(), max_steps=max_steps)
+    end = reference_run(program, initial_state(), max_steps=max_steps)
     assert _summary(checkpoints.end) == _summary(end)
     assert len(golden) == 0

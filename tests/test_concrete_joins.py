@@ -5,9 +5,11 @@ copies the terminal state of a recorded err-free run as soon as it reaches
 one of that run's marks.  The differential oracle below runs whole searches
 with joins and through the plain interpreter and demands identical
 solutions (every field of every terminal state) and identical search
-statistics; the edge tests pin each soundness condition of the join rule:
-the watchdog bound, timed-out runs, the input binding and structural
-fingerprint equality.
+statistics, and a second one runs random programs over the golden layer
+and a search layer against the string-dispatch reference interpreter; the
+edge tests pin each soundness condition of the join rule: the watchdog
+bound, timed-out runs, the input binding and structural fingerprint
+equality.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.search as search_module
 from repro import obs
@@ -27,6 +31,9 @@ from repro.machine import (ConcreteFutures, Fingerprint, Status,
 from repro.machine import executor as executor_module
 from repro.machine.state import recompute_incremental_state
 from repro.programs import load_workload
+from reference_interpreter import reference_run, reference_step
+from strategies import (_DETECTORS, _GOLDEN_INPUTS, _fresh_state,
+                        _open_program)
 
 #: Reads n, sums n + (n-1) + ... + 1 in a three-instruction loop, prints
 #: the sum, then reads and prints a second input.
@@ -349,3 +356,57 @@ def test_joined_searches_match_plain_searches(monkeypatch, workload, model,
     if workload == "replace":
         # The oracle must exercise joins, not just the plain path twice.
         assert counters["interp.joins"] > 0
+
+
+# ------------------------------------------- the random-program join oracle
+
+
+def test_joined_random_runs_match_the_reference_interpreter(monkeypatch):
+    """Random programs (some falling off the end of the code), err-free
+    inputs, budgets and mark strides of a few steps: a run over the golden
+    layer, and over a search layer stacked on it, ends in the state the
+    string-dispatch reference reaches, field by field.  Each draw runs the
+    golden start and concrete corruptions of states along the golden run,
+    one after another, so later runs also join marks the earlier ones
+    published; the draw includes runs that join."""
+    joins = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(program=_open_program(), inputs=_GOLDEN_INPUTS,
+           max_steps=st.integers(1, 80), golden_stride=st.integers(1, 4),
+           search_stride=st.integers(1, 4),
+           corruptions=st.lists(
+               st.tuples(st.integers(0, 40), st.booleans(),
+                         st.integers(0, 7), st.integers(-3, 9)),
+               max_size=3))
+    def check(program, inputs, max_steps, golden_stride, search_stride,
+              corruptions):
+        monkeypatch.setattr(executor_module, "GOLDEN_MARK_STRIDE",
+                            golden_stride)
+        initial = _fresh_state(inputs)
+        golden = ConcreteFutures.golden(program, initial.copy(), _DETECTORS,
+                                        max_steps)
+        layer = ConcreteFutures(program, _DETECTORS, initial.input,
+                                search_stride, parent=golden)
+        starts = [initial]
+        for steps, in_memory, where, value in corruptions:
+            state = initial.copy()
+            while state.is_running and state.steps < min(steps, max_steps):
+                reference_step(program, state, _DETECTORS)
+            if in_memory:
+                state.write_memory(where, value)
+            else:
+                state.write_register(1 + where % 5, value)
+            starts.append(state)
+        for start in starts:
+            expected = reference_run(program, start.copy(), _DETECTORS,
+                                     max_steps)
+            for futures in (golden, layer):
+                state, counters = _counting(lambda: run_concrete(
+                    program, start.copy(), _DETECTORS, max_steps,
+                    futures=futures))
+                assert _fields(state) == _fields(expected)
+                joins.append(counters.get("interp.joins", 0))
+
+    check()
+    assert sum(joins) > 0

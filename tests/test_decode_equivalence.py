@@ -1,25 +1,24 @@
 """Property tests: the pre-decoded dispatch path is observably identical
-to the legacy string-dispatch path.
+to the string-dispatch reference interpreter.
 
 Random (valid, halt-terminated) programs with ``check`` sites against a
 one-detector set, and random machine states — including ``err`` values in
 registers and in initial memory cells — are run through both interpreters:
 
-* symbolic: ``Executor`` with ``legacy_dispatch=True`` versus the default
+* symbolic: :class:`ReferenceExecutor` versus the ``Executor``'s
   pre-decoded dispatch tables, both through ``step`` and through
   ``advance`` on a copy of each state, compared successor-by-successor
   (state fingerprints, step and fork counters, constraint maps and recorded
   trace text) to a bounded depth.  The decoded legs run every instruction
   that reads no ``err`` through its concrete op, so this is also the oracle
-  that the concrete ops and the legacy symbolic handlers agree;
-* concrete: ``run_concrete_legacy`` versus the superblock-fused
+  that the concrete ops and the reference symbolic handlers agree;
+* concrete: :func:`reference_run` versus the superblock-fused
   ``run_concrete``, compared on the final state (or on the raised
   ``SymbolicValueEncountered``, which must carry the identical message and
   leave the state in the identical position).
 
-The legacy handlers are kept under the test-only
-``ExecutionConfig(legacy_dispatch=True)`` flag precisely so this suite can
-keep proving the two paths never drift.
+The reference interpreter (``reference_interpreter.py``) lives with the
+tests precisely so this suite can keep proving the two paths never drift.
 """
 
 from __future__ import annotations
@@ -33,22 +32,23 @@ from repro.isa.instructions import (Category, INSTRUCTION_SET, _spec, make)
 from repro.isa.program import Program
 from repro.isa.values import ERR
 from repro.machine import (ExecutionConfig, Executor, MachineModelError,
-                           clear_decode_cache, concrete_step,
-                           concrete_step_legacy, run_concrete,
-                           run_concrete_legacy)
+                           clear_decode_cache, concrete_step, run_concrete)
 from repro.machine.exceptions import SymbolicValueEncountered
 from repro.machine.state import initial_state
+from reference_interpreter import (ReferenceExecutor, reference_run,
+                                   reference_step)
 from strategies import (_DETECTORS, _fresh_state, _machine_inputs, _program,
                         _state_summary)
 
 def _run_symbolic(program, inputs, mode: str, max_states: int = 60):
     """Breadth-first successor expansion; returns comparable summaries.
 
-    *mode* is ``"legacy"`` (string dispatch), ``"step"`` (decoded) or
+    *mode* is ``"reference"`` (string dispatch), ``"step"`` (decoded) or
     ``"advance"`` (decoded, each state advanced as a private copy).
     """
-    executor = Executor(program, _DETECTORS, ExecutionConfig(
-        max_steps=48, record_trace=True, legacy_dispatch=mode == "legacy"))
+    cls = ReferenceExecutor if mode == "reference" else Executor
+    executor = cls(program, _DETECTORS, ExecutionConfig(
+        max_steps=48, record_trace=True))
 
     def expand(state):
         if mode == "advance":
@@ -84,12 +84,15 @@ def _fixed(*instructions):
 # A check whose detector reads err forks; throw then ends one branch.
 @example(program=_fixed(make("check", 1), make("throw", "boom")),
          inputs=([], {}, [(2, ERR)]))
+# A compare over an err register forks, and each branch counts the fork.
+@example(program=_fixed(make("setgti", 1, 2, 3), make("print", 1)),
+         inputs=([], {}, [(2, ERR)]))
 def test_symbolic_successors_identical(program, inputs):
-    """Legacy dispatch, decoded ``step`` and ``advance`` produce identical
-    successor trees."""
-    legacy = _run_symbolic(program, inputs, "legacy")
-    assert _run_symbolic(program, inputs, "step") == legacy
-    assert _run_symbolic(program, inputs, "advance") == legacy
+    """Reference dispatch, decoded ``step`` and ``advance`` produce
+    identical successor trees."""
+    reference = _run_symbolic(program, inputs, "reference")
+    assert _run_symbolic(program, inputs, "step") == reference
+    assert _run_symbolic(program, inputs, "advance") == reference
 
 
 def _run_concrete_path(program, inputs, runner):
@@ -105,14 +108,14 @@ def _run_concrete_path(program, inputs, runner):
 @settings(max_examples=60, deadline=None)
 @given(program=_program(), inputs=_machine_inputs())
 def test_concrete_runs_identical(program, inputs):
-    """``run_concrete`` (superblocks) matches ``run_concrete_legacy``.
+    """``run_concrete`` (superblocks) matches ``reference_run``.
 
     On states carrying ``err`` both must raise ``SymbolicValueEncountered``
     with the identical message, leaving the state at the identical point.
     """
-    legacy = _run_concrete_path(program, inputs, run_concrete_legacy)
+    reference = _run_concrete_path(program, inputs, reference_run)
     decoded = _run_concrete_path(program, inputs, run_concrete)
-    assert legacy == decoded
+    assert reference == decoded
 
 
 @settings(max_examples=40, deadline=None)
@@ -125,7 +128,7 @@ def test_concrete_single_steps_identical(program, inputs):
         if not lhs.is_running:
             break
         try:
-            concrete_step_legacy(program, lhs, _DETECTORS)
+            reference_step(program, lhs, _DETECTORS)
             lhs_raise = None
         except SymbolicValueEncountered as exc:
             lhs_raise = str(exc)
@@ -161,10 +164,9 @@ def _mystery_program():
 def test_unhandled_special_message_symbolic(mystery_opcode):
     """The symbolic paths name the pc and source line of the bad opcode."""
     program = _mystery_program()
-    for legacy in (False, True):
+    for cls in (Executor, ReferenceExecutor):
         clear_decode_cache()
-        executor = Executor(program, config=ExecutionConfig(
-            legacy_dispatch=legacy))
+        executor = cls(program)
         [state] = executor.step(initial_state())
         with pytest.raises(MachineModelError) as excinfo:
             executor.step(state)
@@ -177,7 +179,7 @@ def test_unhandled_special_message_symbolic(mystery_opcode):
 def test_unhandled_special_message_concrete(mystery_opcode):
     """The concrete twins raise the same pc-and-source-bearing message."""
     program = _mystery_program()
-    for stepper in (concrete_step, concrete_step_legacy):
+    for stepper in (concrete_step, reference_step):
         clear_decode_cache()
         state = initial_state()
         stepper(program, state)

@@ -12,6 +12,7 @@ from repro.isa.parser import assemble
 from repro.isa.values import ERR
 from repro.machine import (ExecutionConfig, Executor, MachineModelError, Status,
                            initial_state)
+from reference_interpreter import explore_all
 
 
 class TestExpressionParsing:
@@ -175,7 +176,7 @@ class TestCheckInstruction:
         program = assemble("li $1 5\ncheck 1\nprints \"ok\"\nhalt\n")
         detectors = DetectorSet.parse("det(1, $(1), ==, (5))")
         executor = Executor(program, detectors, ExecutionConfig(max_steps=50))
-        finals = executor.run(initial_state())
+        finals = explore_all(executor, initial_state())
         assert finals[0].status is Status.HALTED
         assert finals[0].output_values() == ("ok",)
 
@@ -183,7 +184,7 @@ class TestCheckInstruction:
         program = assemble("li $1 4\ncheck 1\nprints \"ok\"\nhalt\n")
         detectors = DetectorSet.parse("det(1, $(1), ==, (5))")
         executor = Executor(program, detectors, ExecutionConfig(max_steps=50))
-        finals = executor.run(initial_state())
+        finals = explore_all(executor, initial_state())
         assert finals[0].status is Status.DETECTED
         assert finals[0].detector_id == 1
         assert finals[0].output_values() == ()
@@ -192,7 +193,7 @@ class TestCheckInstruction:
         program = assemble("check 9\nhalt\n")
         executor = Executor(program, DetectorSet(), ExecutionConfig(max_steps=50))
         with pytest.raises(MachineModelError):
-            executor.run(initial_state())
+            explore_all(executor, initial_state())
 
     def test_symbolic_check_forks_into_detected_and_missed(self):
         program = assemble("check 1\nprint $1\nhalt\n")
@@ -200,6 +201,6 @@ class TestCheckInstruction:
         executor = Executor(program, detectors, ExecutionConfig(max_steps=50))
         state = initial_state()
         state.write_register(1, ERR)
-        finals = executor.run(state)
+        finals = explore_all(executor, state)
         statuses = {s.status for s in finals}
         assert statuses == {Status.DETECTED, Status.HALTED}

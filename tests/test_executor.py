@@ -13,6 +13,7 @@ from repro.machine import (DIVIDE_BY_ZERO, ExecutionConfig, Executor,
 from repro.machine.executor import (CONTROL_FORK_DOMAINS,
                                    SymbolicValueEncountered)
 from repro.programs.factorial import factorial_workload
+from reference_interpreter import ReferenceExecutor, explore_all
 
 
 def run_symbolic(source, state=None, detectors=DetectorSet(), max_steps=500,
@@ -21,7 +22,7 @@ def run_symbolic(source, state=None, detectors=DetectorSet(), max_steps=500,
     executor = Executor(program, detectors,
                         ExecutionConfig(max_steps=max_steps, **config_kwargs))
     state = state or initial_state()
-    return executor.run(state)
+    return explore_all(executor, state)
 
 
 class TestArithmeticSemantics:
@@ -41,7 +42,7 @@ class TestArithmeticSemantics:
         state = initial_state()
         state.write_register(1, 10)
         state.write_register(2, ERR)
-        finals = executor.run(state)
+        finals = explore_all(executor, state)
         statuses = {(s.status, s.exception) for s in finals}
         assert (Status.EXCEPTION, DIVIDE_BY_ZERO) in statuses
         assert any(s.status is Status.HALTED and is_err(s.output_values()[0])
@@ -53,7 +54,7 @@ class TestArithmeticSemantics:
         state = initial_state()
         state.write_register(1, ERR)
         state.write_register(2, 0)
-        finals = executor.run(state)
+        finals = explore_all(executor, state)
         assert [s.output_values() for s in finals] == [(0,)]
 
 
@@ -81,7 +82,7 @@ class TestCompareAndBranchSemantics:
         executor = Executor(program, config=ExecutionConfig(max_steps=50))
         state = initial_state()
         state.write_register(1, ERR)
-        finals = executor.run(state)
+        finals = explore_all(executor, state)
         outputs = {s.output_values()[0] for s in finals}
         assert outputs == {"zero", "nonzero"}
 
@@ -90,7 +91,7 @@ class TestCompareAndBranchSemantics:
         executor = Executor(program, config=ExecutionConfig(max_steps=50))
         state = initial_state()
         state.write_register(1, ERR)
-        finals = executor.run(state)
+        finals = explore_all(executor, state)
         assert {s.output_values()[0] for s in finals} == {0, 1}
 
     def test_consistent_forks_no_contradictory_path(self):
@@ -108,7 +109,7 @@ class TestCompareAndBranchSemantics:
         executor = Executor(program, config=ExecutionConfig(max_steps=50))
         state = initial_state()
         state.write_register(1, ERR)
-        finals = executor.run(state)
+        finals = explore_all(executor, state)
         outputs = {s.output_values()[0] for s in finals}
         assert "contradiction" not in outputs
         assert outputs == {"zero", "nonzero twice"}
@@ -136,7 +137,7 @@ class TestMemorySemantics:
         executor = Executor(program, config=ExecutionConfig(max_steps=50))
         state = initial_state(memory={100: 7, 200: 9})
         state.write_register(1, ERR)
-        finals = executor.run(state)
+        finals = explore_all(executor, state)
         outcomes = {s.exception if s.crashed else s.output_values()[0] for s in finals}
         assert ILLEGAL_ADDRESS in outcomes
         assert 7 in outcomes and 9 in outcomes
@@ -147,7 +148,7 @@ class TestMemorySemantics:
         state = initial_state(memory={100: 7})
         state.write_register(1, ERR)
         state.write_register(2, 55)
-        finals = executor.run(state)
+        finals = explore_all(executor, state)
         assert all(s.status is Status.HALTED for s in finals)
         # one fork overwrites the existing word, one creates a new word
         overwrote = any(s.memory.get(100) == 55 for s in finals)
@@ -183,7 +184,7 @@ class TestControlSemantics:
             max_steps=50, control_fork_domain="labels"))
         state = initial_state()
         state.write_register(1, ERR)
-        finals = executor.run(state)
+        finals = explore_all(executor, state)
         outcomes = {s.exception if s.crashed else s.output_values()[0] for s in finals}
         assert outcomes == {ILLEGAL_INSTRUCTION, "a", "b"}
 
@@ -192,7 +193,7 @@ class TestControlSemantics:
         executor = Executor(program, config=ExecutionConfig(max_steps=50))
         state = initial_state()
         state.pc = ERR
-        finals = executor.run(state)
+        finals = explore_all(executor, state)
         outcomes = {s.exception if s.crashed else s.output_values()[0] for s in finals}
         assert ILLEGAL_INSTRUCTION in outcomes and "x" in outcomes
 
@@ -202,22 +203,27 @@ class TestControlSemantics:
             max_steps=50, control_fork_domain="exception_only"))
         state = initial_state()
         state.write_register(1, ERR)
-        finals = executor.run(state)
+        finals = explore_all(executor, state)
         assert len(finals) == 1 and finals[0].crashed
+
+
+#: The decoded executor and the string-dispatch reference, side by side.
+DISPATCH = pytest.mark.parametrize("executor_class",
+                                   [Executor, ReferenceExecutor],
+                                   ids=["decoded", "reference"])
 
 
 class TestForkCaps:
     """``max_control_forks`` / ``max_memory_forks``: 0 forks nothing, a
     negative cap is rejected, a positive one keeps an even sample."""
 
-    @pytest.mark.parametrize("legacy", [False, True])
+    @DISPATCH
     @pytest.mark.parametrize("cap,landings", [(0, 0), (1, 1), (2, 2), (9, 2)])
-    def test_control_fork_cap_on_factorial_labels(self, legacy, cap,
+    def test_control_fork_cap_on_factorial_labels(self, executor_class, cap,
                                                   landings):
         program = factorial_workload().program
-        executor = Executor(program, config=ExecutionConfig(
-            control_fork_domain="labels", max_control_forks=cap,
-            legacy_dispatch=legacy))
+        executor = executor_class(program, config=ExecutionConfig(
+            control_fork_domain="labels", max_control_forks=cap))
         state = initial_state(input_values=(3,))
         state.pc = ERR
         successors = executor.step(state)
@@ -226,23 +232,23 @@ class TestForkCaps:
         assert len(successors) == 1 + landings
         assert all(s.forks == 1 for s in successors[1:])
 
-    @pytest.mark.parametrize("legacy", [False, True])
+    @DISPATCH
     @pytest.mark.parametrize("cap,forks", [(0, 0), (1, 1), (3, 3), (5, 3)])
-    def test_memory_fork_cap_on_loads(self, legacy, cap, forks):
+    def test_memory_fork_cap_on_loads(self, executor_class, cap, forks):
         program = assemble("ldi $2 $1 0\nprint $2\nhalt\n")
-        executor = Executor(program, config=ExecutionConfig(
-            max_memory_forks=cap, legacy_dispatch=legacy))
+        executor = executor_class(program, config=ExecutionConfig(
+            max_memory_forks=cap))
         state = initial_state(memory={100: 7, 200: 9, 300: 11})
         state.write_register(1, ERR)
         successors = executor.step(state)
         assert successors[0].exception == ILLEGAL_ADDRESS
         assert len(successors) == 1 + forks
 
-    @pytest.mark.parametrize("legacy", [False, True])
-    def test_memory_fork_cap_zero_on_stores(self, legacy):
+    @DISPATCH
+    def test_memory_fork_cap_zero_on_stores(self, executor_class):
         program = assemble("sti $2 $1 0\nhalt\n")
-        executor = Executor(program, config=ExecutionConfig(
-            max_memory_forks=0, legacy_dispatch=legacy))
+        executor = executor_class(program, config=ExecutionConfig(
+            max_memory_forks=0))
         state = initial_state(memory={100: 7})
         state.write_register(1, ERR)
         state.write_register(2, 55)
@@ -273,7 +279,7 @@ class TestIOAndSpecial:
     def test_read_print_prints(self):
         program = assemble("read $1\nprints \"value: \"\nprint $1\nhalt\n")
         executor = Executor(program, config=ExecutionConfig(max_steps=50))
-        finals = executor.run(initial_state(input_values=[42]))
+        finals = explore_all(executor, initial_state(input_values=[42]))
         assert finals[0].output_values() == ("value: ", 42)
 
     def test_read_with_exhausted_input_crashes(self):
@@ -300,7 +306,7 @@ class TestIOAndSpecial:
         program = assemble("halt\n")
         executor = Executor(program)
         state = initial_state()
-        final = executor.run(state)[0]
+        final = explore_all(executor, state)[0]
         with pytest.raises(MachineModelError):
             executor.step(final)
 
@@ -320,8 +326,8 @@ class TestConcreteInterpreter:
             halt
         """
         program = assemble(source)
-        symbolic_final = Executor(program, config=ExecutionConfig(max_steps=500)) \
-            .run(initial_state())[0]
+        symbolic_final = explore_all(Executor(
+            program, config=ExecutionConfig(max_steps=500)), initial_state())[0]
         concrete_final = run_concrete(program, initial_state())
         assert symbolic_final.output_values() == concrete_final.output_values() == (45,)
         assert concrete_final.steps == symbolic_final.steps

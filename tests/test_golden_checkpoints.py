@@ -9,12 +9,16 @@ the golden run never reaches without running.  The oracle below demands
 that every planned injection of two workloads comes out equal, field by
 field, to the full replay from the initial state; the edge tests pin the
 lookup's off-by-ones, superblocks, the golden run's endings (halt, raise,
-timeout, detection) and the binding rules.
+timeout, detection) and the binding rules.  On random programs, inputs and
+breakpoints, a second oracle demands what string-dispatch stepping from
+step 0 reaches.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.concrete import concrete_terminal
@@ -26,13 +30,17 @@ from repro.errors import Injection, prepare_injected_state
 from repro.faults import BitFlipFaultSpec, BurstFaultSpec, FaultSpec
 from repro.isa.parser import assemble
 from repro.machine import (ConcreteFutures, ExecutionConfig,
-                           MachineModelError, Status, concrete_step,
-                           initial_state, run_concrete, run_concrete_until,
-                           run_to_breakpoint)
+                           MachineModelError, Status, TIMED_OUT,
+                           concrete_step, initial_state, run_concrete,
+                           run_concrete_until, run_to_breakpoint)
+from repro.machine import executor as executor_module
 from repro.machine.decode import SUPERBLOCK_LIMIT, decoded_program
 from repro.machine.executor import GOLDEN_MARK_STRIDE
 from repro.machine.state import recompute_incremental_state
 from repro.programs import load_workload
+from reference_interpreter import reference_step
+from strategies import (_DETECTORS, _GOLDEN_INPUTS, _fresh_state,
+                        _open_program)
 
 #: Reads n, sums n + (n-1) + ... + 1 in a loop whose body is one superblock
 #: (pcs 2-3), prints the sum, then reads and prints a second input.
@@ -168,6 +176,55 @@ def test_the_replace_golden_run_keeps_a_checkpoint_every_mark():
     assert len(checkpoints.states) == len(campaign.golden_futures()) + 1 == 44
     assert sum(map(len, checkpoints.visits)) == checkpoints.end.steps == 11371
     assert [state.steps for state in checkpoints.states] == checkpoints.steps
+
+
+def _reference_to_breakpoint(program, initial, stop_pc, occurrence,
+                             max_steps):
+    """String-dispatch stepping from *initial* to the *occurrence*-th visit
+    of *stop_pc* (or to termination), the watchdog checked first."""
+    state = initial.copy()
+    remaining = occurrence
+    while state.is_running:
+        if state.steps >= max_steps:
+            state.time_out(TIMED_OUT)
+            break
+        if state.pc == stop_pc:
+            remaining -= 1
+            if remaining <= 0:
+                break
+        reference_step(program, state, _DETECTORS)
+    return state
+
+
+def test_random_breakpoints_match_reference_stepping(monkeypatch):
+    """Random programs (some falling off the end of the code), err-free
+    inputs, budgets, mark strides of a few steps and breakpoints: the
+    checkpointed prefix equals string-dispatch stepping from step 0, field
+    by field; the draw includes prefixes that start past step 0 or are
+    answered without running."""
+    shortcuts = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(program=_open_program(), inputs=_GOLDEN_INPUTS,
+           max_steps=st.integers(1, 80), stride=st.integers(1, 4),
+           pc=st.integers(0, 13), occurrence=st.integers(1, 6))
+    def check(program, inputs, max_steps, stride, pc, occurrence):
+        monkeypatch.setattr(executor_module, "GOLDEN_MARK_STRIDE", stride)
+        # Mostly pcs of the code, sometimes the one past its end.
+        pc %= len(program) + 1
+        initial = _fresh_state(inputs)
+        golden = ConcreteFutures.golden(program, initial.copy(), _DETECTORS,
+                                        max_steps)
+        assert golden.starts(program, _DETECTORS, initial, max_steps)
+        expected = _reference_to_breakpoint(program, initial, pc, occurrence,
+                                            max_steps)
+        state, counters = _counting(lambda: run_to_breakpoint(
+            program, initial, pc, occurrence, _DETECTORS, max_steps, golden))
+        assert _fields(state) == _fields(expected)
+        shortcuts.append(counters.get("prefix.steps", 0) < expected.steps)
+
+    check()
+    assert any(shortcuts)
 
 
 # ------------------------------------------------------------- the lookup

@@ -31,6 +31,7 @@ from repro.machine import ExecutionConfig, Executor, Status, initial_state
 from repro.machine.exceptions import ILLEGAL_ADDRESS
 from repro.machine.executor import run_concrete
 from repro.machine.state import state_contains_err
+from reference_interpreter import ReferenceExecutor
 from strategies import _DETECTORS, _fresh_state, _machine_inputs, _program
 
 
@@ -260,10 +261,10 @@ def _uncollapsed_loads(state, rt):
     return successors
 
 
-@pytest.mark.parametrize("legacy", [False, True], ids=["decoded", "legacy"])
-def test_repeated_concrete_load_values_build_one_successor(legacy):
-    executor = Executor(assemble(_LOAD),
-                        config=ExecutionConfig(legacy_dispatch=legacy))
+@pytest.mark.parametrize("executor_class", [Executor, ReferenceExecutor],
+                         ids=["decoded", "reference"])
+def test_repeated_concrete_load_values_build_one_successor(executor_class):
+    executor = executor_class(assemble(_LOAD))
     state = _load_state()
     successors = executor.step(state)
     assert successors[0].exception == ILLEGAL_ADDRESS

@@ -190,15 +190,6 @@ def test_record_trace_appends_the_step_entry():
         [(0, "li $1 #3"), (1, "addi $1 $1 #1")]
 
 
-def test_a_legacy_dispatch_executor_never_takes_the_fast_path():
-    executor = _executor("""
-            li $1 3
-            halt
-    """, legacy_dispatch=True)
-    _, _, fast = _both(executor, initial_state())
-    assert not fast and executor.concrete_steps == 0
-
-
 def test_a_concrete_write_over_an_err_register_drops_its_constraints():
     executor = _executor("""
             li $1 5
