@@ -32,6 +32,11 @@ session when they are given, as files named ``<workload>.parent.out``
 A workload without a parent run falls back to the committed point.  The
 CI runner always gates against its committed ``ci`` point.
 
+Either side may hold several runs of a workload, numbered ``W.<n>.out``
+and ``W.<n>.parent.out``; every run must pass the verdict checks, and each
+metric is gated on its median over the runs of each side (one run per side
+is gated on that run alone).  Any other file name is rejected.
+
 Exit status 0 when every check passes, 1 otherwise.
 """
 
@@ -40,6 +45,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
+import statistics
 import subprocess
 import sys
 import time
@@ -48,6 +55,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TRAJECTORY_DIR = ROOT / "benchmarks" / "data" / "trajectory"
 SCHEMA_VERSION = 2
+#: ``W.out``, ``W.<n>.out``, ``W.parent.out`` and ``W.<n>.parent.out``.
+RUN_NAME = re.compile(r"(?P<workload>[^.]+)(\.\d+)?(?P<parent>\.parent)?\.out")
 
 
 def load_run(path: str):
@@ -58,6 +67,14 @@ def load_run(path: str):
     except (OSError, ValueError):
         return None
     return run if isinstance(run, dict) else None
+
+
+def medians(results) -> dict:
+    """Each metric's median over *results*, for the metrics every one has."""
+    series = [{name: data["value"] for name, data
+               in result.get("metrics", {}).items()} for result in results]
+    return {name: statistics.median(values[name] for values in series)
+            for name in series[0] if all(name in values for values in series)}
 
 
 def baseline_point(runner: str):
@@ -97,30 +114,36 @@ def check(paths) -> int:
     metrics = config["end_to_end"]
     runs, parents = {}, {}
     for path in paths:
-        workload, _, suffix = Path(path).name.partition(".")
-        (parents if suffix == "parent.out" else runs)[workload] = \
-            load_run(path)
+        name = RUN_NAME.fullmatch(Path(path).name)
+        if name is None:
+            raise SystemExit(f"{path}: not a run file name (W.out, W.<n>.out, "
+                             "W.parent.out or W.<n>.parent.out)")
+        side = parents if name["parent"] else runs
+        side.setdefault(name["workload"], []).append(load_run(path))
     runner = "ci" if os.environ.get("GITHUB_ACTIONS") else "local"
     if runner != "local":
         parents = {}  # CI gates against its own committed points only
     failures = []
     perfbench = {}
     for workload in (entry["name"] for entry in config["workloads"]):
-        run = runs.get(workload)
-        if run is None:
-            failures.append(f"{workload}: no run")
+        results = runs.get(workload)
+        if not results or None in results:
+            failures.append(f"{workload}: no run" if not results
+                            else f"{workload}: a run has no result")
             continue
-        if run.get("correct") is not True:
+        if any(run.get("correct") is not True for run in results):
             failures.append(f"{workload}: verdicts differ from the pins")
-        if run.get("failed") != 0:
-            failures.append(f"{workload}: {run.get('failed')} failed")
-        values = {name: data["value"]
-                  for name, data in run.get("metrics", {}).items()}
+        failed = sum(run.get("failed") or 0 for run in results)
+        if any(run.get("failed") != 0 for run in results):
+            failures.append(f"{workload}: {failed} failed")
+        values = medians(results)
         for metric in metrics:
             if metric["name"] not in values:
                 failures.append(f"{workload}: {metric['name']} missing")
-        perfbench[workload] = dict(values, attempted=run.get("attempted"),
-                                   failed=run.get("failed"))
+        perfbench[workload] = dict(
+            values, runs=len(results),
+            attempted=sum(run.get("attempted") or 0 for run in results),
+            failed=failed)
 
     baseline = baseline_point(runner)
     if baseline is None:
@@ -133,12 +156,10 @@ def check(paths) -> int:
     for workload, values in perfbench.items():
         base_values = (baseline or {}).get("perfbench", {}).get(workload, {})
         if workload in parents:
-            parent = parents[workload]
-            if parent is None:
+            if None in parents[workload]:
                 failures.append(f"{workload}: parent run has no result")
                 continue
-            base_values = {name: data["value"] for name, data
-                           in parent.get("metrics", {}).items()}
+            base_values = medians(parents[workload])
         for metric in metrics:
             name = metric["name"]
             base, fresh = base_values.get(name), values.get(name)
@@ -179,7 +200,8 @@ def main(argv=None) -> int:
     parser.add_argument("runs", nargs="+", metavar="WORKLOAD.out",
                         help="output of one perfbench/run.py run, named "
                              "after its workload (WORKLOAD.parent.out: the "
-                             "parent commit's run in the same session)")
+                             "parent commit's run in the same session; "
+                             "WORKLOAD.<n>[.parent].out: one of several)")
     return check(parser.parse_args(argv).runs)
 
 

@@ -21,6 +21,8 @@ import tempfile
 import time
 from typing import Dict, List, Optional, Sequence
 
+from .cli import _positive_int
+
 _NORMALIZE_DROP_CONTAINS = ("elapsed seconds",)
 #: The variants ``--backends`` may name; each is diffed against serial.
 VARIANTS = ("distributed", "results", "resume", "tcp", "tcp-kill")
@@ -237,11 +239,11 @@ def add_check_backends_arguments(parser: argparse.ArgumentParser) -> None:
                              "mips or rv32im)")
     parser.add_argument("--query", default="err-output",
                         help="query of the sweep")
-    parser.add_argument("--sample", type=int, default=None,
+    parser.add_argument("--sample", type=_positive_int, default=None,
                         help="'repro analyze --sample'")
     parser.add_argument("--seed", type=int, default=None,
                         help="'repro analyze --seed'")
-    parser.add_argument("--max-injections", type=int, default=None,
+    parser.add_argument("--max-injections", type=_positive_int, default=None,
                         help="'repro analyze --max-injections'")
-    parser.add_argument("--max-states", type=int, default=None,
+    parser.add_argument("--max-states", type=_positive_int, default=None,
                         help="'repro analyze --max-states'")

@@ -516,8 +516,11 @@ def _command_analyze(args: argparse.Namespace) -> int:
     strategy, cache_statistics_fn = _build_analyze_strategy(
         args, backend, golden, expected)
     store = None
+    refused: tuple = ()     # errors that end the run with one line
     if args.results is not None:
-        from .results import RecordingStrategy, SqliteResultStore
+        from .results import (RecordingStrategy, ResumeRefused,
+                              SqliteResultStore)
+        refused = (ResumeRefused,)
         store = SqliteResultStore(args.results)
         meta = {
             "workload": workload.name,
@@ -533,8 +536,11 @@ def _command_analyze(args: argparse.Namespace) -> int:
         strategy = RecordingStrategy(strategy, store, meta=meta,
                                      golden_output=golden,
                                      resume=args.resume)
-    result = campaign.run(query, injections=injections, progress=progress,
-                          strategy=strategy)
+    try:
+        result = campaign.run(query, injections=injections,
+                              progress=progress, strategy=strategy)
+    except refused as exc:
+        raise SystemExit(f"repro analyze: error: {exc}") from None
     if store is not None:
         print(f"results store: {args.results} "
               f"(campaign {strategy.campaign_id}"

@@ -13,7 +13,7 @@ once per program and caches the result, so the hot loops become
   targets, the static register read set, and the pre-rendered assembly text
   used by traces and error messages.
 
-* per-address *concrete ops* — tiny specialised Python functions (one per
+* per-address *concrete ops* — specialised Python functions (one per
   instruction) implementing the exact semantics of the string-dispatch
   ``reference_step`` of the test suite for that single instruction.  They
   are the err-free semantics of single-stepping: ``run_concrete`` runs them
@@ -27,20 +27,27 @@ once per program and caches the result, so the hot loops become
   breakpoints fall back to the single-instruction ops.  The symbolic
   search's chains (``Executor.chain``) enter them too, where no label
   lies inside or at the end of the block (``chain_block_lens``) and no
-  register holds ``err``.  A block keeps its
-  registers in Python locals: each source register is read from the state
-  once, at its first use, and each destination is written back once through
-  ``write_register`` at every block exit — the end of the block, or a
-  mid-block ``err`` read, illegal address, divide by zero or exhausted
-  input, before that exit takes effect.  ``steps`` and ``pc`` are set once
+  register holds ``err``.
+
+  One emitter, ``_emit_block``, writes both: an op is the one-instruction
+  range ``[pc, pc + 1)``, which may also be a branch, jump, call, ``jr``,
+  ``check``, ``halt`` or ``throw``.  A range keeps its registers in Python
+  locals: each source register is read from the state once, at its first
+  use, and each destination is written back once through
+  ``write_register`` at every exit — the end of the range, or a
+  mid-range ``err`` read, illegal address, divide by zero or exhausted
+  input, before that exit takes effect.  ``steps`` and ``pc`` move once
   per exit, so the state any exit leaves (fingerprint, err census,
   constraint map, raised message) is bit-identical to single-stepping's.
 
-  Ops and superblocks are generated and ``exec``-compiled on demand: each
-  table slot starts as a stub that compiles its function the first time it
-  runs and then replaces itself, so a process pays compilation only for
-  the code it actually executes (a replace campaign runs about a tenth of
-  its pcs).
+  Ops and superblocks are generated on demand: each table slot starts as
+  a stub that renders its function the first time it runs and then
+  replaces itself, so a process pays generation only for the code it
+  actually executes (a replace campaign runs about a tenth of its pcs).
+  The generated code is position-independent — only branch, jump and
+  call targets are absolute — so equal ranges at different pcs render one
+  body, which is ``exec``-compiled once per decoded program and bound to
+  each of its slots.
 
 * memoised static *control-fork target* sets for every
   ``control_fork_domain`` setting, replacing the per-fork
@@ -55,7 +62,7 @@ once per program and caches the result, so the hot loops become
 
 All generated code mutates state exclusively through the CoW write API
 (``write_register`` / ``write_memory`` / ``append_output``), preserving the
-incremental fingerprint and err-census bookkeeping; superblock loads read
+incremental fingerprint and err-census bookkeeping; generated loads read
 the memory overlay and base directly.
 
 The cache is keyed by program identity with weakref eviction and is rebuilt
@@ -67,13 +74,14 @@ rebuild is cheap and each worker compiles only what it executes.
 from __future__ import annotations
 
 import weakref
+from types import CodeType, FunctionType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs as _obs
 from ..constraints import ComparisonOp
 from ..detectors import execute_detector
-from ..errors.propagation import (IMMEDIATE_ALIASES, _CONCRETE_OPS,
-                                  _concrete_div, _concrete_mod)
+from ..errors.propagation import (IMMEDIATE_ALIASES, _concrete_div,
+                                  _concrete_mod)
 from ..isa.instructions import (Category, Instruction, OperandKind,
                                 RETURN_ADDRESS_REGISTER, ZERO_REGISTER,
                                 compare_base_opcode)
@@ -235,198 +243,71 @@ class DecodedInstruction:
 
 
 # --------------------------------------------------------------------------
-# Generated concrete ops and superblocks.
+# Generated code: one emitter for ops and superblocks.
 #
-# ``_emit_concrete`` produces the body of one instruction's concrete
-# semantics as source lines over a local ``state`` (and ``detectors`` for
-# ``check``): the single-instruction ops that ``run_concrete`` falls back to
-# and that ``Executor`` runs for err-free instructions.  The statements
-# replicate the string-dispatch ``reference_step`` exactly: ``steps`` is
-# incremented before any operand read, the program counter is only advanced
-# at the very end (so a raised ``SymbolicValueEncountered`` leaves it on the
-# faulting instruction), store reads the address register before the value
-# register, and all error messages are byte-identical.  ``_emit_block``
-# produces a whole superblock with the same observable semantics, but with
-# its registers held in locals between one read and one write-back.
+# ``_emit_block`` renders ``entries[start:end]`` as the body of one function
+# over a local ``state`` (and ``detectors``, for ``check``).  A superblock is
+# a range of straight-line instructions; the single-instruction op at *pc*
+# is the range ``[pc, pc + 1)``, whose one instruction may also be one that
+# ends a range: a branch, jump, call, ``jr``, ``check``, ``halt``, ``throw``
+# or an unhandled special.  The statements replicate the string-dispatch
+# ``reference_step`` of the test suite exactly: the step of an exit is
+# counted before the exit takes effect, a raised
+# ``SymbolicValueEncountered`` leaves the pc on the faulting instruction,
+# store reads the address register before the value register, and every
+# error message is byte-identical.
+#
+# The code is position-independent: a range is always entered with
+# ``state.pc == start``, so an exit moves the pc by an offset, and only
+# branch, jump and call targets are absolute.  Equal instruction ranges at
+# different pcs render the same body, which ``_lazy`` compiles once per
+# decoded program.
 # --------------------------------------------------------------------------
-
-def _reg_read(lines: List[str], var: str, number: int) -> None:
-    if number == 0:
-        lines.append(f"    {var} = 0")
-        return
-    lines.append(f"    {var} = state.read_register({number})")
-    lines.append(f"    if {var} is _ERR:")
-    lines.append(f"        raise _SVE('register ${number} is err')")
-
-
-def _emit_concrete(d: DecodedInstruction, next_pc: int) -> List[str]:
-    """Source lines executing *d* on ``state``, falling through to *next_pc*.
-
-    Terminating outcomes (halt / throw / detect) return without touching the
-    program counter, exactly like the reference interpreter.
-    """
-    lines: List[str] = ["    state.steps += 1"]
-    category = d.category
-    advance = True
-
-    if category is Category.ARITHMETIC:
-        _reg_read(lines, "a", d.b)
-        if d.third_is_reg:
-            _reg_read(lines, "b", d.c)
-            rhs = "b"
-        else:
-            rhs = repr(d.c)
-        if d.divmod:
-            if rhs == "b":
-                lines.append("    if b == 0:")
-                lines.append("        state.throw(_DIVIDE_BY_ZERO)")
-                lines.append("        return")
-            elif d.c == 0:
-                lines.append("    state.throw(_DIVIDE_BY_ZERO)")
-                lines.append("    return")
-            fn = "_div" if d.operator == "div" else "_mod"
-            expr = f"{fn}(a, {rhs})"
-        elif d.operator in _INFIX_OPS:
-            expr = f"a {_INFIX_OPS[d.operator]} {rhs}"
-        else:  # pragma: no cover - exhaustive over _CONCRETE_OPS
-            expr = f"_OPS[{d.operator!r}](a, {rhs})"
-        if not (d.divmod and not d.third_is_reg and d.c == 0):
-            lines.append(f"    state.write_register({d.a}, {expr})")
-        else:
-            advance = False
-    elif category is Category.COMPARE:
-        _reg_read(lines, "a", d.b)
-        if d.third_is_reg:
-            _reg_read(lines, "b", d.c)
-            rhs = "b"
-        else:
-            rhs = repr(d.c)
-        infix = _COMPARE_INFIX[d.compare_op]
-        lines.append(f"    state.write_register({d.a}, "
-                     f"1 if a {infix} {rhs} else 0)")
-    elif category is Category.MOVE:
-        if d.is_mov:
-            _reg_read(lines, "v", d.b)
-            lines.append(f"    state.write_register({d.a}, v)")
-        else:
-            lines.append(f"    state.write_register({d.a}, {d.b!r})")
-    elif category is Category.LOAD:
-        _reg_read(lines, "a", d.b)
-        lines.append(f"    addr = a + {d.c!r}")
-        lines.append("    if not state.is_defined_address(addr):")
-        lines.append("        state.throw(_ILLEGAL_ADDRESS)")
-        lines.append("        return")
-        lines.append("    v = state.read_memory(addr)")
-        lines.append("    if v is _ERR:")
-        lines.append("        raise _SVE('memory %d is err' % addr)")
-        lines.append(f"    state.write_register({d.a}, v)")
-    elif category is Category.STORE:
-        _reg_read(lines, "a", d.b)
-        _reg_read(lines, "v", d.a)
-        lines.append(f"    state.write_memory(a + {d.c!r}, v)")
-    elif category is Category.BRANCH:
-        _reg_read(lines, "a", d.a)
-        infix = _COMPARE_INFIX[d.compare_op]
-        lines.append(f"    state.pc = {d.target} "
-                     f"if a {infix} {d.c!r} else {next_pc}")
-        advance = False
-    elif category is Category.JUMP:
-        lines.append(f"    state.pc = {d.target}")
-        advance = False
-    elif category is Category.CALL:
-        lines.append(f"    state.write_register({RETURN_ADDRESS_REGISTER}, "
-                     f"{d.next_pc})")
-        lines.append(f"    state.pc = {d.target}")
-        advance = False
-    elif category is Category.JUMP_REGISTER:
-        _reg_read(lines, "a", d.a)
-        lines.append(f"    if a.__class__ is int and 0 <= a < _CODE_LEN:")
-        lines.append("        state.pc = a")
-        lines.append("    else:")
-        lines.append("        state.throw(_ILLEGAL_INSTRUCTION)")
-        advance = False
-    elif category is Category.IO_READ:
-        lines.append("    if not state.has_input():")
-        lines.append("        state.throw(_INPUT_EXHAUSTED)")
-        lines.append("        return")
-        lines.append(f"    state.write_register({d.a}, state.next_input())")
-    elif category is Category.IO_WRITE:
-        if d.is_print:
-            _reg_read(lines, "v", d.a)
-            lines.append("    state.append_output(v)")
-        else:
-            lines.append(f"    state.append_output({d.a!r})")
-    elif category is Category.CHECK:
-        lines.append(f"    det = detectors.get({d.a!r})")
-        lines.append("    if det is None:")
-        lines.append("        raise _MME('check instruction references "
-                     f"unknown detector {d.a}')")
-        lines.append("    outcomes = _execute_detector(det, state)")
-        lines.append("    if len(outcomes) != 1:")
-        lines.append("        raise _SVE('detector outcome is symbolic')")
-        lines.append("    if outcomes[0].detected:")
-        lines.append(f"        state.detect({d.a!r}, "
-                     f"{detector_exception(d.a)!r})")
-        lines.append("        return")
-        advance = True
-    elif category is Category.SPECIAL:
-        if d.special == "halt":
-            lines.append("    state.halt()")
-            advance = False
-        elif d.special == "nop":
-            pass  # steps += 1 then fall through
-        elif d.special == "throw":
-            lines.append(f"    state.throw({d.b!r})")
-            advance = False
-        else:
-            lines.append(f"    raise _MME({d.b!r})")
-            advance = False
-    else:  # pragma: no cover - exhaustive
-        raise MachineModelError(f"unhandled category {category}")
-
-    if advance:
-        lines.append(f"    state.pc = {next_pc}")
-    return lines
-
 
 def _emit_block(entries: Sequence[DecodedInstruction], start: int,
                 end: int) -> List[str]:
-    """Source lines running ``entries[start:end]`` as one superblock.
+    """Source lines running ``entries[start:end]`` on ``state``.
 
-    Registers live in locals ``r<n>`` for the whole block: a source register
+    Registers live in locals ``r<n>`` for the whole range: a source register
     is read from the state once, at its first use, with the ``err`` check;
     a destination is written back once through ``write_register``, at the
-    end and before every mid-block exit takes effect.  Each exit sets
-    ``steps`` and ``pc`` once, to what single-stepping leaves: the faulting
-    instruction's step counted and the pc on it.  Loads read the memory
-    overlay and base directly; stores, input and output go through the
-    state API in program order.  Every register and memory write still
-    passes the write API, so the XOR location hash, the err census and the
-    constraint map end equal to single-stepping's.  (A shift raises no
-    exit: its count is an immediate, and building the instruction rejects
-    a negative one.)
+    end and before every mid-range exit takes effect.  Each exit adds the
+    steps it ran to ``state.steps`` once and moves ``state.pc`` once, to
+    what single-stepping leaves: the faulting instruction's step counted
+    and the pc on it.  Loads read the memory overlay and base directly;
+    stores, input and output go through the state API in program order.
+    Every register and memory write still passes the write API, so the XOR
+    location hash, the err census and the constraint map end equal to
+    single-stepping's.  (A shift raises no exit: its count is an immediate,
+    and building the instruction rejects a negative one.)  Only the last
+    instruction of a range may end it other than by falling through.
     """
-    lines = ["    steps = state.steps",
-             "    rov = state._registers._overlay",
-             "    rbase = state._registers._base"]
-    if any(entries[pc].category is Category.LOAD for pc in range(start, end)):
-        lines += ["    mov = state._memory._overlay",
-                  "    mbase = state._memory._base"]
+    lines: List[str] = []
     held = set()                # registers with a local
     dirty: List[int] = []       # registers written, in first-write order
+    reads = loads = False       # whether the body reads registers / memory
+
+    def count(pc: int, pad: str) -> List[str]:
+        """Write back and count the steps up to and including *pc*."""
+        return ([f"{pad}state.write_register({n}, r{n})" for n in dirty]
+                + [f"{pad}state.steps += {pc - start + 1}"])
+
+    def stay(pc: int, pad: str) -> List[str]:
+        """Move the pc from *start* onto *pc*."""
+        return [f"{pad}state.pc += {pc - start}"] if pc > start else []
 
     def leave(pc: int, pad: str, *tail: str) -> List[str]:
-        """Write back, count the step of *pc*, stay on it, then *tail*."""
-        return ([f"{pad}state.write_register({n}, r{n})" for n in dirty]
-                + [f"{pad}state.steps = steps + {pc - start + 1}",
-                   f"{pad}state.pc = {pc}"]
+        """Count, stay on *pc*, then *tail*."""
+        return (count(pc, pad) + stay(pc, pad)
                 + [pad + statement for statement in tail])
 
     def read(pc: int, number: int) -> str:
+        nonlocal reads
         if number == 0:
             return "0"
         if number not in held:
             held.add(number)
+            reads = True
             lines.extend([f"    r{number} = rov.get({number})",
                           f"    if r{number} is None:",
                           f"        r{number} = rbase[{number}]",
@@ -443,17 +324,29 @@ def _emit_block(entries: Sequence[DecodedInstruction], start: int,
         if number not in dirty:
             dirty.append(number)
 
+    def done(tail: List[str]) -> List[str]:
+        """The body: the state views it reads, *lines*, then *tail*."""
+        head = []
+        if reads:
+            head += ["    rov = state._registers._overlay",
+                     "    rbase = state._registers._base"]
+        if loads:
+            head += ["    mov = state._memory._overlay",
+                     "    mbase = state._memory._base"]
+        return head + lines + tail
+
     for pc in range(start, end):
         d = entries[pc]
         category = d.category
+        if pc != end - 1 and not is_straightline(d.instruction):
+            raise MachineModelError(f"{d.text!r} must end its range")
         if category is Category.ARITHMETIC:
             a = read(pc, d.b)
             rhs = read(pc, d.c) if d.third_is_reg else repr(d.c)
             if d.divmod and rhs == "0":
                 # Divides by zero whatever the operands: the rest of the
-                # block is unreachable.
-                return lines + leave(pc, "    ",
-                                     "state.throw(_DIVIDE_BY_ZERO)", "return")
+                # range is unreachable.
+                return done(leave(pc, "    ", "state.throw(_DIVIDE_BY_ZERO)"))
             if d.divmod:
                 lines.append(f"    if {rhs} == 0:")
                 lines.extend(leave(pc, "        ",
@@ -470,6 +363,7 @@ def _emit_block(entries: Sequence[DecodedInstruction], start: int,
         elif category is Category.MOVE:
             write(d.a, read(pc, d.b) if d.is_mov else repr(d.b))
         elif category is Category.LOAD:
+            loads = True
             lines.append(f"    addr = {read(pc, d.b)} + {d.c!r}")
             lines.extend(["    v = mov.get(addr)",
                           "    if v is None:",
@@ -496,12 +390,49 @@ def _emit_block(entries: Sequence[DecodedInstruction], start: int,
         elif category is Category.IO_WRITE:
             item = read(pc, d.a) if d.is_print else repr(d.a)
             lines.append(f"    state.append_output({item})")
-        elif d.special != "nop":  # pragma: no cover - planning fuses no other
-            raise MachineModelError(f"cannot fuse {d.text!r} into a block")
-    return (lines
-            + [f"    state.write_register({n}, r{n})" for n in dirty]
-            + [f"    state.steps = steps + {end - start}",
-               f"    state.pc = {end}"])
+        elif category is Category.BRANCH:
+            a = read(pc, d.a)
+            return done(count(pc, "    ") + [
+                f"    if {a} {_COMPARE_INFIX[d.compare_op]} {d.c!r}:",
+                f"        state.pc = {d.target}",
+                "    else:",
+                f"        state.pc += {pc - start + 1}"])
+        elif category is Category.JUMP:
+            return done(count(pc, "    ") + [f"    state.pc = {d.target}"])
+        elif category is Category.CALL:
+            return done(count(pc, "    ") + [
+                f"    state.write_register({RETURN_ADDRESS_REGISTER}, "
+                f"state.pc + {pc - start + 1})",
+                f"    state.pc = {d.target}"])
+        elif category is Category.JUMP_REGISTER:
+            a = read(pc, d.a)
+            return done(count(pc, "    ") + [
+                f"    if ({a}).__class__ is int and 0 <= {a} < _CODE_LEN:",
+                f"        state.pc = {a}",
+                "    else:",
+                *stay(pc, "        "),
+                "        state.throw(_ILLEGAL_INSTRUCTION)"])
+        elif category is Category.CHECK:
+            return done(leave(
+                pc, "    ",
+                f"det = detectors.get({d.a!r})",
+                "if det is None:",
+                "    raise _MME('check instruction references unknown "
+                f"detector {d.a}')",
+                "outcomes = _execute_detector(det, state)",
+                "if len(outcomes) != 1:",
+                "    raise _SVE('detector outcome is symbolic')",
+                "if outcomes[0].detected:",
+                f"    state.detect({d.a!r}, {detector_exception(d.a)!r})",
+                "    return",
+                "state.pc += 1"))
+        elif d.special == "halt":
+            return done(leave(pc, "    ", "state.halt()"))
+        elif d.special == "throw":
+            return done(leave(pc, "    ", f"state.throw({d.b!r})"))
+        elif d.special != "nop":
+            return done(leave(pc, "    ", f"raise _MME({d.b!r})"))
+    return done(count(end - 1, "    ") + [f"    state.pc += {end - start}"])
 
 
 def _exec_namespace(program: Program) -> Dict[str, object]:
@@ -515,7 +446,6 @@ def _exec_namespace(program: Program) -> Dict[str, object]:
         "_INPUT_EXHAUSTED": INPUT_EXHAUSTED,
         "_div": _concrete_div,
         "_mod": _concrete_mod,
-        "_OPS": _CONCRETE_OPS,
         "_execute_detector": execute_detector,
         "_NAME": program.name,
         # Length only — holding e.g. ``program.is_valid_address`` (a bound
@@ -524,33 +454,35 @@ def _exec_namespace(program: Program) -> Dict[str, object]:
     }
 
 
-def _emit_op(entries: Sequence[DecodedInstruction], start: int,
-             end: int) -> List[str]:
-    """The single-instruction op at *start* (``end`` is ``start + 1``)."""
-    return _emit_concrete(entries[start], end)
-
-
 def _lazy(slots: List[Optional[Callable]], start: int, end: int,
           entries: Sequence[DecodedInstruction], namespace: Dict[str, object],
-          emit: Callable[..., List[str]], prefix: str, params: str,
+          codes: Dict[tuple, CodeType], prefix: str, params: str,
           counter: str) -> Callable:
     """Placeholder for ``slots[start]`` that compiles on its first call.
 
-    The call generates ``emit(entries, start, end)`` as one function,
-    compiles it with *namespace* as its globals, stores it in its slot (so
-    later lookups get the compiled function) and runs it.  The stub closes
-    over the entries, its slot list and the namespace only — never the
-    Program or a bound method of it, so a cached DecodedProgram does not
-    keep its program alive.
+    The call binds the code of ``_emit_block(entries, start, end)`` to
+    *namespace* as the function's globals, stores the function in its slot
+    (so later lookups get it) and runs it.  *codes* holds the code compiled
+    for each distinct range, keyed by what its body is rendered from: each
+    instruction with its resolved target and its ``b`` operand (an
+    unhandled special's message names its pc).  The code is
+    position-independent, so equal ranges at different pcs share one
+    compilation.  The stub closes over the entries, its slot list, the
+    namespace and *codes* only — never the Program or a bound method of it,
+    so a cached DecodedProgram does not keep its program alive.
     """
     def stub(*args):
-        name = f"{prefix}{start}"
-        body = emit(entries, start, end)
-        source = "\n".join([f"def {name}({params}):", *body])
-        scope: Dict[str, Callable] = {}
-        exec(compile(source, f"<decoded {namespace['_NAME']} {name}>",
-                     "exec"), namespace, scope)
-        fn = slots[start] = scope[name]
+        key = (prefix, tuple([(d.instruction, d.target, d.b)
+                              for d in entries[start:end]]))
+        code = codes.get(key)
+        if code is None:
+            source = "\n".join([f"def {prefix}({params}):",
+                                *_emit_block(entries, start, end)])
+            scope: Dict[str, Callable] = {}
+            exec(compile(source, f"<decoded {namespace['_NAME']}>", "exec"),
+                 namespace, scope)
+            code = codes[key] = scope[prefix].__code__
+        fn = slots[start] = FunctionType(code, namespace, f"{prefix}{start}")
         hub = _obs.get()
         if hub.enabled:
             hub.count(counter)
@@ -604,17 +536,18 @@ class DecodedProgram:
         self._fork_targets: Dict[Tuple[str, int], List[int]] = {}
 
         namespace = _exec_namespace(program)
+        codes: Dict[tuple, CodeType] = {}
         entries = self.entries
         ops: List[Callable] = [None] * self.length
         for pc in range(self.length):
-            ops[pc] = _lazy(ops, pc, pc + 1, entries, namespace, _emit_op,
+            ops[pc] = _lazy(ops, pc, pc + 1, entries, namespace, codes,
                             "_op", "state, detectors", "interp.ops_compiled")
         self.concrete_ops = ops
         blocks: List[Optional[Callable]] = [None] * self.length
         self.block_lens: List[int] = [0] * self.length
         for start, end in self._plan_superblocks():
             blocks[start] = _lazy(blocks, start, end, entries, namespace,
-                                  _emit_block, "_blk", "state",
+                                  codes, "_blk", "state",
                                   "interp.superblocks_compiled")
             self.block_lens[start] = end - start
         self.block_fns = blocks

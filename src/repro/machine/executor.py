@@ -8,10 +8,11 @@ Two interpreters live here:
   rules (non-deterministic error model), and each half has one
   implementation:
 
-  - the equations are the decoded concrete ops.  An instruction that reads
-    no ``err`` runs its op and yields exactly one successor: ``step`` runs
-    it on a copy, ``advance`` (``step`` for a caller that owns the state)
-    in place;
+  - the equations are the decoded concrete ops, which the one code
+    generator of :mod:`repro.machine.decode` writes along with the
+    superblocks.  An instruction that reads no ``err`` runs its op and
+    yields exactly one successor: ``step`` runs it on a copy, ``advance``
+    (``step`` for a caller that owns the state) in place;
   - the rewrite rules are the ``_dx_*`` handlers.  An instruction whose
     outcome depends on an ``err`` value (comparisons, branches, loads/stores
     through a corrupted pointer, jumps through a corrupted target, division
@@ -33,7 +34,8 @@ Two interpreters live here:
 Both interpreters run off the pre-decoded tables built by
 :mod:`repro.machine.decode`: operands, comparison operators, binary
 operators and branch targets are resolved once per program, so the hot loop
-does no string work.  Each engine has this one dispatch path; the original
+does no string work, and one emitter writes every generated function, the
+per-pc ops and the superblocks alike (an op is a one-instruction block).  Each engine has this one dispatch path; the original
 string-dispatch interpreter of both lives in the test suite
 (``tests/reference_interpreter.py``) as the semantic reference the
 decode-equivalence tests check these paths against.

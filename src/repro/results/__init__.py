@@ -4,8 +4,9 @@ and cross-campaign reports (see :mod:`repro.results.store`)."""
 from __future__ import annotations
 
 from .aggregates import OutcomeAggregates, SolutionOutcome, classify_result
-from .recording import (RecordingStrategy, StoredCampaignResult,
-                        StoredResultsView, campaign_header)
+from .recording import (RecordingStrategy, ResumeRefused,
+                        StoredCampaignResult, StoredResultsView,
+                        campaign_header)
 from .report import format_parity_report, format_report
 from .store import CampaignRecord, SqliteResultStore
 
@@ -13,6 +14,7 @@ __all__ = [
     "CampaignRecord",
     "OutcomeAggregates",
     "RecordingStrategy",
+    "ResumeRefused",
     "SolutionOutcome",
     "SqliteResultStore",
     "StoredCampaignResult",

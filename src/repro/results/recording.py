@@ -146,6 +146,10 @@ class StoredCampaignResult(CampaignResult):
         return self.aggregates.all_completed
 
 
+class ResumeRefused(ValueError):
+    """A resume against a store that holds only other campaigns."""
+
+
 class RecordingStrategy(ExecutionStrategy):
     """Stream a wrapped strategy's sweep into a results store.
 
@@ -184,7 +188,7 @@ class RecordingStrategy(ExecutionStrategy):
             if record.meta.get("identity") == identity:
                 return record
         if records:
-            raise ValueError(
+            raise ResumeRefused(
                 f"results store {self.store.path!r} belongs to a different "
                 f"campaign: no stored campaign has identity {identity} "
                 f"(current campaign {header!r})")

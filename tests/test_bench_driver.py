@@ -78,6 +78,24 @@ class TestCheckBackendsVariants:
         assert len(set(scratches)) == 1
         assert not Path(scratches[0]).exists()
 
+    @pytest.mark.parametrize("flag", ["--max-states", "--sample",
+                                      "--max-injections"])
+    @pytest.mark.parametrize("value", ["0", "-3", "x"])
+    def test_a_bad_cap_exits_2_before_any_run(self, flag, value,
+                                              monkeypatch, capsys):
+        """The caps have the floor ``repro analyze`` gives them, checked
+        when the command line is parsed, not inside each sweep."""
+        ran = []
+        monkeypatch.setattr(check_backends, "_run_variant",
+                            lambda variant, *args: ran.append(variant))
+        monkeypatch.setattr(check_backends.subprocess, "run",
+                            lambda *args, **kwargs: ran.append(args))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check-backends", flag, value])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: must be" in capsys.readouterr().err
+        assert ran == []
+
     def test_default_is_the_distributed_variant(self):
         args = _build_parser().parse_args(["check-backends"])
         assert args.backends == "distributed"
@@ -246,3 +264,59 @@ class TestPerfbenchGate:
         parents = {workload: run_output({"injections_per_s": 9})
                    for workload in WORKLOADS}
         assert self.gate(parents=parents) == 0
+
+    def write_runs(self, name_outputs):
+        paths = []
+        for name, output in name_outputs.items():
+            path = self.runs / name
+            path.write_text(output)
+            paths.append(str(path))
+        return paths
+
+    def test_each_side_is_gated_on_its_median(self, capsys):
+        """One slow run of three neither fails the change nor, as a parent
+        run, excuses it: each side is gated on its median."""
+        self.commit_point("base")
+        names = {f"{workload}.out": run_output() for workload in WORKLOADS}
+        names.update({
+            "replace-register.out": run_output({"injections_per_s": 0.5}),
+            "replace-register.2.out": run_output(),
+            "replace-register.3.out": run_output(),
+            "replace-register.parent.out": run_output(),
+            "replace-register.2.parent.out": run_output(
+                {"injections_per_s": 0.5}),
+            "replace-register.3.parent.out": run_output(
+                {"injections_per_s": 1.1}),
+        })
+        assert check_perfbench.main(self.write_runs(names)) == 0
+        assert ("same-session parent runs: replace-register"
+                in capsys.readouterr().out)
+        register = json.loads(
+            Path("BENCH_fresh.json").read_text())["perfbench"][
+                "replace-register"]
+        assert register["injections_per_s"] == pytest.approx(30.0)
+        assert register["runs"] == 3 and register["attempted"] == 3 * 360
+
+    def test_the_median_of_the_parent_runs_is_the_baseline(self):
+        self.commit_point("base")
+        names = {f"{workload}.out": run_output() for workload in WORKLOADS}
+        names.update({f"tcas-memory-tcp.{n}.parent.out": run_output(
+            {"injections_per_s": 1 if n == 1 else 1 / 0.75})
+            for n in (1, 2, 3)})
+        assert check_perfbench.main(self.write_runs(names)) == 1
+
+    def test_every_run_of_a_workload_must_be_correct(self):
+        paths = self.write_runs(
+            {f"{workload}.out": run_output() for workload in WORKLOADS})
+        paths += self.write_runs(
+            {"tcas-memory-tcp.2.out": run_output(correct=False)})
+        assert check_perfbench.main(paths) == 1
+
+    @pytest.mark.parametrize("name", ["replace-control.parent.2.out",
+                                      "replace-control.x.out",
+                                      "replace-control.json"])
+    def test_any_other_file_name_is_rejected(self, name):
+        paths = self.write_runs(
+            {f"{workload}.out": run_output() for workload in WORKLOADS})
+        with pytest.raises(SystemExit, match="not a run file name"):
+            check_perfbench.main(paths + self.write_runs({name: run_output()}))

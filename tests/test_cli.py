@@ -167,6 +167,22 @@ class TestAnalyzeValidation:
         with pytest.raises(SystemExit, match="--results"):
             main(["analyze", "--workload", "factorial", "--resume"])
 
+    def test_resume_against_another_campaign_is_one_error_line(
+            self, tmp_path, capsys):
+        """A store holding only other campaigns refuses the resume with
+        one ``repro analyze: error:`` line, not a traceback."""
+        store = str(tmp_path / "results.sqlite")
+        base = ["analyze", "--workload", "factorial", "--max-injections",
+                "2", "--results", store]
+        assert main(base) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as raised:
+            main(base + ["--resume", "--fault-model", "operand"])
+        message = str(raised.value.code)
+        assert message.startswith("repro analyze: error: results store ")
+        assert "belongs to a different campaign" in message
+        assert "\n" not in message
+
     def test_workers_zero_requires_queue(self):
         with pytest.raises(SystemExit, match="queue"):
             main(["analyze", "--workload", "factorial", "--workers", "0"])

@@ -6,8 +6,9 @@ function on first call and replaces itself.  These tests pin down that
 code which never runs is never compiled, that the first run through a stub
 is observably identical to single-stepping (breakpoints inside a block,
 the step-budget edge, ``SymbolicValueEncountered`` positions), that the
-telemetry counters count real compilations, and that stubs do not keep a
-program alive in the decode cache.
+telemetry counters count the slots filled, that equal ranges share one
+compilation, and that stubs do not keep a program alive in the decode
+cache.
 """
 
 from __future__ import annotations
@@ -204,6 +205,39 @@ def test_telemetry_counts_actual_compilations():
     assert hub.counters["interp.programs_decoded"] == 1
     assert hub.counters["interp.ops_compiled"] == ops
     assert hub.counters["interp.superblocks_compiled"] == blocks
+
+
+def test_equal_ranges_share_one_compilation(monkeypatch):
+    """Generated code is position-independent: equal ranges at different
+    pcs compile once and share the code, and each op still leaves its own
+    pc and return address."""
+    compiled = []
+
+    def counting(source, *args):
+        compiled.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(decode, "compile", counting, raising=False)
+    program = assemble("""
+        addi $1 $1 #1        -- 0
+        jal fn               -- 1
+        addi $1 $1 #1        -- 2
+fn:     jal fn               -- 3
+        halt                 -- 4
+""", name="shared")
+    ops = decoded_program(program).concrete_ops
+    ends = []
+    for pc in range(4):
+        state = initial_state()
+        state.pc = pc
+        ops[pc](state, None)
+        ends.append((state.pc, state.read_register(1),
+                     state.read_register(31)))
+    assert ends == [(1, 1, 0), (3, 0, 2), (3, 1, 0), (3, 0, 4)]
+    assert len(compiled) == 2
+    assert ops[0].__code__ is ops[2].__code__
+    assert ops[1].__code__ is ops[3].__code__
+    assert [op.__name__ for op in ops[:4]] == ["_op0", "_op1", "_op2", "_op3"]
 
 
 def test_stubs_do_not_pin_the_program():
